@@ -1,0 +1,541 @@
+"""Command-line surface: compute, tabulate, validate, classify, sweep.
+
+Subcommands mirror the library layers: ``hfunc`` renders H-function
+tables, ``tau`` evaluates the satellite invariant by closed form and/or
+the chain-complex oracle, ``verify`` drives the cross-validation sweeps,
+``classify`` runs the homomorphism-obstruction test, and ``genus``
+reports Thurston-norm and slice-genus quantities.
+
+Exit codes: 0 success, 2 invalid input, 3 unsupported regime,
+4 verification failure.  Half-integers print as ``p/2`` strings in human
+output and as doubled integers in JSON.  Identical invocations produce
+byte-identical output; ``LSAT_THREADS`` caps sweep parallelism.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import functools
+import json
+import os
+import sys
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import click
+
+from .errors import (
+    InvalidInputError,
+    LsatError,
+    UnsupportedRegimeError,
+    VerificationError,
+)
+from .genus import g3rel, g4_satellite_regime
+from .halfgrid_poly import HalfInt
+from .hfunction import (
+    HFunction,
+    LinkAlexData,
+    _lattice_range,
+    h_t22l,
+    hf_table,
+    hf_table_tsv,
+    resolve_sign,
+    validate,
+    width,
+)
+from .invariants import (
+    classify_operator,
+    tau_bridge_braid,
+    tau_cable,
+    tau_closed_form,
+    tau_inequality_check,
+)
+from .patterns import (
+    Companion,
+    PatternProfile,
+    generic_profile,
+    parse_pattern_spec,
+    twobridge_data,
+    twobridge_profile,
+    unlink_data,
+    unlink_profile,
+)
+from .zcomplex import TauResult, tau_oracle
+
+
+@dataclass(frozen=True)
+class LoadedPattern:
+    """A parsed pattern spec; cable/braid profiles are built on demand.
+
+    Cables and braids admit the family tau formula for any coprime
+    parameters, but their scalar profile (genus, classifier input) is
+    only defined on the principal parameter range, so the profile is
+    not constructed until a command actually needs it.
+    """
+
+    kind: str
+    params: Tuple[int, ...]
+    _profile: Optional[PatternProfile]
+
+    @property
+    def has_table(self) -> bool:
+        return self.kind in ("twobridge", "json")
+
+    def profile(self) -> PatternProfile:
+        if self._profile is not None:
+            return self._profile
+        if self.kind == "cable":
+            from .patterns import cable_profile
+
+            return cable_profile(*self.params)
+        from .patterns import bridge_braid_profile
+
+        return bridge_braid_profile(*self.params)
+
+
+def _load_pattern(spec: str) -> LoadedPattern:
+    parsed = parse_pattern_spec(spec)
+    kind = parsed[0]
+    if kind == "twobridge":
+        r, q = parsed[1], parsed[2]
+        return LoadedPattern(kind, (r, q), twobridge_profile(r, q))
+    if kind in ("cable", "braid"):
+        return LoadedPattern(kind, tuple(parsed[1:]), None)
+    # json:<path>
+    path = parsed[1]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(
+            f"cannot read link data from {path}: {exc}"
+        ) from exc
+    g3 = obj.pop("g3", None)
+    data = resolve_sign(LinkAlexData.from_json_obj(obj))
+    return LoadedPattern("json", (), generic_profile(data, g3=g3))
+
+
+def _handle_errors(f: Callable) -> Callable:
+    @functools.wraps(f)
+    def wrapper(*args, **kwargs):
+        try:
+            return f(*args, **kwargs)
+        except LsatError as exc:
+            payload = {
+                "error": type(exc).__name__,
+                "message": str(exc),
+                "exit_code": exc.exit_code,
+            }
+            click.echo(json.dumps(payload, sort_keys=True), err=True)
+            sys.exit(exc.exit_code)
+
+    return wrapper
+
+
+def _emit_json(obj) -> None:
+    click.echo(json.dumps(obj, sort_keys=True, indent=2))
+
+
+_FORMAT = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["tsv", "json"]),
+    default="tsv",
+    show_default=True,
+    help="Output format (tsv is the human-readable table/text form).",
+)
+
+
+@click.group()
+def main() -> None:
+    """Concordance invariants of satellite knots from L-space operators."""
+
+
+@main.command("hfunc")
+@click.argument("pattern")
+@click.option("--window", type=int, default=None, help="Table half-width in t.")
+@_FORMAT
+@_handle_errors
+def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
+    """Render the H-function table of PATTERN (rows r descending)."""
+    loaded = _load_pattern(pattern)
+    if not loaded.has_table:
+        raise UnsupportedRegimeError(
+            f"{loaded.kind} patterns carry only a scalar profile; "
+            "no H-function table is available"
+        )
+    h = loaded.profile().hfunction()
+    if window is None:
+        window = (width(h.data) + 3).doubled // 2
+    if fmt == "tsv":
+        click.echo(hf_table_tsv(h, window), nl=False)
+        return
+    coords, rows = hf_table(h, window)
+    _emit_json(
+        {
+            "linking": h.linking,
+            "t_doubled": [t.doubled for t in coords],
+            "rows": [
+                {"r_doubled": r.doubled, "h": vals} for r, vals in rows
+            ],
+            "r_of_t_doubled": [h.r_of_t(t).doubled for t in coords],
+        }
+    )
+
+
+def _companion(tau: int, eps: int) -> Companion:
+    return Companion(tau=tau, eps=eps)
+
+
+def _tau_for(
+    loaded: LoadedPattern, K: Companion, n: int, method: str
+) -> List[TauResult]:
+    """Evaluate tau by the requested method(s); raise on both-mismatch."""
+    if loaded.kind in ("cable", "braid"):
+        if method in ("oracle", "both"):
+            raise UnsupportedRegimeError(
+                f"the oracle needs full Alexander data; {loaded.kind} "
+                "patterns support the closed form only"
+            )
+        if loaded.kind == "cable":
+            p, q = loaded.params
+            return [tau_cable(p, q + p * n, K)]
+        p, q, b = loaded.params
+        return [tau_bridge_braid(p, q + p * n, b, K)]
+    results: List[TauResult] = []
+    if method in ("closed", "both"):
+        results.append(tau_closed_form(loaded.profile(), K, n))
+    if method in ("oracle", "both"):
+        results.append(tau_oracle(loaded.profile(), K, n))
+    if method == "both" and results[0].value != results[1].value:
+        raise VerificationError(
+            f"closed form {results[0].value} != oracle {results[1].value} "
+            f"({results[0].case_tag} / {results[1].case_tag})"
+        )
+    return results
+
+
+@main.command("tau")
+@click.argument("pattern")
+@click.option("--tau", "tau_k", type=int, required=True, help="tau of the companion.")
+@click.option(
+    "--eps", type=click.Choice(["-1", "0", "1"]), required=True,
+    help="eps of the companion.",
+)
+@click.option("--n", type=int, default=0, show_default=True, help="Framing.")
+@click.option(
+    "--method",
+    type=click.Choice(["closed", "oracle", "both"]),
+    default="closed",
+    show_default=True,
+)
+@_FORMAT
+@_handle_errors
+def cmd_tau(
+    pattern: str, tau_k: int, eps: str, n: int, method: str, fmt: str
+) -> None:
+    """tau of the satellite of PATTERN along a companion with the given data."""
+    loaded = _load_pattern(pattern)
+    K = _companion(tau_k, int(eps))
+    results = _tau_for(loaded, K, n, method)
+    if fmt == "json":
+        if len(results) == 2:
+            _emit_json(
+                {
+                    "closed": results[0].to_json_obj(),
+                    "oracle": results[1].to_json_obj(),
+                    "match": True,
+                }
+            )
+        else:
+            _emit_json(results[0].to_json_obj())
+        return
+    for res in results:
+        click.echo(
+            f"tau = {res.value}\tmethod = {res.method}\tcase = {res.case_tag}"
+        )
+    if len(results) == 2:
+        click.echo("match")
+
+
+@main.command("classify")
+@click.argument("pattern")
+@click.option("--n", type=int, default=0, show_default=True, help="Framing.")
+@_FORMAT
+@_handle_errors
+def cmd_classify(pattern: str, n: int, fmt: str) -> None:
+    """Homomorphism-obstruction verdict for the operator PATTERN."""
+    loaded = _load_pattern(pattern)
+    if loaded.has_table:
+        prof = loaded.profile()
+        verdict, failed = classify_operator(prof.hfunction(), prof.g3, n)
+    else:
+        # Cables and braids all have winding >= 2, which a
+        # homomorphism-inducing operator cannot have.
+        verdict, failed = (
+            "obstructed",
+            f"winding {loaded.params[0]} not in {{0, +-1}}",
+        )
+    if fmt == "json":
+        _emit_json({"verdict": verdict, "failed_claim": failed})
+        return
+    click.echo(verdict if failed is None else f"{verdict}\t{failed}")
+
+
+@main.command("genus")
+@click.argument("pattern")
+@click.option(
+    "--g4-eq-tau",
+    "g4_eq_tau",
+    type=int,
+    default=None,
+    help="Assert tau(K) = g4(K) equals this positive value.",
+)
+@click.option("--n", type=int, default=0, show_default=True, help="Framing.")
+@_FORMAT
+@_handle_errors
+def cmd_genus(
+    pattern: str, g4_eq_tau: Optional[int], n: int, fmt: str
+) -> None:
+    """Relative Seifert genus and (optionally) satellite slice genus."""
+    loaded = _load_pattern(pattern)
+    prof = loaded.profile()
+    g3r = g3rel(prof)
+    g4: Optional[int] = None
+    regime = "g3rel-only"
+    if g4_eq_tau is not None:
+        K = _companion(g4_eq_tau, 1)
+        g4, regime = g4_satellite_regime(prof, K, n, tau_equals_g4=True)
+    if fmt == "json":
+        _emit_json({"g3rel": g3r, "g4": g4, "regime": regime})
+        return
+    click.echo(f"g3rel = {g3r}")
+    if g4 is not None:
+        click.echo(f"g4 = {g4}\tregime = {regime}")
+
+
+# ---------------------------------------------------------------------------
+# verify: the cross-validation sweeps.
+
+
+def _pmap(fn: Callable, items: Sequence) -> list:
+    """Order-preserving map, parallelized when LSAT_THREADS > 1."""
+    items = list(items)
+    try:
+        workers = int(os.environ.get("LSAT_THREADS", "1"))
+    except ValueError:
+        workers = 1
+    if workers > 1 and len(items) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def _family_pairs() -> List[Tuple[int, int]]:
+    """Two-bridge parameters used by every sweep: odd 3 <= q <= r <= 9."""
+    return [(r, q) for r in (3, 5, 7, 9) for q in range(3, r + 1, 2)]
+
+
+def _companion_grid() -> List[Companion]:
+    grid = [
+        Companion(tau=tau, eps=eps)
+        for eps in (-1, 1)
+        for tau in range(-2, 3)
+    ]
+    grid.append(Companion(tau=0, eps=0))
+    return grid
+
+
+def _check_tables() -> Tuple[int, List[str]]:
+    points, failures = 0, []
+    model_cases = [
+        ("unlink", unlink_profile(), 0),
+        ("twobridge(3,1)", twobridge_profile(3, 1), 1),
+    ]
+    for label, prof, l in model_cases:
+        h = prof.hfunction()
+        for t in _lattice_range(l, 3):
+            for r in _lattice_range(l, 3):
+                points += 1
+                if h(t, r) != h_t22l(l, t, r):
+                    failures.append(f"{label} H({t},{r}) != model")
+    wh = HFunction(twobridge_data(3, 3))
+    points += 2
+    if wh.r_of_t(0) != HalfInt.whole(1):
+        failures.append("Whitehead R_0 != 1")
+    if width(wh.data) != HalfInt.whole(1):
+        failures.append("Whitehead width != 1")
+    mz = HFunction(twobridge_data(5, 3))
+    for t, r in ((HalfInt(-1), HalfInt(1)), (HalfInt(1), HalfInt(3)), (HalfInt(3), HalfInt(1))):
+        points += 1
+        if mz.r_of_t(t) != r:
+            failures.append(f"Mazur R_{t} != {r}")
+    return points, failures
+
+
+def _check_oracle() -> Tuple[int, List[str]]:
+    profiles = [twobridge_profile(r, q) for r, q in _family_pairs()]
+    profiles.append(twobridge_profile(3, 1))
+    tasks = [
+        (prof, K, n)
+        for prof in profiles
+        for n in range(-4, 5)
+        for K in _companion_grid()
+    ]
+
+    def run(task):
+        prof, K, n = task
+        try:
+            cf = tau_closed_form(prof, K, n)
+        except UnsupportedRegimeError:
+            return None
+        orc = tau_oracle(prof, K, n)
+        if cf.value != orc.value:
+            return (
+                f"l={prof.l} eps={K.eps} tau={K.tau} n={n}: "
+                f"closed {cf.value} != oracle {orc.value}"
+            )
+        return ""
+
+    results = _pmap(run, tasks)
+    points = sum(1 for x in results if x is not None)
+    failures = [x for x in results if x]
+    return points, failures
+
+
+def _check_properties() -> Tuple[int, List[str]]:
+    datas = [("unlink", unlink_data())]
+    for r in (3, 5, 7, 9):
+        for q in range(1, r + 1, 2):
+            datas.append((f"twobridge({r},{q})", twobridge_data(r, q)))
+
+    def run(item):
+        label, data = item
+        report = validate(HFunction(data))
+        if report.ok:
+            return ""
+        return f"{label}: {report.failures[0]}"
+
+    results = _pmap(run, datas)
+    return len(results), [x for x in results if x]
+
+
+def _check_classifier() -> Tuple[int, List[str]]:
+    failures = []
+    cases = [("unlink", unlink_profile())]
+    for r in (3, 5, 7, 9):
+        for q in range(1, r + 1, 2):
+            cases.append((f"twobridge({r},{q})", twobridge_profile(r, q)))
+    expected = {"twobridge(3,1)": "identity", "unlink": "trivial"}
+    for label, prof in cases:
+        verdict, _ = classify_operator(prof.hfunction(), prof.g3)
+        want = expected.get(label, "obstructed")
+        if verdict != want:
+            failures.append(f"{label}: classified {verdict}, expected {want}")
+    return len(cases), failures
+
+
+def _check_inequality() -> Tuple[int, List[str]]:
+    profiles = [twobridge_profile(r, q) for r, q in _family_pairs()]
+    profiles.append(twobridge_profile(3, 1))
+    tasks = [
+        (prof, K, n)
+        for prof in profiles
+        for n in range(-4, 5)
+        for K in _companion_grid()
+    ]
+
+    def run(task):
+        prof, K, n = task
+        ok = tau_inequality_check(prof, K, n)
+        if ok is None:
+            return None
+        if not ok:
+            return f"l={prof.l} eps={K.eps} tau={K.tau} n={n}: inequality fails"
+        return ""
+
+    results = _pmap(run, tasks)
+    points = sum(1 for x in results if x is not None)
+    return points, [x for x in results if x]
+
+
+def _check_genus() -> Tuple[int, List[str]]:
+    points, failures = 0, []
+    profiles = [twobridge_profile(r, q) for r, q in _family_pairs()]
+    for prof in profiles:
+        for tau in (1, 2):
+            K = Companion(tau=tau, eps=1)
+            points += 1
+            g4, _ = g4_satellite_regime(prof, K, 0, tau_equals_g4=True)
+            want = tau_closed_form(prof, K, 0).value
+            if g4 != want:
+                failures.append(
+                    f"l={prof.l} tau={tau}: g4(n=0) {g4} != tau {want}"
+                )
+    wh = twobridge_profile(3, 3)
+    for tau in (1, 2, 3):
+        for n in range(-2, 2 * tau):
+            points += 1
+            g4, _ = g4_satellite_regime(
+                wh, Companion(tau=tau, eps=1), n, tau_equals_g4=True
+            )
+            if g4 != 1:
+                failures.append(f"Whitehead g4(tau={tau},n={n}) = {g4} != 1")
+    return points, failures
+
+
+_CHECKS = {
+    "tables": _check_tables,
+    "oracle": _check_oracle,
+    "properties": _check_properties,
+    "classifier": _check_classifier,
+    "inequality": _check_inequality,
+    "genus": _check_genus,
+}
+
+
+@main.command("verify")
+@click.option(
+    "--check",
+    "check",
+    type=click.Choice(["all"] + sorted(_CHECKS)),
+    default="all",
+    show_default=True,
+)
+@_FORMAT
+@_handle_errors
+def cmd_verify(check: str, fmt: str) -> None:
+    """Run the cross-validation sweeps; nonzero exit on any failure."""
+    names = sorted(_CHECKS) if check == "all" else [check]
+    summary = {}
+    all_failures: List[str] = []
+    for name in names:
+        points, failures = _CHECKS[name]()
+        summary[name] = {"points": points, "failures": len(failures)}
+        all_failures.extend(f"{name}: {msg}" for msg in failures)
+    total_points = sum(s["points"] for s in summary.values())
+    total_failures = len(all_failures)
+    if fmt == "json":
+        _emit_json(
+            {
+                "checks": summary,
+                "total_points": total_points,
+                "total_failures": total_failures,
+                "failures": all_failures[:20],
+            }
+        )
+    else:
+        for name in names:
+            s = summary[name]
+            click.echo(
+                f"check {name}: {s['points']} points, {s['failures']} failures"
+            )
+        click.echo(f"total: {total_points} points, {total_failures} failures")
+        for msg in all_failures[:20]:
+            click.echo(f"counterexample: {msg}")
+    if total_failures:
+        sys.exit(VerificationError("").exit_code)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,62 @@
+"""Thurston-norm and slice-genus quantities derived from the H-function."""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+from .errors import UnsupportedRegimeError
+from .halfgrid_poly import HalfInt
+from .patterns import Companion, PatternProfile
+
+
+def g3rel(prof: PatternProfile) -> int:
+    """Relative Seifert genus in the solid torus: R_center - winding/2."""
+    if prof.l < 0:
+        raise UnsupportedRegimeError("needs winding >= 0")
+    if prof.r_center is None:
+        raise UnsupportedRegimeError("R_center unavailable for this profile")
+    return (prof.r_center - HalfInt(prof.l)).as_int()
+
+
+def g4_satellite(
+    prof: PatternProfile, K: Companion, n: int, *, tau_equals_g4: bool = False
+) -> int:
+    """Slice genus of the satellite under the tau = g4 > 0 hypothesis.
+
+    The hypothesis cannot be checked from companion data, so the caller
+    must set ``tau_equals_g4`` explicitly.  Three regimes are supported:
+    zero framing, winding-zero patterns with n < 2 tau, and minimal
+    wrapping with n >= 0.
+    """
+    return g4_satellite_regime(prof, K, n, tau_equals_g4=tau_equals_g4)[0]
+
+
+def g4_satellite_regime(
+    prof: PatternProfile, K: Companion, n: int, *, tau_equals_g4: bool = False
+) -> Tuple[int, str]:
+    """Like :func:`g4_satellite` but also names the regime that applied."""
+    if not tau_equals_g4:
+        raise UnsupportedRegimeError(
+            "set tau_equals_g4=True to assert tau(K) = g4(K) > 0"
+        )
+    if K.tau <= 0:
+        raise UnsupportedRegimeError("the hypothesis needs tau(K) > 0")
+    if n == 0:
+        return g3rel(prof) + prof.l * K.tau, "zero-framing"
+    if prof.l == 0 and n < 2 * K.tau:
+        return g3rel(prof), "winding-zero,n<2tau"
+    if prof.minimal_wrapping and n >= 0:
+        value = prof.g3 + prof.l * (prof.l - 1) * n // 2 + prof.l * K.tau
+        return value, "minimal-wrapping,n>=0"
+    raise UnsupportedRegimeError(
+        "no slice-genus formula applies to this (pattern, framing) regime"
+    )
+
+
+def g3rel_framed(prof: PatternProfile, n: int) -> int:
+    """Relative genus with n-framed longitudes, minimal wrapping only."""
+    if not prof.minimal_wrapping:
+        raise UnsupportedRegimeError("formula needs minimal wrapping")
+    if n < 0 or prof.l < 0:
+        raise UnsupportedRegimeError("formula needs n >= 0 and winding >= 0")
+    return prof.g3 + prof.l * (prof.l - 1) * n // 2

@@ -1,0 +1,437 @@
+"""Exact sparse Laurent-polynomial arithmetic with half-integer exponents.
+
+Values on the shifted lattice (l/2 + Z)^2 are represented exactly by storing
+every half-integer as its doubled integer value (:class:`HalfInt`), so no
+floating point appears anywhere.  Polynomials are sparse maps from exponents
+to nonzero integer coefficients with a canonical (sorted) term order.
+
+The module also provides the two normalization steps every Alexander
+polynomial goes through before H-function evaluation:
+
+- :func:`symmetrize` recenters a two-variable polynomial at the midpoint of
+  its Newton polytope and checks invariance under inverting both variables;
+- :func:`knot_chi_expansion` expands a one-variable knot polynomial against
+  the geometric series in x^{-1}, producing the Euler-characteristic
+  coefficients whose tail is eventually the constant 1.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from functools import total_ordering
+from typing import Iterable, Mapping, Tuple, Union
+
+from .errors import (
+    CosetMismatchError,
+    IncreaseDepthError,
+    InvalidInputError,
+    NotAlexanderSymmetricError,
+)
+
+HalfIntLike = Union["HalfInt", int]
+
+
+@total_ordering
+@dataclass(frozen=True)
+class HalfInt:
+    """An element of (1/2)Z stored as twice its value.
+
+    All arithmetic is exact integer arithmetic on the doubled value; a
+    HalfInt is integral iff ``doubled`` is even.
+    """
+
+    doubled: int
+
+    @staticmethod
+    def whole(n: int) -> "HalfInt":
+        return HalfInt(2 * n)
+
+    @staticmethod
+    def of(value: HalfIntLike) -> "HalfInt":
+        if isinstance(value, HalfInt):
+            return value
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidInputError(f"not a half-integer: {value!r}")
+        return HalfInt(2 * value)
+
+    @property
+    def is_integral(self) -> bool:
+        return self.doubled % 2 == 0
+
+    def as_int(self) -> int:
+        if not self.is_integral:
+            raise InvalidInputError(f"{self} is not an integer")
+        return self.doubled // 2
+
+    def __add__(self, other: HalfIntLike) -> "HalfInt":
+        return HalfInt(self.doubled + HalfInt.of(other).doubled)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: HalfIntLike) -> "HalfInt":
+        return HalfInt(self.doubled - HalfInt.of(other).doubled)
+
+    def __rsub__(self, other: HalfIntLike) -> "HalfInt":
+        return HalfInt(HalfInt.of(other).doubled - self.doubled)
+
+    def __neg__(self) -> "HalfInt":
+        return HalfInt(-self.doubled)
+
+    def __mul__(self, other: int) -> "HalfInt":
+        if not isinstance(other, int):
+            return NotImplemented
+        return HalfInt(self.doubled * other)
+
+    __rmul__ = __mul__
+
+    def __lt__(self, other: HalfIntLike) -> bool:
+        return self.doubled < HalfInt.of(other).doubled
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (HalfInt, int)):
+            return self.doubled == HalfInt.of(other).doubled
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(("HalfInt", self.doubled))
+
+    def __str__(self) -> str:
+        if self.is_integral:
+            return str(self.doubled // 2)
+        return f"{self.doubled}/2"
+
+    def __repr__(self) -> str:
+        return f"HalfInt({self.doubled})"
+
+
+ZERO = HalfInt(0)
+HALF = HalfInt(1)
+ONE = HalfInt(2)
+
+Exp2 = Tuple[HalfInt, HalfInt]
+
+
+def _canonical_terms(items: Iterable[tuple], arity: int) -> tuple:
+    merged: dict = {}
+    for exp, coeff in items:
+        if arity == 1:
+            key = HalfInt.of(exp)
+        else:
+            key = tuple(HalfInt.of(e) for e in exp)
+            if len(key) != arity:
+                raise InvalidInputError(f"exponent arity mismatch: {exp!r}")
+        merged[key] = merged.get(key, 0) + coeff
+    cleaned = {k: c for k, c in merged.items() if c != 0}
+    if arity == 1:
+        order = sorted(cleaned, key=lambda e: e.doubled)
+    else:
+        order = sorted(cleaned, key=lambda e: tuple(x.doubled for x in e))
+    return tuple((k, cleaned[k]) for k in order)
+
+
+@dataclass(frozen=True)
+class LaurentPoly1:
+    """Sparse one-variable Laurent polynomial, exponents in (1/2)Z."""
+
+    terms: tuple  # ((HalfInt, int), ...) sorted by exponent, no zeros
+
+    @staticmethod
+    def from_terms(items: Union[Mapping, Iterable[tuple]]) -> "LaurentPoly1":
+        if isinstance(items, Mapping):
+            items = items.items()
+        return LaurentPoly1(_canonical_terms(items, 1))
+
+    @staticmethod
+    def zero() -> "LaurentPoly1":
+        return LaurentPoly1(())
+
+    @staticmethod
+    def one() -> "LaurentPoly1":
+        return LaurentPoly1.from_terms({ZERO: 1})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, e: HalfIntLike) -> int:
+        e = HalfInt.of(e)
+        for exp, c in self.terms:
+            if exp == e:
+                return c
+        return 0
+
+    def support(self) -> tuple:
+        return tuple(exp for exp, _ in self.terms)
+
+    def degree(self) -> HalfInt:
+        if self.is_zero:
+            raise InvalidInputError("zero polynomial has no degree")
+        return self.terms[-1][0]
+
+    def valuation(self) -> HalfInt:
+        if self.is_zero:
+            raise InvalidInputError("zero polynomial has no valuation")
+        return self.terms[0][0]
+
+    def eval_at_one(self) -> int:
+        return sum(c for _, c in self.terms)
+
+    def neg(self) -> "LaurentPoly1":
+        return LaurentPoly1(tuple((e, -c) for e, c in self.terms))
+
+    def add(self, other: "LaurentPoly1") -> "LaurentPoly1":
+        return LaurentPoly1.from_terms(list(self.terms) + list(other.terms))
+
+    def shift(self, a: HalfIntLike) -> "LaurentPoly1":
+        a = HalfInt.of(a)
+        return LaurentPoly1(tuple((e + a, c) for e, c in self.terms))
+
+    def is_symmetric(self) -> bool:
+        return all(self.coeff(-e) == c for e, c in self.terms)
+
+    def to_json_obj(self) -> dict:
+        return {
+            "vars": 1,
+            "terms": [{"e": [e.doubled], "c": c} for e, c in self.terms],
+        }
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> "LaurentPoly1":
+        if obj.get("vars") != 1:
+            raise InvalidInputError("expected a one-variable polynomial")
+        items = []
+        for t in obj.get("terms", []):
+            (e,) = t["e"]
+            items.append((HalfInt(int(e)), int(t["c"])))
+        return LaurentPoly1.from_terms(items)
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for e, c in reversed(self.terms):
+            mono = "1" if e == ZERO else f"x^{e}"
+            parts.append(f"{c:+d}*{mono}")
+        return " ".join(parts)
+
+
+@dataclass(frozen=True)
+class LaurentPoly2:
+    """Sparse two-variable Laurent polynomial, exponents in (1/2)Z x (1/2)Z.
+
+    All exponent pairs must lie on a single coset of Z^2: both coordinates
+    have a fixed doubled-parity across the support.
+    """
+
+    terms: tuple  # (((HalfInt, HalfInt), int), ...) sorted, no zeros
+
+    def __post_init__(self):
+        parities = {
+            (e1.doubled % 2, e2.doubled % 2) for (e1, e2), _ in self.terms
+        }
+        if len(parities) > 1:
+            raise CosetMismatchError(
+                f"support spans several exponent cosets: {sorted(parities)}"
+            )
+
+    @staticmethod
+    def from_terms(items: Union[Mapping, Iterable[tuple]]) -> "LaurentPoly2":
+        if isinstance(items, Mapping):
+            items = items.items()
+        return LaurentPoly2(_canonical_terms(items, 2))
+
+    @staticmethod
+    def zero() -> "LaurentPoly2":
+        return LaurentPoly2(())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coset(self) -> Union[Tuple[int, int], None]:
+        """Doubled-parity pair of the support, or None for the zero poly."""
+        if self.is_zero:
+            return None
+        (e1, e2), _ = self.terms[0]
+        return (e1.doubled % 2, e2.doubled % 2)
+
+    def coeff(self, e1: HalfIntLike, e2: HalfIntLike) -> int:
+        key = (HalfInt.of(e1), HalfInt.of(e2))
+        for exp, c in self.terms:
+            if exp == key:
+                return c
+        return 0
+
+    def support(self) -> tuple:
+        return tuple(exp for exp, _ in self.terms)
+
+    def eval_at_one(self) -> int:
+        return sum(c for _, c in self.terms)
+
+    def neg(self) -> "LaurentPoly2":
+        return LaurentPoly2(tuple((e, -c) for e, c in self.terms))
+
+    def max_exp1(self) -> HalfInt:
+        if self.is_zero:
+            raise InvalidInputError("zero polynomial has no top exponent")
+        return max((e1 for (e1, _), _ in self.terms), key=lambda h: h.doubled)
+
+    def to_json_obj(self) -> dict:
+        return {
+            "vars": 2,
+            "terms": [
+                {"e": [e1.doubled, e2.doubled], "c": c}
+                for (e1, e2), c in self.terms
+            ],
+        }
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> "LaurentPoly2":
+        if obj.get("vars") != 2:
+            raise InvalidInputError("expected a two-variable polynomial")
+        items = []
+        for t in obj.get("terms", []):
+            e1, e2 = t["e"]
+            items.append(((HalfInt(int(e1)), HalfInt(int(e2))), int(t["c"])))
+        return LaurentPoly2.from_terms(items)
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for (e1, e2), c in self.terms:
+            factors = []
+            if e1 != ZERO:
+                factors.append(f"x1^{e1}")
+            if e2 != ZERO:
+                factors.append(f"x2^{e2}")
+            mono = "*".join(factors) if factors else "1"
+            parts.append(f"{c:+d}*{mono}")
+        return " ".join(parts)
+
+
+def add(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
+    """Coefficientwise sum; both inputs must share an exponent coset."""
+    cp, cq = p.coset(), q.coset()
+    if cp is not None and cq is not None and cp != cq:
+        raise CosetMismatchError(f"cannot add cosets {cp} and {cq}")
+    return LaurentPoly2.from_terms(list(p.terms) + list(q.terms))
+
+
+def shift(p: LaurentPoly2, a: HalfIntLike, b: HalfIntLike) -> LaurentPoly2:
+    """Multiply by the monomial x1^a x2^b."""
+    a, b = HalfInt.of(a), HalfInt.of(b)
+    return LaurentPoly2(tuple(((e1 + a, e2 + b), c) for (e1, e2), c in p.terms))
+
+
+@dataclass(frozen=True)
+class Unit:
+    """The signed monomial x1^a x2^b (times ``sign``) used to recenter."""
+
+    sign: int
+    a: HalfInt
+    b: HalfInt
+
+
+def symmetrize(p: LaurentPoly2) -> Tuple[LaurentPoly2, Unit]:
+    """Recenter p at its Newton-polytope midpoint and verify symmetry.
+
+    Returns (q, unit) with q = x1^a x2^b * p and q invariant under
+    (x1, x2) -> (x1^{-1}, x2^{-1}) up to a global sign.  The global sign
+    stays unresolved here; it is fixed later by the H-function
+    nonnegativity rule.
+    """
+    if p.is_zero:
+        raise InvalidInputError("cannot symmetrize the zero polynomial")
+    e1s = [e1.doubled for (e1, _), _ in p.terms]
+    e2s = [e2.doubled for (_, e2), _ in p.terms]
+    mid1 = min(e1s) + max(e1s)
+    mid2 = min(e2s) + max(e2s)
+    # The recentering monomial has exponents -mid/2 in doubled units, so
+    # each doubled midpoint must be even for the center to lie in (1/2)Z.
+    if mid1 % 2 != 0 or mid2 % 2 != 0:
+        raise NotAlexanderSymmetricError(
+            "Newton polytope has no half-integer center"
+        )
+    a, b = HalfInt(-mid1 // 2), HalfInt(-mid2 // 2)
+    q = shift(p, a, b)
+    (e1_0, e2_0), c_0 = q.terms[0]
+    inv = q.coeff(-e1_0, -e2_0)
+    if abs(inv) != abs(c_0):
+        raise NotAlexanderSymmetricError(
+            f"coefficient at ({e1_0},{e2_0}) breaks inversion symmetry"
+        )
+    s = 1 if inv == c_0 else -1
+    for (e1, e2), c in q.terms:
+        if q.coeff(-e1, -e2) != s * c:
+            raise NotAlexanderSymmetricError(
+                f"coefficient at ({e1},{e2}) breaks inversion symmetry"
+            )
+    return q, Unit(sign=1, a=a, b=b)
+
+
+def knot_chi_expansion(delta: LaurentPoly1, depth: HalfIntLike) -> LaurentPoly1:
+    """Expand delta(x)/(1 - x^{-1}) as a power series in x^{-1}.
+
+    The coefficient of x^s is chi(s); above the top degree of delta it is 0
+    and below the requested ``depth`` it must already equal the constant 1
+    (the stabilized tail), otherwise an increase-depth error is raised.
+    Returns the coefficients for depth <= s <= top degree as a polynomial.
+    """
+    depth = HalfInt.of(depth)
+    ev = delta.eval_at_one()
+    if ev not in (1, -1):
+        raise InvalidInputError(f"delta(1) = {ev}, expected +-1")
+    if ev == -1:
+        delta = delta.neg()
+    if not delta.is_symmetric():
+        raise InvalidInputError("delta is not inversion-symmetric")
+    for e, _ in delta.terms:
+        if not e.is_integral:
+            raise InvalidInputError("knot polynomial needs integer exponents")
+
+    top = delta.degree()
+    bottom = delta.valuation()
+    # chi(s) = sum of delta coefficients at exponents >= s (partial sums
+    # from the top); the tail below the bottom degree is delta(1) = 1.
+    chi: dict = {}
+    running = 0
+    s = top
+    while s >= min(bottom, depth):
+        running += delta.coeff(s)
+        chi[s] = running
+        s = s - 1
+    # Guarantee: chi(s) = 1 for every s strictly below depth.  Below the
+    # bottom degree that holds automatically (the partial sum is complete),
+    # so only [bottom, depth) needs checking.
+    s = min(bottom, depth)
+    while s < depth:
+        if chi.get(s, 1) != 1:
+            raise IncreaseDepthError(
+                f"tail not stabilized at depth {depth}: chi({s}) != 1"
+            )
+        s = s + 1
+    out = {}
+    s = depth
+    while s <= top:
+        c = chi.get(s, 1 if s < bottom else 0)
+        if c:
+            out[s] = c
+        s = s + 1
+    return LaurentPoly1.from_terms(out)
+
+
+def poly_to_json(p: Union[LaurentPoly1, LaurentPoly2]) -> str:
+    return json.dumps(p.to_json_obj(), separators=(",", ":"), sort_keys=True)
+
+
+def poly_from_json(text: str) -> Union[LaurentPoly1, LaurentPoly2]:
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or "vars" not in obj:
+        raise InvalidInputError("malformed polynomial JSON")
+    if obj["vars"] == 1:
+        return LaurentPoly1.from_json_obj(obj)
+    if obj["vars"] == 2:
+        return LaurentPoly2.from_json_obj(obj)
+    raise InvalidInputError(f"unsupported variable count {obj['vars']!r}")

@@ -1,0 +1,211 @@
+"""Closed-form tau of satellites, family formulas, and obstructions.
+
+The central entry point is :func:`tau_closed_form`, which dispatches on the
+companion's eps invariant and the framing.  Family-specific formulas for
+cables and 1-bridge braids (including the mirror trick for eps = -1) live
+beside it, together with the eps != -1 guarantee, the homomorphism
+obstruction classifier, and the cable-comparison inequality used as a
+sweep property.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Tuple
+
+from .errors import InvalidInputError, UnsupportedRegimeError
+from .halfgrid_poly import HalfInt
+from .hfunction import HFunction, h_t22l, width, _lattice_range
+from .patterns import Companion, PatternProfile
+from .zcomplex import TauResult
+
+
+def _framing_shift(prof: PatternProfile, n: int) -> int:
+    return prof.l * (prof.l - 1) * n // 2
+
+
+def _as_tau(value: HalfInt, case_tag: str) -> TauResult:
+    if not value.is_integral:
+        raise InvalidInputError(
+            f"closed form produced a non-integer tau {value} ({case_tag})"
+        )
+    return TauResult(value=value.as_int(), method="closed-form", case_tag=case_tag)
+
+
+def _need(prof: PatternProfile, *fields: str) -> None:
+    for f in fields:
+        if getattr(prof, f) is None:
+            raise UnsupportedRegimeError(
+                f"closed form needs {f}, unavailable for this profile; "
+                "use the family-specific formula instead"
+            )
+
+
+def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
+    """tau of the satellite with pattern ``prof``, companion K, framing n."""
+    if prof.l < 0:
+        raise UnsupportedRegimeError("closed form needs winding >= 0")
+    half_l = HalfInt(prof.l)
+    g = HalfInt.whole(prof.g3)
+    shift = HalfInt.whole(_framing_shift(prof, n))
+    ltau = HalfInt.whole(prof.l * K.tau)
+
+    if K.eps == 1:
+        if n < 2 * K.tau:
+            _need(prof, "r_center")
+            return _as_tau(
+                prof.r_center - half_l + shift + ltau, "eps=1,n<2tau"
+            )
+        return _as_tau(g + shift + ltau, "eps=1,n>=2tau")
+
+    if K.eps == 0:
+        if n >= 0:
+            return _as_tau(g + shift, "eps=0,n>=0")
+        if not prof.cond_tau:
+            raise UnsupportedRegimeError(
+                "eps=0 with n<0 needs the R_{l/2-1} condition"
+            )
+        _need(prof, "r_minus", "r_center")
+        return _as_tau(
+            max(prof.r_minus + half_l, prof.r_center - half_l) + shift,
+            "eps=0,n<0",
+        )
+
+    # eps = -1: all branches need the same extra condition.
+    if not prof.cond_tau:
+        raise UnsupportedRegimeError("eps=-1 needs the R_{l/2-1} condition")
+    if n < 2 * K.tau:
+        _need(prof, "r_minus", "r_center")
+        return _as_tau(
+            max(prof.r_minus + half_l, prof.r_center - half_l) + shift + ltau,
+            "eps=-1,n<2tau",
+        )
+    if n == 2 * K.tau:
+        _need(prof, "r_minus", "r_plus")
+        return _as_tau(
+            max(prof.r_minus + half_l, prof.r_plus - half_l) + shift + ltau,
+            "eps=-1,n=2tau",
+        )
+    if n == 2 * K.tau + 1:
+        _need(prof, "r_minus", "r_plus")
+        return _as_tau(
+            min(prof.r_minus + half_l, prof.r_plus + half_l) + shift + ltau,
+            "eps=-1,n=2tau+1",
+        )
+    _need(prof, "r_minus")
+    return _as_tau(
+        min(prof.r_minus + half_l, g + half_l + half_l) + shift + ltau,
+        "eps=-1,n>2tau+1",
+    )
+
+
+def tau_cable(p: int, q: int, K: Companion) -> TauResult:
+    """tau of the (p, q) cable by the family formula and the mirror trick."""
+    if p <= 0 or math.gcd(p, abs(q)) != 1:
+        raise InvalidInputError(f"cable needs p > 0 and gcd(p,q)=1, got ({p},{q})")
+    if K.eps == 1:
+        value = (p - 1) * (q - 1) // 2 + p * K.tau
+        return TauResult(value, "family-formula", "cable,eps=1")
+    if K.eps == -1:
+        value = (p - 1) * (q + 1) // 2 + p * K.tau
+        return TauResult(value, "family-formula", "cable,eps=-1(mirror)")
+    if q > 0:
+        value = (p - 1) * (q - 1) // 2
+    else:
+        value = (p - 1) * (q + 1) // 2
+    return TauResult(value, "family-formula", "cable,eps=0")
+
+
+def tau_bridge_braid(p: int, q: int, b: int, K: Companion) -> TauResult:
+    """tau of the satellite by the 1-bridge braid B(p, q, b)."""
+    from .patterns import bridge_braid_knot_check
+
+    bridge_braid_knot_check(p, q, b)
+    if K.eps == 1:
+        value = ((p - 1) * (q - 1) + b) // 2 + p * K.tau
+        return TauResult(value, "family-formula", "braid,eps=1")
+    if K.eps == -1:
+        value = ((p - 1) * (q + 1) + b) // 2 + p * K.tau
+        return TauResult(value, "family-formula", "braid,eps=-1(mirror)")
+    if q > 0:
+        value = ((p - 1) * (q - 1) + b) // 2
+    else:
+        value = ((p - 1) * (q + 1) + b) // 2
+    return TauResult(value, "family-formula", "braid,eps=0")
+
+
+def eps_not_minus_one(prof: PatternProfile, K: Companion, n: int) -> str:
+    """'guaranteed' when eps of the satellite cannot be -1, else 'inconclusive'."""
+    if prof.l < 0:
+        raise UnsupportedRegimeError("predicate needs winding >= 0")
+    if K.eps == 1:
+        return "guaranteed"
+    if K.eps == 0 and n >= 0:
+        return "guaranteed"
+    if prof.cond_eps and (K.eps == -1 or (K.eps == 0 and n < 0)):
+        return "guaranteed"
+    return "inconclusive"
+
+
+def classify_operator(h: HFunction, g3: int, n: int = 0) -> Tuple[str, Optional[str]]:
+    """Decide whether the operator can induce a concordance homomorphism.
+
+    Returns (verdict, failed_claim).  The only non-obstructed verdicts are
+    ``trivial`` (H-table of the 2-component unlink), ``identity`` (positive
+    Hopf link) and ``orientation_reversing`` (negative Hopf link); every
+    scalar claim below is a necessary condition used for fast failure.
+    """
+    l = h.linking
+    if n < 0:
+        raise InvalidInputError("classifier applies to framings n >= 0")
+    if abs(l) > 1:
+        return ("obstructed", f"winding {l} not in {{0, +-1}}")
+    half_l = HalfInt(l)
+    if g3 != 0:
+        return ("obstructed", f"g3 = {g3} != 0")
+    r_center = h.r_of_t(half_l)
+    if r_center != half_l:
+        return ("obstructed", f"R at winding/2 is {r_center} != {half_l}")
+    n_width = width(h.data)
+    if n_width != HalfInt(abs(l)):
+        return ("obstructed", f"width {n_width} != |winding|/2")
+    r_minus = h.r_of_t(half_l - 1)
+    if r_minus != -HalfInt(abs(l)):
+        return (
+            "obstructed",
+            f"R one column left of winding/2 is {r_minus} != -|winding|/2",
+        )
+    # All scalar claims pass; the verdict needs full-table equality with
+    # the model link of the same winding on a window of radius N + 3.
+    window = n_width + 3
+    coords = _lattice_range(l, window)
+    model_mismatch = None
+    for t in coords:
+        for r in coords:
+            if h(t, r) != h_t22l(l, t, r):
+                model_mismatch = f"table differs from model at ({t},{r})"
+                break
+        if model_mismatch:
+            break
+    if model_mismatch:
+        return ("obstructed", model_mismatch)
+    if l == 0:
+        return ("trivial", None)
+    if l == 1:
+        return ("identity", None)
+    return ("orientation_reversing", None)
+
+
+def tau_inequality_check(
+    prof: PatternProfile, K: Companion, n: int
+) -> Optional[bool]:
+    """tau(satellite) >= tau of the comparison cable; None when undefined."""
+    try:
+        left = tau_closed_form(prof, K, n).value
+    except UnsupportedRegimeError:
+        return None
+    l = prof.l
+    if l == 0:
+        return left >= 0
+    right = tau_cable(l, l * n + 1, K).value
+    return left >= right

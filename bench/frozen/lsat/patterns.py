@@ -1,0 +1,406 @@
+"""Pattern profiles for the supported satellite-operator families.
+
+Three generated families are supported:
+
+- two-bridge operators, whose two-component Alexander polynomial is built
+  from a lattice walk and cross-checked against a closed-form sum;
+- cables, whose scalar profile is fully determined by braidedness;
+- 1-bridge braids, likewise scalar-profiled from the genus formula.
+
+User-supplied Alexander data (JSON) is ingested through
+:func:`generic_profile`, which fills the profile by H-function queries.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
+
+from .errors import InvalidInputError, VerificationError
+from .halfgrid_poly import HalfInt, LaurentPoly1, LaurentPoly2, symmetrize, shift
+from .hfunction import HFunction, LinkAlexData, resolve_sign, validate, width
+
+
+@dataclass(frozen=True)
+class PatternProfile:
+    """Scalar data of a pattern operator used by every closed form.
+
+    ``r_minus``, ``r_center``, ``r_plus`` are the R values at winding/2 - 1,
+    winding/2 and winding/2 + 1; any of them may be unavailable (None) for
+    closed-form-only families.  ``provenance`` records, per field, whether
+    the value came from a closed form, from H-function queries, or from the
+    user.
+    """
+
+    l: int
+    g3: int
+    n_width: HalfInt
+    r_minus: Optional[HalfInt]
+    r_center: Optional[HalfInt]
+    r_plus: Optional[HalfInt]
+    cond_tau: bool
+    cond_eps: bool
+    minimal_wrapping: bool
+    provenance: Tuple[Tuple[str, str], ...]
+    data: Optional[LinkAlexData] = None
+
+    def __post_init__(self):
+        if self.l < 0:
+            raise InvalidInputError("profiles are normalized to winding >= 0")
+        if self.g3 < 0:
+            raise InvalidInputError("negative Seifert genus")
+        half_l = HalfInt(self.l)
+        if self.r_center is not None:
+            for other in (self.r_minus, self.r_plus):
+                if other is not None and other > self.r_center:
+                    raise InvalidInputError(
+                        "R at the winding/2 column must be maximal"
+                    )
+            excess = self.r_center - half_l - HalfInt.whole(self.g3)
+            if excess < 0:
+                raise InvalidInputError(
+                    f"R_center - l/2 = {self.r_center - half_l} < g3 = {self.g3}"
+                )
+            if self.minimal_wrapping and excess != 0:
+                raise InvalidInputError(
+                    "minimal wrapping forces R_center - l/2 = g3"
+                )
+
+    def hfunction(self) -> HFunction:
+        if self.data is None:
+            raise InvalidInputError(
+                "this profile carries no Alexander data (closed-form family)"
+            )
+        return HFunction(self.data)
+
+
+def _cond_flags(
+    l: int, g3: int, r_minus: Optional[HalfInt]
+) -> Tuple[bool, bool]:
+    """(cond_tau, cond_eps) from R_{l/2-1} when known, else by special family."""
+    half_l = HalfInt(l)
+    if r_minus is not None:
+        cond_tau = r_minus >= HalfInt.whole(g3) + half_l - 1
+        cond_eps = r_minus >= HalfInt.whole(g3) + half_l
+        return cond_tau, cond_eps
+    # Unknotted patterns and small winding satisfy the tau-side condition
+    # automatically; the eps-side condition is automatic only at winding 0.
+    return (l in (0, 1) or g3 == 0), l == 0
+
+
+@dataclass(frozen=True)
+class Companion:
+    """Concordance data of the companion knot."""
+
+    tau: int
+    eps: int
+    b_seq: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if self.eps not in (-1, 0, 1):
+            raise InvalidInputError(f"eps must be in {{-1,0,1}}, got {self.eps}")
+        if self.eps == 0 and self.tau != 0:
+            raise InvalidInputError(
+                "eps = 0 forces tau = 0 (local equivalence to the unknot)"
+            )
+        if self.b_seq is not None:
+            if self.eps == 0:
+                if len(self.b_seq) != 0:
+                    raise InvalidInputError("eps = 0 requires an empty b_seq")
+                return
+            if any(b == 0 for b in self.b_seq) or len(self.b_seq) < 2:
+                raise InvalidInputError("b_seq entries must be nonzero, m >= 2")
+            sgn = lambda x: (x > 0) - (x < 0)
+            if sgn(self.b_seq[0]) != self.eps or sgn(self.b_seq[-1]) != -self.eps:
+                raise InvalidInputError(
+                    "b_seq endpoint signs inconsistent with eps"
+                )
+
+
+def twobridge_eta(p: int, q: int, i: int) -> int:
+    """Sign sequence (-1)^floor(iq/p) of the two-bridge walk."""
+    if p <= 0 or i <= 0:
+        raise InvalidInputError("eta needs positive p and i")
+    return -1 if (i * q // p) % 2 else 1
+
+
+def _check_twobridge(r: int, q: int) -> None:
+    if r % 2 == 0 or q % 2 == 0:
+        raise InvalidInputError("two-bridge parameters must be odd")
+    if q < 1 or r < q:
+        raise InvalidInputError("two-bridge parameters need r >= q >= 1")
+    if (r, q) == (1, 1):
+        raise InvalidInputError("(1,1) is not a two-bridge operator")
+
+
+def twobridge_walk(r: int, q: int) -> List[Tuple[int, int]]:
+    """Lattice walk whose visited points carry the Alexander coefficients.
+
+    Starts at (0,0) with (r-3)/2 diagonal steps, then (q-1)/2 repetitions of
+    the block [(1,0); (r-1)/2 times (-1,-1); (1,0); (r-3)/2 times (1,1)].
+    Visits (rq-1)/2 distinct points.
+    """
+    _check_twobridge(r, q)
+    pos = (0, 0)
+    visited = [pos]
+
+    def step(dx: int, dy: int, times: int) -> None:
+        nonlocal pos
+        for _ in range(times):
+            pos = (pos[0] + dx, pos[1] + dy)
+            visited.append(pos)
+
+    step(1, 1, (r - 3) // 2)
+    for _ in range((q - 1) // 2):
+        step(1, 0, 1)
+        step(-1, -1, (r - 1) // 2)
+        step(1, 0, 1)
+        step(1, 1, (r - 3) // 2)
+    if len(set(visited)) != len(visited):
+        raise AssertionError(
+            f"walk for ({r},{q}) revisits a point; r >= q precondition broken"
+        )
+    if len(visited) != (r * q - 1) // 2:
+        raise AssertionError(
+            f"walk for ({r},{q}) has {len(visited)} points, "
+            f"expected {(r * q - 1) // 2}"
+        )
+    return visited
+
+
+def twobridge_alexander(r: int, q: int) -> LaurentPoly2:
+    """Unsymmetrized two-component Alexander polynomial from the walk."""
+    pts = twobridge_walk(r, q)
+    terms = {}
+    for (i, j) in pts:
+        terms[(HalfInt.whole(i), HalfInt.whole(j))] = -1 if (i + j) % 2 else 1
+    return LaurentPoly2.from_terms(terms)
+
+
+def twobridge_alexander_closed(r: int, q: int) -> LaurentPoly2:
+    """Closed-form sum for the same polynomial (upper index p/2, p = rq-1)."""
+    _check_twobridge(r, q)
+    p = r * q - 1
+    eta = [0] + [twobridge_eta(p, q, i) for i in range(1, p)]
+    terms: dict = {}
+    for i in range(1, p // 2 + 1):
+        coeff = eta[2 * i - 1]
+        e1 = sum(eta[2 * j] for j in range(1, i))
+        e2 = (eta[2 * i - 1] - 1) // 2 + sum(
+            eta[2 * k - 1] for k in range(1, i)
+        )
+        key = (HalfInt.whole(e1), HalfInt.whole(e2))
+        terms[key] = terms.get(key, 0) + coeff
+    return LaurentPoly2.from_terms(terms)
+
+
+def twobridge_data(r: int, q: int) -> LinkAlexData:
+    """Normalized, sign-resolved Alexander data of the two-bridge operator."""
+    _check_twobridge(r, q)
+    l = (r - q) // 2
+    raw = twobridge_alexander(r, q)
+    p = r * q - 1
+    eta_link = sum(twobridge_eta(p, q, 2 * k + 1) for k in range(p // 2))
+    if eta_link != l:
+        raise VerificationError(
+            f"linking cross-check fails for ({r},{q}): "
+            f"sign sum {eta_link} != (r-q)/2 = {l}"
+        )
+    sym, _unit = symmetrize(raw)
+    normalized = shift(sym, HalfInt(1), HalfInt(1))
+    data = LinkAlexData(
+        linking=l,
+        delta_tilde=normalized,
+        delta1=LaurentPoly1.one(),
+        delta2=LaurentPoly1.one(),
+    )
+    return resolve_sign(data)
+
+
+def _profile_from_data(
+    data: LinkAlexData, g3: int, provenance_tag: str
+) -> PatternProfile:
+    h = HFunction(data)
+    l = data.linking
+    half_l = HalfInt(l)
+    n_width = width(data)
+    r_minus = h.r_of_t(half_l - 1)
+    r_center = h.r_of_t(half_l)
+    r_plus = h.r_of_t(half_l + 1)
+    cond_tau, cond_eps = _cond_flags(l, g3, r_minus)
+    prov = tuple(
+        (name, provenance_tag)
+        for name in ("n_width", "r_minus", "r_center", "r_plus")
+    ) + (("g3", "closed-form" if g3 == 0 else "user"),)
+    return PatternProfile(
+        l=l,
+        g3=g3,
+        n_width=n_width,
+        r_minus=r_minus,
+        r_center=r_center,
+        r_plus=r_plus,
+        cond_tau=cond_tau,
+        cond_eps=cond_eps,
+        minimal_wrapping=(n_width == half_l),
+        provenance=prov,
+        data=data,
+    )
+
+
+def twobridge_profile(r: int, q: int) -> PatternProfile:
+    """Profile of the two-bridge operator; (r,q) and (q,r) agree."""
+    if q > r:
+        r, q = q, r
+    data = twobridge_data(r, q)
+    return _profile_from_data(data, g3=0, provenance_tag="computed-from-H")
+
+
+def unlink_data() -> LinkAlexData:
+    """Alexander data of the 2-component unlink (the trivial operator)."""
+    return resolve_sign(
+        LinkAlexData(
+            linking=0,
+            delta_tilde=LaurentPoly2.zero(),
+            delta1=LaurentPoly1.one(),
+            delta2=LaurentPoly1.one(),
+        )
+    )
+
+
+def unlink_profile() -> PatternProfile:
+    return _profile_from_data(unlink_data(), g3=0, provenance_tag="computed-from-H")
+
+
+def cable_profile(p: int, r: int) -> PatternProfile:
+    """Scalar profile of the (p, r) cable pattern, 0 < r < p, gcd 1."""
+    if p < 2 or not (0 < r < p):
+        raise InvalidInputError("cable needs p >= 2 and 0 < r < p")
+    if math.gcd(p, r) != 1:
+        raise InvalidInputError(f"gcd({p},{r}) != 1: cable closure is a link")
+    g3 = (p - 1) * (r - 1) // 2
+    cond_tau, cond_eps = _cond_flags(p, g3, None)
+    prov = (
+        ("n_width", "closed-form"),
+        ("r_center", "closed-form"),
+        ("r_minus", "unknown"),
+        ("r_plus", "unknown"),
+        ("g3", "closed-form"),
+    )
+    return PatternProfile(
+        l=p,
+        g3=g3,
+        n_width=HalfInt(p),
+        r_minus=None,
+        r_center=HalfInt.whole(g3) + HalfInt(p),
+        r_plus=None,
+        cond_tau=cond_tau,
+        cond_eps=cond_eps,
+        minimal_wrapping=True,
+        provenance=prov,
+    )
+
+
+def bridge_braid_knot_check(p: int, q: int, b: int) -> None:
+    """Reject parameters whose braid closure is a link, not a knot."""
+    if p < 2 or not (0 < b < p - 1):
+        raise InvalidInputError("1-bridge braid needs p >= 2, 0 < b < p-1")
+    if q % p == 0 or q % p == p - 1:
+        raise InvalidInputError(
+            f"closure of B({p},{q},{b}) is a link (q = 0 or -1 mod p)"
+        )
+    if ((p - 1) * (q - 1) + b) % 2 != 0:
+        raise InvalidInputError(
+            f"B({p},{q},{b}) fails the parity knot check"
+        )
+
+
+def bridge_braid_profile(p: int, r: int, b: int) -> PatternProfile:
+    """Scalar profile of the 1-bridge braid pattern B(p, r, b), p < r < 2p."""
+    if not (p < r < 2 * p):
+        raise InvalidInputError("bridge braid profile needs p < r < 2p")
+    bridge_braid_knot_check(p, r, b)
+    g3 = ((p - 1) * (r - 1) + b) // 2
+    cond_tau, cond_eps = _cond_flags(p, g3, None)
+    prov = (
+        ("n_width", "closed-form"),
+        ("r_center", "closed-form"),
+        ("r_minus", "unknown"),
+        ("r_plus", "unknown"),
+        ("g3", "closed-form"),
+    )
+    return PatternProfile(
+        l=p,
+        g3=g3,
+        n_width=HalfInt(p),
+        r_minus=None,
+        r_center=HalfInt.whole(g3) + HalfInt(p),
+        r_plus=None,
+        cond_tau=cond_tau,
+        cond_eps=cond_eps,
+        minimal_wrapping=True,
+        provenance=prov,
+    )
+
+
+def generic_profile(
+    data: LinkAlexData, g3: Optional[int] = None
+) -> PatternProfile:
+    """Assemble a profile from user Alexander data by H-function queries."""
+    if data.linking < 0:
+        raise InvalidInputError(
+            "orient the pattern so the winding number is nonnegative"
+        )
+    if data.delta1.terms not in (
+        LaurentPoly1.one().terms,
+        LaurentPoly1.one().neg().terms,
+    ):
+        raise InvalidInputError("first component must be an unknot")
+    h = HFunction(data)
+    report = validate(h)
+    if not report.ok:
+        raise InvalidInputError(
+            "Alexander data fails H-function validation: "
+            + "; ".join(report.failures[:3])
+        )
+    half_l = HalfInt(data.linking)
+    n_width = width(h.data)
+    r_center = h.r_of_t(half_l)
+    computed_g3 = (r_center - half_l).as_int()
+    if n_width == half_l:
+        if g3 is not None and g3 != computed_g3:
+            raise InvalidInputError(
+                f"supplied g3 = {g3} conflicts with minimal wrapping "
+                f"value {computed_g3}"
+            )
+        g3 = computed_g3
+    elif g3 is None:
+        raise InvalidInputError(
+            "g3 must be supplied for patterns without minimal wrapping"
+        )
+    return _profile_from_data(h.data, g3=g3, provenance_tag="computed-from-H")
+
+
+def parse_pattern_spec(spec: str):
+    """Parse a CLI pattern specifier into a (kind, params) tuple.
+
+    Supported: ``twobridge:r,q`` | ``cable:p,q`` | ``braid:p,q,b`` |
+    ``json:<path>``.
+    """
+    kind, sep, rest = spec.partition(":")
+    if not sep or not rest:
+        raise InvalidInputError(f"malformed pattern spec {spec!r}")
+    if kind == "json":
+        return ("json", rest)
+    try:
+        params = tuple(int(x) for x in rest.split(","))
+    except ValueError as exc:
+        raise InvalidInputError(f"non-integer parameters in {spec!r}") from exc
+    expected = {"twobridge": 2, "cable": 2, "braid": 3}
+    if kind not in expected:
+        raise InvalidInputError(f"unknown pattern family {kind!r}")
+    if len(params) != expected[kind]:
+        raise InvalidInputError(
+            f"{kind} takes {expected[kind]} parameters, got {len(params)}"
+        )
+    return (kind,) + params

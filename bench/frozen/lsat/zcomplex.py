@@ -1,0 +1,490 @@
+"""Chain complexes over F2[Z] and the independent tau oracle.
+
+A :class:`ZComplex` is a finitely generated free bigraded complex whose
+differential is a set of arrows weighted by powers of Z.  Every arrow is
+homogeneous for the Alexander grading A = (gr_w - gr_z)/2 (Z raises A by 1
+from target to source), which keeps the whole reduction monomial: matrix
+entries are single Z-powers and stay that way under row/column operations.
+
+The oracle builds the explicit truncated direct-summand complexes for each
+companion-eps regime, with absolute Alexander gradings fixed by one anchor
+generator per case and propagated through arrow homogeneity, then computes
+the Alexander grading of the free part of homology over the PID F2[Z] by a
+graded Smith reduction.  The free part must have rank exactly one; its
+grading is tau.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
+
+from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
+from .halfgrid_poly import HalfInt, HalfIntLike
+from .hfunction import HFunction
+from .patterns import Companion, PatternProfile
+
+
+@dataclass(frozen=True)
+class ZComplex:
+    """Free bigraded complex over F2[Z] with monomial differential.
+
+    ``generators`` maps name -> (gr_w, gr_z); ``arrows`` is the differential
+    as (source, target, z_exponent) triples with F2 coefficients (an even
+    multiset of identical arrows cancels to nothing).
+    """
+
+    generators: Tuple[Tuple[str, int, int], ...]
+    arrows: Tuple[Tuple[str, str, int], ...]
+    case_tag: str = ""
+
+    @staticmethod
+    def build(
+        gens: List[Tuple[str, int, int]],
+        arrows: List[Tuple[str, str, int]],
+        case_tag: str = "",
+    ) -> "ZComplex":
+        counts: Dict[Tuple[str, str, int], int] = {}
+        for arr in arrows:
+            counts[arr] = counts.get(arr, 0) + 1
+        reduced = tuple(sorted(a for a, c in counts.items() if c % 2))
+        c = ZComplex(tuple(gens), reduced, case_tag)
+        c.check()
+        return c
+
+    def grading(self, name: str) -> Tuple[int, int]:
+        for g, w, z in self.generators:
+            if g == name:
+                return (w, z)
+        raise InvalidInputError(f"unknown generator {name!r}")
+
+    def alexander(self, name: str) -> HalfInt:
+        w, z = self.grading(name)
+        return HalfInt(w - z)
+
+    def check(self) -> None:
+        """Assert d^2 = 0 and per-arrow grading homogeneity."""
+        names = {g for g, _, _ in self.generators}
+        if len(names) != len(self.generators):
+            raise InvalidInputError("duplicate generator names")
+        for src, tgt, k in self.arrows:
+            if src not in names or tgt not in names:
+                raise InvalidInputError(f"arrow {src}->{tgt} off the complex")
+            if k < 0:
+                raise InvalidInputError(f"negative Z-exponent on {src}->{tgt}")
+            ws, zs = self.grading(src)
+            wt, zt = self.grading(tgt)
+            if ws != wt + 1:
+                raise VerificationError(
+                    f"arrow {src}->{tgt} does not drop gr_w by 1"
+                )
+            if zs != zt + 1 - 2 * k:
+                raise VerificationError(
+                    f"arrow {src}->{tgt}: gr_z shift inconsistent with Z^{k}"
+                )
+            if self.alexander(src) != self.alexander(tgt) + k:
+                raise VerificationError(
+                    f"arrow {src}->{tgt} is not Alexander-homogeneous"
+                )
+        # d^2: compose every pair of consecutive arrows and count parity.
+        out: Dict[str, List[Tuple[str, int]]] = {}
+        for src, tgt, k in self.arrows:
+            out.setdefault(src, []).append((tgt, k))
+        squares: Dict[Tuple[str, str, int], int] = {}
+        for src, tgt, k in self.arrows:
+            for tgt2, k2 in out.get(tgt, []):
+                key = (src, tgt2, k + k2)
+                squares[key] = squares.get(key, 0) + 1
+        bad = [key for key, c in squares.items() if c % 2]
+        if bad:
+            raise VerificationError(f"d^2 != 0: surviving composite {bad[0]}")
+
+    def to_json_obj(self) -> dict:
+        return {
+            "case": self.case_tag,
+            "generators": [
+                {"id": g, "gr_w": w, "gr_z": z, "A": (w - z)}
+                for g, w, z in self.generators
+            ],
+            "arrows": [
+                {"source": s, "target": t, "z_exp": k}
+                for s, t, k in self.arrows
+            ],
+        }
+
+
+def tower_alexander(c: ZComplex) -> HalfInt:
+    """Alexander grading of the generator of the free part of homology.
+
+    The complex must be two-step (no generator has both incoming and
+    outgoing arrows).  Reduction is a graded Smith normal form over F2[Z]:
+    since every entry is a homogeneous monomial, row and column operations
+    with the forced Z-shifts keep entries monomial and preserve the grading
+    labels of rows and columns.  Zero columns are free kernel classes, zero
+    rows are free cokernel classes; exactly one free class must survive.
+    """
+    outgoing = {s for s, _, _ in c.arrows}
+    incoming = {t for _, t, _ in c.arrows}
+    both = outgoing & incoming
+    if both:
+        raise InvalidInputError(
+            f"not a two-step complex: {sorted(both)[0]} has arrows both ways"
+        )
+    names = [g for g, _, _ in c.generators]
+    cols = [g for g in names if g in outgoing]
+    rows = [g for g in names if g not in outgoing]
+    col_ix = {g: j for j, g in enumerate(cols)}
+    row_ix = {g: i for i, g in enumerate(rows)}
+    entries: Dict[Tuple[int, int], int] = {}
+    for s, t, k in c.arrows:
+        entries[(row_ix[t], col_ix[s])] = k
+
+    active_rows = set(range(len(rows)))
+    active_cols = set(range(len(cols)))
+    while True:
+        live = [
+            (k, i, j)
+            for (i, j), k in entries.items()
+            if i in active_rows and j in active_cols
+        ]
+        if not live:
+            break
+        _, i0, j0 = min(live)
+        k0 = entries[(i0, j0)]
+        # Clear the pivot column with row operations (shifts are >= 0
+        # because the pivot has globally minimal exponent).
+        for i in list(active_rows):
+            if i == i0 or (i, j0) not in entries:
+                continue
+            d = entries[(i, j0)] - k0
+            for j in active_cols:
+                piv = entries.get((i0, j))
+                if piv is None:
+                    continue
+                key = (i, j)
+                new = piv + d
+                if key in entries:
+                    if entries[key] != new:
+                        raise VerificationError(
+                            "non-homogeneous entry collision in reduction"
+                        )
+                    del entries[key]
+                else:
+                    entries[key] = new
+        # The pivot column now only holds the pivot; clearing the pivot row
+        # with column operations only cancels the row entries themselves.
+        for j in list(active_cols):
+            if j != j0 and (i0, j) in entries:
+                del entries[(i0, j)]
+        active_rows.discard(i0)
+        active_cols.discard(j0)
+
+    free_grades = [c.alexander(cols[j]) for j in sorted(active_cols)]
+    free_grades += [c.alexander(rows[i]) for i in sorted(active_rows)
+                    if all((i, j) not in entries for j in range(len(cols)))]
+    if len(free_grades) != 1:
+        raise VerificationError(
+            f"free homology rank {len(free_grades)} != 1 in {c.case_tag!r}"
+        )
+    return free_grades[0]
+
+
+@dataclass(frozen=True)
+class Staircase:
+    """Staircase complex read off one H-function column."""
+
+    t: HalfInt
+    r_steps: Tuple[HalfInt, ...]
+    generators: Tuple[Tuple[str, int, int], ...]
+    alpha: Tuple[int, ...]
+    beta: Tuple[int, ...]
+
+    def top_a2(self) -> HalfInt:
+        """Second Alexander grading of the top generator."""
+        return self.r_steps[0]
+
+
+def staircase_from_column(h: HFunction, t: HalfIntLike) -> Staircase:
+    """Build the staircase C_t from the column of H at t.
+
+    Step positions are the r with H(t, r+1) = H(t, r) and
+    H(t, r-1) = H(t, r) + 1, in descending order.  Even generators sit at
+    gr_w = -2 H(t, r_i), gr_z = gr_w - 2t - 2 r_i; odd generators interpolate
+    one step up in each grading.
+    """
+    t = HalfInt.of(t)
+    r = h.r_of_t(t)
+    steps = [r]
+    low = -(h.stabilization_r() + 2 * abs(t.doubled) + 4)
+    r = r - 1
+    while r >= low:
+        here = h(t, r)
+        if h(t, r + 1) == here and h(t, r - 1) == here + 1:
+            steps.append(r)
+        r = r - 1
+    gens: List[Tuple[str, int, int]] = []
+    for i, ri in enumerate(steps):
+        w = -2 * h(t, ri)
+        z = w - (t + ri).as_int() * 2
+        gens.append((f"x{2 * i}", w, z))
+    full: List[Tuple[str, int, int]] = []
+    alpha: List[int] = []
+    beta: List[int] = []
+    for i in range(len(steps)):
+        full.append(gens[i])
+        if i + 1 < len(steps):
+            w_odd = gens[i + 1][1] + 1
+            z_odd = gens[i][2] + 1
+            full.append((f"x{2 * i + 1}", w_odd, z_odd))
+            a = (gens[i][1] - w_odd + 1) // 2
+            b = (gens[i + 1][2] - z_odd + 1) // 2
+            if a <= 0 or b <= 0:
+                raise VerificationError(
+                    f"staircase step exponents not positive at t={t}"
+                )
+            alpha.append(a)
+            beta.append(b)
+    return Staircase(
+        t=t,
+        r_steps=tuple(steps),
+        generators=tuple(full),
+        alpha=tuple(alpha),
+        beta=tuple(beta),
+    )
+
+
+@dataclass(frozen=True)
+class TauResult:
+    value: int
+    method: str
+    case_tag: str
+
+    def to_json_obj(self) -> dict:
+        return {"tau": self.value, "case": self.case_tag, "method": self.method}
+
+
+def _weights(prof: PatternProfile) -> dict:
+    """Z-exponents of the four structure arrows on the free quotient."""
+    half_l = HalfInt(prof.l)
+    g = HalfInt.whole(prof.g3)
+    out = {}
+    if prof.r_center is not None:
+        out["sigma"] = (prof.r_center - half_l - g).as_int()
+        out["tau"] = (prof.r_center + half_l - g).as_int()
+    if prof.r_minus is not None:
+        out["tau_minus"] = (prof.r_minus + half_l - g).as_int()
+        if prof.r_center is not None:
+            out["w"] = (prof.r_center - prof.r_minus).as_int()
+    if prof.r_plus is not None:
+        out["sigma_plus"] = (prof.r_plus - half_l - g).as_int()
+        if prof.r_center is not None:
+            out["z"] = (prof.r_center - prof.r_plus).as_int()
+    for name, k in out.items():
+        if k < 0:
+            raise InvalidInputError(f"negative arrow weight {name} = {k}")
+    return out
+
+
+def _require(prof: PatternProfile, *fields: str) -> None:
+    for f in fields:
+        if getattr(prof, f) is None:
+            raise UnsupportedRegimeError(
+                f"profile lacks {f}; no summand can be built"
+            )
+
+
+def _framing_shift(prof: PatternProfile, n: int) -> int:
+    return prof.l * (prof.l - 1) * n // 2
+
+
+def _chain(
+    sink_a: List[int],
+    left_w: int,
+    right_w: int,
+    source_label: str = "s",
+) -> Tuple[List[Tuple[str, int, int]], List[Tuple[str, str, int]]]:
+    """Zig-zag: len(sink_a)-1 sources over the sinks b0..bk.
+
+    Source i+1 sits over (b_i, b_{i+1}) with arrow weights left_w, right_w;
+    its Alexander grading is forced to sink_a[i] + left_w.  The caller must
+    supply sink gradings satisfying sink_a[i+1] = sink_a[i] + left_w -
+    right_w (asserted later by the homogeneity check).
+    """
+    gens: List[Tuple[str, int, int]] = []
+    arrows: List[Tuple[str, str, int]] = []
+    for i, a in enumerate(sink_a):
+        gens.append((f"b{i}", 0, -2 * a))
+    for i in range(len(sink_a) - 1):
+        name = f"{source_label}{i + 1}"
+        gens.append((name, 1, 1 - 2 * (sink_a[i] + left_w)))
+        arrows.append((name, f"b{i}", left_w))
+        arrows.append((name, f"b{i + 1}", right_w))
+    return gens, arrows
+
+
+def _source(name: str, a: int) -> Tuple[str, int, int]:
+    return (name, 1, 1 - 2 * a)
+
+
+def _sink(name: str, a: int) -> Tuple[str, int, int]:
+    return (name, 0, -2 * a)
+
+
+def build_summand(
+    case: str, prof: PatternProfile, K: Companion, n: int
+) -> ZComplex:
+    """Construct the truncated direct summand carrying the Z-tower.
+
+    ``case`` is one of ``eps1``, ``eps0_pos``, ``eps0_neg``, ``epsm1`` and
+    must agree with (K.eps, sign of n).  One anchor generator per case gets
+    its Alexander grading from the proof-stated value; every other grading
+    follows from arrow homogeneity.  Where a second endpoint grading is
+    also stated, it is asserted rather than assumed.
+    """
+    l, g, tau = prof.l, prof.g3, K.tau
+    shift = _framing_shift(prof, n)
+    wts = _weights(prof)
+
+    if case == "eps1":
+        if K.eps != 1:
+            raise InvalidInputError("case eps1 needs a companion with eps=1")
+        _require(prof, "r_center")
+        a, c = wts["tau"], wts["sigma"]
+        anchor = g + shift + l * tau
+        if n < 2 * tau:
+            # k sources with weight-a arrows left and weight-c arrows
+            # right; the anchor A value sits on the RIGHTMOST sink, and
+            # the two companion-staircase ends map in with identity
+            # arrows at the two extreme sinks.
+            k = 2 * tau - n
+            sink_a = [anchor - (k - i) * l for i in range(k + 1)]
+            gens, arrows = _chain(sink_a, a, c)
+            gens.append(_source("etop", sink_a[k]))
+            arrows.append(("etop", f"b{k}", 0))
+            gens.append(_source("ebot", sink_a[0]))
+            arrows.append(("ebot", "b0", 0))
+            return ZComplex.build(gens, arrows, "eps=1,n<2tau")
+        # n >= 2tau: same chain with the anchor on the LEFTMOST sink.
+        k = n - 2 * tau
+        sink_a = [anchor + i * l for i in range(k + 1)]
+        gens, arrows = _chain(sink_a, a, c)
+        return ZComplex.build(gens, arrows, "eps=1,n>=2tau")
+
+    if case == "eps0_pos":
+        if K.eps != 0 or n < 0:
+            raise InvalidInputError("case eps0_pos needs eps=0 and n >= 0")
+        _require(prof, "r_center")
+        a, c = wts["tau"], wts["sigma"]
+        sink_a = [g + shift + i * l for i in range(n + 1)]
+        gens, arrows = _chain(sink_a, a, c)
+        return ZComplex.build(gens, arrows, "eps=0,n>=0")
+
+    if case == "eps0_neg":
+        if K.eps != 0 or n >= 0:
+            raise InvalidInputError("case eps0_neg needs eps=0 and n < 0")
+        if not prof.cond_tau:
+            raise UnsupportedRegimeError(
+                "eps=0 with n<0 needs the R_{l/2-1} condition"
+            )
+        _require(prof, "r_minus", "r_center", "r_plus")
+        a, c = wts["tau"], wts["sigma"]
+        am, cp = wts["tau_minus"], wts["sigma_plus"]
+        k = -n
+        # Mirrored arrangement: the anchor generator v (one column left of
+        # the winding/2 column) is LEFTMOST and the middle sources point
+        # weight-c left, weight-a right, so sink gradings fall rightwards.
+        v_a = (prof.r_minus + HalfInt(l)).as_int() + shift
+        sink_a = [v_a - am - i * l for i in range(k + 1)]
+        gens, arrows = _chain(sink_a, c, a, source_label="w")
+        gens.append(_source("v", v_a))
+        arrows.append(("v", "b0", am))
+        gens.append(_source("u", sink_a[k] + cp))
+        arrows.append(("u", f"b{k}", cp))
+        return ZComplex.build(gens, arrows, "eps=0,n<0")
+
+    if case == "epsm1":
+        if K.eps != -1:
+            raise InvalidInputError("case epsm1 needs a companion with eps=-1")
+        if not prof.cond_tau:
+            raise UnsupportedRegimeError(
+                "eps=-1 needs the R_{l/2-1} condition"
+            )
+        _require(prof, "r_minus", "r_center", "r_plus")
+        a, c = wts["tau"], wts["sigma"]
+        am, cp = wts["tau_minus"], wts["sigma_plus"]
+        v_a = (prof.r_minus + HalfInt(l)).as_int() + shift + l * tau
+        if n <= 2 * tau:
+            # Ends swapped relative to eps0_neg: the anchor generator v is
+            # RIGHTMOST and the middle sources point weight-a left,
+            # weight-c right, so sink gradings rise rightwards.
+            k = 2 * tau - n
+            sink_a = [v_a - am - (k - i) * l for i in range(k + 1)]
+            gens, arrows = _chain(sink_a, a, c, source_label="w")
+            gens.append(_source("v", v_a))
+            arrows.append(("v", f"b{k}", am))
+            gens.append(_source("u", sink_a[0] + cp))
+            arrows.append(("u", "b0", cp))
+            tag = "eps=-1,n<2tau" if n < 2 * tau else "eps=-1,n=2tau"
+            return ZComplex.build(gens, arrows, tag)
+        kw, kz = wts["w"], wts["z"]
+        stated_u = (prof.r_plus + HalfInt(l)).as_int() + shift + l * tau
+        if n == 2 * tau + 1:
+            # A single source cones onto the two off-center sinks through
+            # the W and Z structure arrows.
+            w_a = v_a + kw
+            u_a = w_a - kz
+            if u_a != stated_u:
+                raise VerificationError(
+                    "cone endpoint grading disagrees with the stated value"
+                )
+            gens = [_sink("v", v_a), _sink("u", u_a), _source("w1", w_a)]
+            arrows = [("w1", "v", kw), ("w1", "u", kz)]
+            return ZComplex.build(gens, arrows, "eps=-1,n=2tau+1")
+        # n > 2tau+1: k sources over the sinks v, m_1..m_{k-1}, u; the
+        # outer sources use the W/Z arrows, the interior ones the usual
+        # weight-a/weight-c pair.
+        k = n - 2 * tau
+        w1_a = v_a + kw
+        mid_a = [w1_a - c + i * l for i in range(k - 1)]
+        stated_mid = g + l + shift + l * tau
+        if mid_a and mid_a[0] != stated_mid:
+            raise VerificationError(
+                "interior sink grading disagrees with the stated value"
+            )
+        # source_a[i] is the grading of w_{i+1}; for i >= 1 it sits over
+        # (m_i, m_{i+1}) and inherits mid_a[i-1] + a.
+        source_a = [w1_a] + [mid_a[i] + a for i in range(k - 1)]
+        u_a = source_a[-1] - kz
+        gens = [_sink("v", v_a), _sink("u", u_a)]
+        for i, m in enumerate(mid_a):
+            gens.append(_sink(f"m{i + 1}", m))
+        for i, s in enumerate(source_a):
+            gens.append(_source(f"w{i + 1}", s))
+        arrows = [("w1", "v", kw), (f"w{k}", "u", kz)]
+        for i in range(1, k + 1):
+            if i >= 2:
+                arrows.append((f"w{i}", f"m{i - 1}", a))
+            if i <= k - 1:
+                arrows.append((f"w{i}", f"m{i}", c))
+        return ZComplex.build(gens, arrows, "eps=-1,n>2tau+1")
+
+    raise InvalidInputError(f"unknown summand case {case!r}")
+
+
+def summand_case(K: Companion, n: int) -> str:
+    if K.eps == 1:
+        return "eps1"
+    if K.eps == 0:
+        return "eps0_pos" if n >= 0 else "eps0_neg"
+    return "epsm1"
+
+
+def tau_oracle(prof: PatternProfile, K: Companion, n: int) -> TauResult:
+    """Independent tau computation: build the summand, reduce, read A."""
+    if prof.l < 0:
+        raise UnsupportedRegimeError("oracle needs winding >= 0")
+    c = build_summand(summand_case(K, n), prof, K, n)
+    value = tower_alexander(c)
+    if not value.is_integral:
+        raise VerificationError(f"oracle produced non-integer tau {value}")
+    return TauResult(value=value.as_int(), method="oracle", case_tag=c.case_tag)
