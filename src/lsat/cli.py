@@ -9,18 +9,16 @@ reports Thurston-norm and slice-genus quantities.
 Exit codes: 0 success, 2 invalid input, 3 unsupported regime,
 4 verification failure.  Half-integers print as ``p/2`` strings in human
 output and as doubled integers in JSON.  Identical invocations produce
-byte-identical output; ``LSAT_THREADS`` caps sweep parallelism.
+byte-identical output.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import click
 
@@ -31,7 +29,7 @@ from .errors import (
     VerificationError,
 )
 from .genus import g3rel, g4_satellite_regime
-from .halfgrid_poly import HalfInt
+from .halfgrid_poly import HalfInt, json_int
 from .hfunction import (
     HFunction,
     LinkAlexData,
@@ -53,6 +51,8 @@ from .invariants import (
 from .patterns import (
     Companion,
     PatternProfile,
+    bridge_braid_profile,
+    cable_profile,
     generic_profile,
     parse_pattern_spec,
     twobridge_data,
@@ -85,11 +85,7 @@ class LoadedPattern:
         if self._profile is not None:
             return self._profile
         if self.kind == "cable":
-            from .patterns import cable_profile
-
             return cable_profile(*self.params)
-        from .patterns import bridge_braid_profile
-
         return bridge_braid_profile(*self.params)
 
 
@@ -110,9 +106,11 @@ def _load_pattern(spec: str) -> LoadedPattern:
         raise InvalidInputError(
             f"cannot read link data from {path}: {exc}"
         ) from exc
-    g3 = obj.pop("g3", None)
-    data = resolve_sign(LinkAlexData.from_json_obj(obj))
-    return LoadedPattern("json", (), generic_profile(data, g3=g3))
+    data = LinkAlexData.from_json_obj(obj)
+    g3 = obj.get("g3")
+    if g3 is not None:
+        json_int(g3, "g3")
+    return LoadedPattern("json", (), generic_profile(resolve_sign(data), g3=g3))
 
 
 def _handle_errors(f: Callable) -> Callable:
@@ -183,10 +181,6 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
     )
 
 
-def _companion(tau: int, eps: int) -> Companion:
-    return Companion(tau=tau, eps=eps)
-
-
 def _tau_for(
     loaded: LoadedPattern, K: Companion, n: int, method: str
 ) -> List[TauResult]:
@@ -236,7 +230,7 @@ def cmd_tau(
 ) -> None:
     """tau of the satellite of PATTERN along a companion with the given data."""
     loaded = _load_pattern(pattern)
-    K = _companion(tau_k, int(eps))
+    K = Companion(tau=tau_k, eps=int(eps))
     results = _tau_for(loaded, K, n, method)
     if fmt == "json":
         if len(results) == 2:
@@ -304,7 +298,7 @@ def cmd_genus(
     g4: Optional[int] = None
     regime = "g3rel-only"
     if g4_eq_tau is not None:
-        K = _companion(g4_eq_tau, 1)
+        K = Companion(tau=g4_eq_tau, eps=1)
         g4, regime = g4_satellite_regime(prof, K, n, tau_equals_g4=True)
     if fmt == "json":
         _emit_json({"g3rel": g3r, "g4": g4, "regime": regime})
@@ -318,32 +312,38 @@ def cmd_genus(
 # verify: the cross-validation sweeps.
 
 
-def _pmap(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map, parallelized when LSAT_THREADS > 1."""
-    items = list(items)
-    try:
-        workers = int(os.environ.get("LSAT_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1 and len(items) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _family_pairs() -> List[Tuple[int, int]]:
     """Two-bridge parameters used by every sweep: odd 3 <= q <= r <= 9."""
     return [(r, q) for r in (3, 5, 7, 9) for q in range(3, r + 1, 2)]
 
 
-def _companion_grid() -> List[Companion]:
-    grid = [
-        Companion(tau=tau, eps=eps)
-        for eps in (-1, 1)
-        for tau in range(-2, 3)
+def _sweep_grid() -> List[Tuple[PatternProfile, Companion, int]]:
+    """(profile, companion, framing) points of the oracle and inequality sweeps.
+
+    The family profiles plus the Hopf link (3,1), framings -4..4, and the
+    companions with eps = +-1 and |tau| <= 2 plus the eps = 0 one.
+    """
+    profiles = [twobridge_profile(r, q) for r, q in _family_pairs()]
+    profiles.append(twobridge_profile(3, 1))
+    companions = [
+        Companion(tau=tau, eps=eps) for eps in (-1, 1) for tau in range(-2, 3)
     ]
-    grid.append(Companion(tau=0, eps=0))
-    return grid
+    companions.append(Companion(tau=0, eps=0))
+    return [
+        (prof, K, n)
+        for prof in profiles
+        for n in range(-4, 5)
+        for K in companions
+    ]
+
+
+def _link_cases() -> List[Tuple[str, LinkAlexData]]:
+    """Links of the properties and classifier sweeps: unlink, odd q <= r <= 9."""
+    cases = [("unlink", unlink_data())]
+    for r in (3, 5, 7, 9):
+        for q in range(1, r + 1, 2):
+            cases.append((f"twobridge({r},{q})", twobridge_data(r, q)))
+    return cases
 
 
 def _check_tables() -> Tuple[int, List[str]]:
@@ -374,61 +374,39 @@ def _check_tables() -> Tuple[int, List[str]]:
 
 
 def _check_oracle() -> Tuple[int, List[str]]:
-    profiles = [twobridge_profile(r, q) for r, q in _family_pairs()]
-    profiles.append(twobridge_profile(3, 1))
-    tasks = [
-        (prof, K, n)
-        for prof in profiles
-        for n in range(-4, 5)
-        for K in _companion_grid()
-    ]
-
-    def run(task):
-        prof, K, n = task
+    points, failures = 0, []
+    for prof, K, n in _sweep_grid():
         try:
             cf = tau_closed_form(prof, K, n)
         except UnsupportedRegimeError:
-            return None
+            continue
+        points += 1
         orc = tau_oracle(prof, K, n)
         if cf.value != orc.value:
-            return (
+            failures.append(
                 f"l={prof.l} eps={K.eps} tau={K.tau} n={n}: "
                 f"closed {cf.value} != oracle {orc.value}"
             )
-        return ""
-
-    results = _pmap(run, tasks)
-    points = sum(1 for x in results if x is not None)
-    failures = [x for x in results if x]
     return points, failures
 
 
 def _check_properties() -> Tuple[int, List[str]]:
-    datas = [("unlink", unlink_data())]
-    for r in (3, 5, 7, 9):
-        for q in range(1, r + 1, 2):
-            datas.append((f"twobridge({r},{q})", twobridge_data(r, q)))
-
-    def run(item):
-        label, data = item
+    cases = _link_cases()
+    failures = []
+    for label, data in cases:
         report = validate(HFunction(data))
-        if report.ok:
-            return ""
-        return f"{label}: {report.failures[0]}"
-
-    results = _pmap(run, datas)
-    return len(results), [x for x in results if x]
+        if not report.ok:
+            failures.append(f"{label}: {report.failures[0]}")
+    return len(cases), failures
 
 
 def _check_classifier() -> Tuple[int, List[str]]:
+    # Two-bridge links and the unlink are genus-0 operators (g3 = 0).
+    cases = _link_cases()
     failures = []
-    cases = [("unlink", unlink_profile())]
-    for r in (3, 5, 7, 9):
-        for q in range(1, r + 1, 2):
-            cases.append((f"twobridge({r},{q})", twobridge_profile(r, q)))
     expected = {"twobridge(3,1)": "identity", "unlink": "trivial"}
-    for label, prof in cases:
-        verdict, _ = classify_operator(prof.hfunction(), prof.g3)
+    for label, data in cases:
+        verdict, _ = classify_operator(HFunction(data), 0)
         want = expected.get(label, "obstructed")
         if verdict != want:
             failures.append(f"{label}: classified {verdict}, expected {want}")
@@ -436,27 +414,17 @@ def _check_classifier() -> Tuple[int, List[str]]:
 
 
 def _check_inequality() -> Tuple[int, List[str]]:
-    profiles = [twobridge_profile(r, q) for r, q in _family_pairs()]
-    profiles.append(twobridge_profile(3, 1))
-    tasks = [
-        (prof, K, n)
-        for prof in profiles
-        for n in range(-4, 5)
-        for K in _companion_grid()
-    ]
-
-    def run(task):
-        prof, K, n = task
+    points, failures = 0, []
+    for prof, K, n in _sweep_grid():
         ok = tau_inequality_check(prof, K, n)
         if ok is None:
-            return None
+            continue
+        points += 1
         if not ok:
-            return f"l={prof.l} eps={K.eps} tau={K.tau} n={n}: inequality fails"
-        return ""
-
-    results = _pmap(run, tasks)
-    points = sum(1 for x in results if x is not None)
-    return points, [x for x in results if x]
+            failures.append(
+                f"l={prof.l} eps={K.eps} tau={K.tau} n={n}: inequality fails"
+            )
+    return points, failures
 
 
 def _check_genus() -> Tuple[int, List[str]]:

@@ -46,7 +46,7 @@ def g4_satellite_regime(
     if prof.l == 0 and n < 2 * K.tau:
         return g3rel(prof), "winding-zero,n<2tau"
     if prof.minimal_wrapping and n >= 0:
-        value = prof.g3 + prof.l * (prof.l - 1) * n // 2 + prof.l * K.tau
+        value = prof.g3 + prof.framing_shift(n) + prof.l * K.tau
         return value, "minimal-wrapping,n>=0"
     raise UnsupportedRegimeError(
         "no slice-genus formula applies to this (pattern, framing) regime"
@@ -59,4 +59,4 @@ def g3rel_framed(prof: PatternProfile, n: int) -> int:
         raise UnsupportedRegimeError("formula needs minimal wrapping")
     if n < 0 or prof.l < 0:
         raise UnsupportedRegimeError("formula needs n >= 0 and winding >= 0")
-    return prof.g3 + prof.l * (prof.l - 1) * n // 2
+    return prof.g3 + prof.framing_shift(n)

@@ -94,6 +94,9 @@ class HalfInt:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # An integral value equals the int it denotes, so it hashes like it.
+        if self.is_integral:
+            return hash(self.doubled // 2)
         return hash(("HalfInt", self.doubled))
 
     def __str__(self) -> str:
@@ -110,6 +113,31 @@ HALF = HalfInt(1)
 ONE = HalfInt(2)
 
 Exp2 = Tuple[HalfInt, HalfInt]
+
+
+def json_int(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool), else InvalidInputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_terms(obj: object, arity: int) -> list:
+    """(doubled exponents, coefficient) pairs of a polynomial JSON object."""
+    if not isinstance(obj, dict) or obj.get("vars") != arity:
+        name = "one" if arity == 1 else "two"
+        raise InvalidInputError(f"expected a {name}-variable polynomial")
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list):
+        raise InvalidInputError("polynomial terms must be a list")
+    items = []
+    for t in terms:
+        if not (isinstance(t, dict) and isinstance(t.get("e"), list)
+                and len(t["e"]) == arity):
+            raise InvalidInputError(f"malformed polynomial term {t!r}")
+        exps = tuple(HalfInt(json_int(e, "exponent")) for e in t["e"])
+        items.append((exps, json_int(t.get("c"), "coefficient")))
+    return items
 
 
 def _canonical_terms(items: Iterable[tuple], arity: int) -> tuple:
@@ -198,13 +226,9 @@ class LaurentPoly1:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "LaurentPoly1":
-        if obj.get("vars") != 1:
-            raise InvalidInputError("expected a one-variable polynomial")
-        items = []
-        for t in obj.get("terms", []):
-            (e,) = t["e"]
-            items.append((HalfInt(int(e)), int(t["c"])))
-        return LaurentPoly1.from_terms(items)
+        return LaurentPoly1.from_terms(
+            (e, c) for (e,), c in _json_terms(obj, 1)
+        )
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -288,13 +312,7 @@ class LaurentPoly2:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "LaurentPoly2":
-        if obj.get("vars") != 2:
-            raise InvalidInputError("expected a two-variable polynomial")
-        items = []
-        for t in obj.get("terms", []):
-            e1, e2 = t["e"]
-            items.append(((HalfInt(int(e1)), HalfInt(int(e2))), int(t["c"])))
-        return LaurentPoly2.from_terms(items)
+        return LaurentPoly2.from_terms(_json_terms(obj, 2))
 
     def __str__(self) -> str:
         if self.is_zero:

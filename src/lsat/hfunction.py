@@ -27,6 +27,7 @@ from .halfgrid_poly import (
     HalfIntLike,
     LaurentPoly1,
     LaurentPoly2,
+    json_int,
     knot_chi_expansion,
 )
 
@@ -101,6 +102,14 @@ class LinkAlexData:
             if not (d.is_symmetric() or d.neg().is_symmetric()):
                 raise InvalidInputError(f"{name} is not symmetric")
 
+    @property
+    def first_component_unknot(self) -> bool:
+        """Whether delta1 is +-1, i.e. the first component is an unknot."""
+        return self.delta1.terms in (
+            LaurentPoly1.one().terms,
+            LaurentPoly1.one().neg().terms,
+        )
+
     def on_lattice(self, t: HalfIntLike, r: HalfIntLike) -> bool:
         want = self.linking % 2
         return (
@@ -125,9 +134,11 @@ class LinkAlexData:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "LinkAlexData":
+        if not isinstance(obj, dict):
+            raise InvalidInputError("link data must be a JSON object")
         try:
             return LinkAlexData(
-                linking=int(obj["linking"]),
+                linking=json_int(obj["linking"], "linking"),
                 delta_tilde=LaurentPoly2.from_json_obj(obj["delta_tilde"]),
                 delta1=LaurentPoly1.from_json_obj(obj["delta1"]),
                 delta2=LaurentPoly1.from_json_obj(obj["delta2"]),
@@ -146,21 +157,7 @@ def gn_h(data: LinkAlexData, t: HalfIntLike, r: HalfIntLike) -> int:
         raise UnresolvedSignError(
             "delta_tilde sign unresolved; call resolve_sign first"
         )
-    return _gn_h_unchecked(data, t, r)
-
-
-def _gn_h_unchecked(data: LinkAlexData, t: HalfIntLike, r: HalfIntLike) -> int:
-    t, r = HalfInt.of(t), HalfInt.of(r)
-    if not data.on_lattice(t, r):
-        raise InvalidInputError(f"({t},{r}) is not on the lattice")
-    half_l = HalfInt(data.linking)
-    h1 = _KnotH(data.delta1)
-    h2 = _KnotH(data.delta2)
-    total = h1(t - half_l) + h2(r - half_l)
-    for (j, k), c in data.delta_tilde.terms:
-        if j > t and k > r:
-            total -= c
-    return total
+    return HFunction(data)(t, r)
 
 
 def resolve_sign(data: LinkAlexData) -> LinkAlexData:
@@ -171,23 +168,24 @@ def resolve_sign(data: LinkAlexData) -> LinkAlexData:
     (delta_tilde = 0) the input sign is kept.
     """
     window = data.support_extent() + 2
-    candidates = [data, replace(data, delta_tilde=data.delta_tilde.neg())]
+    candidates = [
+        replace(data, sign_resolved=True),
+        replace(data, delta_tilde=data.delta_tilde.neg(), sign_resolved=True),
+    ]
     passing = []
     for cand in candidates:
-        if _probe_ok(cand, window):
+        if _probe_ok(HFunction(cand), window):
             passing.append(cand)
     if not passing:
         raise NotLSpaceLinkError(
             "neither sign of delta_tilde yields a valid H-function"
         )
-    return replace(passing[0], sign_resolved=True)
+    return passing[0]
 
 
-def _probe_ok(data: LinkAlexData, window: HalfInt) -> bool:
-    coords = _lattice_range(data.linking, window)
-    vals = {
-        (t, r): _gn_h_unchecked(data, t, r) for t in coords for r in coords
-    }
+def _probe_ok(h: HFunction, window: HalfInt) -> bool:
+    coords = _lattice_range(h.linking, window)
+    vals = {(t, r): h(t, r) for t in coords for r in coords}
     for (t, r), v in vals.items():
         if v < 0:
             return False
@@ -221,15 +219,9 @@ class HFunction:
             data = resolve_sign(data)
         self.data = data
         self.linking = data.linking
-        self._h1 = _KnotH(data.delta1)
-        self._h2 = _KnotH(data.delta2)
+        self.h1 = _KnotH(data.delta1)
+        self.h2 = _KnotH(data.delta2)
         self._memo: Dict[Tuple[int, int], int] = {}
-
-    def h1(self, s: HalfIntLike) -> int:
-        return self._h1(s)
-
-    def h2(self, s: HalfIntLike) -> int:
-        return self._h2(s)
 
     def __call__(self, t: HalfIntLike, r: HalfIntLike) -> int:
         t, r = HalfInt.of(t), HalfInt.of(r)
@@ -240,7 +232,7 @@ class HFunction:
         half_l = HalfInt(self.linking)
         if not self.data.on_lattice(t, r):
             raise InvalidInputError(f"({t},{r}) is not on the lattice")
-        total = self._h1(t - half_l) + self._h2(r - half_l)
+        total = self.h1(t - half_l) + self.h2(r - half_l)
         for (j, k), c in self.data.delta_tilde.terms:
             if j > t and k > r:
                 total -= c
@@ -282,11 +274,7 @@ def width(data: LinkAlexData) -> HalfInt:
     delta_tilde (0 for the unlink); otherwise fall back to scanning the
     H-function columns with an explicit bound.
     """
-    first_unknot = data.delta1.terms in (
-        LaurentPoly1.one().terms,
-        LaurentPoly1.one().neg().terms,
-    )
-    if first_unknot:
+    if data.first_component_unknot:
         if data.delta_tilde.is_zero:
             return HalfInt(0)
         return data.delta_tilde.max_exp1()
@@ -300,11 +288,11 @@ def _width_from_h(data: LinkAlexData) -> HalfInt:
         bound = bound + HalfInt(1)
     rs = _lattice_range(data.linking, bound + 2)
     t = bound
-    # Walk down while the column at t matches the column at t+1 shifted by
-    # nothing (upper stabilization) and the mirrored condition holds below.
+    # Walk down while column t-1 equals column t (upper stabilization) and,
+    # mirrored, H still grows by exactly 1 from column -(t-1) to column -t.
     while t > HalfInt(0):
         upper_ok = all(h(t - 1, r) == h(t, r) for r in rs)
-        lower_ok = all(h(-(t - 1), r) == h(-t, r) + 1 for r in rs)
+        lower_ok = all(h(-(t - 1), r) + 1 == h(-t, r) for r in rs)
         if not (upper_ok and lower_ok):
             return t
         t = t - 1
@@ -382,11 +370,7 @@ def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationRe
     if not (-n_width <= half_l <= n_width):
         fail(f"width bound fails: N={n_width}, l/2={half_l}")
 
-    first_unknot = h.data.delta1.terms in (
-        LaurentPoly1.one().terms,
-        LaurentPoly1.one().neg().terms,
-    )
-    if first_unknot and l >= 0:
+    if h.data.first_component_unknot and l >= 0:
         report.checks_run.append("torus-link-lower-bound")
         for t in coords:
             for r in coords:

@@ -1,11 +1,11 @@
 """Closed-form tau of satellites, family formulas, and obstructions.
 
 The central entry point is :func:`tau_closed_form`, which dispatches on the
-companion's eps invariant and the framing.  Family-specific formulas for
-cables and 1-bridge braids (including the mirror trick for eps = -1) live
-beside it, together with the eps != -1 guarantee, the homomorphism
-obstruction classifier, and the cable-comparison inequality used as a
-sweep property.
+companion's eps invariant and the framing.  The family formula for
+1-bridge braids B(p, q, b), cables being b = 0 (eps = -1 by the mirror
+trick), lives beside it, together with the eps != -1 guarantee, the
+homomorphism obstruction classifier, and the cable-comparison inequality
+used as a sweep property.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from typing import Optional, Tuple
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .halfgrid_poly import HalfInt
 from .hfunction import HFunction, h_t22l, width, _lattice_range
-from .patterns import Companion, PatternProfile
+from .patterns import Companion, PatternProfile, bridge_braid_knot_check
 from .zcomplex import TauResult
-
-
-def _framing_shift(prof: PatternProfile, n: int) -> int:
-    return prof.l * (prof.l - 1) * n // 2
 
 
 def _as_tau(value: HalfInt, case_tag: str) -> TauResult:
@@ -32,27 +28,18 @@ def _as_tau(value: HalfInt, case_tag: str) -> TauResult:
     return TauResult(value=value.as_int(), method="closed-form", case_tag=case_tag)
 
 
-def _need(prof: PatternProfile, *fields: str) -> None:
-    for f in fields:
-        if getattr(prof, f) is None:
-            raise UnsupportedRegimeError(
-                f"closed form needs {f}, unavailable for this profile; "
-                "use the family-specific formula instead"
-            )
-
-
 def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     """tau of the satellite with pattern ``prof``, companion K, framing n."""
     if prof.l < 0:
         raise UnsupportedRegimeError("closed form needs winding >= 0")
     half_l = HalfInt(prof.l)
     g = HalfInt.whole(prof.g3)
-    shift = HalfInt.whole(_framing_shift(prof, n))
+    shift = HalfInt.whole(prof.framing_shift(n))
     ltau = HalfInt.whole(prof.l * K.tau)
 
     if K.eps == 1:
         if n < 2 * K.tau:
-            _need(prof, "r_center")
+            prof.require("r_center")
             return _as_tau(
                 prof.r_center - half_l + shift + ltau, "eps=1,n<2tau"
             )
@@ -65,7 +52,7 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
             raise UnsupportedRegimeError(
                 "eps=0 with n<0 needs the R_{l/2-1} condition"
             )
-        _need(prof, "r_minus", "r_center")
+        prof.require("r_minus", "r_center")
         return _as_tau(
             max(prof.r_minus + half_l, prof.r_center - half_l) + shift,
             "eps=0,n<0",
@@ -75,63 +62,56 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     if not prof.cond_tau:
         raise UnsupportedRegimeError("eps=-1 needs the R_{l/2-1} condition")
     if n < 2 * K.tau:
-        _need(prof, "r_minus", "r_center")
+        prof.require("r_minus", "r_center")
         return _as_tau(
             max(prof.r_minus + half_l, prof.r_center - half_l) + shift + ltau,
             "eps=-1,n<2tau",
         )
     if n == 2 * K.tau:
-        _need(prof, "r_minus", "r_plus")
+        prof.require("r_minus", "r_plus")
         return _as_tau(
             max(prof.r_minus + half_l, prof.r_plus - half_l) + shift + ltau,
             "eps=-1,n=2tau",
         )
     if n == 2 * K.tau + 1:
-        _need(prof, "r_minus", "r_plus")
+        prof.require("r_minus", "r_plus")
         return _as_tau(
             min(prof.r_minus + half_l, prof.r_plus + half_l) + shift + ltau,
             "eps=-1,n=2tau+1",
         )
-    _need(prof, "r_minus")
+    prof.require("r_minus")
     return _as_tau(
         min(prof.r_minus + half_l, g + half_l + half_l) + shift + ltau,
         "eps=-1,n>2tau+1",
     )
 
 
-def tau_cable(p: int, q: int, K: Companion) -> TauResult:
-    """tau of the (p, q) cable by the family formula and the mirror trick."""
-    if p <= 0 or math.gcd(p, abs(q)) != 1:
-        raise InvalidInputError(f"cable needs p > 0 and gcd(p,q)=1, got ({p},{q})")
-    if K.eps == 1:
-        value = (p - 1) * (q - 1) // 2 + p * K.tau
-        return TauResult(value, "family-formula", "cable,eps=1")
-    if K.eps == -1:
-        value = (p - 1) * (q + 1) // 2 + p * K.tau
-        return TauResult(value, "family-formula", "cable,eps=-1(mirror)")
-    if q > 0:
-        value = (p - 1) * (q - 1) // 2
-    else:
-        value = (p - 1) * (q + 1) // 2
-    return TauResult(value, "family-formula", "cable,eps=0")
-
-
-def tau_bridge_braid(p: int, q: int, b: int, K: Companion) -> TauResult:
-    """tau of the satellite by the 1-bridge braid B(p, q, b)."""
-    from .patterns import bridge_braid_knot_check
-
-    bridge_braid_knot_check(p, q, b)
+def _tau_braided(p: int, q: int, b: int, K: Companion, family: str) -> TauResult:
+    """tau of the B(p, q, b) satellite (a cable is b = 0); eps = -1 by mirror."""
     if K.eps == 1:
         value = ((p - 1) * (q - 1) + b) // 2 + p * K.tau
-        return TauResult(value, "family-formula", "braid,eps=1")
+        return TauResult(value, "family-formula", f"{family},eps=1")
     if K.eps == -1:
         value = ((p - 1) * (q + 1) + b) // 2 + p * K.tau
-        return TauResult(value, "family-formula", "braid,eps=-1(mirror)")
+        return TauResult(value, "family-formula", f"{family},eps=-1(mirror)")
     if q > 0:
         value = ((p - 1) * (q - 1) + b) // 2
     else:
         value = ((p - 1) * (q + 1) + b) // 2
-    return TauResult(value, "family-formula", "braid,eps=0")
+    return TauResult(value, "family-formula", f"{family},eps=0")
+
+
+def tau_cable(p: int, q: int, K: Companion) -> TauResult:
+    """tau of the (p, q) cable by the family formula and the mirror trick."""
+    if p <= 0 or math.gcd(p, abs(q)) != 1:
+        raise InvalidInputError(f"cable needs p > 0 and gcd(p,q)=1, got ({p},{q})")
+    return _tau_braided(p, q, 0, K, "cable")
+
+
+def tau_bridge_braid(p: int, q: int, b: int, K: Companion) -> TauResult:
+    """tau of the satellite by the 1-bridge braid B(p, q, b)."""
+    bridge_braid_knot_check(p, q, b)
+    return _tau_braided(p, q, b, K, "braid")
 
 
 def eps_not_minus_one(prof: PatternProfile, K: Companion, n: int) -> str:

@@ -5,7 +5,8 @@ Three generated families are supported:
 - two-bridge operators, whose two-component Alexander polynomial is built
   from a lattice walk and cross-checked against a closed-form sum;
 - cables, whose scalar profile is fully determined by braidedness;
-- 1-bridge braids, likewise scalar-profiled from the genus formula.
+- 1-bridge braids B(p, q, b), likewise scalar-profiled from the genus
+  formula; a cable is B(p, q, 0) and shares their profile builder.
 
 User-supplied Alexander data (JSON) is ingested through
 :func:`generic_profile`, which fills the profile by H-function queries.
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import InvalidInputError, VerificationError
+from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
 from .halfgrid_poly import HalfInt, LaurentPoly1, LaurentPoly2, symmetrize, shift
 from .hfunction import HFunction, LinkAlexData, resolve_sign, validate, width
 
@@ -73,6 +74,19 @@ class PatternProfile:
                 "this profile carries no Alexander data (closed-form family)"
             )
         return HFunction(self.data)
+
+    def framing_shift(self, n: int) -> int:
+        """Genus shift l(l-1)n/2 of the n-framed satellite."""
+        return self.l * (self.l - 1) * n // 2
+
+    def require(self, *fields: str) -> None:
+        """Raise UnsupportedRegimeError unless every named R value is known."""
+        for f in fields:
+            if getattr(self, f) is None:
+                raise UnsupportedRegimeError(
+                    f"{f} is unavailable for this profile; "
+                    "use the family-specific formula instead"
+                )
 
 
 def _cond_flags(
@@ -272,54 +286,8 @@ def unlink_profile() -> PatternProfile:
     return _profile_from_data(unlink_data(), g3=0, provenance_tag="computed-from-H")
 
 
-def cable_profile(p: int, r: int) -> PatternProfile:
-    """Scalar profile of the (p, r) cable pattern, 0 < r < p, gcd 1."""
-    if p < 2 or not (0 < r < p):
-        raise InvalidInputError("cable needs p >= 2 and 0 < r < p")
-    if math.gcd(p, r) != 1:
-        raise InvalidInputError(f"gcd({p},{r}) != 1: cable closure is a link")
-    g3 = (p - 1) * (r - 1) // 2
-    cond_tau, cond_eps = _cond_flags(p, g3, None)
-    prov = (
-        ("n_width", "closed-form"),
-        ("r_center", "closed-form"),
-        ("r_minus", "unknown"),
-        ("r_plus", "unknown"),
-        ("g3", "closed-form"),
-    )
-    return PatternProfile(
-        l=p,
-        g3=g3,
-        n_width=HalfInt(p),
-        r_minus=None,
-        r_center=HalfInt.whole(g3) + HalfInt(p),
-        r_plus=None,
-        cond_tau=cond_tau,
-        cond_eps=cond_eps,
-        minimal_wrapping=True,
-        provenance=prov,
-    )
-
-
-def bridge_braid_knot_check(p: int, q: int, b: int) -> None:
-    """Reject parameters whose braid closure is a link, not a knot."""
-    if p < 2 or not (0 < b < p - 1):
-        raise InvalidInputError("1-bridge braid needs p >= 2, 0 < b < p-1")
-    if q % p == 0 or q % p == p - 1:
-        raise InvalidInputError(
-            f"closure of B({p},{q},{b}) is a link (q = 0 or -1 mod p)"
-        )
-    if ((p - 1) * (q - 1) + b) % 2 != 0:
-        raise InvalidInputError(
-            f"B({p},{q},{b}) fails the parity knot check"
-        )
-
-
-def bridge_braid_profile(p: int, r: int, b: int) -> PatternProfile:
-    """Scalar profile of the 1-bridge braid pattern B(p, r, b), p < r < 2p."""
-    if not (p < r < 2 * p):
-        raise InvalidInputError("bridge braid profile needs p < r < 2p")
-    bridge_braid_knot_check(p, r, b)
+def _braided_profile(p: int, r: int, b: int) -> PatternProfile:
+    """Scalar profile of the braided pattern B(p, r, b); a cable is b = 0."""
     g3 = ((p - 1) * (r - 1) + b) // 2
     cond_tau, cond_eps = _cond_flags(p, g3, None)
     prov = (
@@ -343,6 +311,37 @@ def bridge_braid_profile(p: int, r: int, b: int) -> PatternProfile:
     )
 
 
+def cable_profile(p: int, r: int) -> PatternProfile:
+    """Scalar profile of the (p, r) cable pattern, 0 < r < p, gcd 1."""
+    if p < 2 or not (0 < r < p):
+        raise InvalidInputError("cable needs p >= 2 and 0 < r < p")
+    if math.gcd(p, r) != 1:
+        raise InvalidInputError(f"gcd({p},{r}) != 1: cable closure is a link")
+    return _braided_profile(p, r, 0)
+
+
+def bridge_braid_knot_check(p: int, q: int, b: int) -> None:
+    """Reject parameters whose braid closure is a link, not a knot."""
+    if p < 2 or not (0 < b < p - 1):
+        raise InvalidInputError("1-bridge braid needs p >= 2, 0 < b < p-1")
+    if q % p == 0 or q % p == p - 1:
+        raise InvalidInputError(
+            f"closure of B({p},{q},{b}) is a link (q = 0 or -1 mod p)"
+        )
+    if ((p - 1) * (q - 1) + b) % 2 != 0:
+        raise InvalidInputError(
+            f"B({p},{q},{b}) fails the parity knot check"
+        )
+
+
+def bridge_braid_profile(p: int, r: int, b: int) -> PatternProfile:
+    """Scalar profile of the 1-bridge braid pattern B(p, r, b), p < r < 2p."""
+    if not (p < r < 2 * p):
+        raise InvalidInputError("bridge braid profile needs p < r < 2p")
+    bridge_braid_knot_check(p, r, b)
+    return _braided_profile(p, r, b)
+
+
 def generic_profile(
     data: LinkAlexData, g3: Optional[int] = None
 ) -> PatternProfile:
@@ -351,10 +350,7 @@ def generic_profile(
         raise InvalidInputError(
             "orient the pattern so the winding number is nonnegative"
         )
-    if data.delta1.terms not in (
-        LaurentPoly1.one().terms,
-        LaurentPoly1.one().neg().terms,
-    ):
+    if not data.first_component_unknot:
         raise InvalidInputError("first component must be an unknot")
     h = HFunction(data)
     report = validate(h)

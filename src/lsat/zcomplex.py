@@ -285,16 +285,12 @@ def _weights(prof: PatternProfile) -> dict:
     return out
 
 
-def _require(prof: PatternProfile, *fields: str) -> None:
-    for f in fields:
-        if getattr(prof, f) is None:
-            raise UnsupportedRegimeError(
-                f"profile lacks {f}; no summand can be built"
-            )
+def _source(name: str, a: int) -> Tuple[str, int, int]:
+    return (name, 1, 1 - 2 * a)
 
 
-def _framing_shift(prof: PatternProfile, n: int) -> int:
-    return prof.l * (prof.l - 1) * n // 2
+def _sink(name: str, a: int) -> Tuple[str, int, int]:
+    return (name, 0, -2 * a)
 
 
 def _chain(
@@ -313,21 +309,13 @@ def _chain(
     gens: List[Tuple[str, int, int]] = []
     arrows: List[Tuple[str, str, int]] = []
     for i, a in enumerate(sink_a):
-        gens.append((f"b{i}", 0, -2 * a))
+        gens.append(_sink(f"b{i}", a))
     for i in range(len(sink_a) - 1):
         name = f"{source_label}{i + 1}"
-        gens.append((name, 1, 1 - 2 * (sink_a[i] + left_w)))
+        gens.append(_source(name, sink_a[i] + left_w))
         arrows.append((name, f"b{i}", left_w))
         arrows.append((name, f"b{i + 1}", right_w))
     return gens, arrows
-
-
-def _source(name: str, a: int) -> Tuple[str, int, int]:
-    return (name, 1, 1 - 2 * a)
-
-
-def _sink(name: str, a: int) -> Tuple[str, int, int]:
-    return (name, 0, -2 * a)
 
 
 def build_summand(
@@ -342,13 +330,13 @@ def build_summand(
     also stated, it is asserted rather than assumed.
     """
     l, g, tau = prof.l, prof.g3, K.tau
-    shift = _framing_shift(prof, n)
+    shift = prof.framing_shift(n)
     wts = _weights(prof)
 
     if case == "eps1":
         if K.eps != 1:
             raise InvalidInputError("case eps1 needs a companion with eps=1")
-        _require(prof, "r_center")
+        prof.require("r_center")
         a, c = wts["tau"], wts["sigma"]
         anchor = g + shift + l * tau
         if n < 2 * tau:
@@ -373,7 +361,7 @@ def build_summand(
     if case == "eps0_pos":
         if K.eps != 0 or n < 0:
             raise InvalidInputError("case eps0_pos needs eps=0 and n >= 0")
-        _require(prof, "r_center")
+        prof.require("r_center")
         a, c = wts["tau"], wts["sigma"]
         sink_a = [g + shift + i * l for i in range(n + 1)]
         gens, arrows = _chain(sink_a, a, c)
@@ -386,7 +374,7 @@ def build_summand(
             raise UnsupportedRegimeError(
                 "eps=0 with n<0 needs the R_{l/2-1} condition"
             )
-        _require(prof, "r_minus", "r_center", "r_plus")
+        prof.require("r_minus", "r_center", "r_plus")
         a, c = wts["tau"], wts["sigma"]
         am, cp = wts["tau_minus"], wts["sigma_plus"]
         k = -n
@@ -409,7 +397,7 @@ def build_summand(
             raise UnsupportedRegimeError(
                 "eps=-1 needs the R_{l/2-1} condition"
             )
-        _require(prof, "r_minus", "r_center", "r_plus")
+        prof.require("r_minus", "r_center", "r_plus")
         a, c = wts["tau"], wts["sigma"]
         am, cp = wts["tau_minus"], wts["sigma_plus"]
         v_a = (prof.r_minus + HalfInt(l)).as_int() + shift + l * tau

@@ -1,0 +1,93 @@
+"""H-function checked against a brute-force reference and the width scan.
+
+The reference evaluates H(t, r) = H1(t - l/2) + H2(r - l/2) - (sum of
+delta_tilde over the quadrant j > t, k > r) with dense suffix sums over the
+support box of delta_tilde, in doubled integers.  It shares no code with
+:class:`lsat.HFunction`, which filters the sparse terms per query.
+"""
+
+import pytest
+
+from lsat import HFunction, HalfInt, twobridge_data, unlink_data, width
+from lsat.halfgrid_poly import LaurentPoly1
+from lsat.hfunction import _KnotH, _width_from_h
+
+
+def two_bridge_pairs(max_r):
+    return [
+        (r, q)
+        for r in range(3, max_r + 1, 2)
+        for q in range(1, r + 1, 2)
+    ]
+
+
+def reference_table(data, coords):
+    """{(t, r): H} on coords x coords (doubled ints) from the definition."""
+    for delta in (data.delta1, data.delta2):
+        assert delta.terms in (
+            LaurentPoly1.one().terms,
+            LaurentPoly1.one().neg().terms,
+        ), "reference covers unknotted components only"
+    terms = {(j.doubled, k.doubled): c for (j, k), c in data.delta_tilde.terms}
+    js = [j for j, _ in terms] or [0]
+    ks = [k for _, k in terms] or [0]
+    j_lo, j_hi, k_lo, k_hi = min(js), max(js), min(ks), max(ks)
+    # suffix[(j, k)] = sum of coefficients at (j', k') with j' >= j, k' >= k,
+    # on the box in whole (doubled 2) steps; zero outside the box above.
+    suffix = {}
+    for j in range(j_hi, j_lo - 1, -2):
+        for k in range(k_hi, k_lo - 1, -2):
+            suffix[(j, k)] = (
+                terms.get((j, k), 0)
+                + suffix.get((j + 2, k), 0)
+                + suffix.get((j, k + 2), 0)
+                - suffix.get((j + 2, k + 2), 0)
+            )
+
+    def quadrant(t, r):
+        j, k = max(t + 2, j_lo), max(r + 2, k_lo)
+        return suffix.get((j, k), 0)
+
+    l = data.linking
+    out = {}
+    for t in coords:
+        for r in coords:
+            # An unknot has H(s) = max(-s, 0); s = t - l/2 is integral.
+            h1 = max(-(t - l) // 2, 0)
+            h2 = max(-(r - l) // 2, 0)
+            out[(t, r)] = h1 + h2 - quadrant(t, r)
+    return out
+
+
+def validate_window(data):
+    """Doubled lattice coordinates of the window ``validate`` uses."""
+    window = width(data).doubled + 6
+    return [d for d in range(-window, window + 1) if d % 2 == data.linking % 2]
+
+
+@pytest.mark.parametrize(
+    "rq",
+    two_bridge_pairs(15) + [(21, 13), None],
+    ids=lambda rq: "unlink" if rq is None else "%d,%d" % rq,
+)
+def test_hfunction_matches_reference(rq):
+    data = unlink_data() if rq is None else twobridge_data(*rq)
+    h = HFunction(data)
+    for (t, r), value in reference_table(data, validate_window(data)).items():
+        assert h(HalfInt(t), HalfInt(r)) == value, (rq, t, r)
+
+
+def test_width_scan_agrees_with_width():
+    datas = [twobridge_data(r, q) for r, q in two_bridge_pairs(13)]
+    datas.append(unlink_data())
+    assert len(datas) == 28
+    for data in datas:
+        assert _width_from_h(data) == width(data), data.delta_tilde
+
+
+def test_knot_h_of_trefoil():
+    trefoil = LaurentPoly1.from_terms(
+        {HalfInt.whole(1): 1, HalfInt.whole(0): -1, HalfInt.whole(-1): 1}
+    )
+    h = _KnotH(trefoil)
+    assert [h(s) for s in range(-3, 4)] == [3, 2, 1, 1, 0, 0, 0]
