@@ -156,6 +156,8 @@ def main() -> None:
 @_handle_errors
 def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
     """Render the H-function table of PATTERN (rows r descending)."""
+    if window is not None and window < 0:
+        raise InvalidInputError(f"--window must be >= 0, got {window}")
     loaded = _load_pattern(pattern)
     if not loaded.has_table:
         raise UnsupportedRegimeError(
@@ -260,6 +262,8 @@ def cmd_tau(
 def cmd_classify(pattern: str, n: int, fmt: str) -> None:
     """Homomorphism-obstruction verdict for the operator PATTERN."""
     loaded = _load_pattern(pattern)
+    if n < 0:
+        raise InvalidInputError("classifier applies to framings n >= 0")
     if loaded.has_table:
         prof = loaded.profile()
         verdict, failed = classify_operator(prof.hfunction(), prof.g3, n)

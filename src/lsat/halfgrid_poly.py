@@ -109,10 +109,12 @@ class HalfInt:
 
 
 ZERO = HalfInt(0)
-HALF = HalfInt(1)
-ONE = HalfInt(2)
 
-Exp2 = Tuple[HalfInt, HalfInt]
+# Largest |doubled exponent| accepted in JSON input.  The sign probe and the
+# validator scan a lattice square whose side grows with the exponents, so
+# this bounds the work per input; the two-bridge family up to (61,41)
+# stays below it.
+MAX_DOUBLED_EXPONENT = 64
 
 
 def json_int(value: object, what: str) -> int:
@@ -136,6 +138,11 @@ def _json_terms(obj: object, arity: int) -> list:
                 and len(t["e"]) == arity):
             raise InvalidInputError(f"malformed polynomial term {t!r}")
         exps = tuple(HalfInt(json_int(e, "exponent")) for e in t["e"])
+        if any(abs(e.doubled) > MAX_DOUBLED_EXPONENT for e in exps):
+            raise InvalidInputError(
+                f"doubled exponent in {t['e']!r} exceeds the limit "
+                f"|e| <= {MAX_DOUBLED_EXPONENT}"
+            )
         items.append((exps, json_int(t.get("c"), "coefficient")))
     return items
 
@@ -189,9 +196,6 @@ class LaurentPoly1:
                 return c
         return 0
 
-    def support(self) -> tuple:
-        return tuple(exp for exp, _ in self.terms)
-
     def degree(self) -> HalfInt:
         if self.is_zero:
             raise InvalidInputError("zero polynomial has no degree")
@@ -207,13 +211,6 @@ class LaurentPoly1:
 
     def neg(self) -> "LaurentPoly1":
         return LaurentPoly1(tuple((e, -c) for e, c in self.terms))
-
-    def add(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return LaurentPoly1.from_terms(list(self.terms) + list(other.terms))
-
-    def shift(self, a: HalfIntLike) -> "LaurentPoly1":
-        a = HalfInt.of(a)
-        return LaurentPoly1(tuple((e + a, c) for e, c in self.terms))
 
     def is_symmetric(self) -> bool:
         return all(self.coeff(-e) == c for e, c in self.terms)
@@ -286,9 +283,6 @@ class LaurentPoly2:
             if exp == key:
                 return c
         return 0
-
-    def support(self) -> tuple:
-        return tuple(exp for exp, _ in self.terms)
 
     def eval_at_one(self) -> int:
         return sum(c for _, c in self.terms)

@@ -15,7 +15,7 @@ property-report validator and the TSV table export used by the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     InvalidInputError,
@@ -53,15 +53,9 @@ class _KnotH:
     """Closed-form evaluator for the H-function of a knot component."""
 
     def __init__(self, delta: LaurentPoly1):
-        depth = HalfInt.of(0)
-        if not delta.is_zero:
-            depth = min(depth, delta.valuation() - 1)
-        chi = knot_chi_expansion(delta, depth)
-        if delta.is_zero:
-            raise InvalidInputError("component Alexander polynomial is zero")
-        norm = delta if delta.eval_at_one() == 1 else delta.neg()
-        self.top = norm.degree().as_int()
-        self.bottom = norm.valuation().as_int()
+        chi = knot_chi_expansion(delta, min(HalfInt(0), delta.valuation() - 1))
+        self.top = delta.degree().as_int()
+        self.bottom = delta.valuation().as_int()
         # table[s] = H(s) for bottom-1 <= s <= top; H is 0 above top and
         # grows with slope 1 (chi tail = 1) below bottom.
         table = {self.top: 0}
@@ -163,52 +157,49 @@ def gn_h(data: LinkAlexData, t: HalfIntLike, r: HalfIntLike) -> int:
 def resolve_sign(data: LinkAlexData) -> LinkAlexData:
     """Fix the overall sign of delta_tilde by nonnegativity of H.
 
-    Both signs are probed on a window past the support; the unique sign
-    giving a nonnegative H-function with one-step gaps wins.  If both pass
-    (delta_tilde = 0) the input sign is kept.
+    The signs are probed on a window past the support, the input sign
+    first; the first giving a nonnegative H-function with one-step gaps
+    wins, so the input sign is kept when both pass (delta_tilde = 0).
     """
     window = data.support_extent() + 2
-    candidates = [
-        replace(data, sign_resolved=True),
-        replace(data, delta_tilde=data.delta_tilde.neg(), sign_resolved=True),
-    ]
-    passing = []
-    for cand in candidates:
-        if _probe_ok(HFunction(cand), window):
-            passing.append(cand)
-    if not passing:
-        raise NotLSpaceLinkError(
-            "neither sign of delta_tilde yields a valid H-function"
-        )
-    return passing[0]
+    for delta_tilde in (data.delta_tilde, data.delta_tilde.neg()):
+        cand = replace(data, delta_tilde=delta_tilde, sign_resolved=True)
+        if next(_gap_failures(HFunction(cand), window), None) is None:
+            return cand
+    raise NotLSpaceLinkError(
+        "neither sign of delta_tilde yields a valid H-function"
+    )
 
 
-def _probe_ok(h: HFunction, window: HalfInt) -> bool:
+def _gap_failures(h: HFunction, window: HalfIntLike) -> Iterator[str]:
+    """Nonnegativity and unit-gap failures on the square [-window, window]^2.
+
+    H must be nonnegative and drop by 0 or 1 at each step up in t or r.
+    """
     coords = _lattice_range(h.linking, window)
     vals = {(t, r): h(t, r) for t in coords for r in coords}
     for (t, r), v in vals.items():
         if v < 0:
-            return False
-        right = vals.get((t + 1, r))
-        if right is not None and v - right not in (0, 1):
-            return False
-        up = vals.get((t, r + 1))
-        if up is not None and v - up not in (0, 1):
-            return False
-    return True
+            yield f"negative value H({t},{r}) = {v}"
+        for t2, r2 in ((t + 1, r), (t, r + 1)):
+            v2 = vals.get((t2, r2))
+            if v2 is not None and v - v2 not in (0, 1):
+                yield (
+                    f"monotonicity/gap fails between ({t},{r}) "
+                    f"and ({t2},{r2}): step {v - v2}"
+                )
+
+
+def _snap_up(x: HalfInt, linking: int) -> HalfInt:
+    """Smallest point of the lattice coset l/2 + Z that is >= x."""
+    return x + HalfInt((x.doubled - linking) % 2)
 
 
 def _lattice_range(linking: int, window: HalfIntLike) -> List[HalfInt]:
     """Lattice coordinates of (l/2 + Z) within [-window, window]."""
     window = HalfInt.of(window)
-    start = HalfInt(-window.doubled if window.doubled % 2 == linking % 2
-                    else -window.doubled + 1)
-    out = []
-    x = start
-    while x <= window:
-        out.append(x)
-        x = x + 1
-    return out
+    start = _snap_up(-window, linking).doubled
+    return [HalfInt(d) for d in range(start, window.doubled + 1, 2)]
 
 
 class HFunction:
@@ -246,9 +237,7 @@ class HFunction:
     def r_of_t(self, t: HalfIntLike) -> HalfInt:
         """Largest r where the column at t is flat above and steps below."""
         t = HalfInt.of(t)
-        r = self.stabilization_r()
-        if r.doubled % 2 != self.linking % 2:
-            r = r + HalfInt(1)
+        r = _snap_up(self.stabilization_r(), self.linking)
         limit = 4 * (r.doubled + abs(t.doubled) + 16)
         for _ in range(limit):
             here = self(t, r)
@@ -283,9 +272,7 @@ def width(data: LinkAlexData) -> HalfInt:
 
 def _width_from_h(data: LinkAlexData) -> HalfInt:
     h = HFunction(data)
-    bound = data.support_extent() + 2
-    if bound.doubled % 2 != data.linking % 2:
-        bound = bound + HalfInt(1)
+    bound = _snap_up(data.support_extent() + 2, data.linking)
     rs = _lattice_range(data.linking, bound + 2)
     t = bound
     # Walk down while column t-1 equals column t (upper stabilization) and,
@@ -332,20 +319,8 @@ def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationRe
 
     report.checks_run.append("nonnegativity")
     report.checks_run.append("monotonicity+gap")
-    for t in coords:
-        for r in coords:
-            v = h(t, r)
-            if v < 0:
-                fail(f"negative value H({t},{r}) = {v}")
-            for dt, dr in ((1, 0), (0, 1)):
-                t2, r2 = t + dt, r + dr
-                if t2 in coords and r2 in coords:
-                    step = v - h(t2, r2)
-                    if step not in (0, 1):
-                        fail(
-                            f"monotonicity/gap fails between ({t},{r}) "
-                            f"and ({t2},{r2}): step {step}"
-                        )
+    for msg in _gap_failures(h, window):
+        fail(msg)
 
     report.checks_run.append("symmetry")
     for t in coords:
@@ -357,9 +332,7 @@ def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationRe
                 fail(f"symmetry fails at ({t},{r})")
 
     report.checks_run.append("stabilization")
-    edge = h.stabilization_r() + window
-    if edge.doubled % 2 != l % 2:
-        edge = edge + HalfInt(1)
+    edge = _snap_up(h.stabilization_r() + window, l)
     for s in coords:
         if h(s, edge) != h.h1(s - half_l):
             fail(f"row stabilization fails at t={s}")

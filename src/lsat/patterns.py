@@ -29,9 +29,8 @@ class PatternProfile:
 
     ``r_minus``, ``r_center``, ``r_plus`` are the R values at winding/2 - 1,
     winding/2 and winding/2 + 1; any of them may be unavailable (None) for
-    closed-form-only families.  ``provenance`` records, per field, whether
-    the value came from a closed form, from H-function queries, or from the
-    user.
+    closed-form-only families.  The side conditions, minimal wrapping and
+    provenance are derived from these fields.
     """
 
     l: int
@@ -40,10 +39,6 @@ class PatternProfile:
     r_minus: Optional[HalfInt]
     r_center: Optional[HalfInt]
     r_plus: Optional[HalfInt]
-    cond_tau: bool
-    cond_eps: bool
-    minimal_wrapping: bool
-    provenance: Tuple[Tuple[str, str], ...]
     data: Optional[LinkAlexData] = None
 
     def __post_init__(self):
@@ -68,6 +63,43 @@ class PatternProfile:
                     "minimal wrapping forces R_center - l/2 = g3"
                 )
 
+    @property
+    def cond_tau(self) -> bool:
+        """R_{l/2-1} >= g3 + l/2 - 1, the tau-side condition."""
+        if self.r_minus is None:
+            # Unknotted patterns and small winding satisfy it automatically.
+            return self.l in (0, 1) or self.g3 == 0
+        return self.r_minus >= HalfInt.whole(self.g3) + HalfInt(self.l) - 1
+
+    @property
+    def cond_eps(self) -> bool:
+        """R_{l/2-1} >= g3 + l/2, the eps-side condition."""
+        if self.r_minus is None:
+            # Automatic only at winding 0.
+            return self.l == 0
+        return self.r_minus >= HalfInt.whole(self.g3) + HalfInt(self.l)
+
+    @property
+    def minimal_wrapping(self) -> bool:
+        """Whether the width N equals l/2."""
+        return self.n_width == HalfInt(self.l)
+
+    @property
+    def provenance(self) -> Tuple[Tuple[str, str], ...]:
+        """Per field: closed form, H-function queries, unknown or user."""
+        if self.data is None:
+            return (
+                ("n_width", "closed-form"),
+                ("r_center", "closed-form"),
+                ("r_minus", "unknown"),
+                ("r_plus", "unknown"),
+                ("g3", "closed-form"),
+            )
+        return tuple(
+            (name, "computed-from-H")
+            for name in ("n_width", "r_minus", "r_center", "r_plus")
+        ) + (("g3", "closed-form" if self.g3 == 0 else "user"),)
+
     def hfunction(self) -> HFunction:
         if self.data is None:
             raise InvalidInputError(
@@ -87,20 +119,6 @@ class PatternProfile:
                     f"{f} is unavailable for this profile; "
                     "use the family-specific formula instead"
                 )
-
-
-def _cond_flags(
-    l: int, g3: int, r_minus: Optional[HalfInt]
-) -> Tuple[bool, bool]:
-    """(cond_tau, cond_eps) from R_{l/2-1} when known, else by special family."""
-    half_l = HalfInt(l)
-    if r_minus is not None:
-        cond_tau = r_minus >= HalfInt.whole(g3) + half_l - 1
-        cond_eps = r_minus >= HalfInt.whole(g3) + half_l
-        return cond_tau, cond_eps
-    # Unknotted patterns and small winding satisfy the tau-side condition
-    # automatically; the eps-side condition is automatic only at winding 0.
-    return (l in (0, 1) or g3 == 0), l == 0
 
 
 @dataclass(frozen=True)
@@ -232,33 +250,16 @@ def twobridge_data(r: int, q: int) -> LinkAlexData:
     return resolve_sign(data)
 
 
-def _profile_from_data(
-    data: LinkAlexData, g3: int, provenance_tag: str
-) -> PatternProfile:
-    h = HFunction(data)
-    l = data.linking
-    half_l = HalfInt(l)
-    n_width = width(data)
-    r_minus = h.r_of_t(half_l - 1)
-    r_center = h.r_of_t(half_l)
-    r_plus = h.r_of_t(half_l + 1)
-    cond_tau, cond_eps = _cond_flags(l, g3, r_minus)
-    prov = tuple(
-        (name, provenance_tag)
-        for name in ("n_width", "r_minus", "r_center", "r_plus")
-    ) + (("g3", "closed-form" if g3 == 0 else "user"),)
+def _profile_from_h(h: HFunction, g3: int) -> PatternProfile:
+    half_l = HalfInt(h.linking)
     return PatternProfile(
-        l=l,
+        l=h.linking,
         g3=g3,
-        n_width=n_width,
-        r_minus=r_minus,
-        r_center=r_center,
-        r_plus=r_plus,
-        cond_tau=cond_tau,
-        cond_eps=cond_eps,
-        minimal_wrapping=(n_width == half_l),
-        provenance=prov,
-        data=data,
+        n_width=width(h.data),
+        r_minus=h.r_of_t(half_l - 1),
+        r_center=h.r_of_t(half_l),
+        r_plus=h.r_of_t(half_l + 1),
+        data=h.data,
     )
 
 
@@ -266,8 +267,7 @@ def twobridge_profile(r: int, q: int) -> PatternProfile:
     """Profile of the two-bridge operator; (r,q) and (q,r) agree."""
     if q > r:
         r, q = q, r
-    data = twobridge_data(r, q)
-    return _profile_from_data(data, g3=0, provenance_tag="computed-from-H")
+    return _profile_from_h(HFunction(twobridge_data(r, q)), g3=0)
 
 
 def unlink_data() -> LinkAlexData:
@@ -283,20 +283,12 @@ def unlink_data() -> LinkAlexData:
 
 
 def unlink_profile() -> PatternProfile:
-    return _profile_from_data(unlink_data(), g3=0, provenance_tag="computed-from-H")
+    return _profile_from_h(HFunction(unlink_data()), g3=0)
 
 
 def _braided_profile(p: int, r: int, b: int) -> PatternProfile:
     """Scalar profile of the braided pattern B(p, r, b); a cable is b = 0."""
     g3 = ((p - 1) * (r - 1) + b) // 2
-    cond_tau, cond_eps = _cond_flags(p, g3, None)
-    prov = (
-        ("n_width", "closed-form"),
-        ("r_center", "closed-form"),
-        ("r_minus", "unknown"),
-        ("r_plus", "unknown"),
-        ("g3", "closed-form"),
-    )
     return PatternProfile(
         l=p,
         g3=g3,
@@ -304,10 +296,6 @@ def _braided_profile(p: int, r: int, b: int) -> PatternProfile:
         r_minus=None,
         r_center=HalfInt.whole(g3) + HalfInt(p),
         r_plus=None,
-        cond_tau=cond_tau,
-        cond_eps=cond_eps,
-        minimal_wrapping=True,
-        provenance=prov,
     )
 
 
@@ -360,10 +348,8 @@ def generic_profile(
             + "; ".join(report.failures[:3])
         )
     half_l = HalfInt(data.linking)
-    n_width = width(h.data)
-    r_center = h.r_of_t(half_l)
-    computed_g3 = (r_center - half_l).as_int()
-    if n_width == half_l:
+    if width(h.data) == half_l:
+        computed_g3 = (h.r_of_t(half_l) - half_l).as_int()
         if g3 is not None and g3 != computed_g3:
             raise InvalidInputError(
                 f"supplied g3 = {g3} conflicts with minimal wrapping "
@@ -374,7 +360,7 @@ def generic_profile(
         raise InvalidInputError(
             "g3 must be supplied for patterns without minimal wrapping"
         )
-    return _profile_from_data(h.data, g3=g3, provenance_tag="computed-from-H")
+    return _profile_from_h(h, g3)
 
 
 def parse_pattern_spec(spec: str):

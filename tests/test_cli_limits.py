@@ -1,0 +1,80 @@
+"""CLI argument limits: negative framings and windows, JSON exponent cap."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import lsat
+from lsat import twobridge_data
+from lsat.cli import main
+from lsat.halfgrid_poly import MAX_DOUBLED_EXPONENT
+
+
+def _error(result, code=2):
+    assert result.exit_code == code, result.output
+    assert result.stdout == ""
+    payload = json.loads(result.stderr.strip().splitlines()[-1])
+    assert payload["exit_code"] == code
+    return payload
+
+
+@pytest.mark.parametrize("spec", ["twobridge:3,1", "cable:3,2", "braid:4,5,2"])
+def test_classify_rejects_negative_framing(spec):
+    result = CliRunner().invoke(main, ["classify", spec, "--n", "-1"])
+    payload = _error(result)
+    assert payload["message"] == "classifier applies to framings n >= 0"
+
+
+def test_hfunc_rejects_negative_window():
+    result = CliRunner().invoke(main, ["hfunc", "twobridge:3,3", "--window", "-1"])
+    assert _error(result)["error"] == "InvalidInputError"
+
+
+def _link_json(tmp_path, obj):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+def test_huge_exponent_exits_2_quickly(tmp_path):
+    obj = twobridge_data(3, 1).to_json_obj()
+    obj["delta_tilde"]["terms"].append({"e": [10**9 + 1, 1], "c": 1})
+    path = _link_json(tmp_path, obj)
+    env = {"PYTHONPATH": str(Path(lsat.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsat.cli", "tau", f"json:{path}",
+         "--tau", "1", "--eps", "1"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "InvalidInputError"
+    assert str(MAX_DOUBLED_EXPONENT) in payload["message"]
+
+
+@pytest.mark.parametrize("poly", ["delta_tilde", "delta1", "delta2"])
+def test_exponent_cap_applies_to_every_polynomial(tmp_path, poly):
+    obj = twobridge_data(3, 3).to_json_obj()
+    arity = 2 if poly == "delta_tilde" else 1
+    obj[poly]["terms"].append(
+        {"e": [MAX_DOUBLED_EXPONENT + 2] * arity, "c": 1}
+    )
+    path = _link_json(tmp_path, obj)
+    result = CliRunner().invoke(main, ["classify", f"json:{path}"])
+    assert "exceeds the limit" in _error(result)["message"]
+
+
+def test_large_two_bridge_json_still_computes(tmp_path):
+    obj = dict(twobridge_data(21, 13).to_json_obj(), g3=0)
+    path = _link_json(tmp_path, obj)
+    argv = ["--tau", "2", "--eps", "1", "--n", "1"]
+    runner = CliRunner()
+    from_json = runner.invoke(main, ["tau", f"json:{path}"] + argv)
+    direct = runner.invoke(main, ["tau", "twobridge:21,13"] + argv)
+    assert from_json.exit_code == 0, from_json.output
+    assert from_json.stdout == direct.stdout
