@@ -268,8 +268,10 @@ def cmd_classify(pattern: str, n: int, fmt: str) -> None:
         prof = loaded.profile()
         verdict, failed = classify_operator(prof.hfunction(), prof.g3, n)
     else:
-        # Cables and braids all have winding >= 2, which a
+        # Refuse the parameters tau refuses (closures that are links).
+        # Valid cables and braids all have winding >= 2, which a
         # homomorphism-inducing operator cannot have.
+        _tau_for(loaded, Companion(tau=0, eps=0), n, "closed")
         verdict, failed = (
             "obstructed",
             f"winding {loaded.params[0]} not in {{0, +-1}}",

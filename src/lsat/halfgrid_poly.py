@@ -111,9 +111,11 @@ class HalfInt:
 ZERO = HalfInt(0)
 
 # Largest |doubled exponent| accepted in JSON input.  The sign probe and the
-# validator scan a lattice square whose side grows with the exponents, so
-# this bounds the work per input; the two-bridge family up to (61,41)
-# stays below it.
+# validator scan a lattice square whose side grows with the exponents, and
+# each HFunction precomputes a suffix-sum table over the support box of
+# delta_tilde (at most 65 lattice points a side, plus a zero row and
+# column), so this bounds the work and memory per input; the two-bridge
+# family up to (61,41) stays below it.
 MAX_DOUBLED_EXPONENT = 64
 
 
@@ -277,13 +279,6 @@ class LaurentPoly2:
         (e1, e2), _ = self.terms[0]
         return (e1.doubled % 2, e2.doubled % 2)
 
-    def coeff(self, e1: HalfIntLike, e2: HalfIntLike) -> int:
-        key = (HalfInt.of(e1), HalfInt.of(e2))
-        for exp, c in self.terms:
-            if exp == key:
-                return c
-        return 0
-
     def eval_at_one(self) -> int:
         return sum(c for _, c in self.terms)
 
@@ -368,15 +363,16 @@ def symmetrize(p: LaurentPoly2) -> Tuple[LaurentPoly2, Unit]:
         )
     a, b = HalfInt(-mid1 // 2), HalfInt(-mid2 // 2)
     q = shift(p, a, b)
+    coeffs = {(e1.doubled, e2.doubled): c for (e1, e2), c in q.terms}
     (e1_0, e2_0), c_0 = q.terms[0]
-    inv = q.coeff(-e1_0, -e2_0)
+    inv = coeffs.get((-e1_0.doubled, -e2_0.doubled), 0)
     if abs(inv) != abs(c_0):
         raise NotAlexanderSymmetricError(
             f"coefficient at ({e1_0},{e2_0}) breaks inversion symmetry"
         )
     s = 1 if inv == c_0 else -1
     for (e1, e2), c in q.terms:
-        if q.coeff(-e1, -e2) != s * c:
+        if coeffs.get((-e1.doubled, -e2.doubled), 0) != s * c:
             raise NotAlexanderSymmetricError(
                 f"coefficient at ({e1},{e2}) breaks inversion symmetry"
             )

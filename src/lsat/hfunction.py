@@ -3,8 +3,9 @@
 The central evaluator implements the inclusion-exclusion formula: start from
 the stabilized value given by the two component knots, then subtract the
 full-link Euler characteristic over the quadrant strictly above the query
-point.  Component contributions use the closed-form tail of the chi
-expansion so every sum is finite.
+point, read from a suffix-sum table built once per :class:`HFunction`.
+Component contributions use the closed-form tail of the chi expansion so
+every sum is finite.
 
 Also provided: the overall-sign resolution rule (the unique sign making the
 H-function nonnegative with bounded gaps), the derived quantities R_t and
@@ -203,7 +204,13 @@ def _lattice_range(linking: int, window: HalfIntLike) -> List[HalfInt]:
 
 
 class HFunction:
-    """Memoized H-function evaluator for resolved link data."""
+    """Memoized H-function evaluator for resolved link data.
+
+    Construction precomputes a dense suffix-sum table of delta_tilde over
+    its support box, in doubled integers: O(box) time and memory, where the
+    box side is bounded by ``MAX_DOUBLED_EXPONENT`` on JSON input.  Each
+    query then costs O(1): two knot lookups and one table entry.
+    """
 
     def __init__(self, data: LinkAlexData):
         if not data.sign_resolved:
@@ -213,6 +220,37 @@ class HFunction:
         self.h1 = _KnotH(data.delta1)
         self.h2 = _KnotH(data.delta2)
         self._memo: Dict[Tuple[int, int], int] = {}
+        self._suffix: List[List[int]] = []
+        terms = data.delta_tilde.terms
+        if not terms:
+            return
+        js = [j.doubled for (j, _), _ in terms]
+        ks = [k.doubled for (_, k), _ in terms]
+        self._j_min, self._k_min = min(js), min(ks)
+        self._nj = (max(js) - self._j_min) // 2 + 1
+        self._nk = (max(ks) - self._k_min) // 2 + 1
+        # Entry [a][b] is the sum of the coefficients at box indices >= (a, b);
+        # the last row and column stay zero.
+        suffix = [[0] * (self._nk + 1) for _ in range(self._nj + 1)]
+        for j, k, (_, c) in zip(js, ks, terms):
+            suffix[(j - self._j_min) // 2][(k - self._k_min) // 2] = c
+        for a in range(self._nj - 1, -1, -1):
+            row, below = suffix[a], suffix[a + 1]
+            for b in range(self._nk - 1, -1, -1):
+                row[b] += row[b + 1] + below[b] - below[b + 1]
+        self._suffix = suffix
+
+    def _quadrant_sum(self, t_doubled: int, r_doubled: int) -> int:
+        """Sum of delta_tilde over the open quadrant j > t, k > r.
+
+        The query shares the coset of the terms, so j > t is the lattice
+        index (t - j_min)/2 + 1 onwards, clamped to the box.
+        """
+        if not self._suffix:
+            return 0
+        a = min(max((t_doubled - self._j_min) // 2 + 1, 0), self._nj)
+        b = min(max((r_doubled - self._k_min) // 2 + 1, 0), self._nk)
+        return self._suffix[a][b]
 
     def __call__(self, t: HalfIntLike, r: HalfIntLike) -> int:
         t, r = HalfInt.of(t), HalfInt.of(r)
@@ -223,10 +261,9 @@ class HFunction:
         half_l = HalfInt(self.linking)
         if not self.data.on_lattice(t, r):
             raise InvalidInputError(f"({t},{r}) is not on the lattice")
-        total = self.h1(t - half_l) + self.h2(r - half_l)
-        for (j, k), c in self.data.delta_tilde.terms:
-            if j > t and k > r:
-                total -= c
+        total = (
+            self.h1(t - half_l) + self.h2(r - half_l) - self._quadrant_sum(*key)
+        )
         self._memo[key] = total
         return total
 

@@ -101,11 +101,20 @@ class PatternProfile:
         ) + (("g3", "closed-form" if self.g3 == 0 else "user"),)
 
     def hfunction(self) -> HFunction:
+        """The one HFunction of ``data``, so callers share its memo.
+
+        It is kept outside the dataclass fields, so equality and hashing
+        do not see it.
+        """
         if self.data is None:
             raise InvalidInputError(
                 "this profile carries no Alexander data (closed-form family)"
             )
-        return HFunction(self.data)
+        h = self.__dict__.get("_h")
+        if h is None:
+            h = HFunction(self.data)
+            object.__setattr__(self, "_h", h)
+        return h
 
     def framing_shift(self, n: int) -> int:
         """Genus shift l(l-1)n/2 of the n-framed satellite."""
@@ -252,7 +261,7 @@ def twobridge_data(r: int, q: int) -> LinkAlexData:
 
 def _profile_from_h(h: HFunction, g3: int) -> PatternProfile:
     half_l = HalfInt(h.linking)
-    return PatternProfile(
+    prof = PatternProfile(
         l=h.linking,
         g3=g3,
         n_width=width(h.data),
@@ -261,6 +270,8 @@ def _profile_from_h(h: HFunction, g3: int) -> PatternProfile:
         r_plus=h.r_of_t(half_l + 1),
         data=h.data,
     )
+    object.__setattr__(prof, "_h", h)
+    return prof
 
 
 def twobridge_profile(r: int, q: int) -> PatternProfile:

@@ -78,3 +78,39 @@ def test_large_two_bridge_json_still_computes(tmp_path):
     direct = runner.invoke(main, ["tau", "twobridge:21,13"] + argv)
     assert from_json.exit_code == 0, from_json.output
     assert from_json.stdout == direct.stdout
+
+
+@pytest.mark.parametrize("spec", ["cable:4,2", "braid:3,6,2"])
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_classify_rejects_what_tau_rejects(spec, n):
+    runner = CliRunner()
+    classify = runner.invoke(main, ["classify", spec, "--n", n])
+    tau = runner.invoke(
+        main, ["tau", spec, "--tau", "1", "--eps", "1", "--n", n]
+    )
+    assert _error(classify) == _error(tau)
+    assert classify.stderr == tau.stderr
+
+
+def test_classify_json_reuses_the_profile_hfunction(tmp_path, monkeypatch):
+    builds = []
+    built_by_profile = []
+    init = lsat.HFunction.__init__
+
+    def counting_init(self, data):
+        builds.append(data)
+        init(self, data)
+
+    def marking_profile(*args, **kwargs):
+        prof = lsat.generic_profile(*args, **kwargs)
+        built_by_profile.append(len(builds))
+        return prof
+
+    monkeypatch.setattr(lsat.HFunction, "__init__", counting_init)
+    monkeypatch.setattr(lsat.cli, "generic_profile", marking_profile)
+    obj = dict(twobridge_data(21, 13).to_json_obj(), g3=0)
+    path = _link_json(tmp_path, obj)
+    result = CliRunner().invoke(main, ["classify", f"json:{path}"])
+    assert result.exit_code == 0, result.output
+    assert len(built_by_profile) == 1
+    assert len(builds) == built_by_profile[0]

@@ -111,6 +111,18 @@ class TestSymmetrize:
         with pytest.raises(NotAlexanderSymmetricError):
             symmetrize(p2({(2, 0): 1, (0, 0): -2}))
 
+    def test_rejects_asymmetry_after_the_first_term(self):
+        from lsat.errors import NotAlexanderSymmetricError
+
+        # Recenters to x1^-1 x2^-1 + x1^-1 x2 - 2 x1 x2^-1 - x1 x2: the first
+        # term fixes the sign -1, and the second term's partner breaks it.
+        poly = p2({(0, 0): 1, (0, 4): 1, (4, 0): -2, (4, 4): -1})
+        with pytest.raises(NotAlexanderSymmetricError) as info:
+            symmetrize(poly)
+        assert str(info.value) == (
+            "coefficient at (-1,1) breaks inversion symmetry"
+        )
+
     def test_idempotent(self):
         poly = p2({(1, 1): -1, (1, -1): 1, (-1, 1): 1, (-1, -1): -1})
         sym, _ = symmetrize(poly)

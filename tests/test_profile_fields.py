@@ -54,3 +54,9 @@ def test_derived_profile_fields(name):
     prof = build()
     got = (prof.cond_tau, prof.cond_eps, prof.minimal_wrapping, prof.provenance)
     assert got == want
+
+
+def test_profile_hfunction_is_the_one_it_was_built_from():
+    prof = twobridge_profile(9, 5)
+    assert prof.hfunction() is prof.hfunction()
+    assert prof == twobridge_profile(9, 5)

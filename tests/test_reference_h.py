@@ -1,9 +1,11 @@
-"""H-function checked against a brute-force reference and the width scan.
+"""H-function checked against brute-force references and the width scan.
 
-The reference evaluates H(t, r) = H1(t - l/2) + H2(r - l/2) - (sum of
-delta_tilde over the quadrant j > t, k > r) with dense suffix sums over the
-support box of delta_tilde, in doubled integers.  It shares no code with
-:class:`lsat.HFunction`, which filters the sparse terms per query.
+Both references evaluate H(t, r) = H1(t - l/2) + H2(r - l/2) - (sum of
+delta_tilde over the quadrant j > t, k > r) in doubled integers.  The
+dense one takes suffix sums over the support box of delta_tilde, as
+:class:`lsat.HFunction` does, but shares no code with it; the sparse one
+filters the terms per query straight from the definition, so it is
+independent of the suffix-sum algorithm too.
 """
 
 import pytest
@@ -75,6 +77,27 @@ def test_hfunction_matches_reference(rq):
     h = HFunction(data)
     for (t, r), value in reference_table(data, validate_window(data)).items():
         assert h(HalfInt(t), HalfInt(r)) == value, (rq, t, r)
+
+
+def sparse_reference(data, t, r):
+    """H(t, r) (doubled ints) by filtering every term, unknotted components."""
+    l = data.linking
+    quadrant = sum(
+        c for (j, k), c in data.delta_tilde.terms
+        if j.doubled > t and k.doubled > r
+    )
+    return max(-(t - l) // 2, 0) + max(-(r - l) // 2, 0) - quadrant
+
+
+@pytest.mark.parametrize("rq", [(41, 31), (61, 41)], ids="%d,%d".__mod__)
+def test_hfunction_matches_sparse_definition_at_scale(rq):
+    data = twobridge_data(*rq)
+    h = HFunction(data)
+    coords = validate_window(data)
+    for t in coords:
+        for r in coords:
+            want = sparse_reference(data, t, r)
+            assert h(HalfInt(t), HalfInt(r)) == want, (rq, t, r)
 
 
 def test_width_scan_agrees_with_width():
