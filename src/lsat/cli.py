@@ -31,10 +31,9 @@ from .errors import (
 from .genus import g3rel, g4_satellite_regime
 from .halfgrid_poly import HalfInt, json_int
 from .hfunction import (
-    HFunction,
     LinkAlexData,
-    _lattice_range,
-    h_t22l,
+    _point,
+    _t22l,
     hf_table,
     hf_table_tsv,
     resolve_sign,
@@ -149,15 +148,26 @@ def main() -> None:
     """Concordance invariants of satellite knots from L-space operators."""
 
 
+# Largest --window: the table holds (2 * window + 1)^2 values at most.
+MAX_WINDOW = 64
+
+
 @main.command("hfunc")
 @click.argument("pattern")
-@click.option("--window", type=int, default=None, help="Table half-width in t.")
+@click.option(
+    "--window", type=int, default=None,
+    help=f"Table half-width in t (0..{MAX_WINDOW}).",
+)
 @_FORMAT
 @_handle_errors
 def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
     """Render the H-function table of PATTERN (rows r descending)."""
     if window is not None and window < 0:
         raise InvalidInputError(f"--window must be >= 0, got {window}")
+    if window is not None and window > MAX_WINDOW:
+        raise InvalidInputError(
+            f"--window must be <= {MAX_WINDOW}, got {window}"
+        )
     loaded = _load_pattern(pattern)
     if not loaded.has_table:
         raise UnsupportedRegimeError(
@@ -359,19 +369,19 @@ def _check_tables() -> Tuple[int, List[str]]:
         ("twobridge(3,1)", twobridge_profile(3, 1), 1),
     ]
     for label, prof, l in model_cases:
-        h = prof.hfunction()
-        for t in _lattice_range(l, 3):
-            for r in _lattice_range(l, 3):
+        ds, rows = prof.hfunction().grid(3)
+        for t, row in zip(ds, rows):
+            for r, v in zip(ds, row):
                 points += 1
-                if h(t, r) != h_t22l(l, t, r):
-                    failures.append(f"{label} H({t},{r}) != model")
-    wh = HFunction(twobridge_data(3, 3))
+                if v != _t22l(l, t, r):
+                    failures.append(f"{label} H{_point(t, r)} != model")
+    wh = twobridge_data(3, 3).hfunction()
     points += 2
     if wh.r_of_t(0) != HalfInt.whole(1):
         failures.append("Whitehead R_0 != 1")
     if width(wh.data) != HalfInt.whole(1):
         failures.append("Whitehead width != 1")
-    mz = HFunction(twobridge_data(5, 3))
+    mz = twobridge_data(5, 3).hfunction()
     for t, r in ((HalfInt(-1), HalfInt(1)), (HalfInt(1), HalfInt(3)), (HalfInt(3), HalfInt(1))):
         points += 1
         if mz.r_of_t(t) != r:
@@ -400,7 +410,7 @@ def _check_properties() -> Tuple[int, List[str]]:
     cases = _link_cases()
     failures = []
     for label, data in cases:
-        report = validate(HFunction(data))
+        report = validate(data.hfunction())
         if not report.ok:
             failures.append(f"{label}: {report.failures[0]}")
     return len(cases), failures
@@ -412,7 +422,7 @@ def _check_classifier() -> Tuple[int, List[str]]:
     failures = []
     expected = {"twobridge(3,1)": "identity", "unlink": "trivial"}
     for label, data in cases:
-        verdict, _ = classify_operator(HFunction(data), 0)
+        verdict, _ = classify_operator(data.hfunction(), 0)
         want = expected.get(label, "obstructed")
         if verdict != want:
             failures.append(f"{label}: classified {verdict}, expected {want}")

@@ -89,6 +89,9 @@ class HalfInt:
         return self.doubled < HalfInt.of(other).doubled
 
     def __eq__(self, other: object) -> bool:
+        # A bool is not a half-integer: compare unequal rather than raise.
+        if isinstance(other, bool):
+            return NotImplemented
         if isinstance(other, (HalfInt, int)):
             return self.doubled == HalfInt.of(other).doubled
         return NotImplemented

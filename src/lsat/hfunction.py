@@ -5,7 +5,8 @@ the stabilized value given by the two component knots, then subtract the
 full-link Euler characteristic over the quadrant strictly above the query
 point, read from a suffix-sum table built once per :class:`HFunction`.
 Component contributions use the closed-form tail of the chi expansion so
-every sum is finite.
+every sum is finite.  Window scans read :meth:`HFunction.grid`, which
+evaluates a whole lattice square in doubled integers.
 
 Also provided: the overall-sign resolution rule (the unique sign making the
 H-function nonnegative with bounded gaps), the derived quantities R_t and
@@ -16,7 +17,7 @@ property-report validator and the TSV table export used by the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import (
     InvalidInputError,
@@ -42,12 +43,23 @@ def h_unknot(s: HalfIntLike) -> int:
 def h_t22l(l: int, s1: HalfIntLike, s2: HalfIntLike) -> int:
     """H-function of the torus link T(2, 2l) at (s1, s2)."""
     s1, s2 = HalfInt.of(s1), HalfInt.of(s2)
-    half_l = HalfInt(l)
-    if (s1 - half_l).doubled % 2 or (s2 - half_l).doubled % 2:
+    if (s1.doubled - l) % 2 or (s2.doubled - l) % 2:
         raise InvalidInputError(f"({s1},{s2}) not on the lattice for l={l}")
-    a = h_unknot(s1 - half_l)
-    b = (-s1 - s2).as_int() + h_unknot(-s1 - half_l)
-    return max(a, b)
+    return _t22l(l, s1.doubled, s2.doubled)
+
+
+def _t22l(l: int, t: int, r: int) -> int:
+    """H of T(2, 2l) at the lattice point with doubled coordinates (t, r).
+
+    max(H_unknot(t - l/2), -(t + r) + H_unknot(-t - l/2)); t - l/2, t + r
+    and t + l/2 are integers on the lattice.
+    """
+    return max(max((l - t) // 2, 0), -(t + r) // 2 + max((t + l) // 2, 0))
+
+
+def _point(t: int, r: int) -> str:
+    """``(t,r)`` for doubled coordinates, half-integers printed as p/2."""
+    return f"({HalfInt(t)},{HalfInt(r)})"
 
 
 class _KnotH:
@@ -64,8 +76,8 @@ class _KnotH:
             table[s - 1] = table[s] + chi.coeff(HalfInt.whole(s))
         self._table = table
 
-    def __call__(self, s: HalfIntLike) -> int:
-        s = HalfInt.of(s).as_int()
+    def __call__(self, s: int) -> int:
+        """H at the integer s."""
         if s >= self.top:
             return 0
         if s >= self.bottom - 1:
@@ -113,11 +125,36 @@ class LinkAlexData:
         )
 
     def support_extent(self) -> HalfInt:
-        """Largest |exponent| appearing in delta_tilde (0 when empty)."""
-        m = 0
-        for (e1, e2), _ in self.delta_tilde.terms:
-            m = max(m, abs(e1.doubled), abs(e2.doubled))
-        return HalfInt(m)
+        """Largest |exponent| appearing in delta_tilde (0 when empty).
+
+        Scanned once and kept outside the dataclass fields, like
+        :meth:`hfunction`.
+        """
+        extent = self.__dict__.get("_extent")
+        if extent is None:
+            extent = HalfInt(max(
+                (max(abs(e1.doubled), abs(e2.doubled))
+                 for (e1, e2), _ in self.delta_tilde.terms),
+                default=0,
+            ))
+            self.__dict__["_extent"] = extent
+        return extent
+
+    def hfunction(self) -> "HFunction":
+        """The one HFunction of this data, so every caller shares its table.
+
+        Built on first use and kept outside the dataclass fields, so
+        equality and hashing do not see it.  Unresolved data hands out the
+        HFunction its sign probe built for the resolved data.
+        """
+        h = self.__dict__.get("_h")
+        if h is None:
+            if self.sign_resolved:
+                h = HFunction(self)
+            else:
+                h = resolve_sign(self).hfunction()
+            self.__dict__["_h"] = h
+        return h
 
     def to_json_obj(self) -> dict:
         return {
@@ -152,7 +189,7 @@ def gn_h(data: LinkAlexData, t: HalfIntLike, r: HalfIntLike) -> int:
         raise UnresolvedSignError(
             "delta_tilde sign unresolved; call resolve_sign first"
         )
-    return HFunction(data)(t, r)
+    return data.hfunction()(t, r)
 
 
 def resolve_sign(data: LinkAlexData) -> LinkAlexData:
@@ -161,33 +198,39 @@ def resolve_sign(data: LinkAlexData) -> LinkAlexData:
     The signs are probed on a window past the support, the input sign
     first; the first giving a nonnegative H-function with one-step gaps
     wins, so the input sign is kept when both pass (delta_tilde = 0).
+    The winner keeps the HFunction the probe built (see
+    :meth:`LinkAlexData.hfunction`).
     """
     window = data.support_extent() + 2
     for delta_tilde in (data.delta_tilde, data.delta_tilde.neg()):
         cand = replace(data, delta_tilde=delta_tilde, sign_resolved=True)
-        if next(_gap_failures(HFunction(cand), window), None) is None:
+        if next(_gap_failures(*cand.hfunction().grid(window)), None) is None:
             return cand
     raise NotLSpaceLinkError(
         "neither sign of delta_tilde yields a valid H-function"
     )
 
 
-def _gap_failures(h: HFunction, window: HalfIntLike) -> Iterator[str]:
-    """Nonnegativity and unit-gap failures on the square [-window, window]^2.
+def _gap_failures(ds: List[int], rows: List[List[int]]) -> Iterator[str]:
+    """Nonnegativity and unit-gap failures of a grid from HFunction.grid.
 
     H must be nonnegative and drop by 0 or 1 at each step up in t or r.
     """
-    coords = _lattice_range(h.linking, window)
-    vals = {(t, r): h(t, r) for t in coords for r in coords}
-    for (t, r), v in vals.items():
-        if v < 0:
-            yield f"negative value H({t},{r}) = {v}"
-        for t2, r2 in ((t + 1, r), (t, r + 1)):
-            v2 = vals.get((t2, r2))
-            if v2 is not None and v - v2 not in (0, 1):
+    n = len(ds)
+    for i, (t, row) in enumerate(zip(ds, rows)):
+        next_t = rows[i + 1] if i + 1 < n else None
+        for j, (r, v) in enumerate(zip(ds, row)):
+            if v < 0:
+                yield f"negative value H{_point(t, r)} = {v}"
+            if next_t is not None and v - next_t[j] not in (0, 1):
                 yield (
-                    f"monotonicity/gap fails between ({t},{r}) "
-                    f"and ({t2},{r2}): step {v - v2}"
+                    f"monotonicity/gap fails between {_point(t, r)} "
+                    f"and {_point(t + 2, r)}: step {v - next_t[j]}"
+                )
+            if j + 1 < n and v - row[j + 1] not in (0, 1):
+                yield (
+                    f"monotonicity/gap fails between {_point(t, r)} "
+                    f"and {_point(t, r + 2)}: step {v - row[j + 1]}"
                 )
 
 
@@ -203,13 +246,26 @@ def _lattice_range(linking: int, window: HalfIntLike) -> List[HalfInt]:
     return [HalfInt(d) for d in range(start, window.doubled + 1, 2)]
 
 
+def _above(d: int, lo: int, n: int) -> int:
+    """Suffix-table index of the exponents > d on a box axis from lo, n long.
+
+    d shares the coset of the terms, so the exponents > d start at lattice
+    index (d - lo)/2 + 1, clamped to the box.
+    """
+    return min(max((d - lo) // 2 + 1, 0), n)
+
+
 class HFunction:
-    """Memoized H-function evaluator for resolved link data.
+    """H-function evaluator for resolved link data.
 
     Construction precomputes a dense suffix-sum table of delta_tilde over
     its support box, in doubled integers: O(box) time and memory, where the
-    box side is bounded by ``MAX_DOUBLED_EXPONENT`` on JSON input.  Each
+    box side is bounded by ``MAX_DOUBLED_EXPONENT`` on JSON input.  A point
     query then costs O(1): two knot lookups and one table entry.
+    :meth:`grid` evaluates a whole lattice square [-window, window]^2 as
+    O(window^2) ints, built once per scan with no HalfInt per point; every
+    window scan (sign probe, ``validate``, the classifier, the table
+    export) reads one grid.
     """
 
     def __init__(self, data: LinkAlexData):
@@ -219,13 +275,10 @@ class HFunction:
         self.linking = data.linking
         self.h1 = _KnotH(data.delta1)
         self.h2 = _KnotH(data.delta2)
-        self._memo: Dict[Tuple[int, int], int] = {}
-        self._suffix: List[List[int]] = []
         terms = data.delta_tilde.terms
-        if not terms:
-            return
-        js = [j.doubled for (j, _), _ in terms]
-        ks = [k.doubled for (_, k), _ in terms]
+        # The zero polynomial gets a one-cell box holding 0.
+        js = [j.doubled for (j, _), _ in terms] or [0]
+        ks = [k.doubled for (_, k), _ in terms] or [0]
         self._j_min, self._k_min = min(js), min(ks)
         self._nj = (max(js) - self._j_min) // 2 + 1
         self._nk = (max(ks) - self._k_min) // 2 + 1
@@ -240,32 +293,41 @@ class HFunction:
                 row[b] += row[b + 1] + below[b] - below[b + 1]
         self._suffix = suffix
 
-    def _quadrant_sum(self, t_doubled: int, r_doubled: int) -> int:
-        """Sum of delta_tilde over the open quadrant j > t, k > r.
+    def _at(self, t: int, r: int) -> int:
+        """H at the lattice point with doubled coordinates (t, r), unchecked.
 
-        The query shares the coset of the terms, so j > t is the lattice
-        index (t - j_min)/2 + 1 onwards, clamped to the box.
+        H1(t - l/2) + H2(r - l/2) minus delta_tilde summed over j > t, k > r.
         """
-        if not self._suffix:
-            return 0
-        a = min(max((t_doubled - self._j_min) // 2 + 1, 0), self._nj)
-        b = min(max((r_doubled - self._k_min) // 2 + 1, 0), self._nk)
-        return self._suffix[a][b]
+        l = self.linking
+        a = _above(t, self._j_min, self._nj)
+        b = _above(r, self._k_min, self._nk)
+        quadrant = self._suffix[a][b]
+        return self.h1((t - l) // 2) + self.h2((r - l) // 2) - quadrant
 
     def __call__(self, t: HalfIntLike, r: HalfIntLike) -> int:
         t, r = HalfInt.of(t), HalfInt.of(r)
-        key = (t.doubled, r.doubled)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        half_l = HalfInt(self.linking)
         if not self.data.on_lattice(t, r):
             raise InvalidInputError(f"({t},{r}) is not on the lattice")
-        total = (
-            self.h1(t - half_l) + self.h2(r - half_l) - self._quadrant_sum(*key)
-        )
-        self._memo[key] = total
-        return total
+        return self._at(t.doubled, r.doubled)
+
+    def grid(self, window: HalfIntLike) -> Tuple[List[int], List[List[int]]]:
+        """H on the lattice square [-window, window]^2, in doubled ints.
+
+        Returns (ds, rows): ds are the doubled lattice coordinates in
+        ascending order (symmetric about 0) and rows[i][j] = H(t, r) at
+        t = ds[i], r = ds[j], one outer sum per row of the knot terms and
+        the suffix-table row.
+        """
+        l = self.linking
+        ds = [c.doubled for c in _lattice_range(l, window)]
+        h2s = [self.h2((r - l) // 2) for r in ds]
+        cols = [_above(r, self._k_min, self._nk) for r in ds]
+        rows = []
+        for t in ds:
+            base = self.h1((t - l) // 2)
+            quadrants = self._suffix[_above(t, self._j_min, self._nj)]
+            rows.append([base + h2 - quadrants[b] for h2, b in zip(h2s, cols)])
+        return ds, rows
 
     def stabilization_r(self) -> HalfInt:
         """An r beyond which every column has stabilized."""
@@ -275,17 +337,19 @@ class HFunction:
         """Largest r where the column at t is flat above and steps below."""
         t = HalfInt.of(t)
         r = _snap_up(self.stabilization_r(), self.linking)
-        limit = 4 * (r.doubled + abs(t.doubled) + 16)
+        if not self.data.on_lattice(t, r):
+            raise InvalidInputError(f"({t},{r}) is not on the lattice")
+        td, rd = t.doubled, r.doubled
+        limit = 4 * (rd + abs(td) + 16)
         for _ in range(limit):
-            here = self(t, r)
-            below = self(t, r - 1)
+            here, below = self._at(td, rd), self._at(td, rd - 2)
             if below == here + 1:
-                return r
+                return HalfInt(rd)
             if below != here:
                 raise NotLSpaceLinkError(
-                    f"bounded gap violated in column t={t} at r={r}"
+                    f"bounded gap violated in column t={t} at r={HalfInt(rd)}"
                 )
-            r = r - 1
+            rd -= 2
         raise NotLSpaceLinkError(f"column t={t} never steps; not L-space data")
 
 
@@ -308,19 +372,19 @@ def width(data: LinkAlexData) -> HalfInt:
 
 
 def _width_from_h(data: LinkAlexData) -> HalfInt:
-    h = HFunction(data)
-    bound = _snap_up(data.support_extent() + 2, data.linking)
-    rs = _lattice_range(data.linking, bound + 2)
+    bound = _snap_up(data.support_extent() + 2, data.linking).doubled
+    ds, rows = data.hfunction().grid(HalfInt(bound) + 2)
+    column = dict(zip(ds, rows))  # doubled t -> H(t, r) for r in ds
     t = bound
     # Walk down while column t-1 equals column t (upper stabilization) and,
     # mirrored, H still grows by exactly 1 from column -(t-1) to column -t.
-    while t > HalfInt(0):
-        upper_ok = all(h(t - 1, r) == h(t, r) for r in rs)
-        lower_ok = all(h(-(t - 1), r) + 1 == h(-t, r) for r in rs)
+    while t > 0:
+        upper_ok = column[t - 2] == column[t]
+        lower_ok = [v + 1 for v in column[2 - t]] == column[-t]
         if not (upper_ok and lower_ok):
-            return t
-        t = t - 1
-    return t
+            return HalfInt(t)
+        t -= 2
+    return HalfInt(t)
 
 
 @dataclass
@@ -340,6 +404,7 @@ def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationRe
     H(t,r) + t + r = H(-t,-r), stabilization to the component H-functions,
     -N <= l/2 <= N, the pointwise lower bound by H of T(2,2l) (first
     component unknot, l >= 0), and the unimodal-with-flat-ends shape of R_t.
+    The square is evaluated once, by :meth:`HFunction.grid`.
     """
     report = ValidationReport(ok=True)
     n_width = width(h.data)
@@ -348,7 +413,7 @@ def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationRe
     window = HalfInt.of(window)
     l = h.linking
     half_l = HalfInt(l)
-    coords = _lattice_range(l, window)
+    ds, rows = h.grid(window)
 
     def fail(msg: str) -> None:
         report.ok = False
@@ -356,25 +421,24 @@ def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationRe
 
     report.checks_run.append("nonnegativity")
     report.checks_run.append("monotonicity+gap")
-    for msg in _gap_failures(h, window):
+    for msg in _gap_failures(ds, rows):
         fail(msg)
 
+    # ds is symmetric about 0, so (-t, -r) sits at the mirrored indices; t
+    # and r share the coset l/2 + Z, so t + r is an integer.
     report.checks_run.append("symmetry")
-    for t in coords:
-        for r in coords:
-            lhs = h(t, r) + (t + r).as_int() if (t + r).is_integral else None
-            if lhs is None:
-                fail(f"t + r not integral at ({t},{r})")
-            elif lhs != h(-t, -r):
-                fail(f"symmetry fails at ({t},{r})")
+    for t, row, mirror in zip(ds, rows, reversed(rows)):
+        for r, v, v_mirror in zip(ds, row, reversed(mirror)):
+            if v + (t + r) // 2 != v_mirror:
+                fail(f"symmetry fails at {_point(t, r)}")
 
     report.checks_run.append("stabilization")
-    edge = _snap_up(h.stabilization_r() + window, l)
-    for s in coords:
-        if h(s, edge) != h.h1(s - half_l):
-            fail(f"row stabilization fails at t={s}")
-        if h(edge, s) != h.h2(s - half_l):
-            fail(f"column stabilization fails at r={s}")
+    edge = _snap_up(h.stabilization_r() + window, l).doubled
+    for s in ds:
+        if h._at(s, edge) != h.h1((s - l) // 2):
+            fail(f"row stabilization fails at t={HalfInt(s)}")
+        if h._at(edge, s) != h.h2((s - l) // 2):
+            fail(f"column stabilization fails at r={HalfInt(s)}")
 
     report.checks_run.append("width-bounds")
     if not (-n_width <= half_l <= n_width):
@@ -382,10 +446,10 @@ def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationRe
 
     if h.data.first_component_unknot and l >= 0:
         report.checks_run.append("torus-link-lower-bound")
-        for t in coords:
-            for r in coords:
-                if h(t, r) < h_t22l(l, t, r):
-                    fail(f"H < H_T(2,2l) at ({t},{r})")
+        for t, row in zip(ds, rows):
+            for r, v in zip(ds, row):
+                if v < _t22l(l, t, r):
+                    fail(f"H < H_T(2,2l) at {_point(t, r)}")
 
     report.checks_run.append("r-shape")
     t_window = max(window, n_width + 1)
@@ -407,21 +471,21 @@ def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationRe
 
 def hf_table(h: HFunction, window: HalfIntLike):
     """Grid of H values: columns t ascending, rows r descending."""
-    coords = _lattice_range(h.linking, window)
-    rows = []
-    for r in reversed(coords):
-        rows.append((r, [h(t, r) for t in coords]))
-    return coords, rows
+    ds, rows = h.grid(window)
+    coords = [HalfInt(d) for d in ds]
+    return coords, [(r, list(col)) for r, col in zip(coords, zip(*rows))][::-1]
 
 
 def hf_table_tsv(h: HFunction, window: HalfIntLike) -> str:
     """TSV rendering of the H-table with an R_t marker column."""
     coords, rows = hf_table(h, window)
-    r_vals = {t: h.r_of_t(t) for t in coords}
+    marks: dict = {}
+    for t in coords:
+        marks.setdefault(h.r_of_t(t), []).append(str(t))
     lines = ["r\\t\t" + "\t".join(str(t) for t in coords) + "\tR_t_at"]
     for r, vals in rows:
-        marks = ",".join(str(t) for t in coords if r_vals[t] == r)
         lines.append(
-            str(r) + "\t" + "\t".join(str(v) for v in vals) + "\t" + marks
+            str(r) + "\t" + "\t".join(str(v) for v in vals) + "\t"
+            + ",".join(marks.get(r, ()))
         )
     return "\n".join(lines) + "\n"

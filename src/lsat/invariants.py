@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .halfgrid_poly import HalfInt
-from .hfunction import HFunction, h_t22l, width, _lattice_range
+from .hfunction import HFunction, width, _point, _t22l
 from .patterns import Companion, PatternProfile, bridge_braid_knot_check
 from .zcomplex import TauResult
 
@@ -157,18 +157,12 @@ def classify_operator(h: HFunction, g3: int, n: int = 0) -> Tuple[str, Optional[
         )
     # All scalar claims pass; the verdict needs full-table equality with
     # the model link of the same winding on a window of radius N + 3.
-    window = n_width + 3
-    coords = _lattice_range(l, window)
-    model_mismatch = None
-    for t in coords:
-        for r in coords:
-            if h(t, r) != h_t22l(l, t, r):
-                model_mismatch = f"table differs from model at ({t},{r})"
-                break
-        if model_mismatch:
-            break
-    if model_mismatch:
-        return ("obstructed", model_mismatch)
+    ds, rows = h.grid(n_width + 3)
+    for t, row in zip(ds, rows):
+        for r, v in zip(ds, row):
+            if v != _t22l(l, t, r):
+                mismatch = f"table differs from model at {_point(t, r)}"
+                return ("obstructed", mismatch)
     if l == 0:
         return ("trivial", None)
     if l == 1:

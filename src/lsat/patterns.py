@@ -14,6 +14,7 @@ User-supplied Alexander data (JSON) is ingested through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -101,20 +102,12 @@ class PatternProfile:
         ) + (("g3", "closed-form" if self.g3 == 0 else "user"),)
 
     def hfunction(self) -> HFunction:
-        """The one HFunction of ``data``, so callers share its memo.
-
-        It is kept outside the dataclass fields, so equality and hashing
-        do not see it.
-        """
+        """The one HFunction of ``data`` (see LinkAlexData.hfunction)."""
         if self.data is None:
             raise InvalidInputError(
                 "this profile carries no Alexander data (closed-form family)"
             )
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = HFunction(self.data)
-            object.__setattr__(self, "_h", h)
-        return h
+        return self.data.hfunction()
 
     def framing_shift(self, n: int) -> int:
         """Genus shift l(l-1)n/2 of the n-framed satellite."""
@@ -166,11 +159,21 @@ def twobridge_eta(p: int, q: int, i: int) -> int:
     return -1 if (i * q // p) % 2 else 1
 
 
+# Largest two-bridge r accepted.  The normalized delta_tilde of (r, q)
+# spans a doubled extent of at most r - 1, so this keeps generated links
+# within the MAX_DOUBLED_EXPONENT bound that JSON input obeys.
+MAX_TWOBRIDGE_R = 65
+
+
 def _check_twobridge(r: int, q: int) -> None:
     if r % 2 == 0 or q % 2 == 0:
         raise InvalidInputError("two-bridge parameters must be odd")
     if q < 1 or r < q:
         raise InvalidInputError("two-bridge parameters need r >= q >= 1")
+    if r > MAX_TWOBRIDGE_R:
+        raise InvalidInputError(
+            f"two-bridge r = {r} exceeds the limit r <= {MAX_TWOBRIDGE_R}"
+        )
     if (r, q) == (1, 1):
         raise InvalidInputError("(1,1) is not a two-bridge operator")
 
@@ -236,8 +239,19 @@ def twobridge_alexander_closed(r: int, q: int) -> LaurentPoly2:
     return LaurentPoly2.from_terms(terms)
 
 
+# The two-bridge data and profiles are pure functions of (r, q); verify
+# rebuilds the same links in most of its checks, so each is built once per
+# process.  The bound keeps the memo small for long-lived callers.
+_TWOBRIDGE_MEMO = 64
+
+
+@functools.lru_cache(maxsize=_TWOBRIDGE_MEMO)
 def twobridge_data(r: int, q: int) -> LinkAlexData:
-    """Normalized, sign-resolved Alexander data of the two-bridge operator."""
+    """Normalized, sign-resolved Alexander data of the two-bridge operator.
+
+    Memoized per process on (r, q): repeated calls return the same
+    (immutable) data, which carries its one HFunction.
+    """
     _check_twobridge(r, q)
     l = (r - q) // 2
     raw = twobridge_alexander(r, q)
@@ -261,7 +275,7 @@ def twobridge_data(r: int, q: int) -> LinkAlexData:
 
 def _profile_from_h(h: HFunction, g3: int) -> PatternProfile:
     half_l = HalfInt(h.linking)
-    prof = PatternProfile(
+    return PatternProfile(
         l=h.linking,
         g3=g3,
         n_width=width(h.data),
@@ -270,15 +284,21 @@ def _profile_from_h(h: HFunction, g3: int) -> PatternProfile:
         r_plus=h.r_of_t(half_l + 1),
         data=h.data,
     )
-    object.__setattr__(prof, "_h", h)
-    return prof
 
 
 def twobridge_profile(r: int, q: int) -> PatternProfile:
-    """Profile of the two-bridge operator; (r,q) and (q,r) agree."""
+    """Profile of the two-bridge operator; (r,q) and (q,r) agree.
+
+    Memoized per process on the normalized (r, q), like twobridge_data.
+    """
     if q > r:
         r, q = q, r
-    return _profile_from_h(HFunction(twobridge_data(r, q)), g3=0)
+    return _twobridge_profile(r, q)
+
+
+@functools.lru_cache(maxsize=_TWOBRIDGE_MEMO)
+def _twobridge_profile(r: int, q: int) -> PatternProfile:
+    return _profile_from_h(twobridge_data(r, q).hfunction(), g3=0)
 
 
 def unlink_data() -> LinkAlexData:
@@ -294,7 +314,7 @@ def unlink_data() -> LinkAlexData:
 
 
 def unlink_profile() -> PatternProfile:
-    return _profile_from_h(HFunction(unlink_data()), g3=0)
+    return _profile_from_h(unlink_data().hfunction(), g3=0)
 
 
 def _braided_profile(p: int, r: int, b: int) -> PatternProfile:
@@ -351,7 +371,7 @@ def generic_profile(
         )
     if not data.first_component_unknot:
         raise InvalidInputError("first component must be an unknot")
-    h = HFunction(data)
+    h = data.hfunction()
     report = validate(h)
     if not report.ok:
         raise InvalidInputError(

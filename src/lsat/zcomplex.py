@@ -52,11 +52,18 @@ class ZComplex:
         c.check()
         return c
 
+    def __post_init__(self):
+        # name -> (gr_w, gr_z), kept outside the fields; the first generator
+        # of a name wins.
+        self.__dict__["_grading"] = {
+            g: (w, z) for g, w, z in reversed(self.generators)
+        }
+
     def grading(self, name: str) -> Tuple[int, int]:
-        for g, w, z in self.generators:
-            if g == name:
-                return (w, z)
-        raise InvalidInputError(f"unknown generator {name!r}")
+        try:
+            return self._grading[name]
+        except KeyError:
+            raise InvalidInputError(f"unknown generator {name!r}") from None
 
     def alexander(self, name: str) -> HalfInt:
         w, z = self.grading(name)
@@ -64,11 +71,10 @@ class ZComplex:
 
     def check(self) -> None:
         """Assert d^2 = 0 and per-arrow grading homogeneity."""
-        names = {g for g, _, _ in self.generators}
-        if len(names) != len(self.generators):
+        if len(self._grading) != len(self.generators):
             raise InvalidInputError("duplicate generator names")
         for src, tgt, k in self.arrows:
-            if src not in names or tgt not in names:
+            if src not in self._grading or tgt not in self._grading:
                 raise InvalidInputError(f"arrow {src}->{tgt} off the complex")
             if k < 0:
                 raise InvalidInputError(f"negative Z-exponent on {src}->{tgt}")

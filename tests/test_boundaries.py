@@ -57,3 +57,11 @@ def test_integral_halfint_hashes_like_its_int():
     assert 1 in {HalfInt(2)}
     assert {HalfInt(-4): "x"}[-2] == "x"
     assert HalfInt(1) not in {0, 1}
+
+
+def test_halfint_equality_with_bool_is_false_not_an_error():
+    assert not HalfInt(2) == True  # noqa: E712
+    assert HalfInt(2) != True  # noqa: E712
+    assert HalfInt(0) != False  # noqa: E712
+    assert HalfInt(2) in [True, 1]
+    assert HalfInt(4) not in [True, False]

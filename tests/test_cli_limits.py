@@ -114,3 +114,28 @@ def test_classify_json_reuses_the_profile_hfunction(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert len(built_by_profile) == 1
     assert len(builds) == built_by_profile[0]
+
+
+def test_hfunc_window_limit():
+    runner = CliRunner()
+    result = runner.invoke(main, ["hfunc", "twobridge:3,1", "--window", "65"])
+    assert _error(result)["message"] == "--window must be <= 64, got 65"
+    largest = runner.invoke(
+        main, ["hfunc", "twobridge:3,1", "--window", "64", "--format", "json"]
+    )
+    assert largest.exit_code == 0, largest.output
+    assert len(json.loads(largest.stdout)["t_doubled"]) == 128
+
+
+@pytest.mark.parametrize("spec", ["twobridge:67,1", "twobridge:1,67"])
+def test_two_bridge_r_limit(spec):
+    result = CliRunner().invoke(main, ["classify", spec])
+    payload = _error(result)
+    assert payload["message"] == "two-bridge r = 67 exceeds the limit r <= 65"
+
+
+def test_largest_two_bridge_r_stays_within_the_exponent_cap():
+    data = twobridge_data(65, 63)
+    assert data.support_extent().doubled <= MAX_DOUBLED_EXPONENT
+    result = CliRunner().invoke(main, ["classify", "twobridge:65,1"])
+    assert result.exit_code == 0, result.output

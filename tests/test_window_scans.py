@@ -1,0 +1,317 @@
+"""Window scans of the H-function: failure reports, grid values, work counts.
+
+The failure reports of ``validate`` and the error text of
+``generic_profile`` are pinned on data that breaks the L-space properties
+(sign-flipped two-bridge links, a coefficient-2 Hopf link, asymmetric and
+non-stabilizing data), so the messages keep their order and wording.
+"""
+
+import collections
+import dataclasses
+import hashlib
+import json
+
+import pytest
+from click.testing import CliRunner
+
+import lsat.hfunction
+import lsat.patterns
+from lsat import (
+    HalfInt,
+    HFunction,
+    LinkAlexData,
+    classify_operator,
+    generic_profile,
+    resolve_sign,
+    twobridge_data,
+    validate,
+)
+from lsat.cli import main
+from lsat.errors import InvalidInputError
+from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
+
+
+def torus_knot(top):
+    """Alexander polynomial of T(2, 2*top + 1), degree ``top``."""
+    return LaurentPoly1.from_terms(
+        {HalfInt.whole(k): (-1) ** (top - k) for k in range(-top, top + 1)}
+    )
+
+
+def link(l, terms, delta1=None, delta2=None):
+    """Sign-resolved link data from {(doubled j, doubled k): coefficient}."""
+    return LinkAlexData(
+        linking=l,
+        delta_tilde=LaurentPoly2.from_terms(
+            {(HalfInt(j), HalfInt(k)): c for (j, k), c in terms.items()}
+        ),
+        delta1=delta1 or LaurentPoly1.one(),
+        delta2=delta2 or LaurentPoly1.one(),
+        sign_resolved=True,
+    )
+
+
+def flipped(r, q):
+    """Two-bridge data with the wrong overall sign, marked resolved."""
+    data = twobridge_data(r, q)
+    return dataclasses.replace(data, delta_tilde=data.delta_tilde.neg())
+
+
+def digest(failures):
+    return hashlib.sha256("\n".join(failures).encode()).hexdigest()[:16]
+
+
+def first_of_each(failures):
+    """First message of each kind (its first two words), in report order."""
+    firsts = collections.OrderedDict()
+    for msg in failures:
+        firsts.setdefault(" ".join(msg.split(" ")[:2]), msg)
+    return list(firsts.values())
+
+
+# name -> (data factory, validate window or None for the default)
+BROKEN = {
+    "flip(3,3) window 3": (lambda: flipped(3, 3), 3),
+    "flip(5,3)": (lambda: flipped(5, 3), None),
+    "flip(9,7)": (lambda: flipped(9, 7), None),
+    "hopf coefficient 2": (lambda: link(1, {(1, 1): 2}), None),
+    "asymmetric": (lambda: link(1, {(1, 1): 1, (3, 1): 1}), None),
+    "unstabilized window 0": (
+        lambda: link(0, {}, torus_knot(5), torus_knot(5)), 0
+    ),
+    "width below l/2": (lambda: link(3, {(1, 1): 1}), None),
+}
+
+# name -> (failure count, digest of all failures, first of each kind,
+#          generic_profile error text or None)
+PINNED = {
+    "flip(3,3) window 3": (
+        7,
+        "f25d1cb94c6961f0",
+        [
+            "monotonicity/gap fails between (-1,0) and (0,0): step 2",
+            "negative value H(0,0) = -1",
+            "H < H_T(2,2l) at (0,0)",
+            "R_t undefined: bounded gap violated in column t=0 at r=1",
+        ],
+        (
+            "Alexander data fails H-function validation: monotonicity/gap fails between (-1,0) and (0,0): step 2; "
+            "monotonicity/gap fails between (0,-1) and (0,0): step 2; "
+            "negative value H(0,0) = -1"
+        ),
+    ),
+    "flip(5,3)": (
+        67,
+        "2493d665aac1cc65",
+        [
+            "monotonicity/gap fails between (-9/2,-1/2) and (-9/2,1/2): step 2",
+            "negative value H(1/2,1/2) = -1",
+            "symmetry fails at (-9/2,-9/2)",
+            "H < H_T(2,2l) at (1/2,1/2)",
+            "R_t undefined: bounded gap violated in column t=-9/2 at r=1/2",
+        ],
+        (
+            "Alexander data fails H-function validation: monotonicity/gap fails between (-9/2,-1/2) and (-9/2,1/2): step 2; "
+            "monotonicity/gap fails between (-7/2,-1/2) and (-7/2,1/2): step 2; "
+            "monotonicity/gap fails between (-5/2,-1/2) and (-5/2,1/2): step 2"
+        ),
+    ),
+    "flip(9,7)": (
+        155,
+        "2862a1967273afce",
+        [
+            "monotonicity/gap fails between (-13/2,-1/2) and (-13/2,1/2): step 2",
+            "negative value H(1/2,1/2) = -2",
+            "symmetry fails at (-13/2,-13/2)",
+            "H < H_T(2,2l) at (-3/2,1/2)",
+            "R_t undefined: bounded gap violated in column t=-13/2 at r=1/2",
+        ],
+        (
+            "Alexander data fails H-function validation: monotonicity/gap fails between (-13/2,-1/2) and (-13/2,1/2): step 2; "
+            "monotonicity/gap fails between (-11/2,-1/2) and (-11/2,1/2): step 2; "
+            "monotonicity/gap fails between (-9/2,-1/2) and (-9/2,1/2): step 2"
+        ),
+    ),
+    "hopf coefficient 2": (
+        57,
+        "8dee8f75880ca541",
+        [
+            "monotonicity/gap fails between (-7/2,-1/2) and (-7/2,1/2): step -1",
+            "symmetry fails at (-7/2,-7/2)",
+            "H < H_T(2,2l) at (-7/2,-7/2)",
+            "R_t undefined: bounded gap violated in column t=-7/2 at r=1/2",
+        ],
+        (
+            "Alexander data fails H-function validation: monotonicity/gap fails between (-7/2,-1/2) and (-7/2,1/2): step -1; "
+            "monotonicity/gap fails between (-5/2,-1/2) and (-5/2,1/2): step -1; "
+            "monotonicity/gap fails between (-3/2,-1/2) and (-3/2,1/2): step -1"
+        ),
+    ),
+    "asymmetric": (
+        101,
+        "b6a307a529e57609",
+        [
+            "monotonicity/gap fails between (-9/2,-1/2) and (-9/2,1/2): step -1",
+            "symmetry fails at (-9/2,-9/2)",
+            "H < H_T(2,2l) at (-9/2,-9/2)",
+            "R_t undefined: bounded gap violated in column t=-9/2 at r=1/2",
+        ],
+        (
+            "Alexander data fails H-function validation: monotonicity/gap fails between (-9/2,-1/2) and (-9/2,1/2): step -1; "
+            "monotonicity/gap fails between (-7/2,-1/2) and (-7/2,1/2): step -1; "
+            "monotonicity/gap fails between (-5/2,-1/2) and (-5/2,1/2): step -1"
+        ),
+    ),
+    "unstabilized window 0": (
+        2,
+        "63f247977df6049c",
+        [
+            "row stabilization fails at t=0",
+            "column stabilization fails at r=0",
+        ],
+        "first component must be an unknot",
+    ),
+    "width below l/2": (
+        43,
+        "b359615276c8fa73",
+        [
+            "symmetry fails at (-7/2,-7/2)",
+            "width bound fails: N=1/2, l/2=3/2",
+        ],
+        (
+            "Alexander data fails H-function validation: symmetry fails at (-7/2,-7/2); "
+            "symmetry fails at (-7/2,-5/2); "
+            "symmetry fails at (-7/2,-3/2)"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_validate_failures_are_pinned(name):
+    make, window = BROKEN[name]
+    failures = validate(HFunction(make()), window).failures
+    count, want_digest, firsts, _ = PINNED[name]
+    assert first_of_each(failures) == firsts
+    assert (len(failures), digest(failures)) == (count, want_digest)
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_generic_profile_error_is_pinned(name):
+    make, _ = BROKEN[name]
+    want = PINNED[name][3]
+    if want is None:
+        generic_profile(make(), g3=0)
+        return
+    with pytest.raises(InvalidInputError) as exc:
+        generic_profile(make(), g3=0)
+    assert str(exc.value) == want
+
+
+def two_bridge_pairs(max_r):
+    return [(r, q) for r in range(3, max_r + 1, 2) for q in range(1, r + 1, 2)]
+
+
+GRID_CASES = {
+    **{f"twobridge({r},{q})": (lambda r=r, q=q: twobridge_data(r, q))
+       for r, q in two_bridge_pairs(15) + [(41, 31), (61, 41)]},
+    "unlink": lambda: link(0, {}),
+    "trefoil first component": lambda: link(1, {(1, 1): 1}, torus_knot(1)),
+    "T(2,5) second component": lambda: link(0, {(0, 0): 1}, None, torus_knot(2)),
+    "flip(5,3)": lambda: flipped(5, 3),
+    "flip(21,13)": lambda: flipped(21, 13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_grid_equals_pointwise_h(name):
+    data = GRID_CASES[name]()
+    h = HFunction(data)
+    window = data.support_extent() + 3
+    ds, rows = h.grid(window)
+    w = window.doubled
+    assert ds == [d for d in range(-w, w + 1) if (d - data.linking) % 2 == 0]
+    assert len(rows) == len(ds)
+    for t, row in zip(ds, rows):
+        assert row == [h(HalfInt(t), HalfInt(r)) for r in ds], (name, t)
+
+
+def test_grid_values_go_negative_on_flipped_data():
+    _, rows = HFunction(flipped(21, 13)).grid(3)
+    assert min(min(row) for row in rows) < 0
+
+
+def test_verify_builds_each_link_once_and_scans_without_point_queries(
+    monkeypatch,
+):
+    lsat.patterns.twobridge_data.cache_clear()
+    lsat.patterns._twobridge_profile.cache_clear()
+    walks = collections.Counter()
+    point_queries = []
+    walk = lsat.patterns.twobridge_walk
+    call = lsat.hfunction.HFunction.__call__
+
+    def counting_walk(r, q):
+        walks[(r, q)] += 1
+        return walk(r, q)
+
+    def counting_call(self, t, r):
+        point_queries.append((t, r))
+        return call(self, t, r)
+
+    monkeypatch.setattr(lsat.patterns, "twobridge_walk", counting_walk)
+    monkeypatch.setattr(lsat.hfunction.HFunction, "__call__", counting_call)
+    result = CliRunner().invoke(main, ["verify", "--check", "all"])
+    assert result.exit_code == 0, result.output
+    assert set(walks) == set(two_bridge_pairs(9))
+    assert set(walks.values()) == {1}
+
+    # The sign probe, validate and the classifier read grids only.
+    for r, q in two_bridge_pairs(9):
+        data = twobridge_data(r, q)
+        unresolved = dataclasses.replace(
+            flipped(r, q), sign_resolved=False
+        )
+        assert resolve_sign(unresolved) == data
+        assert validate(data.hfunction()).ok
+        validate(HFunction(flipped(r, q)))
+        classify_operator(data.hfunction(), 0)
+    assert point_queries == []
+
+
+def test_json_path_builds_one_hfunction(tmp_path, monkeypatch):
+    good, bad = tmp_path / "good.json", tmp_path / "flipped.json"
+    for path, data in ((good, twobridge_data(21, 13)), (bad, flipped(21, 13))):
+        obj = dict(data.to_json_obj(), g3=0)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+    builds = []
+    init = HFunction.__init__
+
+    def counting_init(self, data):
+        builds.append(data)
+        init(self, data)
+
+    monkeypatch.setattr(HFunction, "__init__", counting_init)
+    # One HFunction per sign probed: the one that passes is validated and
+    # kept by the profile.
+    for path, want in ((good, 1), (bad, 2)):
+        builds.clear()
+        result = CliRunner().invoke(main, ["classify", f"json:{path}"])
+        assert result.exit_code == 0, result.output
+        assert len(builds) == want
+
+
+@pytest.mark.parametrize(
+    "terms, l, top, want",
+    [
+        ({(1, 1): 1, (3, 1): 1}, 1, 1, 3),
+        ({(2, 0): 1, (-2, 0): 1}, 0, 1, 4),
+        ({(-4, 0): 1}, 0, 2, 6),
+        ({(-3, 1): 1}, 1, 1, 5),
+    ],
+)
+def test_width_scan_on_asymmetric_data(terms, l, top, want):
+    # Asymmetric delta_tilde with a knotted first component: the scan
+    # checks both the upper and the mirrored lower columns.
+    data = link(l, terms, torus_knot(top))
+    assert lsat.hfunction._width_from_h(data) == HalfInt(want)

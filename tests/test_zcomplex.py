@@ -18,7 +18,11 @@ from lsat import (
     unlink_data,
     unlink_profile,
 )
-from lsat.errors import UnsupportedRegimeError, VerificationError
+from lsat.errors import (
+    InvalidInputError,
+    UnsupportedRegimeError,
+    VerificationError,
+)
 
 
 WHITEHEAD = twobridge_profile(3, 3)
@@ -165,3 +169,15 @@ class TestTauOracle:
     def test_method_tag(self):
         res = tau_oracle(MAZUR, Companion(tau=1, eps=1), 0)
         assert res.method == "oracle"
+
+
+class TestGradingLookup:
+    def test_first_generator_of_a_name_wins(self):
+        c = ZComplex((("a", 0, 0), ("b", 1, -1), ("a", 2, 2)), ())
+        assert c.grading("a") == (0, 0)
+        assert c.alexander("b") == HalfInt(2)
+
+    def test_unknown_generator_rejected(self):
+        c = ZComplex((("a", 0, 0),), ())
+        with pytest.raises(InvalidInputError, match="unknown generator 'z'"):
+            c.grading("z")
