@@ -6,21 +6,22 @@ the chain-complex oracle, ``verify`` drives the cross-validation sweeps,
 ``classify`` runs the homomorphism-obstruction test, and ``genus``
 reports Thurston-norm and slice-genus quantities.
 
-Exit codes: 0 success, 2 invalid input, 3 unsupported regime,
-4 verification failure.  Half-integers print as ``p/2`` strings in human
-output and as doubled integers in JSON.  Identical invocations produce
-byte-identical output.
+The parser is stdlib ``argparse``, declared by ``OPTIONS`` and ``COMMANDS``.
+Exit codes: 0 success, 2 invalid input (usage errors on argv included),
+3 unsupported regime, 4 verification failure.  Each error but a failing
+``verify`` prints one JSON object ``{"error", "message", "exit_code"}``
+on stderr and nothing on stdout; ``--help`` exits 0.  Half-integers
+print as ``p/2`` strings in human output and as doubled integers in
+JSON.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
-
-import click
 
 from .errors import (
     InvalidInputError,
@@ -112,62 +113,19 @@ def _load_pattern(spec: str) -> LoadedPattern:
     return LoadedPattern("json", (), generic_profile(resolve_sign(data), g3=g3))
 
 
-def _handle_errors(f: Callable) -> Callable:
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except LsatError as exc:
-            payload = {
-                "error": type(exc).__name__,
-                "message": str(exc),
-                "exit_code": exc.exit_code,
-            }
-            click.echo(json.dumps(payload, sort_keys=True), err=True)
-            sys.exit(exc.exit_code)
-
-    return wrapper
-
-
 def _emit_json(obj) -> None:
-    click.echo(json.dumps(obj, sort_keys=True, indent=2))
-
-
-_FORMAT = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["tsv", "json"]),
-    default="tsv",
-    show_default=True,
-    help="Output format (tsv is the human-readable table/text form).",
-)
-
-
-@click.group()
-def main() -> None:
-    """Concordance invariants of satellite knots from L-space operators."""
+    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 # Largest --window: the table holds (2 * window + 1)^2 values at most.
 MAX_WINDOW = 64
 
 
-@main.command("hfunc")
-@click.argument("pattern")
-@click.option(
-    "--window", type=int, default=None,
-    help=f"Table half-width in t (0..{MAX_WINDOW}).",
-)
-@_FORMAT
-@_handle_errors
 def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
     """Render the H-function table of PATTERN (rows r descending)."""
-    if window is not None and window < 0:
-        raise InvalidInputError(f"--window must be >= 0, got {window}")
-    if window is not None and window > MAX_WINDOW:
-        raise InvalidInputError(
-            f"--window must be <= {MAX_WINDOW}, got {window}"
-        )
+    if window is not None and not 0 <= window <= MAX_WINDOW:
+        bound = ">= 0" if window < 0 else f"<= {MAX_WINDOW}"
+        raise InvalidInputError(f"--window must be {bound}, got {window}")
     loaded = _load_pattern(pattern)
     if not loaded.has_table:
         raise UnsupportedRegimeError(
@@ -178,7 +136,7 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
     if window is None:
         window = (width(h.data) + 3).doubled // 2
     if fmt == "tsv":
-        click.echo(hf_table_tsv(h, window), nl=False)
+        sys.stdout.write(hf_table_tsv(h, window))
         return
     coords, rows = hf_table(h, window)
     _emit_json(
@@ -221,28 +179,12 @@ def _tau_for(
     return results
 
 
-@main.command("tau")
-@click.argument("pattern")
-@click.option("--tau", "tau_k", type=int, required=True, help="tau of the companion.")
-@click.option(
-    "--eps", type=click.Choice(["-1", "0", "1"]), required=True,
-    help="eps of the companion.",
-)
-@click.option("--n", type=int, default=0, show_default=True, help="Framing.")
-@click.option(
-    "--method",
-    type=click.Choice(["closed", "oracle", "both"]),
-    default="closed",
-    show_default=True,
-)
-@_FORMAT
-@_handle_errors
 def cmd_tau(
-    pattern: str, tau_k: int, eps: str, n: int, method: str, fmt: str
+    pattern: str, tau: int, eps: str, n: int, method: str, fmt: str
 ) -> None:
     """tau of the satellite of PATTERN along a companion with the given data."""
     loaded = _load_pattern(pattern)
-    K = Companion(tau=tau_k, eps=int(eps))
+    K = Companion(tau=tau, eps=int(eps))
     results = _tau_for(loaded, K, n, method)
     if fmt == "json":
         if len(results) == 2:
@@ -257,18 +199,11 @@ def cmd_tau(
             _emit_json(results[0].to_json_obj())
         return
     for res in results:
-        click.echo(
-            f"tau = {res.value}\tmethod = {res.method}\tcase = {res.case_tag}"
-        )
+        print(f"tau = {res.value}\tmethod = {res.method}\tcase = {res.case_tag}")
     if len(results) == 2:
-        click.echo("match")
+        print("match")
 
 
-@main.command("classify")
-@click.argument("pattern")
-@click.option("--n", type=int, default=0, show_default=True, help="Framing.")
-@_FORMAT
-@_handle_errors
 def cmd_classify(pattern: str, n: int, fmt: str) -> None:
     """Homomorphism-obstruction verdict for the operator PATTERN."""
     loaded = _load_pattern(pattern)
@@ -289,21 +224,9 @@ def cmd_classify(pattern: str, n: int, fmt: str) -> None:
     if fmt == "json":
         _emit_json({"verdict": verdict, "failed_claim": failed})
         return
-    click.echo(verdict if failed is None else f"{verdict}\t{failed}")
+    print(verdict if failed is None else f"{verdict}\t{failed}")
 
 
-@main.command("genus")
-@click.argument("pattern")
-@click.option(
-    "--g4-eq-tau",
-    "g4_eq_tau",
-    type=int,
-    default=None,
-    help="Assert tau(K) = g4(K) equals this positive value.",
-)
-@click.option("--n", type=int, default=0, show_default=True, help="Framing.")
-@_FORMAT
-@_handle_errors
 def cmd_genus(
     pattern: str, g4_eq_tau: Optional[int], n: int, fmt: str
 ) -> None:
@@ -319,9 +242,9 @@ def cmd_genus(
     if fmt == "json":
         _emit_json({"g3rel": g3r, "g4": g4, "regime": regime})
         return
-    click.echo(f"g3rel = {g3r}")
+    print(f"g3rel = {g3r}")
     if g4 is not None:
-        click.echo(f"g4 = {g4}\tregime = {regime}")
+        print(f"g4 = {g4}\tregime = {regime}")
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +401,6 @@ _CHECKS = {
 }
 
 
-@main.command("verify")
-@click.option(
-    "--check",
-    "check",
-    type=click.Choice(["all"] + sorted(_CHECKS)),
-    default="all",
-    show_default=True,
-)
-@_FORMAT
-@_handle_errors
 def cmd_verify(check: str, fmt: str) -> None:
     """Run the cross-validation sweeps; nonzero exit on any failure."""
     names = sorted(_CHECKS) if check == "all" else [check]
@@ -511,14 +424,88 @@ def cmd_verify(check: str, fmt: str) -> None:
     else:
         for name in names:
             s = summary[name]
-            click.echo(
-                f"check {name}: {s['points']} points, {s['failures']} failures"
-            )
-        click.echo(f"total: {total_points} points, {total_failures} failures")
+            print(f"check {name}: {s['points']} points, {s['failures']} failures")
+        print(f"total: {total_points} points, {total_failures} failures")
         for msg in all_failures[:20]:
-            click.echo(f"counterexample: {msg}")
+            print(f"counterexample: {msg}")
     if total_failures:
         sys.exit(VerificationError("").exit_code)
+
+
+# Every option and argument, declared once.  Each command lists the ones it
+# takes; all of them take --format.
+OPTIONS = {
+    "pattern": {"metavar": "PATTERN",
+                "help": "twobridge:r,q, cable:p,q, braid:p,q,b or json:path"},
+    "--window": {"type": int, "help": f"Table half-width in t (0..{MAX_WINDOW})."},
+    "--tau": {"type": int, "required": True, "help": "tau of the companion."},
+    "--eps": {"choices": ("-1", "0", "1"), "required": True,
+              "help": "eps of the companion."},
+    "--n": {"type": int, "default": 0, "help": "Framing."},
+    "--method": {"choices": ("closed", "oracle", "both"), "default": "closed"},
+    "--g4-eq-tau": {"type": int,
+                    "help": "Assert tau(K) = g4(K) equals this positive value."},
+    "--check": {"choices": ["all"] + sorted(_CHECKS), "default": "all"},
+    "--format": {"dest": "fmt", "choices": ("tsv", "json"), "default": "tsv",
+                 "help": "Output format (tsv is the human-readable table/text form)."},
+}
+
+
+@dataclass
+class Command:
+    """A subcommand: the function that runs it and the OPTIONS it takes."""
+
+    callback: Callable[..., None]
+    options: Tuple[str, ...]
+
+
+COMMANDS = {
+    "hfunc": Command(cmd_hfunc, ("pattern", "--window")),
+    "tau": Command(cmd_tau, ("pattern", "--tau", "--eps", "--n", "--method")),
+    "classify": Command(cmd_classify, ("pattern", "--n")),
+    "genus": Command(cmd_genus, ("pattern", "--g4-eq-tau", "--n")),
+    "verify": Command(cmd_verify, ("--check",)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidInputError: exit 2 with the JSON error."""
+
+    def error(self, message: str):
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    # No "-h" and no abbreviations: "--meth" is refused, not read as --method.
+    settings = {"allow_abbrev": False, "add_help": False}
+    top = _Parser(prog="lsat", description=main.__doc__, **settings)
+    subs = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for command, cmd in COMMANDS.items():
+        doc = cmd.callback.__doc__
+        sub = subs.add_parser(command, help=doc, description=doc, **settings)
+        for name in cmd.options + ("--format",):
+            sub.add_argument(name, **OPTIONS[name])
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+    top.add_argument("--help", action="help", help="Show this message and exit.")
+    return top
+
+
+def main(argv: Optional[List[str]] = None) -> None:
+    """Concordance invariants of satellite knots from L-space operators."""
+    try:
+        args = vars(_parser().parse_args(argv))
+        COMMANDS[args.pop("command")].callback(**args)
+    except LsatError as exc:
+        payload = {"error": type(exc).__name__, "message": str(exc),
+                   "exit_code": exc.exit_code}
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        sys.exit(exc.exit_code)
+
+
+# bench/tracer.py wraps each ``main.commands[name].callback`` and runs an op
+# through ``main.main(args=argv, ...)``.
+main.commands = COMMANDS  # type: ignore[attr-defined]
+main.main = lambda args=None, **_: main(args)  # type: ignore[attr-defined]
 
 
 if __name__ == "__main__":

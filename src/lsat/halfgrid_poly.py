@@ -337,9 +337,8 @@ def shift(p: LaurentPoly2, a: HalfIntLike, b: HalfIntLike) -> LaurentPoly2:
 
 @dataclass(frozen=True)
 class Unit:
-    """The signed monomial x1^a x2^b (times ``sign``) used to recenter."""
+    """The monomial x1^a x2^b used to recenter."""
 
-    sign: int
     a: HalfInt
     b: HalfInt
 
@@ -379,7 +378,7 @@ def symmetrize(p: LaurentPoly2) -> Tuple[LaurentPoly2, Unit]:
             raise NotAlexanderSymmetricError(
                 f"coefficient at ({e1},{e2}) breaks inversion symmetry"
             )
-    return q, Unit(sign=1, a=a, b=b)
+    return q, Unit(a=a, b=b)
 
 
 def knot_chi_expansion(delta: LaurentPoly1, depth: HalfIntLike) -> LaurentPoly1:

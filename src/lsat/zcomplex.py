@@ -24,6 +24,11 @@ from .halfgrid_poly import HalfInt, HalfIntLike
 from .hfunction import HFunction
 from .patterns import Companion, PatternProfile
 
+# Largest oracle summand, in sources: every case builds |n - 2 tau| of them
+# (eps = 0 forces tau = 0).  The Smith reduction is quadratic in the summand
+# (~2.5 s at the cap, 2 cores); the cap admits |n| <= 2000 with |tau| <= 3.
+MAX_SUMMAND_SOURCES = 2048
+
 
 @dataclass(frozen=True)
 class ZComplex:
@@ -333,9 +338,16 @@ def build_summand(
     must agree with (K.eps, sign of n).  One anchor generator per case gets
     its Alexander grading from the proof-stated value; every other grading
     follows from arrow homogeneity.  Where a second endpoint grading is
-    also stated, it is asserted rather than assumed.
+    also stated, it is asserted rather than assumed.  A summand of more
+    than ``MAX_SUMMAND_SOURCES`` sources is refused before it is built.
     """
     l, g, tau = prof.l, prof.g3, K.tau
+    sources = abs(n - 2 * tau)
+    if sources > MAX_SUMMAND_SOURCES:
+        raise InvalidInputError(
+            f"oracle summand of {sources} sources exceeds the limit "
+            f"{MAX_SUMMAND_SOURCES}"
+        )
     shift = prof.framing_shift(n)
     wts = _weights(prof)
 

@@ -4,12 +4,73 @@ The frozen H-tables below are the published reference values for the
 two-component unlink, the positive and negative Hopf links, the
 Whitehead link, and the L(14,3) link; every entry was transcribed once
 and is compared exactly against the Gorsky-Nemethi evaluation.
+
+``invoke`` runs the ``lsat`` command line in this process and
+``run_python`` runs a fresh interpreter.
 """
+
+import contextlib
+import io
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import List, Optional
 
 import pytest
 
+import lsat
 from lsat import HalfInt, LinkAlexData
+from lsat.cli import main
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
+
+
+@dataclass(frozen=True)
+class CliResult:
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved in the order written
+    exit_code: int
+    exception: Optional[SystemExit]
+
+
+class _Stream(io.StringIO):
+    """A captured stream that also copies every write to ``shared``."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, s: str) -> int:
+        self.shared.write(s)
+        return super().write(s)
+
+
+def invoke(argv: List[str]) -> CliResult:
+    """Run ``lsat.cli.main(argv)``; exceptions other than SystemExit propagate."""
+    output = io.StringIO()
+    out, err = _Stream(output), _Stream(output)
+    exception = None
+    exit_code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            exception = exc
+            code = exc.code
+            exit_code = code if isinstance(code, int) else int(code is not None)
+    return CliResult(
+        out.getvalue(), err.getvalue(), output.getvalue(), exit_code, exception
+    )
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` with this ``lsat`` on the path, 30 s at most."""
+    env = {"PYTHONPATH": str(Path(lsat.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=30,
+        env=env,
+    )
 
 
 def hi(doubled: int) -> HalfInt:

@@ -4,10 +4,9 @@ import copy
 import json
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import invoke
 from lsat import HalfInt, twobridge_data
-from lsat.cli import main
 
 VALID = twobridge_data(5, 3).to_json_obj()
 
@@ -42,7 +41,7 @@ def test_malformed_json_exits_2(tmp_path, name, command):
     argv = [command, f"json:{path}"]
     if command == "tau":
         argv += ["--tau", "1", "--eps", "1"]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     payload = json.loads(result.stderr)

@@ -1,17 +1,15 @@
-"""CLI argument limits: negative framings and windows, JSON exponent cap."""
+"""CLI argument limits: negative framings and windows, JSON exponent cap,
+the oracle's summand cap."""
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import lsat
+from conftest import invoke, run_python
 from lsat import twobridge_data
-from lsat.cli import main
 from lsat.halfgrid_poly import MAX_DOUBLED_EXPONENT
+from lsat.zcomplex import MAX_SUMMAND_SOURCES
 
 
 def _error(result, code=2):
@@ -24,13 +22,13 @@ def _error(result, code=2):
 
 @pytest.mark.parametrize("spec", ["twobridge:3,1", "cable:3,2", "braid:4,5,2"])
 def test_classify_rejects_negative_framing(spec):
-    result = CliRunner().invoke(main, ["classify", spec, "--n", "-1"])
+    result = invoke(["classify", spec, "--n", "-1"])
     payload = _error(result)
     assert payload["message"] == "classifier applies to framings n >= 0"
 
 
 def test_hfunc_rejects_negative_window():
-    result = CliRunner().invoke(main, ["hfunc", "twobridge:3,3", "--window", "-1"])
+    result = invoke(["hfunc", "twobridge:3,3", "--window", "-1"])
     assert _error(result)["error"] == "InvalidInputError"
 
 
@@ -44,11 +42,8 @@ def test_huge_exponent_exits_2_quickly(tmp_path):
     obj = twobridge_data(3, 1).to_json_obj()
     obj["delta_tilde"]["terms"].append({"e": [10**9 + 1, 1], "c": 1})
     path = _link_json(tmp_path, obj)
-    env = {"PYTHONPATH": str(Path(lsat.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "lsat.cli", "tau", f"json:{path}",
-         "--tau", "1", "--eps", "1"],
-        capture_output=True, text=True, timeout=30, env=env,
+    proc = run_python(
+        "-m", "lsat.cli", "tau", f"json:{path}", "--tau", "1", "--eps", "1"
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -65,7 +60,7 @@ def test_exponent_cap_applies_to_every_polynomial(tmp_path, poly):
         {"e": [MAX_DOUBLED_EXPONENT + 2] * arity, "c": 1}
     )
     path = _link_json(tmp_path, obj)
-    result = CliRunner().invoke(main, ["classify", f"json:{path}"])
+    result = invoke(["classify", f"json:{path}"])
     assert "exceeds the limit" in _error(result)["message"]
 
 
@@ -73,9 +68,8 @@ def test_large_two_bridge_json_still_computes(tmp_path):
     obj = dict(twobridge_data(21, 13).to_json_obj(), g3=0)
     path = _link_json(tmp_path, obj)
     argv = ["--tau", "2", "--eps", "1", "--n", "1"]
-    runner = CliRunner()
-    from_json = runner.invoke(main, ["tau", f"json:{path}"] + argv)
-    direct = runner.invoke(main, ["tau", "twobridge:21,13"] + argv)
+    from_json = invoke(["tau", f"json:{path}"] + argv)
+    direct = invoke(["tau", "twobridge:21,13"] + argv)
     assert from_json.exit_code == 0, from_json.output
     assert from_json.stdout == direct.stdout
 
@@ -83,11 +77,8 @@ def test_large_two_bridge_json_still_computes(tmp_path):
 @pytest.mark.parametrize("spec", ["cable:4,2", "braid:3,6,2"])
 @pytest.mark.parametrize("n", ["0", "2"])
 def test_classify_rejects_what_tau_rejects(spec, n):
-    runner = CliRunner()
-    classify = runner.invoke(main, ["classify", spec, "--n", n])
-    tau = runner.invoke(
-        main, ["tau", spec, "--tau", "1", "--eps", "1", "--n", n]
-    )
+    classify = invoke(["classify", spec, "--n", n])
+    tau = invoke(["tau", spec, "--tau", "1", "--eps", "1", "--n", n])
     assert _error(classify) == _error(tau)
     assert classify.stderr == tau.stderr
 
@@ -110,26 +101,23 @@ def test_classify_json_reuses_the_profile_hfunction(tmp_path, monkeypatch):
     monkeypatch.setattr(lsat.cli, "generic_profile", marking_profile)
     obj = dict(twobridge_data(21, 13).to_json_obj(), g3=0)
     path = _link_json(tmp_path, obj)
-    result = CliRunner().invoke(main, ["classify", f"json:{path}"])
+    result = invoke(["classify", f"json:{path}"])
     assert result.exit_code == 0, result.output
     assert len(built_by_profile) == 1
     assert len(builds) == built_by_profile[0]
 
 
 def test_hfunc_window_limit():
-    runner = CliRunner()
-    result = runner.invoke(main, ["hfunc", "twobridge:3,1", "--window", "65"])
+    result = invoke(["hfunc", "twobridge:3,1", "--window", "65"])
     assert _error(result)["message"] == "--window must be <= 64, got 65"
-    largest = runner.invoke(
-        main, ["hfunc", "twobridge:3,1", "--window", "64", "--format", "json"]
-    )
+    largest = invoke(["hfunc", "twobridge:3,1", "--window", "64", "--format", "json"])
     assert largest.exit_code == 0, largest.output
     assert len(json.loads(largest.stdout)["t_doubled"]) == 128
 
 
 @pytest.mark.parametrize("spec", ["twobridge:67,1", "twobridge:1,67"])
 def test_two_bridge_r_limit(spec):
-    result = CliRunner().invoke(main, ["classify", spec])
+    result = invoke(["classify", spec])
     payload = _error(result)
     assert payload["message"] == "two-bridge r = 67 exceeds the limit r <= 65"
 
@@ -137,5 +125,43 @@ def test_two_bridge_r_limit(spec):
 def test_largest_two_bridge_r_stays_within_the_exponent_cap():
     data = twobridge_data(65, 63)
     assert data.support_extent().doubled <= MAX_DOUBLED_EXPONENT
-    result = CliRunner().invoke(main, ["classify", "twobridge:65,1"])
+    result = invoke(["classify", "twobridge:65,1"])
     assert result.exit_code == 0, result.output
+
+
+def test_oracle_runs_at_the_summand_cap():
+    result = invoke([
+        "tau", "twobridge:3,3", "--tau", "0", "--eps", "0",
+        "--n", str(-MAX_SUMMAND_SOURCES), "--method", "both",
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.endswith("match\n")
+
+
+@pytest.mark.parametrize("tau, eps, n", [
+    ("0", "0", MAX_SUMMAND_SOURCES + 1),
+    ("0", "0", -MAX_SUMMAND_SOURCES - 1),
+    ("2", "1", 4 + MAX_SUMMAND_SOURCES + 1),
+    ("-3", "-1", -6 - MAX_SUMMAND_SOURCES - 1),
+])
+@pytest.mark.parametrize("method", ["oracle", "both"])
+def test_oracle_refuses_a_summand_above_the_cap(tau, eps, n, method):
+    argv = ["tau", "twobridge:5,3", "--tau", tau, "--eps", eps, "--n", str(n)]
+    payload = _error(invoke(argv + ["--method", method]))
+    assert payload["message"] == (
+        f"oracle summand of {MAX_SUMMAND_SOURCES + 1} sources exceeds "
+        f"the limit {MAX_SUMMAND_SOURCES}"
+    )
+    assert invoke(argv).exit_code == 0  # the closed form has no cap
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tau", "0", "--eps", "0", "--n", str(10**9)],
+    ["--tau", str(10**9), "--eps", "1"],
+])
+def test_oracle_summand_of_10_to_the_9_exits_2_quickly(argv):
+    argv = ["tau", "twobridge:3,3", *argv, "--method", "oracle"]
+    proc = run_python("-m", "lsat.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "exceeds the limit" in json.loads(proc.stderr)["message"]

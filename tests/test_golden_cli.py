@@ -12,9 +12,7 @@ rewritten by the tests.
 import json
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from lsat.cli import main
+from conftest import invoke
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -25,13 +23,12 @@ def test_cli_output_matches_golden_corpus(tmp_path):
     for name, obj in corpus["inputs"].items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(obj), encoding="utf-8")
-    runner = CliRunner()
     mismatches = []
     for case in corpus["cases"]:
         argv = case["argv"]
         for name, path in paths.items():
             argv = [a.replace("{%s}" % name, str(path)) for a in argv]
-        result = runner.invoke(main, argv)
+        result = invoke(argv)
         got = {
             "stdout": result.stdout,
             "stderr": result.stderr,

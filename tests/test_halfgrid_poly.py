@@ -98,7 +98,7 @@ class TestSymmetrize:
     def test_constant(self):
         sym, unit = symmetrize(p2({(0, 0): 1}))
         assert sym == p2({(0, 0): 1})
-        assert unit.sign == 1 and unit.a == hi(0) and unit.b == hi(0)
+        assert unit.a == hi(0) and unit.b == hi(0)
 
     def test_half_recentering(self):
         # x1 - 1 recenters to x1^{1/2} - x1^{-1/2}

@@ -1,20 +1,19 @@
-"""Fuzz the JSON link-data boundary through the CLI.
+"""Fuzz the CLI boundaries: JSON link data and argv.
 
-Any JSON value, and link data that is close to valid, must end in the
-exit-code contract: 0, or 2/3/4 with a one-line JSON error on stderr, and
-never an uncaught exception.
+Any JSON value, link data that is close to valid, and any argument list
+must end in the exit-code contract: 0, or 2/3/4 with a one-line JSON
+error on stderr, and never an uncaught exception.
 """
 
 import copy
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import invoke
 from lsat import twobridge_data, unlink_data
-from lsat.cli import main
 
 COMMANDS = {
     "tau": ["--tau", "1", "--eps", "1"],
@@ -87,7 +86,10 @@ def link_path(tmp_path_factory):
 def test_json_input_keeps_exit_contract(link_path, obj, command):
     link_path.write_text(json.dumps(obj), encoding="utf-8")
     argv = [command, f"json:{link_path}"] + COMMANDS[command]
-    result = CliRunner().invoke(main, argv)
+    _assert_exit_contract(invoke(argv))
+
+
+def _assert_exit_contract(result):
     assert result.exception is None or isinstance(
         result.exception, SystemExit
     ), repr(result.exception)
@@ -96,3 +98,59 @@ def test_json_input_keeps_exit_contract(link_path, obj, command):
         payload = json.loads(result.stderr.strip().splitlines()[-1])
         assert sorted(payload) == ["error", "exit_code", "message"]
         assert payload["exit_code"] == result.exit_code
+
+
+COMMAND_OPTIONS = {
+    "hfunc": ["--window", "--format"],
+    "tau": ["--tau", "--eps", "--n", "--method", "--format"],
+    "classify": ["--n", "--format"],
+    "genus": ["--g4-eq-tau", "--n", "--format"],
+    "verify": ["--format"],  # plus --check, always given a cheap value
+    "frobnicate": ["--n"],
+}
+OPTION_VALUES = {
+    "--tau": ["-1", "0", "1", "2"],
+    "--eps": ["-1", "0", "1"],
+    "--n": ["-3", "0", "2", "5"],
+    "--method": ["closed", "oracle", "both"],
+    "--format": ["tsv", "json"],
+    "--window": ["0", "3"],
+    "--g4-eq-tau": ["1", "2"],
+    "--check": ["tables", "genus"],
+}
+HOSTILE = ["x", "-1", str(10**9), "xml", "json:{link}"]
+PATTERNS = ["twobridge:3,3", "twobridge:5,3", "cable:2,3", "braid:4,5,2",
+            "json:{link}", "x"]
+
+
+@st.composite
+def argv_lists(draw):
+    """A command, its pattern and some of its options, each with a valid or
+    a hostile value, then maybe one word from anywhere: any option name, a
+    hostile value or arbitrary text."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    options = draw(st.lists(st.sampled_from(COMMAND_OPTIONS[command]), unique=True))
+    if command == "verify":
+        argv = [command]
+        options.insert(0, "--check")
+    else:
+        argv = [command, draw(st.sampled_from(PATTERNS))]
+    for opt in options:
+        value = st.sampled_from(OPTION_VALUES[opt]) | st.sampled_from(HOSTILE)
+        argv += [opt, draw(value)]
+    loose = st.sampled_from(sorted(OPTION_VALUES) + ["--help"] + HOSTILE)
+    return argv + draw(st.lists(loose | st.text(max_size=6), max_size=1))
+
+
+@pytest.fixture(scope="module")
+def valid_link_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv") / "link.json"
+    path.write_text(json.dumps(dict(twobridge_data(5, 3).to_json_obj(), g3=0)))
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=argv_lists())
+def test_argv_keeps_exit_contract(valid_link_path, argv):
+    link = str(valid_link_path)
+    _assert_exit_contract(invoke([w.replace("{link}", link) for w in argv]))

@@ -12,10 +12,10 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
 import lsat.hfunction
 import lsat.patterns
+from conftest import invoke
 from lsat import (
     HalfInt,
     HFunction,
@@ -26,7 +26,6 @@ from lsat import (
     twobridge_data,
     validate,
 )
-from lsat.cli import main
 from lsat.errors import InvalidInputError
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
 
@@ -261,7 +260,7 @@ def test_verify_builds_each_link_once_and_scans_without_point_queries(
 
     monkeypatch.setattr(lsat.patterns, "twobridge_walk", counting_walk)
     monkeypatch.setattr(lsat.hfunction.HFunction, "__call__", counting_call)
-    result = CliRunner().invoke(main, ["verify", "--check", "all"])
+    result = invoke(["verify", "--check", "all"])
     assert result.exit_code == 0, result.output
     assert set(walks) == set(two_bridge_pairs(9))
     assert set(walks.values()) == {1}
@@ -296,7 +295,7 @@ def test_json_path_builds_one_hfunction(tmp_path, monkeypatch):
     # kept by the profile.
     for path, want in ((good, 1), (bad, 2)):
         builds.clear()
-        result = CliRunner().invoke(main, ["classify", f"json:{path}"])
+        result = invoke(["classify", f"json:{path}"])
         assert result.exit_code == 0, result.output
         assert len(builds) == want
 
