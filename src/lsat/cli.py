@@ -8,9 +8,10 @@ reports Thurston-norm and slice-genus quantities.
 
 The parser is stdlib ``argparse``, declared by ``OPTIONS`` and ``COMMANDS``.
 Exit codes: 0 success, 2 invalid input (usage errors on argv included),
-3 unsupported regime, 4 verification failure.  Each error but a failing
-``verify`` prints one JSON object ``{"error", "message", "exit_code"}``
-on stderr and nothing on stdout; ``--help`` exits 0.  Half-integers
+3 unsupported regime, 4 verification failure.  Each error prints one JSON
+object ``{"error", "message", "exit_code"}`` on stderr and nothing on
+stdout, except that a failing ``verify`` keeps its report on stdout;
+``--help`` exits 0.  Half-integers
 print as ``p/2`` strings in human output and as doubled integers in
 JSON.  Identical invocations produce byte-identical output.
 """
@@ -429,7 +430,9 @@ def cmd_verify(check: str, fmt: str) -> None:
         for msg in all_failures[:20]:
             print(f"counterexample: {msg}")
     if total_failures:
-        sys.exit(VerificationError("").exit_code)
+        raise VerificationError(
+            f"verify: {total_failures} failures in {total_points} points"
+        )
 
 
 # Every option and argument, declared once.  Each command lists the ones it

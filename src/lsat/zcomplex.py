@@ -16,7 +16,8 @@ grading is tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
@@ -25,9 +26,9 @@ from .hfunction import HFunction
 from .patterns import Companion, PatternProfile
 
 # Largest oracle summand, in sources: every case builds |n - 2 tau| of them
-# (eps = 0 forces tau = 0).  The Smith reduction is quadratic in the summand
-# (~2.5 s at the cap, 2 cores); the cap admits |n| <= 2000 with |tau| <= 3.
-MAX_SUMMAND_SOURCES = 2048
+# (eps = 0 forces tau = 0).  The heap-driven Smith reduction is near-linear
+# in the summand; the cap bounds one oracle call to well under a second.
+MAX_SUMMAND_SOURCES = 32768
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,17 @@ class ZComplex:
 
     def check(self) -> None:
         """Assert d^2 = 0 and per-arrow grading homogeneity."""
-        if len(self._grading) != len(self.generators):
+        grading = self._grading
+        if len(grading) != len(self.generators):
             raise InvalidInputError("duplicate generator names")
+        out: Dict[str, List[Tuple[str, int]]] = {}
         for src, tgt, k in self.arrows:
-            if src not in self._grading or tgt not in self._grading:
+            if src not in grading or tgt not in grading:
                 raise InvalidInputError(f"arrow {src}->{tgt} off the complex")
             if k < 0:
                 raise InvalidInputError(f"negative Z-exponent on {src}->{tgt}")
-            ws, zs = self.grading(src)
-            wt, zt = self.grading(tgt)
+            ws, zs = grading[src]
+            wt, zt = grading[tgt]
             if ws != wt + 1:
                 raise VerificationError(
                     f"arrow {src}->{tgt} does not drop gr_w by 1"
@@ -93,17 +96,16 @@ class ZComplex:
                 raise VerificationError(
                     f"arrow {src}->{tgt}: gr_z shift inconsistent with Z^{k}"
                 )
-            if self.alexander(src) != self.alexander(tgt) + k:
+            # A = (gr_w - gr_z)/2, compared doubled: A(src) = A(tgt) + k.
+            if ws - zs != wt - zt + 2 * k:
                 raise VerificationError(
                     f"arrow {src}->{tgt} is not Alexander-homogeneous"
                 )
-        # d^2: compose every pair of consecutive arrows and count parity.
-        out: Dict[str, List[Tuple[str, int]]] = {}
-        for src, tgt, k in self.arrows:
             out.setdefault(src, []).append((tgt, k))
+        # d^2: compose every pair of consecutive arrows and count parity.
         squares: Dict[Tuple[str, str, int], int] = {}
         for src, tgt, k in self.arrows:
-            for tgt2, k2 in out.get(tgt, []):
+            for tgt2, k2 in out.get(tgt, ()):
                 key = (src, tgt2, k + k2)
                 squares[key] = squares.get(key, 0) + 1
         bad = [key for key, c in squares.items() if c % 2]
@@ -133,6 +135,13 @@ def tower_alexander(c: ZComplex) -> HalfInt:
     with the forced Z-shifts keep entries monomial and preserve the grading
     labels of rows and columns.  Zero columns are free kernel classes, zero
     rows are free cokernel classes; exactly one free class must survive.
+
+    The matrix is held as row and column dicts of Z-exponents, and each
+    pivot is the live entry of least (exponent, row, column), taken from a
+    lazy min-heap whose stale items are skipped.  A pivot costs
+    O(|its row| x |its column|) dict updates plus a heap push per new
+    entry, so a summand of m arrows whose pivots stay sparse, as every
+    zig-zag does, reduces in O(m log m).
     """
     outgoing = {s for s, _, _ in c.arrows}
     incoming = {t for _, t, _ in c.arrows}
@@ -146,53 +155,57 @@ def tower_alexander(c: ZComplex) -> HalfInt:
     rows = [g for g in names if g not in outgoing]
     col_ix = {g: j for j, g in enumerate(cols)}
     row_ix = {g: i for i, g in enumerate(rows)}
-    entries: Dict[Tuple[int, int], int] = {}
+    # by_row[i] = {j: k} and by_col[j] = {i: k} hold the same live entries.
+    by_row: List[Dict[int, int]] = [{} for _ in rows]
+    by_col: List[Dict[int, int]] = [{} for _ in cols]
     for s, t, k in c.arrows:
-        entries[(row_ix[t], col_ix[s])] = k
+        i, j = row_ix[t], col_ix[s]
+        by_row[i][j] = k
+        by_col[j][i] = k
+    heap = [(k, i, j) for i, row in enumerate(by_row) for j, k in row.items()]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
 
-    active_rows = set(range(len(rows)))
-    active_cols = set(range(len(cols)))
-    while True:
-        live = [
-            (k, i, j)
-            for (i, j), k in entries.items()
-            if i in active_rows and j in active_cols
-        ]
-        if not live:
-            break
-        _, i0, j0 = min(live)
-        k0 = entries[(i0, j0)]
+    pivot_rows = set()
+    pivot_cols = set()
+    while heap:
+        k0, i0, j0 = pop(heap)
+        prow = by_row[i0]
+        if prow.get(j0) != k0:
+            continue  # stale: cancelled since it was pushed
         # Clear the pivot column with row operations (shifts are >= 0
         # because the pivot has globally minimal exponent).
-        for i in list(active_rows):
-            if i == i0 or (i, j0) not in entries:
+        for i, k in list(by_col[j0].items()):
+            if i == i0:
                 continue
-            d = entries[(i, j0)] - k0
-            for j in active_cols:
-                piv = entries.get((i0, j))
-                if piv is None:
-                    continue
-                key = (i, j)
+            d = k - k0
+            row = by_row[i]
+            for j, piv in prow.items():
                 new = piv + d
-                if key in entries:
-                    if entries[key] != new:
-                        raise VerificationError(
-                            "non-homogeneous entry collision in reduction"
-                        )
-                    del entries[key]
+                old = row.get(j)
+                if old is None:
+                    row[j] = new
+                    by_col[j][i] = new
+                    push(heap, (new, i, j))
+                elif old != new:
+                    raise VerificationError(
+                        "non-homogeneous entry collision in reduction"
+                    )
                 else:
-                    entries[key] = new
+                    del row[j]
+                    del by_col[j][i]
         # The pivot column now only holds the pivot; clearing the pivot row
         # with column operations only cancels the row entries themselves.
-        for j in list(active_cols):
-            if j != j0 and (i0, j) in entries:
-                del entries[(i0, j)]
-        active_rows.discard(i0)
-        active_cols.discard(j0)
+        for j in prow:
+            del by_col[j][i0]
+        prow.clear()
+        pivot_rows.add(i0)
+        pivot_cols.add(j0)
 
-    free_grades = [c.alexander(cols[j]) for j in sorted(active_cols)]
-    free_grades += [c.alexander(rows[i]) for i in sorted(active_rows)
-                    if all((i, j) not in entries for j in range(len(cols)))]
+    free_grades = [c.alexander(g) for j, g in enumerate(cols)
+                   if j not in pivot_cols]
+    free_grades += [c.alexander(g) for i, g in enumerate(rows)
+                    if i not in pivot_rows and not by_row[i]]
     if len(free_grades) != 1:
         raise VerificationError(
             f"free homology rank {len(free_grades)} != 1 in {c.case_tag!r}"
@@ -274,8 +287,15 @@ class TauResult:
         return {"tau": self.value, "case": self.case_tag, "method": self.method}
 
 
-def _weights(prof: PatternProfile) -> dict:
-    """Z-exponents of the four structure arrows on the free quotient."""
+def _weights(prof: PatternProfile) -> Dict[str, int]:
+    """Z-exponents of the four structure arrows on the free quotient.
+
+    Computed once per profile and kept on it; a profile with a negative
+    weight keeps nothing and raises on every call.
+    """
+    cached = prof.__dict__.get("_oracle_weights")
+    if cached is not None:
+        return cached
     half_l = HalfInt(prof.l)
     g = HalfInt.whole(prof.g3)
     out = {}
@@ -293,6 +313,8 @@ def _weights(prof: PatternProfile) -> dict:
     for name, k in out.items():
         if k < 0:
             raise InvalidInputError(f"negative arrow weight {name} = {k}")
+    # The profile is frozen; its __dict__ still takes a derived value.
+    prof.__dict__["_oracle_weights"] = out
     return out
 
 

@@ -166,6 +166,34 @@ class TestVerify:
         obj = json.loads(result.output)
         assert obj["total_failures"] == 0
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_failing_check_reports_and_exits_4(self, monkeypatch, fmt):
+        import lsat.cli
+
+        monkeypatch.setitem(
+            lsat.cli._CHECKS, "tables", lambda: (3, ["H(0,0) != model"])
+        )
+        result = invoke(["verify", "--check", "tables", "--format", fmt])
+        assert result.exit_code == 4
+        if fmt == "json":
+            assert json.loads(result.stdout) == {
+                "checks": {"tables": {"points": 3, "failures": 1}},
+                "total_points": 3,
+                "total_failures": 1,
+                "failures": ["tables: H(0,0) != model"],
+            }
+        else:
+            assert result.stdout == (
+                "check tables: 3 points, 1 failures\n"
+                "total: 3 points, 1 failures\n"
+                "counterexample: tables: H(0,0) != model\n"
+            )
+        assert json.loads(result.stderr) == {
+            "error": "VerificationError",
+            "message": "verify: 1 failures in 3 points",
+            "exit_code": 4,
+        }
+
 
 class TestErrors:
     def test_malformed_spec_exit_2(self):

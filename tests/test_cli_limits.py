@@ -130,12 +130,21 @@ def test_largest_two_bridge_r_stays_within_the_exponent_cap():
 
 
 def test_oracle_runs_at_the_summand_cap():
-    result = invoke([
-        "tau", "twobridge:3,3", "--tau", "0", "--eps", "0",
-        "--n", str(-MAX_SUMMAND_SOURCES), "--method", "both",
-    ])
-    assert result.exit_code == 0, result.output
-    assert result.stdout.endswith("match\n")
+    # One summand of exactly the cap in each case: eps1, eps0_pos,
+    # eps0_neg and epsm1.
+    for tau, eps, n, case in (
+        (1, 1, 2 - MAX_SUMMAND_SOURCES, "eps=1,n<2tau"),
+        (0, 0, MAX_SUMMAND_SOURCES, "eps=0,n>=0"),
+        (0, 0, -MAX_SUMMAND_SOURCES, "eps=0,n<0"),
+        (-1, -1, -2 + MAX_SUMMAND_SOURCES, "eps=-1,n>2tau+1"),
+    ):
+        result = invoke([
+            "tau", "twobridge:3,3", "--tau", str(tau), "--eps", str(eps),
+            "--n", str(n), "--method", "both",
+        ])
+        assert result.exit_code == 0, (case, result.output)
+        assert f"method = oracle\tcase = {case}\n" in result.stdout, case
+        assert result.stdout.endswith("match\n"), case
 
 
 @pytest.mark.parametrize("tau, eps, n", [

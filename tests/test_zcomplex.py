@@ -114,6 +114,24 @@ class TestBuildSummand:
                 res = tau_oracle(MAZUR, K, n)
                 assert isinstance(res.value, int)
 
+    def test_weights_are_computed_once_per_profile(self):
+        from lsat.zcomplex import _weights
+
+        assert _weights(MAZUR) is _weights(MAZUR)
+
+    def test_negative_weight_raises_on_every_call(self):
+        from lsat import PatternProfile
+
+        prof = PatternProfile(
+            l=0, g3=0, n_width=HalfInt(0),
+            r_minus=HalfInt(-4), r_center=HalfInt(0), r_plus=HalfInt(0),
+        )
+        for _ in range(2):
+            with pytest.raises(
+                InvalidInputError, match="negative arrow weight tau_minus = -2"
+            ):
+                build_summand("eps0_pos", prof, Companion(tau=0, eps=0), 1)
+
     def test_json_dump(self):
         c = build_summand("eps1", WHITEHEAD, Companion(tau=1, eps=1), 0)
         obj = c.to_json_obj()
