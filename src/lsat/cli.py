@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
     VerificationError,
 )
 from .genus import g3rel, g4_satellite_regime
-from .halfgrid_poly import HalfInt, json_int
+from .halfgrid_poly import HalfInt, MutableRecord, Record, json_int, setslot
 from .hfunction import (
     LinkAlexData,
     _point,
@@ -64,8 +63,7 @@ from .patterns import (
 from .zcomplex import TauResult, tau_oracle
 
 
-@dataclass(frozen=True)
-class LoadedPattern:
+class LoadedPattern(Record):
     """A parsed pattern spec; cable/braid profiles are built on demand.
 
     Cables and braids admit the family tau formula for any coprime
@@ -74,9 +72,13 @@ class LoadedPattern:
     not constructed until a command actually needs it.
     """
 
-    kind: str
-    params: Tuple[int, ...]
-    _profile: Optional[PatternProfile]
+    _fields = __slots__ = ("kind", "params", "_profile")
+
+    def __init__(self, kind: str, params: Tuple[int, ...],
+                 _profile: Optional[PatternProfile]):
+        setslot(self, "kind", kind)
+        setslot(self, "params", params)
+        setslot(self, "_profile", _profile)
 
     @property
     def has_table(self) -> bool:
@@ -103,7 +105,9 @@ def _load_pattern(spec: str) -> LoadedPattern:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+        # past the int-digit limit; RecursionError, arrays nested too deep.
         raise InvalidInputError(
             f"cannot read link data from {path}: {exc}"
         ) from exc
@@ -454,12 +458,14 @@ OPTIONS = {
 }
 
 
-@dataclass
-class Command:
+class Command(MutableRecord):
     """A subcommand: the function that runs it and the OPTIONS it takes."""
 
-    callback: Callable[..., None]
-    options: Tuple[str, ...]
+    _fields = __slots__ = ("callback", "options")
+
+    def __init__(self, callback: Callable[..., None], options: Tuple[str, ...]):
+        self.callback = callback
+        self.options = options
 
 
 COMMANDS = {

@@ -18,7 +18,6 @@ polynomial goes through before H-function evaluation:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -31,17 +30,74 @@ from .errors import (
 
 HalfIntLike = Union["HalfInt", int]
 
+# A record's __init__ sets its slots through this; plain assignment raises.
+setslot = object.__setattr__
+
+
+class Record:
+    """An immutable value: the fields named in ``_fields`` live in slots.
+
+    Equality and hashing compare the class and the field tuple, and
+    ``repr`` reads ``Name(field=value, ...)``.  Each subclass writes its
+    own ``__init__`` (taking the fields in order, by position or name), so
+    pickling, copying and :meth:`replace` rebuild through its checks.
+    Slots outside ``_fields`` hold derived caches that none of these see.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built by ``__init__``."""
+        fields = dict(zip(self._fields, self._values()))
+        return type(self)(**{**fields, **changes})
+
+
+class MutableRecord(Record):
+    """A Record whose fields can be reassigned; unhashable, like a list."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
 
 @total_ordering
-@dataclass(frozen=True)
-class HalfInt:
+class HalfInt(Record):
     """An element of (1/2)Z stored as twice its value.
 
     All arithmetic is exact integer arithmetic on the doubled value; a
     HalfInt is integral iff ``doubled`` is even.
     """
 
-    doubled: int
+    _fields = __slots__ = ("doubled",)
+
+    def __init__(self, doubled: int):
+        _set_doubled(self, doubled)
 
     @staticmethod
     def whole(n: int) -> "HalfInt":
@@ -111,6 +167,9 @@ class HalfInt:
         return f"HalfInt({self.doubled})"
 
 
+# HalfInt is the most often built record, so its __init__ stores through the
+# slot's own setter, a little cheaper than setslot.
+_set_doubled = HalfInt.doubled.__set__  # type: ignore[attr-defined]
 ZERO = HalfInt(0)
 
 # Largest |doubled exponent| accepted in JSON input.  The sign probe and the
@@ -170,11 +229,13 @@ def _canonical_terms(items: Iterable[tuple], arity: int) -> tuple:
     return tuple((k, cleaned[k]) for k in order)
 
 
-@dataclass(frozen=True)
-class LaurentPoly1:
+class LaurentPoly1(Record):
     """Sparse one-variable Laurent polynomial, exponents in (1/2)Z."""
 
-    terms: tuple  # ((HalfInt, int), ...) sorted by exponent, no zeros
+    _fields = __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):  # ((HalfInt, int), ...) sorted, no zeros
+        setslot(self, "terms", terms)
 
     @staticmethod
     def from_terms(items: Union[Mapping, Iterable[tuple]]) -> "LaurentPoly1":
@@ -242,24 +303,22 @@ class LaurentPoly1:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class LaurentPoly2:
+class LaurentPoly2(Record):
     """Sparse two-variable Laurent polynomial, exponents in (1/2)Z x (1/2)Z.
 
     All exponent pairs must lie on a single coset of Z^2: both coordinates
     have a fixed doubled-parity across the support.
     """
 
-    terms: tuple  # (((HalfInt, HalfInt), int), ...) sorted, no zeros
+    _fields = __slots__ = ("terms",)
 
-    def __post_init__(self):
-        parities = {
-            (e1.doubled % 2, e2.doubled % 2) for (e1, e2), _ in self.terms
-        }
+    def __init__(self, terms: tuple):  # (((HalfInt, HalfInt), int), ...) sorted
+        parities = {(e1.doubled % 2, e2.doubled % 2) for (e1, e2), _ in terms}
         if len(parities) > 1:
             raise CosetMismatchError(
                 f"support spans several exponent cosets: {sorted(parities)}"
             )
+        setslot(self, "terms", terms)
 
     @staticmethod
     def from_terms(items: Union[Mapping, Iterable[tuple]]) -> "LaurentPoly2":
@@ -335,12 +394,14 @@ def shift(p: LaurentPoly2, a: HalfIntLike, b: HalfIntLike) -> LaurentPoly2:
     return LaurentPoly2(tuple(((e1 + a, e2 + b), c) for (e1, e2), c in p.terms))
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Record):
     """The monomial x1^a x2^b used to recenter."""
 
-    a: HalfInt
-    b: HalfInt
+    _fields = __slots__ = ("a", "b")
+
+    def __init__(self, a: HalfInt, b: HalfInt):
+        setslot(self, "a", a)
+        setslot(self, "b", b)
 
 
 def symmetrize(p: LaurentPoly2) -> Tuple[LaurentPoly2, Unit]:

@@ -16,7 +16,6 @@ property-report validator and the TSV table export used by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import (
@@ -29,8 +28,11 @@ from .halfgrid_poly import (
     HalfIntLike,
     LaurentPoly1,
     LaurentPoly2,
+    MutableRecord,
+    Record,
     json_int,
     knot_chi_expansion,
+    setslot,
 )
 
 
@@ -85,29 +87,33 @@ class _KnotH:
         return self._table[self.bottom - 1] + (self.bottom - 1 - s)
 
 
-@dataclass(frozen=True)
-class LinkAlexData:
+class LinkAlexData(Record):
     """Normalized Alexander data of a 2-component L-space link."""
 
-    linking: int
-    delta_tilde: LaurentPoly2
-    delta1: LaurentPoly1
-    delta2: LaurentPoly1
-    sign_resolved: bool = False
+    _fields = ("linking", "delta_tilde", "delta1", "delta2", "sign_resolved")
+    __slots__ = _fields + ("_extent", "_h")
 
-    def __post_init__(self):
-        coset = self.delta_tilde.coset()
-        want = self.linking % 2
+    def __init__(self, linking: int, delta_tilde: LaurentPoly2, delta1: LaurentPoly1,
+                 delta2: LaurentPoly1, sign_resolved: bool = False):
+        coset = delta_tilde.coset()
+        want = linking % 2
         if coset is not None and coset != (want, want):
             raise InvalidInputError(
                 f"delta_tilde support is off the (l/2 + Z)^2 lattice "
-                f"for l = {self.linking}"
+                f"for l = {linking}"
             )
-        for name, d in (("delta1", self.delta1), ("delta2", self.delta2)):
+        for name, d in (("delta1", delta1), ("delta2", delta2)):
             if d.eval_at_one() not in (1, -1):
                 raise InvalidInputError(f"{name}(1) must be +-1")
             if not (d.is_symmetric() or d.neg().is_symmetric()):
                 raise InvalidInputError(f"{name} is not symmetric")
+        setslot(self, "linking", linking)
+        setslot(self, "delta_tilde", delta_tilde)
+        setslot(self, "delta1", delta1)
+        setslot(self, "delta2", delta2)
+        setslot(self, "sign_resolved", sign_resolved)
+        setslot(self, "_extent", None)
+        setslot(self, "_h", None)
 
     @property
     def first_component_unknot(self) -> bool:
@@ -127,34 +133,31 @@ class LinkAlexData:
     def support_extent(self) -> HalfInt:
         """Largest |exponent| appearing in delta_tilde (0 when empty).
 
-        Scanned once and kept outside the dataclass fields, like
+        Scanned once and kept in a slot outside the fields, like
         :meth:`hfunction`.
         """
-        extent = self.__dict__.get("_extent")
-        if extent is None:
-            extent = HalfInt(max(
+        if self._extent is None:
+            setslot(self, "_extent", HalfInt(max(
                 (max(abs(e1.doubled), abs(e2.doubled))
                  for (e1, e2), _ in self.delta_tilde.terms),
                 default=0,
-            ))
-            self.__dict__["_extent"] = extent
-        return extent
+            )))
+        return self._extent
 
     def hfunction(self) -> "HFunction":
         """The one HFunction of this data, so every caller shares its table.
 
-        Built on first use and kept outside the dataclass fields, so
+        Built on first use and kept in a slot outside the fields, so
         equality and hashing do not see it.  Unresolved data hands out the
         HFunction its sign probe built for the resolved data.
         """
-        h = self.__dict__.get("_h")
-        if h is None:
+        if self._h is None:
             if self.sign_resolved:
                 h = HFunction(self)
             else:
                 h = resolve_sign(self).hfunction()
-            self.__dict__["_h"] = h
-        return h
+            setslot(self, "_h", h)
+        return self._h
 
     def to_json_obj(self) -> dict:
         return {
@@ -203,7 +206,7 @@ def resolve_sign(data: LinkAlexData) -> LinkAlexData:
     """
     window = data.support_extent() + 2
     for delta_tilde in (data.delta_tilde, data.delta_tilde.neg()):
-        cand = replace(data, delta_tilde=delta_tilde, sign_resolved=True)
+        cand = data.replace(delta_tilde=delta_tilde, sign_resolved=True)
         if next(_gap_failures(*cand.hfunction().grid(window)), None) is None:
             return cand
     raise NotLSpaceLinkError(
@@ -387,13 +390,16 @@ def _width_from_h(data: LinkAlexData) -> HalfInt:
     return HalfInt(t)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(MutableRecord):
     """Outcome of the H-function property checks on a window."""
 
-    ok: bool
-    failures: List[str] = field(default_factory=list)
-    checks_run: List[str] = field(default_factory=list)
+    _fields = __slots__ = ("ok", "failures", "checks_run")
+
+    def __init__(self, ok: bool, failures: Optional[List[str]] = None,
+                 checks_run: Optional[List[str]] = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
+        self.checks_run = [] if checks_run is None else checks_run
 
 
 def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationReport:

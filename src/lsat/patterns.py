@@ -16,53 +16,59 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
-from .halfgrid_poly import HalfInt, LaurentPoly1, LaurentPoly2, symmetrize, shift
+from .halfgrid_poly import (
+    HalfInt, LaurentPoly1, LaurentPoly2, Record, setslot, shift, symmetrize,
+)
 from .hfunction import HFunction, LinkAlexData, resolve_sign, validate, width
 
 
-@dataclass(frozen=True)
-class PatternProfile:
+class PatternProfile(Record):
     """Scalar data of a pattern operator used by every closed form.
 
     ``r_minus``, ``r_center``, ``r_plus`` are the R values at winding/2 - 1,
     winding/2 and winding/2 + 1; any of them may be unavailable (None) for
     closed-form-only families.  The side conditions, minimal wrapping and
-    provenance are derived from these fields.
+    provenance are derived from these fields.  The oracle keeps the arrow
+    weights it derives in the ``_oracle_weights`` slot, outside the fields.
     """
 
-    l: int
-    g3: int
-    n_width: HalfInt
-    r_minus: Optional[HalfInt]
-    r_center: Optional[HalfInt]
-    r_plus: Optional[HalfInt]
-    data: Optional[LinkAlexData] = None
+    _fields = ("l", "g3", "n_width", "r_minus", "r_center", "r_plus", "data")
+    __slots__ = _fields + ("_oracle_weights",)
 
-    def __post_init__(self):
-        if self.l < 0:
+    def __init__(self, l: int, g3: int, n_width: HalfInt, r_minus: Optional[HalfInt],
+                 r_center: Optional[HalfInt], r_plus: Optional[HalfInt],
+                 data: Optional[LinkAlexData] = None):
+        if l < 0:
             raise InvalidInputError("profiles are normalized to winding >= 0")
-        if self.g3 < 0:
+        if g3 < 0:
             raise InvalidInputError("negative Seifert genus")
-        half_l = HalfInt(self.l)
-        if self.r_center is not None:
-            for other in (self.r_minus, self.r_plus):
-                if other is not None and other > self.r_center:
+        half_l = HalfInt(l)
+        if r_center is not None:
+            for other in (r_minus, r_plus):
+                if other is not None and other > r_center:
                     raise InvalidInputError(
                         "R at the winding/2 column must be maximal"
                     )
-            excess = self.r_center - half_l - HalfInt.whole(self.g3)
+            excess = r_center - half_l - HalfInt.whole(g3)
             if excess < 0:
                 raise InvalidInputError(
-                    f"R_center - l/2 = {self.r_center - half_l} < g3 = {self.g3}"
+                    f"R_center - l/2 = {r_center - half_l} < g3 = {g3}"
                 )
-            if self.minimal_wrapping and excess != 0:
+            if n_width == half_l and excess != 0:
                 raise InvalidInputError(
                     "minimal wrapping forces R_center - l/2 = g3"
                 )
+        setslot(self, "l", l)
+        setslot(self, "g3", g3)
+        setslot(self, "n_width", n_width)
+        setslot(self, "r_minus", r_minus)
+        setslot(self, "r_center", r_center)
+        setslot(self, "r_plus", r_plus)
+        setslot(self, "data", data)
+        setslot(self, "_oracle_weights", None)
 
     @property
     def cond_tau(self) -> bool:
@@ -123,33 +129,32 @@ class PatternProfile:
                 )
 
 
-@dataclass(frozen=True)
-class Companion:
+class Companion(Record):
     """Concordance data of the companion knot."""
 
-    tau: int
-    eps: int
-    b_seq: Optional[Tuple[int, ...]] = None
+    _fields = __slots__ = ("tau", "eps", "b_seq")
 
-    def __post_init__(self):
-        if self.eps not in (-1, 0, 1):
-            raise InvalidInputError(f"eps must be in {{-1,0,1}}, got {self.eps}")
-        if self.eps == 0 and self.tau != 0:
+    def __init__(self, tau: int, eps: int, b_seq: Optional[Tuple[int, ...]] = None):
+        if eps not in (-1, 0, 1):
+            raise InvalidInputError(f"eps must be in {{-1,0,1}}, got {eps}")
+        if eps == 0 and tau != 0:
             raise InvalidInputError(
                 "eps = 0 forces tau = 0 (local equivalence to the unknot)"
             )
-        if self.b_seq is not None:
-            if self.eps == 0:
-                if len(self.b_seq) != 0:
-                    raise InvalidInputError("eps = 0 requires an empty b_seq")
-                return
-            if any(b == 0 for b in self.b_seq) or len(self.b_seq) < 2:
+        if b_seq is not None and eps == 0:
+            if len(b_seq) != 0:
+                raise InvalidInputError("eps = 0 requires an empty b_seq")
+        elif b_seq is not None:
+            if any(b == 0 for b in b_seq) or len(b_seq) < 2:
                 raise InvalidInputError("b_seq entries must be nonzero, m >= 2")
             sgn = lambda x: (x > 0) - (x < 0)
-            if sgn(self.b_seq[0]) != self.eps or sgn(self.b_seq[-1]) != -self.eps:
+            if sgn(b_seq[0]) != eps or sgn(b_seq[-1]) != -eps:
                 raise InvalidInputError(
                     "b_seq endpoint signs inconsistent with eps"
                 )
+        setslot(self, "tau", tau)
+        setslot(self, "eps", eps)
+        setslot(self, "b_seq", b_seq)
 
 
 def twobridge_eta(p: int, q: int, i: int) -> int:

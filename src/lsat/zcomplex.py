@@ -17,11 +17,10 @@ grading is tau.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
-from .halfgrid_poly import HalfInt, HalfIntLike
+from .halfgrid_poly import HalfInt, HalfIntLike, Record, setslot
 from .hfunction import HFunction
 from .patterns import Companion, PatternProfile
 
@@ -31,8 +30,7 @@ from .patterns import Companion, PatternProfile
 MAX_SUMMAND_SOURCES = 32768
 
 
-@dataclass(frozen=True)
-class ZComplex:
+class ZComplex(Record):
     """Free bigraded complex over F2[Z] with monomial differential.
 
     ``generators`` maps name -> (gr_w, gr_z); ``arrows`` is the differential
@@ -40,9 +38,17 @@ class ZComplex:
     multiset of identical arrows cancels to nothing).
     """
 
-    generators: Tuple[Tuple[str, int, int], ...]
-    arrows: Tuple[Tuple[str, str, int], ...]
-    case_tag: str = ""
+    _fields = ("generators", "arrows", "case_tag")
+    __slots__ = _fields + ("_grading",)
+
+    def __init__(self, generators: Tuple[Tuple[str, int, int], ...],
+                 arrows: Tuple[Tuple[str, str, int], ...], case_tag: str = ""):
+        setslot(self, "generators", generators)
+        setslot(self, "arrows", arrows)
+        setslot(self, "case_tag", case_tag)
+        # name -> (gr_w, gr_z), kept outside the fields; the first generator
+        # of a name wins.
+        setslot(self, "_grading", {g: (w, z) for g, w, z in reversed(generators)})
 
     @staticmethod
     def build(
@@ -57,13 +63,6 @@ class ZComplex:
         c = ZComplex(tuple(gens), reduced, case_tag)
         c.check()
         return c
-
-    def __post_init__(self):
-        # name -> (gr_w, gr_z), kept outside the fields; the first generator
-        # of a name wins.
-        self.__dict__["_grading"] = {
-            g: (w, z) for g, w, z in reversed(self.generators)
-        }
 
     def grading(self, name: str) -> Tuple[int, int]:
         try:
@@ -213,15 +212,19 @@ def tower_alexander(c: ZComplex) -> HalfInt:
     return free_grades[0]
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(Record):
     """Staircase complex read off one H-function column."""
 
-    t: HalfInt
-    r_steps: Tuple[HalfInt, ...]
-    generators: Tuple[Tuple[str, int, int], ...]
-    alpha: Tuple[int, ...]
-    beta: Tuple[int, ...]
+    _fields = __slots__ = ("t", "r_steps", "generators", "alpha", "beta")
+
+    def __init__(self, t: HalfInt, r_steps: Tuple[HalfInt, ...],
+                 generators: Tuple[Tuple[str, int, int], ...],
+                 alpha: Tuple[int, ...], beta: Tuple[int, ...]):
+        setslot(self, "t", t)
+        setslot(self, "r_steps", r_steps)
+        setslot(self, "generators", generators)
+        setslot(self, "alpha", alpha)
+        setslot(self, "beta", beta)
 
     def top_a2(self) -> HalfInt:
         """Second Alexander grading of the top generator."""
@@ -277,11 +280,15 @@ def staircase_from_column(h: HFunction, t: HalfIntLike) -> Staircase:
     )
 
 
-@dataclass(frozen=True)
-class TauResult:
-    value: int
-    method: str
-    case_tag: str
+class TauResult(Record):
+    """A tau value with the method and case (branch) that produced it."""
+
+    _fields = __slots__ = ("value", "method", "case_tag")
+
+    def __init__(self, value: int, method: str, case_tag: str):
+        setslot(self, "value", value)
+        setslot(self, "method", method)
+        setslot(self, "case_tag", case_tag)
 
     def to_json_obj(self) -> dict:
         return {"tau": self.value, "case": self.case_tag, "method": self.method}
@@ -290,12 +297,11 @@ class TauResult:
 def _weights(prof: PatternProfile) -> Dict[str, int]:
     """Z-exponents of the four structure arrows on the free quotient.
 
-    Computed once per profile and kept on it; a profile with a negative
-    weight keeps nothing and raises on every call.
+    Computed once per profile and kept in its ``_oracle_weights`` slot; a
+    profile with a negative weight keeps nothing and raises on every call.
     """
-    cached = prof.__dict__.get("_oracle_weights")
-    if cached is not None:
-        return cached
+    if prof._oracle_weights is not None:
+        return prof._oracle_weights
     half_l = HalfInt(prof.l)
     g = HalfInt.whole(prof.g3)
     out = {}
@@ -313,8 +319,7 @@ def _weights(prof: PatternProfile) -> Dict[str, int]:
     for name, k in out.items():
         if k < 0:
             raise InvalidInputError(f"negative arrow weight {name} = {k}")
-    # The profile is frozen; its __dict__ still takes a derived value.
-    prof.__dict__["_oracle_weights"] = out
+    setslot(prof, "_oracle_weights", out)
     return out
 
 

@@ -243,6 +243,15 @@ class TestEntryPoint:
         proc = run_python("-c", check)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        check = (
+            "import lsat.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+        )
+        proc = run_python("-c", check)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_module_entry_point(self):
         ok = run_python(
             "-m", "lsat.cli", "tau", "twobridge:3,3", "--tau", "1", "--eps", "1"

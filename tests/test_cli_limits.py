@@ -64,6 +64,21 @@ def test_exponent_cap_applies_to_every_polynomial(tmp_path, poly):
     assert "exceeds the limit" in _error(result)["message"]
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # nested deeper than the recursion limit
+    b'{"linking": ' + b"1" * 5000 + b"}",  # past the int-digit limit
+], ids=["not-utf8", "deep-array", "long-int"])
+def test_unreadable_json_exits_2(tmp_path, content):
+    path = tmp_path / "link.json"
+    path.write_bytes(content)
+    result = invoke(["tau", f"json:{path}", "--tau", "1", "--eps", "1"])
+    payload = _error(result)
+    assert payload["error"] == "InvalidInputError"
+    assert payload["message"].startswith(f"cannot read link data from {path}: ")
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
 def test_large_two_bridge_json_still_computes(tmp_path):
     obj = dict(twobridge_data(21, 13).to_json_obj(), g3=0)
     path = _link_json(tmp_path, obj)

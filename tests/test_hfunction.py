@@ -1,7 +1,5 @@
 """Unit tests for H-function evaluation, R_t, width, and validation."""
 
-import dataclasses
-
 import pytest
 
 from conftest import (
@@ -48,7 +46,7 @@ class TestGnH:
 
     def test_unresolved_sign_rejected(self):
         data = twobridge_data(3, 3)
-        raw = dataclasses.replace(data, sign_resolved=False)
+        raw = data.replace(sign_resolved=False)
         with pytest.raises(UnresolvedSignError):
             gn_h(raw, 0, 0)
 
@@ -56,8 +54,7 @@ class TestGnH:
 class TestResolveSign:
     def test_flips_wrong_sign(self):
         good = twobridge_data(3, 3)
-        flipped = dataclasses.replace(
-            good,
+        flipped = good.replace(
             delta_tilde=good.delta_tilde.neg(),
             sign_resolved=False,
         )
@@ -66,7 +63,7 @@ class TestResolveSign:
     def test_zero_unchanged(self):
         data = unlink_data()
         assert resolve_sign(
-            dataclasses.replace(data, sign_resolved=False)
+            data.replace(sign_resolved=False)
         ).delta_tilde.is_zero
 
     def test_negative_hopf_unchanged(self):
@@ -138,9 +135,7 @@ class TestValidate:
 
     def test_injected_corruption_fails(self):
         good = twobridge_data(3, 3)
-        bad = dataclasses.replace(
-            good, delta_tilde=good.delta_tilde.neg()
-        )
+        bad = good.replace(delta_tilde=good.delta_tilde.neg())
         report = validate(HFunction(bad), window=3)
         assert not report.ok
 

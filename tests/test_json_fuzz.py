@@ -89,6 +89,14 @@ def test_json_input_keeps_exit_contract(link_path, obj, command):
     _assert_exit_contract(invoke(argv))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(content=st.binary(max_size=64), command=st.sampled_from(sorted(COMMANDS)))
+def test_arbitrary_bytes_keep_exit_contract(link_path, content, command):
+    link_path.write_bytes(content)
+    argv = [command, f"json:{link_path}"] + COMMANDS[command]
+    _assert_exit_contract(invoke(argv))
+
+
 def _assert_exit_contract(result):
     assert result.exception is None or isinstance(
         result.exception, SystemExit

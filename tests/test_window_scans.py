@@ -7,7 +7,6 @@ non-stabilizing data), so the messages keep their order and wording.
 """
 
 import collections
-import dataclasses
 import hashlib
 import json
 
@@ -53,7 +52,7 @@ def link(l, terms, delta1=None, delta2=None):
 def flipped(r, q):
     """Two-bridge data with the wrong overall sign, marked resolved."""
     data = twobridge_data(r, q)
-    return dataclasses.replace(data, delta_tilde=data.delta_tilde.neg())
+    return data.replace(delta_tilde=data.delta_tilde.neg())
 
 
 def digest(failures):
@@ -268,9 +267,7 @@ def test_verify_builds_each_link_once_and_scans_without_point_queries(
     # The sign probe, validate and the classifier read grids only.
     for r, q in two_bridge_pairs(9):
         data = twobridge_data(r, q)
-        unresolved = dataclasses.replace(
-            flipped(r, q), sign_resolved=False
-        )
+        unresolved = flipped(r, q).replace(sign_resolved=False)
         assert resolve_sign(unresolved) == data
         assert validate(data.hfunction()).ok
         validate(HFunction(flipped(r, q)))
