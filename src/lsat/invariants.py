@@ -20,68 +20,74 @@ from .patterns import Companion, PatternProfile, bridge_braid_knot_check
 from .zcomplex import TauResult
 
 
-def _as_tau(value: HalfInt, case_tag: str) -> TauResult:
-    if not value.is_integral:
+def _as_tau(doubled: int, case_tag: str) -> TauResult:
+    """The tau of a doubled value; a HalfInt is made only for the message."""
+    if doubled % 2:
         raise InvalidInputError(
-            f"closed form produced a non-integer tau {value} ({case_tag})"
+            f"closed form produced a non-integer tau {HalfInt(doubled)} ({case_tag})"
         )
-    return TauResult(value=value.as_int(), method="closed-form", case_tag=case_tag)
+    return TauResult(doubled // 2, "closed-form", case_tag)
 
 
 def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
-    """tau of the satellite with pattern ``prof``, companion K, framing n."""
-    if prof.l < 0:
+    """tau of the satellite with pattern ``prof``, companion K, framing n.
+
+    Computed on doubled ints: every R value enters as ``.doubled`` and l/2
+    as l, so each branch is the paper's formula times two.
+    """
+    l, tau = prof.l, K.tau
+    if l < 0:
         raise UnsupportedRegimeError("closed form needs winding >= 0")
-    half_l = HalfInt(prof.l)
-    g = HalfInt.whole(prof.g3)
-    shift = HalfInt.whole(prof.framing_shift(n))
-    ltau = HalfInt.whole(prof.l * K.tau)
+    shift = 2 * prof.framing_shift(n)
+    ltau = 2 * l * tau
 
     if K.eps == 1:
-        if n < 2 * K.tau:
+        if n < 2 * tau:
             prof.require("r_center")
             return _as_tau(
-                prof.r_center - half_l + shift + ltau, "eps=1,n<2tau"
+                prof.r_center.doubled - l + shift + ltau, "eps=1,n<2tau"
             )
-        return _as_tau(g + shift + ltau, "eps=1,n>=2tau")
+        return _as_tau(2 * prof.g3 + shift + ltau, "eps=1,n>=2tau")
 
     if K.eps == 0:
         if n >= 0:
-            return _as_tau(g + shift, "eps=0,n>=0")
+            return _as_tau(2 * prof.g3 + shift, "eps=0,n>=0")
         if not prof.cond_tau:
             raise UnsupportedRegimeError(
                 "eps=0 with n<0 needs the R_{l/2-1} condition"
             )
         prof.require("r_minus", "r_center")
         return _as_tau(
-            max(prof.r_minus + half_l, prof.r_center - half_l) + shift,
+            max(prof.r_minus.doubled + l, prof.r_center.doubled - l) + shift,
             "eps=0,n<0",
         )
 
     # eps = -1: all branches need the same extra condition.
     if not prof.cond_tau:
         raise UnsupportedRegimeError("eps=-1 needs the R_{l/2-1} condition")
-    if n < 2 * K.tau:
+    if n < 2 * tau:
         prof.require("r_minus", "r_center")
         return _as_tau(
-            max(prof.r_minus + half_l, prof.r_center - half_l) + shift + ltau,
+            max(prof.r_minus.doubled + l, prof.r_center.doubled - l)
+            + shift + ltau,
             "eps=-1,n<2tau",
         )
-    if n == 2 * K.tau:
+    if n == 2 * tau:
         prof.require("r_minus", "r_plus")
         return _as_tau(
-            max(prof.r_minus + half_l, prof.r_plus - half_l) + shift + ltau,
+            max(prof.r_minus.doubled + l, prof.r_plus.doubled - l)
+            + shift + ltau,
             "eps=-1,n=2tau",
         )
-    if n == 2 * K.tau + 1:
+    if n == 2 * tau + 1:
         prof.require("r_minus", "r_plus")
         return _as_tau(
-            min(prof.r_minus + half_l, prof.r_plus + half_l) + shift + ltau,
+            min(prof.r_minus.doubled, prof.r_plus.doubled) + l + shift + ltau,
             "eps=-1,n=2tau+1",
         )
     prof.require("r_minus")
     return _as_tau(
-        min(prof.r_minus + half_l, g + half_l + half_l) + shift + ltau,
+        min(prof.r_minus.doubled + l, 2 * prof.g3 + 2 * l) + shift + ltau,
         "eps=-1,n>2tau+1",
     )
 

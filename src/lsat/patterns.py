@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
 from .halfgrid_poly import (
@@ -76,7 +76,7 @@ class PatternProfile(Record):
         if self.r_minus is None:
             # Unknotted patterns and small winding satisfy it automatically.
             return self.l in (0, 1) or self.g3 == 0
-        return self.r_minus >= HalfInt.whole(self.g3) + HalfInt(self.l) - 1
+        return self.r_minus.doubled >= 2 * self.g3 + self.l - 2
 
     @property
     def cond_eps(self) -> bool:
@@ -84,7 +84,7 @@ class PatternProfile(Record):
         if self.r_minus is None:
             # Automatic only at winding 0.
             return self.l == 0
-        return self.r_minus >= HalfInt.whole(self.g3) + HalfInt(self.l)
+        return self.r_minus.doubled >= 2 * self.g3 + self.l
 
     @property
     def minimal_wrapping(self) -> bool:
@@ -134,21 +134,21 @@ class Companion(Record):
 
     _fields = __slots__ = ("tau", "eps", "b_seq")
 
-    def __init__(self, tau: int, eps: int, b_seq: Optional[Tuple[int, ...]] = None):
+    def __init__(self, tau: int, eps: int, b_seq: Optional[Sequence[int]] = None):
         if eps not in (-1, 0, 1):
             raise InvalidInputError(f"eps must be in {{-1,0,1}}, got {eps}")
         if eps == 0 and tau != 0:
             raise InvalidInputError(
                 "eps = 0 forces tau = 0 (local equivalence to the unknot)"
             )
-        if b_seq is not None and eps == 0:
-            if len(b_seq) != 0:
-                raise InvalidInputError("eps = 0 requires an empty b_seq")
-        elif b_seq is not None:
-            if any(b == 0 for b in b_seq) or len(b_seq) < 2:
+        if b_seq is not None:
+            b_seq = tuple(b_seq)  # stored as a tuple, so the record hashes
+            if eps == 0:
+                if b_seq:
+                    raise InvalidInputError("eps = 0 requires an empty b_seq")
+            elif any(b == 0 for b in b_seq) or len(b_seq) < 2:
                 raise InvalidInputError("b_seq entries must be nonzero, m >= 2")
-            sgn = lambda x: (x > 0) - (x < 0)
-            if sgn(b_seq[0]) != eps or sgn(b_seq[-1]) != -eps:
+            elif b_seq[0] * eps < 0 or b_seq[-1] * eps > 0:
                 raise InvalidInputError(
                     "b_seq endpoint signs inconsistent with eps"
                 )

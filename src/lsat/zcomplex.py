@@ -17,6 +17,7 @@ grading is tau.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
@@ -33,22 +34,28 @@ MAX_SUMMAND_SOURCES = 32768
 class ZComplex(Record):
     """Free bigraded complex over F2[Z] with monomial differential.
 
-    ``generators`` maps name -> (gr_w, gr_z); ``arrows`` is the differential
-    as (source, target, z_exponent) triples with F2 coefficients (an even
-    multiset of identical arrows cancels to nothing).
+    ``generators`` holds (name, gr_w, gr_z) triples; ``arrows`` is the
+    differential as (source, target, z_exponent) triples with F2
+    coefficients (an even multiset of identical arrows cancels to nothing).
     """
 
     _fields = ("generators", "arrows", "case_tag")
-    __slots__ = _fields + ("_grading",)
+    __slots__ = _fields + ("_index", "_src", "_tgt")
 
     def __init__(self, generators: Tuple[Tuple[str, int, int], ...],
                  arrows: Tuple[Tuple[str, str, int], ...], case_tag: str = ""):
         setslot(self, "generators", generators)
         setslot(self, "arrows", arrows)
         setslot(self, "case_tag", case_tag)
-        # name -> (gr_w, gr_z), kept outside the fields; the first generator
-        # of a name wins.
-        setslot(self, "_grading", {g: (w, z) for g, w, z in reversed(generators)})
+        # Kept outside the fields: name -> index of the first generator of
+        # that name, and the source and target index of each arrow, None
+        # off the complex.  check and tower_alexander run on these ints.
+        names = [g for g, _, _ in generators]
+        index = dict(zip(reversed(names), range(len(names) - 1, -1, -1)))
+        get = index.get
+        setslot(self, "_index", index)
+        setslot(self, "_src", [get(s) for s, _, _ in arrows])
+        setslot(self, "_tgt", [get(t) for _, t, _ in arrows])
 
     @staticmethod
     def build(
@@ -56,37 +63,39 @@ class ZComplex(Record):
         arrows: List[Tuple[str, str, int]],
         case_tag: str = "",
     ) -> "ZComplex":
-        counts: Dict[Tuple[str, str, int], int] = {}
-        for arr in arrows:
-            counts[arr] = counts.get(arr, 0) + 1
-        reduced = tuple(sorted(a for a, c in counts.items() if c % 2))
-        c = ZComplex(tuple(gens), reduced, case_tag)
+        if len(set(arrows)) != len(arrows):  # a repeat: keep odd counts
+            arrows = [a for a, c in Counter(arrows).items() if c % 2]
+        c = ZComplex(tuple(gens), tuple(sorted(arrows)), case_tag)
         c.check()
         return c
 
     def grading(self, name: str) -> Tuple[int, int]:
         try:
-            return self._grading[name]
+            _, w, z = self.generators[self._index[name]]
         except KeyError:
             raise InvalidInputError(f"unknown generator {name!r}") from None
+        return w, z
 
     def alexander(self, name: str) -> HalfInt:
         w, z = self.grading(name)
         return HalfInt(w - z)
 
     def check(self) -> None:
-        """Assert d^2 = 0 and per-arrow grading homogeneity."""
-        grading = self._grading
-        if len(grading) != len(self.generators):
+        """Assert d^2 = 0 and per-arrow grading homogeneity.
+
+        Homogeneity in A = (gr_w - gr_z)/2, A(src) = A(tgt) + k, follows
+        from the gr_w and gr_z shifts, so it needs no test of its own.
+        """
+        gens = self.generators
+        if len(self._index) != len(gens):
             raise InvalidInputError("duplicate generator names")
-        out: Dict[str, List[Tuple[str, int]]] = {}
-        for src, tgt, k in self.arrows:
-            if src not in grading or tgt not in grading:
+        for (src, tgt, k), i, j in zip(self.arrows, self._src, self._tgt):
+            if i is None or j is None:
                 raise InvalidInputError(f"arrow {src}->{tgt} off the complex")
             if k < 0:
                 raise InvalidInputError(f"negative Z-exponent on {src}->{tgt}")
-            ws, zs = grading[src]
-            wt, zt = grading[tgt]
+            _, ws, zs = gens[i]
+            _, wt, zt = gens[j]
             if ws != wt + 1:
                 raise VerificationError(
                     f"arrow {src}->{tgt} does not drop gr_w by 1"
@@ -95,13 +104,13 @@ class ZComplex(Record):
                 raise VerificationError(
                     f"arrow {src}->{tgt}: gr_z shift inconsistent with Z^{k}"
                 )
-            # A = (gr_w - gr_z)/2, compared doubled: A(src) = A(tgt) + k.
-            if ws - zs != wt - zt + 2 * k:
-                raise VerificationError(
-                    f"arrow {src}->{tgt} is not Alexander-homogeneous"
-                )
-            out.setdefault(src, []).append((tgt, k))
         # d^2: compose every pair of consecutive arrows and count parity.
+        # No arrow composes with another when no target is also a source.
+        if set(self._src).isdisjoint(self._tgt):
+            return
+        out: Dict[str, List[Tuple[str, int]]] = {}
+        for src, tgt, k in self.arrows:
+            out.setdefault(src, []).append((tgt, k))
         squares: Dict[Tuple[str, str, int], int] = {}
         for src, tgt, k in self.arrows:
             for tgt2, k2 in out.get(tgt, ()):
@@ -132,59 +141,55 @@ def tower_alexander(c: ZComplex) -> HalfInt:
     outgoing arrows).  Reduction is a graded Smith normal form over F2[Z]:
     since every entry is a homogeneous monomial, row and column operations
     with the forced Z-shifts keep entries monomial and preserve the grading
-    labels of rows and columns.  Zero columns are free kernel classes, zero
-    rows are free cokernel classes; exactly one free class must survive.
+    labels of rows and columns.  Sources are columns and every other
+    generator a row.  Every entry is eventually a pivot or cancelled, so
+    the free classes are the generators never pivoted; exactly one must
+    survive.
 
-    The matrix is held as row and column dicts of Z-exponents, and each
-    pivot is the live entry of least (exponent, row, column), taken from a
-    lazy min-heap whose stale items are skipped.  A pivot costs
-    O(|its row| x |its column|) dict updates plus a heap push per new
-    entry, so a summand of m arrows whose pivots stay sparse, as every
-    zig-zag does, reduces in O(m log m).
+    The matrix is held per generator index as a dict of Z-exponents, the
+    row of a target and the column of a source, and each pivot is the live
+    entry of least (exponent, row, column), taken from a lazy min-heap
+    whose stale items are skipped.  A pivot costs O(|its row| x |its
+    column|) dict updates plus a heap push per new entry, so a summand of
+    m arrows whose pivots stay sparse, as every zig-zag does, reduces in
+    O(m log m).
     """
-    outgoing = {s for s, _, _ in c.arrows}
-    incoming = {t for _, t, _ in c.arrows}
-    both = outgoing & incoming
+    both = set(c._src).intersection(c._tgt)
     if both:
+        first = min(c.generators[i][0] for i in both)
         raise InvalidInputError(
-            f"not a two-step complex: {sorted(both)[0]} has arrows both ways"
+            f"not a two-step complex: {first} has arrows both ways"
         )
-    names = [g for g, _, _ in c.generators]
-    cols = [g for g in names if g in outgoing]
-    rows = [g for g in names if g not in outgoing]
-    col_ix = {g: j for j, g in enumerate(cols)}
-    row_ix = {g: i for i, g in enumerate(rows)}
-    # by_row[i] = {j: k} and by_col[j] = {i: k} hold the same live entries.
-    by_row: List[Dict[int, int]] = [{} for _ in rows]
-    by_col: List[Dict[int, int]] = [{} for _ in cols]
-    for s, t, k in c.arrows:
-        i, j = row_ix[t], col_ix[s]
-        by_row[i][j] = k
-        by_col[j][i] = k
-    heap = [(k, i, j) for i, row in enumerate(by_row) for j, k in row.items()]
+    # line[t] = {s: k} for a row t and line[s] = {t: k} for a column s
+    # hold the same live entries; generator order is row and column order.
+    line: List[Dict[int, int]] = [{} for _ in c.generators]
+    heap = []
+    for s, t, (_, _, k) in zip(c._src, c._tgt, c.arrows):
+        line[t][s] = k
+        line[s][t] = k
+        heap.append((k, t, s))
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
 
-    pivot_rows = set()
-    pivot_cols = set()
+    pivoted = set()
     while heap:
         k0, i0, j0 = pop(heap)
-        prow = by_row[i0]
+        prow = line[i0]
         if prow.get(j0) != k0:
-            continue  # stale: cancelled since it was pushed
+            continue  # stale: cancelled or overwritten since it was pushed
         # Clear the pivot column with row operations (shifts are >= 0
         # because the pivot has globally minimal exponent).
-        for i, k in list(by_col[j0].items()):
+        for i, k in list(line[j0].items()):
             if i == i0:
                 continue
             d = k - k0
-            row = by_row[i]
+            row = line[i]
             for j, piv in prow.items():
                 new = piv + d
                 old = row.get(j)
                 if old is None:
                     row[j] = new
-                    by_col[j][i] = new
+                    line[j][i] = new
                     push(heap, (new, i, j))
                 elif old != new:
                     raise VerificationError(
@@ -192,24 +197,22 @@ def tower_alexander(c: ZComplex) -> HalfInt:
                     )
                 else:
                     del row[j]
-                    del by_col[j][i]
+                    del line[j][i]
         # The pivot column now only holds the pivot; clearing the pivot row
         # with column operations only cancels the row entries themselves.
         for j in prow:
-            del by_col[j][i0]
+            del line[j][i0]
         prow.clear()
-        pivot_rows.add(i0)
-        pivot_cols.add(j0)
+        pivoted.add(i0)
+        pivoted.add(j0)
 
-    free_grades = [c.alexander(g) for j, g in enumerate(cols)
-                   if j not in pivot_cols]
-    free_grades += [c.alexander(g) for i, g in enumerate(rows)
-                    if i not in pivot_rows and not by_row[i]]
-    if len(free_grades) != 1:
+    free = [g for x, g in enumerate(c.generators) if x not in pivoted]
+    if len(free) != 1:
         raise VerificationError(
-            f"free homology rank {len(free_grades)} != 1 in {c.case_tag!r}"
+            f"free homology rank {len(free)} != 1 in {c.case_tag!r}"
         )
-    return free_grades[0]
+    _, w, z = free[0]
+    return HalfInt(w - z)
 
 
 class Staircase(Record):
@@ -342,17 +345,17 @@ def _chain(
     Source i+1 sits over (b_i, b_{i+1}) with arrow weights left_w, right_w;
     its Alexander grading is forced to sink_a[i] + left_w.  The caller must
     supply sink gradings satisfying sink_a[i+1] = sink_a[i] + left_w -
-    right_w (asserted later by the homogeneity check).
+    right_w (asserted later by the homogeneity check).  Gradings are those
+    of ``_sink`` and ``_source``, written inline.
     """
-    gens: List[Tuple[str, int, int]] = []
-    arrows: List[Tuple[str, str, int]] = []
-    for i, a in enumerate(sink_a):
-        gens.append(_sink(f"b{i}", a))
-    for i in range(len(sink_a) - 1):
-        name = f"{source_label}{i + 1}"
-        gens.append(_source(name, sink_a[i] + left_w))
-        arrows.append((name, f"b{i}", left_w))
-        arrows.append((name, f"b{i + 1}", right_w))
+    sinks = [f"b{i}" for i in range(len(sink_a))]
+    gens = [(b, 0, -2 * a) for b, a in zip(sinks, sink_a)]
+    arrows = []
+    for i in range(1, len(sinks)):
+        name = f"{source_label}{i}"
+        gens.append((name, 1, 1 - 2 * (sink_a[i - 1] + left_w)))
+        arrows.append((name, sinks[i - 1], left_w))
+        arrows.append((name, sinks[i], right_w))
     return gens, arrows
 
 
@@ -489,16 +492,11 @@ def build_summand(
         source_a = [w1_a] + [mid_a[i] + a for i in range(k - 1)]
         u_a = source_a[-1] - kz
         gens = [_sink("v", v_a), _sink("u", u_a)]
-        for i, m in enumerate(mid_a):
-            gens.append(_sink(f"m{i + 1}", m))
-        for i, s in enumerate(source_a):
-            gens.append(_source(f"w{i + 1}", s))
+        gens += [(f"m{i}", 0, -2 * m) for i, m in enumerate(mid_a, 1)]
+        gens += [(f"w{i}", 1, 1 - 2 * s) for i, s in enumerate(source_a, 1)]
         arrows = [("w1", "v", kw), (f"w{k}", "u", kz)]
-        for i in range(1, k + 1):
-            if i >= 2:
-                arrows.append((f"w{i}", f"m{i - 1}", a))
-            if i <= k - 1:
-                arrows.append((f"w{i}", f"m{i}", c))
+        arrows += [(f"w{i}", f"m{i - 1}", a) for i in range(2, k + 1)]
+        arrows += [(f"w{i}", f"m{i}", c) for i in range(1, k)]
         return ZComplex.build(gens, arrows, "eps=-1,n>2tau+1")
 
     raise InvalidInputError(f"unknown summand case {case!r}")

@@ -1,0 +1,178 @@
+"""The doubled-int closed form agrees with a HalfInt reference.
+
+``reference_closed_form`` is the closed form written on ``HalfInt``
+arithmetic, branch for branch as the paper states it.  It lives here only,
+as the check on ``invariants.tau_closed_form`` and on the profile's
+``cond_tau`` and ``cond_eps``: value, method, case tag, and the class and
+message of every error must agree.
+"""
+
+import pytest
+
+from lsat import (
+    Companion,
+    HalfInt,
+    PatternProfile,
+    bridge_braid_profile,
+    cable_profile,
+    tau_closed_form,
+    twobridge_profile,
+    unlink_profile,
+)
+from lsat.errors import InvalidInputError, UnsupportedRegimeError
+from lsat.zcomplex import TauResult
+
+
+def reference_cond_tau(prof: PatternProfile) -> bool:
+    if prof.r_minus is None:
+        return prof.l in (0, 1) or prof.g3 == 0
+    return prof.r_minus >= HalfInt.whole(prof.g3) + HalfInt(prof.l) - 1
+
+
+def reference_cond_eps(prof: PatternProfile) -> bool:
+    if prof.r_minus is None:
+        return prof.l == 0
+    return prof.r_minus >= HalfInt.whole(prof.g3) + HalfInt(prof.l)
+
+
+def _as_tau(value: HalfInt, case_tag: str) -> TauResult:
+    if not value.is_integral:
+        raise InvalidInputError(
+            f"closed form produced a non-integer tau {value} ({case_tag})"
+        )
+    return TauResult(value=value.as_int(), method="closed-form", case_tag=case_tag)
+
+
+def reference_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
+    if prof.l < 0:
+        raise UnsupportedRegimeError("closed form needs winding >= 0")
+    half_l = HalfInt(prof.l)
+    g = HalfInt.whole(prof.g3)
+    shift = HalfInt.whole(prof.framing_shift(n))
+    ltau = HalfInt.whole(prof.l * K.tau)
+    cond_tau = reference_cond_tau(prof)
+
+    if K.eps == 1:
+        if n < 2 * K.tau:
+            prof.require("r_center")
+            return _as_tau(
+                prof.r_center - half_l + shift + ltau, "eps=1,n<2tau"
+            )
+        return _as_tau(g + shift + ltau, "eps=1,n>=2tau")
+
+    if K.eps == 0:
+        if n >= 0:
+            return _as_tau(g + shift, "eps=0,n>=0")
+        if not cond_tau:
+            raise UnsupportedRegimeError(
+                "eps=0 with n<0 needs the R_{l/2-1} condition"
+            )
+        prof.require("r_minus", "r_center")
+        return _as_tau(
+            max(prof.r_minus + half_l, prof.r_center - half_l) + shift,
+            "eps=0,n<0",
+        )
+
+    if not cond_tau:
+        raise UnsupportedRegimeError("eps=-1 needs the R_{l/2-1} condition")
+    if n < 2 * K.tau:
+        prof.require("r_minus", "r_center")
+        return _as_tau(
+            max(prof.r_minus + half_l, prof.r_center - half_l) + shift + ltau,
+            "eps=-1,n<2tau",
+        )
+    if n == 2 * K.tau:
+        prof.require("r_minus", "r_plus")
+        return _as_tau(
+            max(prof.r_minus + half_l, prof.r_plus - half_l) + shift + ltau,
+            "eps=-1,n=2tau",
+        )
+    if n == 2 * K.tau + 1:
+        prof.require("r_minus", "r_plus")
+        return _as_tau(
+            min(prof.r_minus + half_l, prof.r_plus + half_l) + shift + ltau,
+            "eps=-1,n=2tau+1",
+        )
+    prof.require("r_minus")
+    return _as_tau(
+        min(prof.r_minus + half_l, g + half_l + half_l) + shift + ltau,
+        "eps=-1,n>2tau+1",
+    )
+
+
+def _outcome(closed_form, prof, K, n):
+    try:
+        res = closed_form(prof, K, n)
+    except (InvalidInputError, UnsupportedRegimeError) as exc:
+        return type(exc), str(exc)
+    return res.value, res.method, res.case_tag
+
+
+COMPANIONS = [Companion(tau=0, eps=0)] + [
+    Companion(tau=tau, eps=eps) for eps in (-1, 1) for tau in range(-3, 4)
+]
+
+# Hand-made profiles: cond_tau fails on the first two, the doubled R
+# values of the next two make some branches non-integral, and the last one
+# passes cond_tau without r_plus.
+HAND_MADE = [
+    PatternProfile(l=2, g3=1, n_width=HalfInt(4), r_minus=HalfInt(0),
+                   r_center=HalfInt(4), r_plus=HalfInt(2)),
+    PatternProfile(l=3, g3=2, n_width=HalfInt(5), r_minus=HalfInt(4),
+                   r_center=HalfInt(9), r_plus=None),
+    PatternProfile(l=1, g3=0, n_width=HalfInt(3), r_minus=HalfInt(0),
+                   r_center=HalfInt(2), r_plus=HalfInt(1)),
+    PatternProfile(l=2, g3=0, n_width=HalfInt(4), r_minus=HalfInt(-1),
+                   r_center=HalfInt(3), r_plus=HalfInt(3)),
+    PatternProfile(l=0, g3=0, n_width=HalfInt(2), r_minus=HalfInt(0),
+                   r_center=HalfInt(0), r_plus=None),
+]
+
+OTHER_PROFILES = {
+    "unlink": unlink_profile(),
+    "cable(2,1)": cable_profile(2, 1),
+    "cable(3,2)": cable_profile(3, 2),
+    "cable(5,3)": cable_profile(5, 3),
+    "braid(4,5,2)": bridge_braid_profile(4, 5, 2),
+    "braid(5,7,2)": bridge_braid_profile(5, 7, 2),
+    **{f"hand-made-{i}": prof for i, prof in enumerate(HAND_MADE)},
+}
+
+
+def _agree_on(prof, framings):
+    assert prof.cond_tau == reference_cond_tau(prof)
+    assert prof.cond_eps == reference_cond_eps(prof)
+    outcomes = set()
+    for K in COMPANIONS:
+        for n in framings:
+            got = _outcome(tau_closed_form, prof, K, n)
+            assert got == _outcome(reference_closed_form, prof, K, n), (K, n)
+            outcomes.add(got[0] if isinstance(got[0], type) else "value")
+    return outcomes
+
+
+@pytest.mark.parametrize("r, q", [
+    (r, q) for r in (3, 5, 7, 9, 11) for q in range(1, r + 1, 2)
+])
+def test_two_bridge_grid_matches_the_reference(r, q):
+    assert "value" in _agree_on(twobridge_profile(r, q), range(-12, 13))
+
+
+@pytest.mark.parametrize("name", OTHER_PROFILES)
+def test_other_profiles_match_the_reference(name):
+    _agree_on(OTHER_PROFILES[name], range(-12, 13))
+
+
+def test_every_error_path_is_compared():
+    seen = set()
+    for prof in OTHER_PROFILES.values():
+        seen |= _agree_on(prof, range(-4, 5))
+    assert seen == {"value", InvalidInputError, UnsupportedRegimeError}
+    messages = {
+        _outcome(tau_closed_form, prof, K, n)[1]
+        for prof in HAND_MADE for K in COMPANIONS for n in range(-4, 5)
+    }
+    assert any(str(m).startswith("closed form produced a non-integer tau")
+               for m in messages)
+    assert "eps=-1 needs the R_{l/2-1} condition" in messages
+    assert any(str(m).startswith("r_plus is unavailable") for m in messages)

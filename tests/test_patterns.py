@@ -219,6 +219,14 @@ class TestCompanion:
         with pytest.raises(InvalidInputError):
             Companion(tau=0, eps=2)
 
+    def test_b_seq_is_stored_as_a_tuple(self):
+        listed = Companion(1, 1, b_seq=[1, -1])
+        tupled = Companion(1, 1, b_seq=(1, -1))
+        assert listed.b_seq == (1, -1)
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert Companion(0, 0, b_seq=[]).b_seq == ()
+
 
 class TestParseSpec:
     def test_families(self):

@@ -1,5 +1,7 @@
 """Unit tests for the F2[Z] chain-complex oracle and staircases."""
 
+import re
+
 import pytest
 
 from conftest import hi
@@ -41,14 +43,72 @@ class TestZComplexInvariants:
 
     def test_homogeneity_enforced(self):
         gens = [("a", 0, 0), ("b", 1, -1)]
-        # A(b) - A(a) = 1 but the arrow claims Z-exponent 2.
-        with pytest.raises(VerificationError):
+        # A(b) - A(a) = 1 but the arrow claims Z-exponent 2, so gr_z drops
+        # by 1 where Z^2 needs 1 - 4 = -3.  Alexander homogeneity follows
+        # from the gr_w and gr_z shifts, so this is the gr_z check.
+        with pytest.raises(VerificationError, match="gr_z shift"):
             ZComplex.build(gens, [("b", "a", 2)]).check()
 
     def test_arrows_mod_two(self):
         gens = [("a", 0, 0), ("b", 1, -1)]
         c = ZComplex.build(gens, [("b", "a", 1), ("b", "a", 1)])
         assert c.arrows == ()
+
+
+CHECK_MESSAGES = [
+    # (generators, arrows in check order, error class, full message)
+    ((("a", 0, 0), ("a", 1, -1)), (), InvalidInputError,
+     "duplicate generator names"),
+    ((("a", 0, 0),), (("b", "a", 1),), InvalidInputError,
+     "arrow b->a off the complex"),
+    ((("a", 0, 0),), (("a", "c", 1),), InvalidInputError,
+     "arrow a->c off the complex"),
+    ((("a", 0, 0), ("b", 1, 3)), (("b", "a", -1),), InvalidInputError,
+     "negative Z-exponent on b->a"),
+    ((("a", 0, 0), ("b", 2, -3)), (("b", "a", 2),), VerificationError,
+     "arrow b->a does not drop gr_w by 1"),
+    ((("a", 0, 0), ("b", 1, -1)), (("b", "a", 2),), VerificationError,
+     "arrow b->a: gr_z shift inconsistent with Z^2"),
+    ((("a", 0, 0), ("b", 1, -1), ("c", 2, -2)),
+     (("c", "b", 1), ("b", "a", 1)), VerificationError,
+     "d^2 != 0: surviving composite ('c', 'a', 2)"),
+    # The first failing arrow decides, whatever fails after it.
+    ((("a", 0, 0), ("b", 1, -1)), (("b", "a", 2), ("b", "x", 0)),
+     VerificationError, "arrow b->a: gr_z shift inconsistent with Z^2"),
+    ((("a", 0, 0), ("b", 1, -1)), (("b", "x", 0), ("b", "a", 2)),
+     InvalidInputError, "arrow b->x off the complex"),
+    # Two paths c->a cancel mod 2; the odd composite d->a survives.
+    ((("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("c", 2, 0), ("d", 2, -2)),
+     (("c", "b", 0), ("c", "e", 1), ("b", "a", 1), ("e", "a", 0),
+      ("d", "b", 1)), VerificationError,
+     "d^2 != 0: surviving composite ('d', 'a', 2)"),
+]
+
+
+@pytest.mark.parametrize("gens, arrows, error, message", CHECK_MESSAGES)
+def test_check_messages(gens, arrows, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        ZComplex(gens, arrows).check()
+
+
+TOWER_MESSAGES = [
+    ((("a", 0, 0), ("b", 1, -1), ("c", 2, -2), ("d", 3, -3)),
+     (("d", "c", 1), ("c", "b", 1), ("b", "a", 1)), "", InvalidInputError,
+     "not a two-step complex: b has arrows both ways"),
+    ((("b0", 0, 0), ("b1", 0, -2), ("s0", 1, -1), ("s1", 1, 1)),
+     (("s0", "b0", 0), ("s0", "b1", 0), ("s1", "b0", 0), ("s1", "b1", 1)),
+     "", VerificationError, "non-homogeneous entry collision in reduction"),
+    ((("x", 0, 0), ("y", 0, 0)), (), "two", VerificationError,
+     "free homology rank 2 != 1 in 'two'"),
+    ((("b0", 0, 0), ("s0", 1, -1)), (("s0", "b0", 1),), "", VerificationError,
+     "free homology rank 0 != 1 in ''"),
+]
+
+
+@pytest.mark.parametrize("gens, arrows, tag, error, message", TOWER_MESSAGES)
+def test_tower_messages(gens, arrows, tag, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        tower_alexander(ZComplex(gens, arrows, tag))
 
 
 class TestTowerAlexander:
