@@ -19,6 +19,7 @@ JSON.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, List, Optional, Tuple
@@ -281,6 +282,25 @@ def _sweep_grid() -> List[Tuple[PatternProfile, Companion, int]]:
     ]
 
 
+@functools.lru_cache(maxsize=1)
+def _closed_sweep() -> Tuple[
+    Tuple[PatternProfile, Companion, int, Optional[int]], ...
+]:
+    """The sweep grid with each point's closed-form tau, None if unsupported.
+
+    The oracle and inequality checks both read it, so one process computes
+    each closed form once; the grid's profiles are memoized per process too.
+    """
+    points = []
+    for prof, K, n in _sweep_grid():
+        try:
+            value: Optional[int] = tau_closed_form(prof, K, n).value
+        except UnsupportedRegimeError:
+            value = None
+        points.append((prof, K, n, value))
+    return tuple(points)
+
+
 def _link_cases() -> List[Tuple[str, LinkAlexData]]:
     """Links of the properties and classifier sweeps: unlink, odd q <= r <= 9."""
     cases = [("unlink", unlink_data())]
@@ -319,17 +339,15 @@ def _check_tables() -> Tuple[int, List[str]]:
 
 def _check_oracle() -> Tuple[int, List[str]]:
     points, failures = 0, []
-    for prof, K, n in _sweep_grid():
-        try:
-            cf = tau_closed_form(prof, K, n)
-        except UnsupportedRegimeError:
+    for prof, K, n, closed in _closed_sweep():
+        if closed is None:
             continue
         points += 1
         orc = tau_oracle(prof, K, n)
-        if cf.value != orc.value:
+        if closed != orc.value:
             failures.append(
                 f"l={prof.l} eps={K.eps} tau={K.tau} n={n}: "
-                f"closed {cf.value} != oracle {orc.value}"
+                f"closed {closed} != oracle {orc.value}"
             )
     return points, failures
 
@@ -359,12 +377,11 @@ def _check_classifier() -> Tuple[int, List[str]]:
 
 def _check_inequality() -> Tuple[int, List[str]]:
     points, failures = 0, []
-    for prof, K, n in _sweep_grid():
-        ok = tau_inequality_check(prof, K, n)
-        if ok is None:
+    for prof, K, n, closed in _closed_sweep():
+        if closed is None:
             continue
         points += 1
-        if not ok:
+        if not tau_inequality_check(prof, K, n, closed):
             failures.append(
                 f"l={prof.l} eps={K.eps} tau={K.tau} n={n}: inequality fails"
             )

@@ -177,13 +177,19 @@ def classify_operator(h: HFunction, g3: int, n: int = 0) -> Tuple[str, Optional[
 
 
 def tau_inequality_check(
-    prof: PatternProfile, K: Companion, n: int
+    prof: PatternProfile, K: Companion, n: int, closed: Optional[int] = None
 ) -> Optional[bool]:
-    """tau(satellite) >= tau of the comparison cable; None when undefined."""
-    try:
-        left = tau_closed_form(prof, K, n).value
-    except UnsupportedRegimeError:
-        return None
+    """tau(satellite) >= tau of the comparison cable; None when undefined.
+
+    ``closed`` is the satellite's closed-form tau when the caller already
+    has it; otherwise it is computed here.
+    """
+    left = closed
+    if left is None:
+        try:
+            left = tau_closed_form(prof, K, n).value
+        except UnsupportedRegimeError:
+            return None
     l = prof.l
     if l == 0:
         return left >= 0

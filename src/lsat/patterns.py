@@ -32,11 +32,12 @@ class PatternProfile(Record):
     winding/2 and winding/2 + 1; any of them may be unavailable (None) for
     closed-form-only families.  The side conditions, minimal wrapping and
     provenance are derived from these fields.  The oracle keeps the arrow
-    weights it derives in the ``_oracle_weights`` slot, outside the fields.
+    weights it derives in the ``_oracle_weights`` slot and its reduced
+    summands in the ``_oracle_memo`` slot, both outside the fields.
     """
 
     _fields = ("l", "g3", "n_width", "r_minus", "r_center", "r_plus", "data")
-    __slots__ = _fields + ("_oracle_weights",)
+    __slots__ = _fields + ("_oracle_weights", "_oracle_memo")
 
     def __init__(self, l: int, g3: int, n_width: HalfInt, r_minus: Optional[HalfInt],
                  r_center: Optional[HalfInt], r_plus: Optional[HalfInt],
@@ -69,6 +70,7 @@ class PatternProfile(Record):
         setslot(self, "r_plus", r_plus)
         setslot(self, "data", data)
         setslot(self, "_oracle_weights", None)
+        setslot(self, "_oracle_memo", {})
 
     @property
     def cond_tau(self) -> bool:

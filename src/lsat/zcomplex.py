@@ -11,7 +11,9 @@ companion-eps regime, with absolute Alexander gradings fixed by one anchor
 generator per case and propagated through arrow homogeneity, then computes
 the Alexander grading of the free part of homology over the PID F2[Z] by a
 graded Smith reduction.  The free part must have rank exactly one; its
-grading is tau.
+grading is tau.  Every grading of a summand carries the same translation
+T = l(l-1)n/2 + l tau, so the oracle reduces each summand shape once per
+profile and adds T.
 """
 
 from __future__ import annotations
@@ -154,6 +156,12 @@ def tower_alexander(c: ZComplex) -> HalfInt:
     m arrows whose pivots stay sparse, as every zig-zag does, reduces in
     O(m log m).
     """
+    if None in c._src or None in c._tgt:
+        src, tgt, _ = next(
+            a for a, i, j in zip(c.arrows, c._src, c._tgt)
+            if i is None or j is None
+        )
+        raise InvalidInputError(f"arrow {src}->{tgt} off the complex")
     both = set(c._src).intersection(c._tgt)
     if both:
         first = min(c.generators[i][0] for i in both)
@@ -359,6 +367,11 @@ def _chain(
     return gens, arrows
 
 
+def _summand_shift(prof: PatternProfile, K: Companion, n: int) -> int:
+    """T = l(l-1)n/2 + l tau, the translation of every summand grading."""
+    return prof.framing_shift(n) + prof.l * K.tau
+
+
 def build_summand(
     case: str, prof: PatternProfile, K: Companion, n: int
 ) -> ZComplex:
@@ -370,6 +383,12 @@ def build_summand(
     follows from arrow homogeneity.  Where a second endpoint grading is
     also stated, it is asserted rather than assumed.  A summand of more
     than ``MAX_SUMMAND_SOURCES`` sources is refused before it is built.
+
+    Each branch states its anchor at T = 0 and adds the one translation
+    T = l(l-1)n/2 + l tau, which homogeneity carries to every generator.
+    The rest of the branch reads n - 2 tau alone, so two (tau, n) with equal
+    n - 2 tau give the same arrows, case tag and gr_w, and A-gradings
+    that differ by the difference of their T; they refuse alike, too.
     """
     l, g, tau = prof.l, prof.g3, K.tau
     sources = abs(n - 2 * tau)
@@ -378,7 +397,7 @@ def build_summand(
             f"oracle summand of {sources} sources exceeds the limit "
             f"{MAX_SUMMAND_SOURCES}"
         )
-    shift = prof.framing_shift(n)
+    shift = _summand_shift(prof, K, n)
     wts = _weights(prof)
 
     if case == "eps1":
@@ -386,7 +405,7 @@ def build_summand(
             raise InvalidInputError("case eps1 needs a companion with eps=1")
         prof.require("r_center")
         a, c = wts["tau"], wts["sigma"]
-        anchor = g + shift + l * tau
+        anchor = g + shift
         if n < 2 * tau:
             # k sources with weight-a arrows left and weight-c arrows
             # right; the anchor A value sits on the RIGHTMOST sink, and
@@ -448,7 +467,7 @@ def build_summand(
         prof.require("r_minus", "r_center", "r_plus")
         a, c = wts["tau"], wts["sigma"]
         am, cp = wts["tau_minus"], wts["sigma_plus"]
-        v_a = (prof.r_minus + HalfInt(l)).as_int() + shift + l * tau
+        v_a = (prof.r_minus + HalfInt(l)).as_int() + shift
         if n <= 2 * tau:
             # Ends swapped relative to eps0_neg: the anchor generator v is
             # RIGHTMOST and the middle sources point weight-a left,
@@ -463,7 +482,7 @@ def build_summand(
             tag = "eps=-1,n<2tau" if n < 2 * tau else "eps=-1,n=2tau"
             return ZComplex.build(gens, arrows, tag)
         kw, kz = wts["w"], wts["z"]
-        stated_u = (prof.r_plus + HalfInt(l)).as_int() + shift + l * tau
+        stated_u = (prof.r_plus + HalfInt(l)).as_int() + shift
         if n == 2 * tau + 1:
             # A single source cones onto the two off-center sinks through
             # the W and Z structure arrows.
@@ -482,7 +501,7 @@ def build_summand(
         k = n - 2 * tau
         w1_a = v_a + kw
         mid_a = [w1_a - c + i * l for i in range(k - 1)]
-        stated_mid = g + l + shift + l * tau
+        stated_mid = g + l + shift
         if mid_a and mid_a[0] != stated_mid:
             raise VerificationError(
                 "interior sink grading disagrees with the stated value"
@@ -511,11 +530,27 @@ def summand_case(K: Companion, n: int) -> str:
 
 
 def tau_oracle(prof: PatternProfile, K: Companion, n: int) -> TauResult:
-    """Independent tau computation: build the summand, reduce, read A."""
+    """Independent tau computation: build the summand, reduce, read A.
+
+    The summand is fixed by its case and n - 2 tau up to the translation T
+    of every grading (see :func:`build_summand`), so each profile keeps,
+    in its ``_oracle_memo`` slot, the reduced A - T and the case tag per
+    key (case, n - 2 tau).  The first call for a key builds, checks and
+    reduces the summand; later calls return their own T plus the stored
+    offset.  A call that raises stores nothing.  The summand cap bounds
+    the keys, and the memo lives as long as the profile.
+    """
     if prof.l < 0:
         raise UnsupportedRegimeError("oracle needs winding >= 0")
-    c = build_summand(summand_case(K, n), prof, K, n)
-    value = tower_alexander(c)
-    if not value.is_integral:
-        raise VerificationError(f"oracle produced non-integer tau {value}")
-    return TauResult(value=value.as_int(), method="oracle", case_tag=c.case_tag)
+    case = summand_case(K, n)
+    shift = _summand_shift(prof, K, n)
+    key = (case, n - 2 * K.tau)
+    memo = prof._oracle_memo
+    hit = memo.get(key)
+    if hit is None:
+        c = build_summand(case, prof, K, n)
+        value = tower_alexander(c)
+        if not value.is_integral:
+            raise VerificationError(f"oracle produced non-integer tau {value}")
+        hit = memo[key] = (value.as_int() - shift, c.case_tag)
+    return TauResult(value=hit[0] + shift, method="oracle", case_tag=hit[1])

@@ -1,5 +1,6 @@
 """Unit tests for the F2[Z] chain-complex oracle and staircases."""
 
+import random
 import re
 
 import pytest
@@ -20,11 +21,14 @@ from lsat import (
     unlink_data,
     unlink_profile,
 )
+from lsat import zcomplex
 from lsat.errors import (
     InvalidInputError,
+    LsatError,
     UnsupportedRegimeError,
     VerificationError,
 )
+from lsat.zcomplex import summand_case
 
 
 WHITEHEAD = twobridge_profile(3, 3)
@@ -102,6 +106,11 @@ TOWER_MESSAGES = [
      "free homology rank 2 != 1 in 'two'"),
     ((("b0", 0, 0), ("s0", 1, -1)), (("s0", "b0", 1),), "", VerificationError,
      "free homology rank 0 != 1 in ''"),
+    # An unchecked complex with an arrow off it gets check's message.
+    ((("a", 0, 0),), (("b", "a", 0),), "", InvalidInputError,
+     "arrow b->a off the complex"),
+    ((("a", 0, 0),), (("a", "c", 0), ("b", "c", 0)), "", InvalidInputError,
+     "arrow a->c off the complex"),
 ]
 
 
@@ -247,6 +256,104 @@ class TestTauOracle:
     def test_method_tag(self):
         res = tau_oracle(MAZUR, Companion(tau=1, eps=1), 0)
         assert res.method == "oracle"
+
+
+# Two-bridge r <= 13, companions eps = +-1 with |tau| <= 4 and eps = 0,
+# framings |n| <= 12: 27 profiles x 19 companions x 25 framings.
+GRID = [
+    (twobridge_profile(r, q), K, n)
+    for r in range(3, 14, 2)
+    for q in range(1, r + 1, 2)
+    for K in [Companion(tau=t, eps=e) for e in (-1, 1) for t in range(-4, 5)]
+    + [Companion(tau=0, eps=0)]
+    for n in range(-12, 13)
+]
+CASES = ("eps1", "eps0_pos", "eps0_neg", "epsm1")
+
+
+def _translation(prof, K, n):
+    return prof.framing_shift(n) + prof.l * K.tau
+
+
+def _outcome(fn):
+    """fn() or, when it refuses, the error class and message."""
+    try:
+        return fn()
+    except LsatError as exc:
+        return type(exc), str(exc)
+
+
+class TestSummandTranslation:
+    def test_summand_depends_on_n_minus_2tau_up_to_translation(self):
+        # Every case, matching the companion or not: equal n - 2 tau gives
+        # the same arrows, case tag, names and gr_w, and doubled A-gradings
+        # minus 2T; a refusal gives the same class and message.
+        def shape(case, prof, K, n):
+            c = build_summand(case, prof, K, n)
+            doubled_t = 2 * _translation(prof, K, n)
+            return (
+                c.arrows,
+                c.case_tag,
+                [(x, w) for x, w, _ in c.generators],
+                [w - z - doubled_t for _, w, z in c.generators],
+            )
+
+        first, pairs = {}, 0
+        for prof, K, n in GRID:
+            for case in CASES:
+                key = (id(prof), case, K.eps, n - 2 * K.tau)
+                got = _outcome(lambda: shape(case, prof, K, n))
+                if key in first:
+                    pairs += 1
+                    assert got == first[key], (prof, K, n, case)
+                else:
+                    first[key] = got
+        # Per case: 27 profiles x 2 signs of eps x 184 repeated n - 2 tau.
+        assert len(GRID) == 12825 and pairs == 4 * 9936
+
+    def test_oracle_memo_matches_a_fresh_reduction(self, monkeypatch):
+        def reference(prof, K, n):
+            c = build_summand(summand_case(K, n), prof, K, n)
+            value = tower_alexander(c)
+            assert value.is_integral
+            return value.as_int(), c.case_tag
+
+        def oracle(prof, K, n):
+            res = tau_oracle(prof, K, n)
+            return res.value, res.case_tag
+
+        points = list(GRID)
+        random.Random(11).shuffle(points)
+        want = [_outcome(lambda: reference(*p)) for p in points]
+        built = []
+        real = zcomplex.build_summand
+
+        def counting(*args):
+            c = real(*args)
+            built.append(c)
+            return c
+
+        monkeypatch.setattr(zcomplex, "build_summand", counting)
+        fresh = {id(p): p.replace() for p, _, _ in points}  # empty memos
+        copies = [(fresh[id(p)], K, n) for p, K, n in points]
+        assert all(not prof._oracle_memo for prof, _, _ in copies)
+        assert [_outcome(lambda: oracle(*p)) for p in copies] == want
+        distinct = {
+            (id(p), summand_case(K, n), n - 2 * K.tau) for p, K, n in copies
+        }
+        assert len(built) == len(distinct)
+        del built[:]
+        assert [_outcome(lambda: oracle(*p)) for p in copies] == want
+        assert built == []
+
+    def test_a_refusal_stores_nothing(self):
+        from lsat import cable_profile
+
+        prof = cable_profile(2, 1)
+        for _ in range(2):
+            with pytest.raises(UnsupportedRegimeError):
+                tau_oracle(prof, Companion(tau=0, eps=-1), 0)
+        assert prof._oracle_memo == {}
 
 
 class TestGradingLookup:
