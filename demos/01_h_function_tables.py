@@ -11,7 +11,6 @@ from lsat import (
     HFunction,
     HalfInt,
     hf_table_tsv,
-    r_of_t,
     twobridge_data,
     unlink_data,
     validate,
@@ -25,7 +24,7 @@ def show(title: str, data) -> None:
     print(hf_table_tsv(h, width(data) + 2))
     half_l = HalfInt(h.linking)
     print(f"width N        = {width(data)}")
-    print(f"R at winding/2 = {r_of_t(h, half_l)}")
+    print(f"R at winding/2 = {h.r_of_t(half_l)}")
     report = validate(h)
     print(f"validation     = {'ok' if report.ok else report.failures}")
     print()
@@ -44,8 +43,8 @@ def main() -> None:
         for q in range(3, r + 1, 2):
             h = HFunction(twobridge_data(r, q))
             half_l = HalfInt(h.linking)
-            center = r_of_t(h, half_l)
-            off = r_of_t(h, half_l - 1)
+            center = h.r_of_t(half_l)
+            off = h.r_of_t(half_l - 1)
             print(
                 f"(r,q)=({r},{q})  l={h.linking}  "
                 f"R_center={center} (expect {(r + q - 2)}/4)  "

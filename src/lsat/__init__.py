@@ -11,7 +11,6 @@ from .halfgrid_poly import (
     HalfInt,
     LaurentPoly1,
     LaurentPoly2,
-    add,
     knot_chi_expansion,
     shift,
     symmetrize,
@@ -19,11 +18,8 @@ from .halfgrid_poly import (
 from .hfunction import (
     HFunction,
     LinkAlexData,
-    gn_h,
     h_t22l,
-    h_unknot,
     hf_table_tsv,
-    r_of_t,
     resolve_sign,
     validate,
     width,
@@ -35,7 +31,6 @@ from .patterns import (
     cable_profile,
     generic_profile,
     twobridge_alexander,
-    twobridge_alexander_closed,
     twobridge_data,
     twobridge_eta,
     twobridge_profile,
@@ -52,11 +47,9 @@ from .invariants import (
     tau_inequality_check,
 )
 from .zcomplex import (
-    Staircase,
     TauResult,
     ZComplex,
     build_summand,
-    staircase_from_column,
     tau_oracle,
     tower_alexander,
 )

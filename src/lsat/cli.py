@@ -219,13 +219,15 @@ def cmd_classify(pattern: str, n: int, fmt: str) -> None:
         prof = loaded.profile()
         verdict, failed = classify_operator(prof.hfunction(), prof.g3, n)
     else:
-        # Refuse the parameters tau refuses (closures that are links).
-        # Valid cables and braids all have winding >= 2, which a
+        # Refuse the parameters tau refuses (closures that are links).  The
+        # (1,q) cable is the core of the solid torus, the identity operator;
+        # every other valid cable or braid has winding >= 2, which a
         # homomorphism-inducing operator cannot have.
         _tau_for(loaded, Companion(tau=0, eps=0), n, "closed")
+        p = loaded.params[0]
         verdict, failed = (
-            "obstructed",
-            f"winding {loaded.params[0]} not in {{0, +-1}}",
+            ("identity", None) if p == 1
+            else ("obstructed", f"winding {p} not in {{0, +-1}}")
         )
     if fmt == "json":
         _emit_json({"verdict": verdict, "failed_claim": failed})

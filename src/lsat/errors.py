@@ -48,12 +48,6 @@ class NotLSpaceLinkError(InvalidInputError):
     code = "not-an-lspace-link"
 
 
-class UnresolvedSignError(InvalidInputError):
-    """H-function evaluation requested before the global sign was fixed."""
-
-    code = "unresolved-sign"
-
-
 class UnsupportedRegimeError(LsatError):
     """The requested (pattern, companion, framing) regime has no formula."""
 

@@ -17,7 +17,6 @@ polynomial goes through before H-function evaluation:
 
 from __future__ import annotations
 
-import json
 from functools import total_ordering
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -380,35 +379,18 @@ class LaurentPoly2(Record):
         return " ".join(parts)
 
 
-def add(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
-    """Coefficientwise sum; both inputs must share an exponent coset."""
-    cp, cq = p.coset(), q.coset()
-    if cp is not None and cq is not None and cp != cq:
-        raise CosetMismatchError(f"cannot add cosets {cp} and {cq}")
-    return LaurentPoly2.from_terms(list(p.terms) + list(q.terms))
-
-
 def shift(p: LaurentPoly2, a: HalfIntLike, b: HalfIntLike) -> LaurentPoly2:
     """Multiply by the monomial x1^a x2^b."""
     a, b = HalfInt.of(a), HalfInt.of(b)
     return LaurentPoly2(tuple(((e1 + a, e2 + b), c) for (e1, e2), c in p.terms))
 
 
-class Unit(Record):
-    """The monomial x1^a x2^b used to recenter."""
-
-    _fields = __slots__ = ("a", "b")
-
-    def __init__(self, a: HalfInt, b: HalfInt):
-        setslot(self, "a", a)
-        setslot(self, "b", b)
-
-
-def symmetrize(p: LaurentPoly2) -> Tuple[LaurentPoly2, Unit]:
+def symmetrize(p: LaurentPoly2) -> LaurentPoly2:
     """Recenter p at its Newton-polytope midpoint and verify symmetry.
 
-    Returns (q, unit) with q = x1^a x2^b * p and q invariant under
-    (x1, x2) -> (x1^{-1}, x2^{-1}) up to a global sign.  The global sign
+    Returns q = x1^a x2^b * p, with (a, b) minus the midpoint, after
+    checking that q is invariant under (x1, x2) -> (x1^{-1}, x2^{-1}) up
+    to a global sign.  The global sign
     stays unresolved here; it is fixed later by the H-function
     nonnegativity rule.
     """
@@ -439,7 +421,7 @@ def symmetrize(p: LaurentPoly2) -> Tuple[LaurentPoly2, Unit]:
             raise NotAlexanderSymmetricError(
                 f"coefficient at ({e1},{e2}) breaks inversion symmetry"
             )
-    return q, Unit(a=a, b=b)
+    return q
 
 
 def knot_chi_expansion(delta: LaurentPoly1, depth: HalfIntLike) -> LaurentPoly1:
@@ -492,17 +474,3 @@ def knot_chi_expansion(delta: LaurentPoly1, depth: HalfIntLike) -> LaurentPoly1:
         s = s + 1
     return LaurentPoly1.from_terms(out)
 
-
-def poly_to_json(p: Union[LaurentPoly1, LaurentPoly2]) -> str:
-    return json.dumps(p.to_json_obj(), separators=(",", ":"), sort_keys=True)
-
-
-def poly_from_json(text: str) -> Union[LaurentPoly1, LaurentPoly2]:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "vars" not in obj:
-        raise InvalidInputError("malformed polynomial JSON")
-    if obj["vars"] == 1:
-        return LaurentPoly1.from_json_obj(obj)
-    if obj["vars"] == 2:
-        return LaurentPoly2.from_json_obj(obj)
-    raise InvalidInputError(f"unsupported variable count {obj['vars']!r}")

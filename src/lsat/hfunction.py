@@ -10,7 +10,7 @@ evaluates a whole lattice square in doubled integers.
 
 Also provided: the overall-sign resolution rule (the unique sign making the
 H-function nonnegative with bounded gaps), the derived quantities R_t and
-the width N, reference H-functions (unknot, torus link T(2,2l)), a
+the width N, the reference H-function of the torus link T(2,2l), a
 property-report validator and the TSV table export used by the CLI.
 """
 
@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-from .errors import (
-    InvalidInputError,
-    NotLSpaceLinkError,
-    UnresolvedSignError,
-)
+from .errors import InvalidInputError, NotLSpaceLinkError
 from .halfgrid_poly import (
     HalfInt,
     HalfIntLike,
@@ -34,12 +30,6 @@ from .halfgrid_poly import (
     knot_chi_expansion,
     setslot,
 )
-
-
-def h_unknot(s: HalfIntLike) -> int:
-    """H-function of the unknot: max(-s, 0)."""
-    s = HalfInt.of(s)
-    return max(-s.as_int(), 0)
 
 
 def h_t22l(l: int, s1: HalfIntLike, s2: HalfIntLike) -> int:
@@ -180,19 +170,6 @@ class LinkAlexData(Record):
             )
         except KeyError as exc:
             raise InvalidInputError(f"missing link-data field {exc}") from exc
-
-
-def gn_h(data: LinkAlexData, t: HalfIntLike, r: HalfIntLike) -> int:
-    """Evaluate the H-function at (t, r) by inclusion-exclusion.
-
-    H(t, r) = H1(t - l/2) + H2(r - l/2) minus the sum of delta_tilde
-    coefficients over the open quadrant j > t, k > r.
-    """
-    if not data.sign_resolved:
-        raise UnresolvedSignError(
-            "delta_tilde sign unresolved; call resolve_sign first"
-        )
-    return data.hfunction()(t, r)
 
 
 def resolve_sign(data: LinkAlexData) -> LinkAlexData:
@@ -354,10 +331,6 @@ class HFunction:
                 )
             rd -= 2
         raise NotLSpaceLinkError(f"column t={t} never steps; not L-space data")
-
-
-def r_of_t(h: HFunction, t: HalfIntLike) -> HalfInt:
-    return h.r_of_t(t)
 
 
 def width(data: LinkAlexData) -> HalfInt:

@@ -3,7 +3,7 @@
 Three generated families are supported:
 
 - two-bridge operators, whose two-component Alexander polynomial is built
-  from a lattice walk and cross-checked against a closed-form sum;
+  from a lattice walk;
 - cables, whose scalar profile is fully determined by braidedness;
 - 1-bridge braids B(p, q, b), likewise scalar-profiled from the genus
   formula; a cable is B(p, q, 0) and shares their profile builder.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
 from .halfgrid_poly import (
@@ -134,29 +134,17 @@ class PatternProfile(Record):
 class Companion(Record):
     """Concordance data of the companion knot."""
 
-    _fields = __slots__ = ("tau", "eps", "b_seq")
+    _fields = __slots__ = ("tau", "eps")
 
-    def __init__(self, tau: int, eps: int, b_seq: Optional[Sequence[int]] = None):
+    def __init__(self, tau: int, eps: int):
         if eps not in (-1, 0, 1):
             raise InvalidInputError(f"eps must be in {{-1,0,1}}, got {eps}")
         if eps == 0 and tau != 0:
             raise InvalidInputError(
                 "eps = 0 forces tau = 0 (local equivalence to the unknot)"
             )
-        if b_seq is not None:
-            b_seq = tuple(b_seq)  # stored as a tuple, so the record hashes
-            if eps == 0:
-                if b_seq:
-                    raise InvalidInputError("eps = 0 requires an empty b_seq")
-            elif any(b == 0 for b in b_seq) or len(b_seq) < 2:
-                raise InvalidInputError("b_seq entries must be nonzero, m >= 2")
-            elif b_seq[0] * eps < 0 or b_seq[-1] * eps > 0:
-                raise InvalidInputError(
-                    "b_seq endpoint signs inconsistent with eps"
-                )
         setslot(self, "tau", tau)
         setslot(self, "eps", eps)
-        setslot(self, "b_seq", b_seq)
 
 
 def twobridge_eta(p: int, q: int, i: int) -> int:
@@ -229,23 +217,6 @@ def twobridge_alexander(r: int, q: int) -> LaurentPoly2:
     return LaurentPoly2.from_terms(terms)
 
 
-def twobridge_alexander_closed(r: int, q: int) -> LaurentPoly2:
-    """Closed-form sum for the same polynomial (upper index p/2, p = rq-1)."""
-    _check_twobridge(r, q)
-    p = r * q - 1
-    eta = [0] + [twobridge_eta(p, q, i) for i in range(1, p)]
-    terms: dict = {}
-    for i in range(1, p // 2 + 1):
-        coeff = eta[2 * i - 1]
-        e1 = sum(eta[2 * j] for j in range(1, i))
-        e2 = (eta[2 * i - 1] - 1) // 2 + sum(
-            eta[2 * k - 1] for k in range(1, i)
-        )
-        key = (HalfInt.whole(e1), HalfInt.whole(e2))
-        terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly2.from_terms(terms)
-
-
 # The two-bridge data and profiles are pure functions of (r, q); verify
 # rebuilds the same links in most of its checks, so each is built once per
 # process.  The bound keeps the memo small for long-lived callers.
@@ -269,8 +240,7 @@ def twobridge_data(r: int, q: int) -> LinkAlexData:
             f"linking cross-check fails for ({r},{q}): "
             f"sign sum {eta_link} != (r-q)/2 = {l}"
         )
-    sym, _unit = symmetrize(raw)
-    normalized = shift(sym, HalfInt(1), HalfInt(1))
+    normalized = shift(symmetrize(raw), HalfInt(1), HalfInt(1))
     data = LinkAlexData(
         linking=l,
         delta_tilde=normalized,

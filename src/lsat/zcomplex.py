@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
-from .halfgrid_poly import HalfInt, HalfIntLike, Record, setslot
-from .hfunction import HFunction
+from .halfgrid_poly import HalfInt, Record, setslot
 from .patterns import Companion, PatternProfile
 
 # Largest oracle summand, in sources: every case builds |n - 2 tau| of them
@@ -39,14 +38,19 @@ class ZComplex(Record):
     ``generators`` holds (name, gr_w, gr_z) triples; ``arrows`` is the
     differential as (source, target, z_exponent) triples with F2
     coefficients (an even multiset of identical arrows cancels to nothing).
+    The constructor stores the arrows sorted and runs :meth:`check`, so
+    every complex is valid.
     """
 
     _fields = ("generators", "arrows", "case_tag")
     __slots__ = _fields + ("_index", "_src", "_tgt")
 
-    def __init__(self, generators: Tuple[Tuple[str, int, int], ...],
-                 arrows: Tuple[Tuple[str, str, int], ...], case_tag: str = ""):
-        setslot(self, "generators", generators)
+    def __init__(self, generators: Sequence[Tuple[str, int, int]],
+                 arrows: Sequence[Tuple[str, str, int]], case_tag: str = ""):
+        if len(set(arrows)) != len(arrows):  # a repeat: keep odd counts
+            arrows = [a for a, c in Counter(arrows).items() if c % 2]
+        arrows = tuple(sorted(arrows))
+        setslot(self, "generators", tuple(generators))
         setslot(self, "arrows", arrows)
         setslot(self, "case_tag", case_tag)
         # Kept outside the fields: name -> index of the first generator of
@@ -58,29 +62,7 @@ class ZComplex(Record):
         setslot(self, "_index", index)
         setslot(self, "_src", [get(s) for s, _, _ in arrows])
         setslot(self, "_tgt", [get(t) for _, t, _ in arrows])
-
-    @staticmethod
-    def build(
-        gens: List[Tuple[str, int, int]],
-        arrows: List[Tuple[str, str, int]],
-        case_tag: str = "",
-    ) -> "ZComplex":
-        if len(set(arrows)) != len(arrows):  # a repeat: keep odd counts
-            arrows = [a for a, c in Counter(arrows).items() if c % 2]
-        c = ZComplex(tuple(gens), tuple(sorted(arrows)), case_tag)
-        c.check()
-        return c
-
-    def grading(self, name: str) -> Tuple[int, int]:
-        try:
-            _, w, z = self.generators[self._index[name]]
-        except KeyError:
-            raise InvalidInputError(f"unknown generator {name!r}") from None
-        return w, z
-
-    def alexander(self, name: str) -> HalfInt:
-        w, z = self.grading(name)
-        return HalfInt(w - z)
+        self.check()
 
     def check(self) -> None:
         """Assert d^2 = 0 and per-arrow grading homogeneity.
@@ -156,12 +138,6 @@ def tower_alexander(c: ZComplex) -> HalfInt:
     m arrows whose pivots stay sparse, as every zig-zag does, reduces in
     O(m log m).
     """
-    if None in c._src or None in c._tgt:
-        src, tgt, _ = next(
-            a for a, i, j in zip(c.arrows, c._src, c._tgt)
-            if i is None or j is None
-        )
-        raise InvalidInputError(f"arrow {src}->{tgt} off the complex")
     both = set(c._src).intersection(c._tgt)
     if both:
         first = min(c.generators[i][0] for i in both)
@@ -221,74 +197,6 @@ def tower_alexander(c: ZComplex) -> HalfInt:
         )
     _, w, z = free[0]
     return HalfInt(w - z)
-
-
-class Staircase(Record):
-    """Staircase complex read off one H-function column."""
-
-    _fields = __slots__ = ("t", "r_steps", "generators", "alpha", "beta")
-
-    def __init__(self, t: HalfInt, r_steps: Tuple[HalfInt, ...],
-                 generators: Tuple[Tuple[str, int, int], ...],
-                 alpha: Tuple[int, ...], beta: Tuple[int, ...]):
-        setslot(self, "t", t)
-        setslot(self, "r_steps", r_steps)
-        setslot(self, "generators", generators)
-        setslot(self, "alpha", alpha)
-        setslot(self, "beta", beta)
-
-    def top_a2(self) -> HalfInt:
-        """Second Alexander grading of the top generator."""
-        return self.r_steps[0]
-
-
-def staircase_from_column(h: HFunction, t: HalfIntLike) -> Staircase:
-    """Build the staircase C_t from the column of H at t.
-
-    Step positions are the r with H(t, r+1) = H(t, r) and
-    H(t, r-1) = H(t, r) + 1, in descending order.  Even generators sit at
-    gr_w = -2 H(t, r_i), gr_z = gr_w - 2t - 2 r_i; odd generators interpolate
-    one step up in each grading.
-    """
-    t = HalfInt.of(t)
-    r = h.r_of_t(t)
-    steps = [r]
-    low = -(h.stabilization_r() + 2 * abs(t.doubled) + 4)
-    r = r - 1
-    while r >= low:
-        here = h(t, r)
-        if h(t, r + 1) == here and h(t, r - 1) == here + 1:
-            steps.append(r)
-        r = r - 1
-    gens: List[Tuple[str, int, int]] = []
-    for i, ri in enumerate(steps):
-        w = -2 * h(t, ri)
-        z = w - (t + ri).as_int() * 2
-        gens.append((f"x{2 * i}", w, z))
-    full: List[Tuple[str, int, int]] = []
-    alpha: List[int] = []
-    beta: List[int] = []
-    for i in range(len(steps)):
-        full.append(gens[i])
-        if i + 1 < len(steps):
-            w_odd = gens[i + 1][1] + 1
-            z_odd = gens[i][2] + 1
-            full.append((f"x{2 * i + 1}", w_odd, z_odd))
-            a = (gens[i][1] - w_odd + 1) // 2
-            b = (gens[i + 1][2] - z_odd + 1) // 2
-            if a <= 0 or b <= 0:
-                raise VerificationError(
-                    f"staircase step exponents not positive at t={t}"
-                )
-            alpha.append(a)
-            beta.append(b)
-    return Staircase(
-        t=t,
-        r_steps=tuple(steps),
-        generators=tuple(full),
-        alpha=tuple(alpha),
-        beta=tuple(beta),
-    )
 
 
 class TauResult(Record):
@@ -418,12 +326,12 @@ def build_summand(
             arrows.append(("etop", f"b{k}", 0))
             gens.append(_source("ebot", sink_a[0]))
             arrows.append(("ebot", "b0", 0))
-            return ZComplex.build(gens, arrows, "eps=1,n<2tau")
+            return ZComplex(gens, arrows, "eps=1,n<2tau")
         # n >= 2tau: same chain with the anchor on the LEFTMOST sink.
         k = n - 2 * tau
         sink_a = [anchor + i * l for i in range(k + 1)]
         gens, arrows = _chain(sink_a, a, c)
-        return ZComplex.build(gens, arrows, "eps=1,n>=2tau")
+        return ZComplex(gens, arrows, "eps=1,n>=2tau")
 
     if case == "eps0_pos":
         if K.eps != 0 or n < 0:
@@ -432,7 +340,7 @@ def build_summand(
         a, c = wts["tau"], wts["sigma"]
         sink_a = [g + shift + i * l for i in range(n + 1)]
         gens, arrows = _chain(sink_a, a, c)
-        return ZComplex.build(gens, arrows, "eps=0,n>=0")
+        return ZComplex(gens, arrows, "eps=0,n>=0")
 
     if case == "eps0_neg":
         if K.eps != 0 or n >= 0:
@@ -455,7 +363,7 @@ def build_summand(
         arrows.append(("v", "b0", am))
         gens.append(_source("u", sink_a[k] + cp))
         arrows.append(("u", f"b{k}", cp))
-        return ZComplex.build(gens, arrows, "eps=0,n<0")
+        return ZComplex(gens, arrows, "eps=0,n<0")
 
     if case == "epsm1":
         if K.eps != -1:
@@ -480,7 +388,7 @@ def build_summand(
             gens.append(_source("u", sink_a[0] + cp))
             arrows.append(("u", "b0", cp))
             tag = "eps=-1,n<2tau" if n < 2 * tau else "eps=-1,n=2tau"
-            return ZComplex.build(gens, arrows, tag)
+            return ZComplex(gens, arrows, tag)
         kw, kz = wts["w"], wts["z"]
         stated_u = (prof.r_plus + HalfInt(l)).as_int() + shift
         if n == 2 * tau + 1:
@@ -494,7 +402,7 @@ def build_summand(
                 )
             gens = [_sink("v", v_a), _sink("u", u_a), _source("w1", w_a)]
             arrows = [("w1", "v", kw), ("w1", "u", kz)]
-            return ZComplex.build(gens, arrows, "eps=-1,n=2tau+1")
+            return ZComplex(gens, arrows, "eps=-1,n=2tau+1")
         # n > 2tau+1: k sources over the sinks v, m_1..m_{k-1}, u; the
         # outer sources use the W/Z arrows, the interior ones the usual
         # weight-a/weight-c pair.
@@ -516,7 +424,7 @@ def build_summand(
         arrows = [("w1", "v", kw), (f"w{k}", "u", kz)]
         arrows += [(f"w{i}", f"m{i - 1}", a) for i in range(2, k + 1)]
         arrows += [(f"w{i}", f"m{i}", c) for i in range(1, k)]
-        return ZComplex.build(gens, arrows, "eps=-1,n>2tau+1")
+        return ZComplex(gens, arrows, "eps=-1,n>2tau+1")
 
     raise InvalidInputError(f"unknown summand case {case!r}")
 

@@ -177,6 +177,28 @@ def assert_table_matches(h, table) -> None:
             assert h(t, r) == value, f"H({t},{r}) = {h(t, r)} != {value}"
 
 
+def twobridge_alexander_closed(r: int, q: int) -> LaurentPoly2:
+    """Closed-form sum for the two-bridge polynomial (p = rq - 1).
+
+    A second formula for ``lsat.twobridge_alexander``, which builds the
+    same polynomial from the lattice walk; kept here as its reference.
+    """
+    from lsat import twobridge_eta
+
+    p = r * q - 1
+    eta = [0] + [twobridge_eta(p, q, i) for i in range(1, p)]
+    terms: dict = {}
+    for i in range(1, p // 2 + 1):
+        coeff = eta[2 * i - 1]
+        e1 = sum(eta[2 * j] for j in range(1, i))
+        e2 = (eta[2 * i - 1] - 1) // 2 + sum(
+            eta[2 * k - 1] for k in range(1, i)
+        )
+        key = (HalfInt.whole(e1), HalfInt.whole(e2))
+        terms[key] = terms.get(key, 0) + coeff
+    return LaurentPoly2.from_terms(terms)
+
+
 def family_pairs(include_q1: bool = False):
     lo = 1 if include_q1 else 3
     return [

@@ -16,6 +16,7 @@ from conftest import (
     family_pairs,
     hi,
     negative_hopf_data,
+    twobridge_alexander_closed,
 )
 from lsat import (
     Companion,
@@ -28,7 +29,6 @@ from lsat import (
     tau_closed_form,
     tau_inequality_check,
     twobridge_alexander,
-    twobridge_alexander_closed,
     twobridge_data,
     twobridge_profile,
     unlink_data,

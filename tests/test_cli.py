@@ -121,6 +121,21 @@ class TestClassifyGenus:
         assert result.exit_code == 0
         assert result.output.startswith("obstructed")
 
+    @pytest.mark.parametrize("q", [0, 1, -3])
+    def test_classify_core_cable_is_identity(self, q):
+        # The (1,q) cable is the core of the solid torus, and tau agrees.
+        spec = f"cable:1,{q}"
+        tsv = invoke(["classify", spec])
+        assert (tsv.exit_code, tsv.stdout, tsv.stderr) == (0, "identity\n", "")
+        as_json = invoke(["classify", spec, "--format", "json"])
+        assert as_json.exit_code == 0
+        assert json.loads(as_json.stdout) == {
+            "verdict": "identity",
+            "failed_claim": None,
+        }
+        tau = invoke(["tau", spec, "--tau", "2", "--eps", "1", "--n", "3"])
+        assert tau.stdout.startswith("tau = 2\t")
+
     def test_classify_trivial_unlink(self, unlink_json):
         result = invoke(["classify", f"json:{unlink_json}"])
         assert result.output.strip() == "trivial"

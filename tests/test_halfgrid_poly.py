@@ -2,13 +2,9 @@
 
 import pytest
 
-from lsat import HalfInt, LaurentPoly1, LaurentPoly2, add, shift, symmetrize
+from lsat import HalfInt, LaurentPoly1, LaurentPoly2, shift, symmetrize
 from lsat.errors import CosetMismatchError, InvalidInputError
-from lsat.halfgrid_poly import (
-    knot_chi_expansion,
-    poly_from_json,
-    poly_to_json,
-)
+from lsat.halfgrid_poly import knot_chi_expansion
 
 
 def hi(doubled):
@@ -43,6 +39,11 @@ def p2(terms):
     return LaurentPoly2.from_terms(
         {(hi(a), hi(b)): c for (a, b), c in terms.items()}
     )
+
+
+def add(p, q):
+    """Coefficientwise sum: from_terms merges the concatenated terms."""
+    return LaurentPoly2.from_terms(p.terms + q.terms)
 
 
 class TestAddShift:
@@ -83,26 +84,24 @@ class TestSymmetrize:
     def test_recenter_by_newton_midpoint(self):
         # -x1^2 x2 + x1 x2 + x1 - 1 recenters by (x1 x2^{1/2})^{-1}.
         poly = p2({(4, 2): -1, (2, 2): 1, (2, 0): 1, (0, 0): -1})
-        sym, unit = symmetrize(poly)
+        sym = symmetrize(poly)
         assert sym == p2({(2, 1): -1, (0, 1): 1, (0, -1): 1, (-2, -1): -1})
-        assert unit.a == hi(-2) and unit.b == hi(-1)
+        assert sym == shift(poly, hi(-2), hi(-1))
 
     def test_whitehead_translate(self):
         # x1 * (-x1 x2 + x1 + x2 - 1): a unit translate of the Whitehead
         # polynomial recenters back to it.
         poly = p2({(4, 2): -1, (4, 0): 1, (2, 2): 1, (2, 0): -1})
-        sym, unit = symmetrize(poly)
+        sym = symmetrize(poly)
         assert sym == p2({(1, 1): -1, (1, -1): 1, (-1, 1): 1, (-1, -1): -1})
-        assert unit.a == hi(-3) and unit.b == hi(-1)
+        assert sym == shift(poly, hi(-3), hi(-1))
 
     def test_constant(self):
-        sym, unit = symmetrize(p2({(0, 0): 1}))
-        assert sym == p2({(0, 0): 1})
-        assert unit.a == hi(0) and unit.b == hi(0)
+        assert symmetrize(p2({(0, 0): 1})) == p2({(0, 0): 1})
 
     def test_half_recentering(self):
         # x1 - 1 recenters to x1^{1/2} - x1^{-1/2}
-        sym, _ = symmetrize(p2({(2, 0): 1, (0, 0): -1}))
+        sym = symmetrize(p2({(2, 0): 1, (0, 0): -1}))
         assert sym == p2({(1, 0): 1, (-1, 0): -1})
 
     def test_rejects_asymmetric(self):
@@ -125,10 +124,8 @@ class TestSymmetrize:
 
     def test_idempotent(self):
         poly = p2({(1, 1): -1, (1, -1): 1, (-1, 1): 1, (-1, -1): -1})
-        sym, _ = symmetrize(poly)
-        again, unit = symmetrize(sym)
-        assert again == sym
-        assert unit.a == hi(0) and unit.b == hi(0)
+        sym = symmetrize(poly)
+        assert symmetrize(sym) == sym
 
 
 def p1(terms):
@@ -176,11 +173,11 @@ class TestChiExpansion:
 class TestJson:
     def test_round_trip_poly1(self):
         poly = p1({3: 2, -3: 2, 1: -5, -1: -5})
-        assert poly_from_json(poly_to_json(poly)) == poly
+        assert LaurentPoly1.from_json_obj(poly.to_json_obj()) == poly
 
     def test_round_trip_poly2(self):
         poly = p2({(1, 1): -1, (1, -1): 7, (-1, 1): 7, (-1, -1): -1})
-        assert poly_from_json(poly_to_json(poly)) == poly
+        assert LaurentPoly2.from_json_obj(poly.to_json_obj()) == poly
 
     def test_doubled_exponents_on_wire(self):
         obj = p2({(1, -1): 4}).to_json_obj()

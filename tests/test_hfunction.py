@@ -12,43 +12,43 @@ from lsat import (
     HFunction,
     HalfInt,
     LinkAlexData,
-    gn_h,
     h_t22l,
-    h_unknot,
     hf_table_tsv,
-    r_of_t,
     resolve_sign,
     twobridge_data,
     unlink_data,
     validate,
     width,
 )
-from lsat.errors import InvalidInputError, UnresolvedSignError
+from lsat import hfunction
+from lsat.errors import InvalidInputError
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
 
 
 class TestGnH:
     def test_whitehead_origin(self):
-        assert gn_h(twobridge_data(3, 3), 0, 0) == 1
+        assert twobridge_data(3, 3).hfunction()(0, 0) == 1
 
     def test_hopf_plus(self):
-        assert gn_h(twobridge_data(3, 1), hi(-1), hi(-1)) == 1
+        assert twobridge_data(3, 1).hfunction()(hi(-1), hi(-1)) == 1
 
     def test_unlink_stabilized(self):
-        assert gn_h(unlink_data(), 5, 7) == 0
+        assert unlink_data().hfunction()(5, 7) == 0
 
     def test_mazur(self):
-        assert gn_h(twobridge_data(5, 3), hi(1), hi(1)) == 1
+        assert twobridge_data(5, 3).hfunction()(hi(1), hi(1)) == 1
 
     def test_off_lattice_rejected(self):
         with pytest.raises(InvalidInputError):
-            gn_h(twobridge_data(5, 3), 0, 0)
+            twobridge_data(5, 3).hfunction()(0, 0)
 
-    def test_unresolved_sign_rejected(self):
-        data = twobridge_data(3, 3)
-        raw = data.replace(sign_resolved=False)
-        with pytest.raises(UnresolvedSignError):
-            gn_h(raw, 0, 0)
+    def test_unresolved_sign_is_resolved_first(self):
+        good = twobridge_data(3, 3)
+        flipped = good.replace(
+            delta_tilde=good.delta_tilde.neg(), sign_resolved=False
+        )
+        h = flipped.hfunction()
+        assert h.data == good and h(0, 0) == 1
 
 
 class TestResolveSign:
@@ -89,7 +89,9 @@ class TestRofT:
             assert h.r_of_t(half_l + 1) * 4 == HalfInt.whole(r + q - 6)
 
     def test_module_level_wrapper(self, whitehead_h):
-        assert r_of_t(whitehead_h, 2) == HalfInt.whole(0)
+        # The module-level alias is gone: the method is the one route.
+        assert not hasattr(hfunction, "r_of_t")
+        assert whitehead_h.r_of_t(2) == HalfInt.whole(0)
 
 
 class TestWidth:
@@ -105,9 +107,10 @@ class TestWidth:
 
 class TestModelFunctions:
     def test_h_unknot(self):
-        assert h_unknot(-3) == 3
-        assert h_unknot(0) == 0
-        assert h_unknot(4) == 0
+        # The unlink's H is the sum of two unknot H-functions max(-s, 0).
+        h = unlink_data().hfunction()
+        for s in range(-3, 4):
+            assert h(s, 4) == max(-s, 0) and h(4, s) == max(-s, 0)
 
     def test_h_t22l_hopf(self):
         assert h_t22l(1, hi(1), hi(1)) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import hi
+from conftest import hi, twobridge_alexander_closed
 from lsat import (
     Companion,
     HFunction,
@@ -11,7 +11,6 @@ from lsat import (
     cable_profile,
     generic_profile,
     twobridge_alexander,
-    twobridge_alexander_closed,
     twobridge_data,
     twobridge_eta,
     twobridge_profile,
@@ -210,22 +209,9 @@ class TestCompanion:
         with pytest.raises(InvalidInputError):
             Companion(tau=1, eps=0)
 
-    def test_b_seq_endpoint_signs(self):
-        assert Companion(tau=1, eps=1, b_seq=(1, -1)).eps == 1
-        with pytest.raises(InvalidInputError):
-            Companion(tau=1, eps=1, b_seq=(-1, 1))
-
     def test_eps_range(self):
         with pytest.raises(InvalidInputError):
             Companion(tau=0, eps=2)
-
-    def test_b_seq_is_stored_as_a_tuple(self):
-        listed = Companion(1, 1, b_seq=[1, -1])
-        tupled = Companion(1, 1, b_seq=(1, -1))
-        assert listed.b_seq == (1, -1)
-        assert listed == tupled
-        assert hash(listed) == hash(tupled)
-        assert Companion(0, 0, b_seq=[]).b_seq == ()
 
 
 class TestParseSpec:

@@ -8,7 +8,6 @@ from lsat import (
     Companion,
     HFunction,
     HalfInt,
-    add,
     shift,
     symmetrize,
     tau_cable,
@@ -17,7 +16,7 @@ from lsat import (
     twobridge_profile,
 )
 from lsat.errors import UnsupportedRegimeError
-from lsat.halfgrid_poly import LaurentPoly2, poly_from_json, poly_to_json
+from lsat.halfgrid_poly import LaurentPoly2
 from lsat.zcomplex import tau_oracle
 
 
@@ -58,6 +57,11 @@ def coset_polys(parity):
     )
 
 
+def add(p, q):
+    """Coefficientwise sum: from_terms merges the concatenated terms."""
+    return LaurentPoly2.from_terms(p.terms + q.terms)
+
+
 class TestPolynomialAlgebra:
     @given(coset_polys(0), coset_polys(0))
     def test_add_commutative(self, p, q):
@@ -73,18 +77,16 @@ class TestPolynomialAlgebra:
 
     @given(coset_polys(0))
     def test_json_round_trip(self, p):
-        assert poly_from_json(poly_to_json(p)) == p
+        assert LaurentPoly2.from_json_obj(p.to_json_obj()) == p
 
     @given(coset_polys(1))
     def test_symmetrize_fixed_point(self, p):
         # Symmetrizing a symmetric output changes nothing further.
         try:
-            sym, _ = symmetrize(p)
+            sym = symmetrize(p)
         except Exception:
             return  # asymmetric inputs are rejected; nothing to test
-        again, unit = symmetrize(sym)
-        assert again == sym
-        assert unit.a == HalfInt(0) and unit.b == HalfInt(0)
+        assert symmetrize(sym) == sym
 
 
 class TestHFunctionProperties:

@@ -22,8 +22,6 @@ from lsat import (
     TauResult,
     build_summand,
     cable_profile,
-    staircase_from_column,
-    symmetrize,
     tau_oracle,
     twobridge_alexander,
     twobridge_data,
@@ -63,16 +61,12 @@ FROZEN = {
         {HalfInt(-2): 1, HalfInt(0): -1, HalfInt(2): 1}
     ),
     "LaurentPoly2": lambda: twobridge_alexander(5, 3),
-    "Unit": lambda: symmetrize(twobridge_alexander(5, 3))[1],
     "LinkAlexData": lambda: _link(twobridge_data(5, 3)),
     "PatternProfile": lambda: _profile(twobridge_profile(5, 3)),
     "PatternProfile(closed-form)": lambda: cable_profile(3, 2),
-    "Companion": lambda: Companion(tau=1, eps=1, b_seq=(2, -1)),
+    "Companion": lambda: Companion(tau=1, eps=-1),
     "ZComplex": lambda: build_summand(
         "eps1", twobridge_profile(5, 3), Companion(tau=1, eps=1), 0
-    ),
-    "Staircase": lambda: staircase_from_column(
-        twobridge_data(5, 3).hfunction(), HalfInt(1)
     ),
     "TauResult": lambda: TauResult(2, "closed-form", "eps=1"),
     "LoadedPattern": lambda: cli._load_pattern("cable:3,2"),
@@ -108,8 +102,8 @@ def test_mutable_records_compare_by_value_and_do_not_hash(name):
 def test_frozen_fields_refuse_assignment(name):
     record = FROZEN[name]()
     field = next(
-        f for f in ("doubled", "terms", "a", "linking", "l", "tau",
-                    "generators", "t", "value", "kind")
+        f for f in ("doubled", "terms", "linking", "l", "tau",
+                    "generators", "value", "kind")
         if hasattr(record, f)
     )
     with pytest.raises(AttributeError):
@@ -151,7 +145,7 @@ def test_halfint_repr_and_hash():
 
 
 def test_repr_lists_fields():
-    assert repr(Companion(tau=1, eps=1)) == "Companion(tau=1, eps=1, b_seq=None)"
+    assert repr(Companion(tau=1, eps=1)) == "Companion(tau=1, eps=1)"
     assert repr(TauResult(2, "oracle", "eps=1,n>=2tau")) == (
         "TauResult(value=2, method='oracle', case_tag='eps=1,n>=2tau')"
     )

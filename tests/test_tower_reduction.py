@@ -6,6 +6,7 @@ It is quadratic, so it lives here only, as the check on
 ``zcomplex.tower_alexander``.
 """
 
+import re
 from typing import Dict, Tuple
 
 import pytest
@@ -70,8 +71,9 @@ def reference_tower(c: ZComplex) -> HalfInt:
         active_rows.discard(i0)
         active_cols.discard(j0)
 
-    free_grades = [c.alexander(cols[j]) for j in sorted(active_cols)]
-    free_grades += [c.alexander(rows[i]) for i in sorted(active_rows)
+    alexander = {g: HalfInt(w - z) for g, w, z in c.generators}
+    free_grades = [alexander[cols[j]] for j in sorted(active_cols)]
+    free_grades += [alexander[rows[i]] for i in sorted(active_rows)
                     if all((i, j) not in entries for j in range(len(cols)))]
     if len(free_grades) != 1:
         raise VerificationError(
@@ -130,28 +132,47 @@ def two_step_complexes(draw):
                 k = draw(st.integers(0, 3))
             arrows.append((f"s{i}", f"b{b}", k))
     order = draw(st.permutations(range(len(gens))))
-    return ZComplex(tuple(gens[i] for i in order), tuple(arrows), "random")
+    return tuple(gens[i] for i in order), tuple(arrows)
+
+
+def _first_inhomogeneous(gens, arrows):
+    """check's message for the first arrow, in sorted order, whose Z-power
+    is not A(source) - A(target); None when every arrow is homogeneous."""
+    grade = {g: w - z for g, w, z in gens}  # doubled A
+    for s, t, k in sorted(arrows):
+        if grade[s] - grade[t] != 2 * k:
+            return f"arrow {s}->{t}: gr_z shift inconsistent with Z^{k}"
+    return None
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(two_step_complexes())
-def test_random_two_step_complexes_reduce_like_the_reference(c):
+def test_random_two_step_complexes_reduce_like_the_reference(drawn):
+    # A non-homogeneous draw is refused when it is built; every complex
+    # that is built reduces like the reference.
+    gens, arrows = drawn
+    fault = _first_inhomogeneous(gens, arrows)
+    if fault is not None:
+        with pytest.raises(VerificationError, match=f"^{re.escape(fault)}$"):
+            ZComplex(gens, arrows, "random")
+        return
+    c = ZComplex(gens, arrows, "random")
     assert _outcome(tower_alexander, c) == _outcome(reference_tower, c)
 
 
 def test_each_outcome_matches_on_a_hand_made_complex():
     gens = (("b0", 0, 0), ("b1", 0, -2), ("s0", 1, -1), ("s1", 1, 1))
     grading = ZComplex(gens[:3], (("s0", "b0", 1), ("s0", "b1", 0)))
-    collision = ZComplex(gens, (
-        ("s0", "b0", 0), ("s0", "b1", 0), ("s1", "b0", 0), ("s1", "b1", 1),
-    ))
     rank = ZComplex(gens[:2], ())
     assert _outcome(tower_alexander, grading) == HalfInt.whole(0)
-    assert _outcome(tower_alexander, collision) == (
-        VerificationError, "non-homogeneous entry collision in reduction"
-    )
     assert _outcome(tower_alexander, rank) == (
         VerificationError, "free homology rank 2 != 1 in ''"
     )
-    for c in (grading, collision, rank):
+    for c in (grading, rank):
         assert _outcome(tower_alexander, c) == _outcome(reference_tower, c)
+    # Arrows that would collide in the reduction are not homogeneous, so
+    # the complex is refused when it is built.
+    with pytest.raises(VerificationError, match="^arrow s0->b0: gr_z shift"):
+        ZComplex(gens, (
+            ("s0", "b0", 0), ("s0", "b1", 0), ("s1", "b0", 0), ("s1", "b1", 1),
+        ))

@@ -1,24 +1,20 @@
-"""Unit tests for the F2[Z] chain-complex oracle and staircases."""
+"""Unit tests for the F2[Z] chain complexes and the tau oracle."""
 
 import random
 import re
 
 import pytest
 
-from conftest import hi
 from lsat import (
     Companion,
-    HFunction,
     HalfInt,
     ZComplex,
     build_summand,
-    staircase_from_column,
     tau_closed_form,
     tau_oracle,
     tower_alexander,
     twobridge_data,
     twobridge_profile,
-    unlink_data,
     unlink_profile,
 )
 from lsat import zcomplex
@@ -43,7 +39,7 @@ class TestZComplexInvariants:
         gens = [("a", 0, 0), ("b", 1, -1), ("c", 2, -2)]
         arrows = [("c", "b", 1), ("b", "a", 1)]
         with pytest.raises(VerificationError):
-            ZComplex.build(gens, arrows).check()
+            ZComplex(gens, arrows)
 
     def test_homogeneity_enforced(self):
         gens = [("a", 0, 0), ("b", 1, -1)]
@@ -51,16 +47,24 @@ class TestZComplexInvariants:
         # by 1 where Z^2 needs 1 - 4 = -3.  Alexander homogeneity follows
         # from the gr_w and gr_z shifts, so this is the gr_z check.
         with pytest.raises(VerificationError, match="gr_z shift"):
-            ZComplex.build(gens, [("b", "a", 2)]).check()
+            ZComplex(gens, [("b", "a", 2)])
 
     def test_arrows_mod_two(self):
         gens = [("a", 0, 0), ("b", 1, -1)]
-        c = ZComplex.build(gens, [("b", "a", 1), ("b", "a", 1)])
+        c = ZComplex(gens, [("b", "a", 1), ("b", "a", 1)])
         assert c.arrows == ()
+
+    def test_arrows_are_stored_sorted(self):
+        gens = (("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("c", 2, 0))
+        given = (("e", "a", 0), ("c", "e", 1), ("b", "a", 1), ("c", "b", 0))
+        c = ZComplex(gens, given)
+        assert c.arrows == tuple(sorted(given))
+        assert c == ZComplex(gens, given[::-1])
 
 
 CHECK_MESSAGES = [
-    # (generators, arrows in check order, error class, full message)
+    # (generators, arrows, error class, full message); the constructor
+    # checks the arrows in sorted order.
     ((("a", 0, 0), ("a", 1, -1)), (), InvalidInputError,
      "duplicate generator names"),
     ((("a", 0, 0),), (("b", "a", 1),), InvalidInputError,
@@ -76,10 +80,12 @@ CHECK_MESSAGES = [
     ((("a", 0, 0), ("b", 1, -1), ("c", 2, -2)),
      (("c", "b", 1), ("b", "a", 1)), VerificationError,
      "d^2 != 0: surviving composite ('c', 'a', 2)"),
-    # The first failing arrow decides, whatever fails after it.
+    # The first failing arrow in sorted order decides, whatever fails after
+    # it and in whatever order the arrows are given.
     ((("a", 0, 0), ("b", 1, -1)), (("b", "a", 2), ("b", "x", 0)),
      VerificationError, "arrow b->a: gr_z shift inconsistent with Z^2"),
-    ((("a", 0, 0), ("b", 1, -1)), (("b", "x", 0), ("b", "a", 2)),
+    ((("a", 0, 0), ("b", 1, -1), ("c", 1, -1)),
+     (("c", "a", 2), ("b", "x", 0)),
      InvalidInputError, "arrow b->x off the complex"),
     # Two paths c->a cancel mod 2; the odd composite d->a survives.
     ((("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("c", 2, 0), ("d", 2, -2)),
@@ -92,21 +98,25 @@ CHECK_MESSAGES = [
 @pytest.mark.parametrize("gens, arrows, error, message", CHECK_MESSAGES)
 def test_check_messages(gens, arrows, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        ZComplex(gens, arrows).check()
+        ZComplex(gens, arrows)
 
 
 TOWER_MESSAGES = [
-    ((("a", 0, 0), ("b", 1, -1), ("c", 2, -2), ("d", 3, -3)),
-     (("d", "c", 1), ("c", "b", 1), ("b", "a", 1)), "", InvalidInputError,
-     "not a two-step complex: b has arrows both ways"),
+    # d^2 = 0 because the two paths c->b->a and c->e->a cancel, yet b and
+    # e have arrows both ways.
+    ((("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("c", 2, 0)),
+     (("c", "b", 0), ("c", "e", 1), ("b", "a", 1), ("e", "a", 0)), "",
+     InvalidInputError, "not a two-step complex: b has arrows both ways"),
+    # A non-homogeneous arrow, which would collide in the reduction, is
+    # refused when the complex is built.
     ((("b0", 0, 0), ("b1", 0, -2), ("s0", 1, -1), ("s1", 1, 1)),
      (("s0", "b0", 0), ("s0", "b1", 0), ("s1", "b0", 0), ("s1", "b1", 1)),
-     "", VerificationError, "non-homogeneous entry collision in reduction"),
+     "", VerificationError, "arrow s0->b0: gr_z shift inconsistent with Z^0"),
     ((("x", 0, 0), ("y", 0, 0)), (), "two", VerificationError,
      "free homology rank 2 != 1 in 'two'"),
     ((("b0", 0, 0), ("s0", 1, -1)), (("s0", "b0", 1),), "", VerificationError,
      "free homology rank 0 != 1 in ''"),
-    # An unchecked complex with an arrow off it gets check's message.
+    # A complex with an arrow off it is refused when it is built.
     ((("a", 0, 0),), (("b", "a", 0),), "", InvalidInputError,
      "arrow b->a off the complex"),
     ((("a", 0, 0),), (("a", "c", 0), ("b", "c", 0)), "", InvalidInputError,
@@ -122,18 +132,18 @@ def test_tower_messages(gens, arrows, tag, error, message):
 
 class TestTowerAlexander:
     def test_single_generator(self):
-        c = ZComplex.build([("x", 0, 0)], [])
+        c = ZComplex([("x", 0, 0)], [])
         assert tower_alexander(c) == HalfInt.whole(0)
 
     def test_hand_smith_reduction(self):
         # d(s) = Z b0 + b1 with A(b0)=0, A(b1)=1, A(s)=1:
         # homology is F2[Z] generated by b0, so tau = 0.
         gens = [("b0", 0, 0), ("b1", 0, -2), ("s", 1, -1)]
-        c = ZComplex.build(gens, [("s", "b0", 1), ("s", "b1", 0)])
+        c = ZComplex(gens, [("s", "b0", 1), ("s", "b1", 0)])
         assert tower_alexander(c) == HalfInt.whole(0)
 
     def test_free_rank_must_be_one(self):
-        c = ZComplex.build([("x", 0, 0), ("y", 0, 0)], [])
+        c = ZComplex([("x", 0, 0), ("y", 0, 0)], [])
         with pytest.raises(VerificationError):
             tower_alexander(c)
 
@@ -205,29 +215,6 @@ class TestBuildSummand:
         c = build_summand("eps1", WHITEHEAD, Companion(tau=1, eps=1), 0)
         obj = c.to_json_obj()
         assert set(obj) >= {"generators", "arrows"}
-
-
-class TestStaircase:
-    def test_whitehead_t0(self, whitehead_h):
-        st = staircase_from_column(whitehead_h, 0)
-        gradings = [(g[1], g[2]) for g in st.generators]
-        assert gradings == [(0, -2), (-1, -1), (-2, 0)]
-        assert all(a > 0 for a in st.alpha)
-        assert all(b > 0 for b in st.beta)
-
-    def test_whitehead_t2_single(self, whitehead_h):
-        st = staircase_from_column(whitehead_h, 2)
-        assert len(st.generators) == 1
-
-    def test_unlink_t1_single(self):
-        h = HFunction(unlink_data())
-        st = staircase_from_column(h, 1)
-        assert [(g[1], g[2]) for g in st.generators] == [(0, -2)]
-
-    def test_top_generator_at_center(self, mazur_h):
-        st = staircase_from_column(mazur_h, hi(1))
-        assert st.top_a2() == mazur_h.r_of_t(hi(1))
-        assert st.generators[0][1] == 0  # gr_w of the top generator
 
 
 class TestTauOracle:
@@ -357,12 +344,7 @@ class TestSummandTranslation:
 
 
 class TestGradingLookup:
-    def test_first_generator_of_a_name_wins(self):
-        c = ZComplex((("a", 0, 0), ("b", 1, -1), ("a", 2, 2)), ())
-        assert c.grading("a") == (0, 0)
-        assert c.alexander("b") == HalfInt(2)
-
     def test_unknown_generator_rejected(self):
-        c = ZComplex((("a", 0, 0),), ())
-        with pytest.raises(InvalidInputError, match="unknown generator 'z'"):
-            c.grading("z")
+        # check looks each arrow's ends up in the generator index.
+        with pytest.raises(InvalidInputError, match="arrow a->z off the"):
+            ZComplex((("a", 0, 0),), (("a", "z", 0),))
