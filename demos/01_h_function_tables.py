@@ -16,6 +16,7 @@ from lsat import (
     validate,
     width,
 )
+from lsat.sweeps import FAMILY_PAIRS
 
 
 def show(title: str, data) -> None:
@@ -39,17 +40,16 @@ def main() -> None:
     # The closed R-value formulas for the two-bridge family: at the
     # center column R = (r+q-2)/4 and one column off R = (r+q-6)/4.
     print("== closed R formulas across the family ==")
-    for r in (3, 5, 7, 9):
-        for q in range(3, r + 1, 2):
-            h = HFunction(twobridge_data(r, q))
-            half_l = HalfInt(h.linking)
-            center = h.r_of_t(half_l)
-            off = h.r_of_t(half_l - 1)
-            print(
-                f"(r,q)=({r},{q})  l={h.linking}  "
-                f"R_center={center} (expect {(r + q - 2)}/4)  "
-                f"R_minus={off} (expect {(r + q - 6)}/4)"
-            )
+    for r, q in FAMILY_PAIRS:
+        h = HFunction(twobridge_data(r, q))
+        half_l = HalfInt(h.linking)
+        center = h.r_of_t(half_l)
+        off = h.r_of_t(half_l - 1)
+        print(
+            f"(r,q)=({r},{q})  l={h.linking}  "
+            f"R_center={center} (expect {(r + q - 2)}/4)  "
+            f"R_minus={off} (expect {(r + q - 6)}/4)"
+        )
 
 
 if __name__ == "__main__":

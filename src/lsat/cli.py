@@ -19,7 +19,6 @@ JSON.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from typing import Callable, List, Optional, Tuple
@@ -31,23 +30,13 @@ from .errors import (
     VerificationError,
 )
 from .genus import g3rel, g4_satellite_regime
-from .halfgrid_poly import HalfInt, MutableRecord, Record, json_int, setslot
-from .hfunction import (
-    LinkAlexData,
-    _point,
-    _t22l,
-    hf_table,
-    hf_table_tsv,
-    resolve_sign,
-    validate,
-    width,
-)
+from .halfgrid_poly import MutableRecord, Record, json_int, setslot
+from .hfunction import LinkAlexData, hf_table, hf_table_tsv, resolve_sign, width
 from .invariants import (
     classify_operator,
     tau_bridge_braid,
     tau_cable,
     tau_closed_form,
-    tau_inequality_check,
 )
 from .patterns import (
     Companion,
@@ -56,11 +45,11 @@ from .patterns import (
     cable_profile,
     generic_profile,
     parse_pattern_spec,
-    twobridge_data,
     twobridge_profile,
-    unlink_data,
-    unlink_profile,
 )
+# cmd_verify reads this dict object; bench/tracer.py and the tests replace
+# its entries in place.
+from .sweeps import CHECKS as _CHECKS
 from .zcomplex import TauResult, tau_oracle
 
 
@@ -253,176 +242,6 @@ def cmd_genus(
     print(f"g3rel = {g3r}")
     if g4 is not None:
         print(f"g4 = {g4}\tregime = {regime}")
-
-
-# ---------------------------------------------------------------------------
-# verify: the cross-validation sweeps.
-
-
-def _family_pairs() -> List[Tuple[int, int]]:
-    """Two-bridge parameters used by every sweep: odd 3 <= q <= r <= 9."""
-    return [(r, q) for r in (3, 5, 7, 9) for q in range(3, r + 1, 2)]
-
-
-def _sweep_grid() -> List[Tuple[PatternProfile, Companion, int]]:
-    """(profile, companion, framing) points of the oracle and inequality sweeps.
-
-    The family profiles plus the Hopf link (3,1), framings -4..4, and the
-    companions with eps = +-1 and |tau| <= 2 plus the eps = 0 one.
-    """
-    profiles = [twobridge_profile(r, q) for r, q in _family_pairs()]
-    profiles.append(twobridge_profile(3, 1))
-    companions = [
-        Companion(tau=tau, eps=eps) for eps in (-1, 1) for tau in range(-2, 3)
-    ]
-    companions.append(Companion(tau=0, eps=0))
-    return [
-        (prof, K, n)
-        for prof in profiles
-        for n in range(-4, 5)
-        for K in companions
-    ]
-
-
-@functools.lru_cache(maxsize=1)
-def _closed_sweep() -> Tuple[
-    Tuple[PatternProfile, Companion, int, Optional[int]], ...
-]:
-    """The sweep grid with each point's closed-form tau, None if unsupported.
-
-    The oracle and inequality checks both read it, so one process computes
-    each closed form once; the grid's profiles are memoized per process too.
-    """
-    points = []
-    for prof, K, n in _sweep_grid():
-        try:
-            value: Optional[int] = tau_closed_form(prof, K, n).value
-        except UnsupportedRegimeError:
-            value = None
-        points.append((prof, K, n, value))
-    return tuple(points)
-
-
-def _link_cases() -> List[Tuple[str, LinkAlexData]]:
-    """Links of the properties and classifier sweeps: unlink, odd q <= r <= 9."""
-    cases = [("unlink", unlink_data())]
-    for r in (3, 5, 7, 9):
-        for q in range(1, r + 1, 2):
-            cases.append((f"twobridge({r},{q})", twobridge_data(r, q)))
-    return cases
-
-
-def _check_tables() -> Tuple[int, List[str]]:
-    points, failures = 0, []
-    model_cases = [
-        ("unlink", unlink_profile(), 0),
-        ("twobridge(3,1)", twobridge_profile(3, 1), 1),
-    ]
-    for label, prof, l in model_cases:
-        ds, rows = prof.hfunction().grid(3)
-        for t, row in zip(ds, rows):
-            for r, v in zip(ds, row):
-                points += 1
-                if v != _t22l(l, t, r):
-                    failures.append(f"{label} H{_point(t, r)} != model")
-    wh = twobridge_data(3, 3).hfunction()
-    points += 2
-    if wh.r_of_t(0) != HalfInt.whole(1):
-        failures.append("Whitehead R_0 != 1")
-    if width(wh.data) != HalfInt.whole(1):
-        failures.append("Whitehead width != 1")
-    mz = twobridge_data(5, 3).hfunction()
-    for t, r in ((HalfInt(-1), HalfInt(1)), (HalfInt(1), HalfInt(3)), (HalfInt(3), HalfInt(1))):
-        points += 1
-        if mz.r_of_t(t) != r:
-            failures.append(f"Mazur R_{t} != {r}")
-    return points, failures
-
-
-def _check_oracle() -> Tuple[int, List[str]]:
-    points, failures = 0, []
-    for prof, K, n, closed in _closed_sweep():
-        if closed is None:
-            continue
-        points += 1
-        orc = tau_oracle(prof, K, n)
-        if closed != orc.value:
-            failures.append(
-                f"l={prof.l} eps={K.eps} tau={K.tau} n={n}: "
-                f"closed {closed} != oracle {orc.value}"
-            )
-    return points, failures
-
-
-def _check_properties() -> Tuple[int, List[str]]:
-    cases = _link_cases()
-    failures = []
-    for label, data in cases:
-        report = validate(data.hfunction())
-        if not report.ok:
-            failures.append(f"{label}: {report.failures[0]}")
-    return len(cases), failures
-
-
-def _check_classifier() -> Tuple[int, List[str]]:
-    # Two-bridge links and the unlink are genus-0 operators (g3 = 0).
-    cases = _link_cases()
-    failures = []
-    expected = {"twobridge(3,1)": "identity", "unlink": "trivial"}
-    for label, data in cases:
-        verdict, _ = classify_operator(data.hfunction(), 0)
-        want = expected.get(label, "obstructed")
-        if verdict != want:
-            failures.append(f"{label}: classified {verdict}, expected {want}")
-    return len(cases), failures
-
-
-def _check_inequality() -> Tuple[int, List[str]]:
-    points, failures = 0, []
-    for prof, K, n, closed in _closed_sweep():
-        if closed is None:
-            continue
-        points += 1
-        if not tau_inequality_check(prof, K, n, closed):
-            failures.append(
-                f"l={prof.l} eps={K.eps} tau={K.tau} n={n}: inequality fails"
-            )
-    return points, failures
-
-
-def _check_genus() -> Tuple[int, List[str]]:
-    points, failures = 0, []
-    profiles = [twobridge_profile(r, q) for r, q in _family_pairs()]
-    for prof in profiles:
-        for tau in (1, 2):
-            K = Companion(tau=tau, eps=1)
-            points += 1
-            g4, _ = g4_satellite_regime(prof, K, 0, tau_equals_g4=True)
-            want = tau_closed_form(prof, K, 0).value
-            if g4 != want:
-                failures.append(
-                    f"l={prof.l} tau={tau}: g4(n=0) {g4} != tau {want}"
-                )
-    wh = twobridge_profile(3, 3)
-    for tau in (1, 2, 3):
-        for n in range(-2, 2 * tau):
-            points += 1
-            g4, _ = g4_satellite_regime(
-                wh, Companion(tau=tau, eps=1), n, tau_equals_g4=True
-            )
-            if g4 != 1:
-                failures.append(f"Whitehead g4(tau={tau},n={n}) = {g4} != 1")
-    return points, failures
-
-
-_CHECKS = {
-    "tables": _check_tables,
-    "oracle": _check_oracle,
-    "properties": _check_properties,
-    "classifier": _check_classifier,
-    "inequality": _check_inequality,
-    "genus": _check_genus,
-}
 
 
 def cmd_verify(check: str, fmt: str) -> None:

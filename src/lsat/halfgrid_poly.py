@@ -292,15 +292,6 @@ class LaurentPoly1(Record):
             (e, c) for (e,), c in _json_terms(obj, 1)
         )
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in reversed(self.terms):
-            mono = "1" if e == ZERO else f"x^{e}"
-            parts.append(f"{c:+d}*{mono}")
-        return " ".join(parts)
-
 
 class LaurentPoly2(Record):
     """Sparse two-variable Laurent polynomial, exponents in (1/2)Z x (1/2)Z.
@@ -340,9 +331,6 @@ class LaurentPoly2(Record):
         (e1, e2), _ = self.terms[0]
         return (e1.doubled % 2, e2.doubled % 2)
 
-    def eval_at_one(self) -> int:
-        return sum(c for _, c in self.terms)
-
     def neg(self) -> "LaurentPoly2":
         return LaurentPoly2(tuple((e, -c) for e, c in self.terms))
 
@@ -363,20 +351,6 @@ class LaurentPoly2(Record):
     @staticmethod
     def from_json_obj(obj: dict) -> "LaurentPoly2":
         return LaurentPoly2.from_terms(_json_terms(obj, 2))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for (e1, e2), c in self.terms:
-            factors = []
-            if e1 != ZERO:
-                factors.append(f"x1^{e1}")
-            if e2 != ZERO:
-                factors.append(f"x2^{e2}")
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"{c:+d}*{mono}")
-        return " ".join(parts)
 
 
 def shift(p: LaurentPoly2, a: HalfIntLike, b: HalfIntLike) -> LaurentPoly2:

@@ -321,8 +321,10 @@ class HFunction:
             raise InvalidInputError(f"({t},{r}) is not on the lattice")
         td, rd = t.doubled, r.doubled
         limit = 4 * (rd + abs(td) + 16)
+        # The walk goes on only while the column is flat, so H stays here.
+        here = self._at(td, rd)
         for _ in range(limit):
-            here, below = self._at(td, rd), self._at(td, rd - 2)
+            below = self._at(td, rd - 2)
             if below == here + 1:
                 return HalfInt(rd)
             if below != here:

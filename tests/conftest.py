@@ -66,7 +66,11 @@ def invoke(argv: List[str]) -> CliResult:
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` with this ``lsat`` on the path, 30 s at most."""
-    env = {"PYTHONPATH": str(Path(lsat.__file__).parents[1])}
+    # No bytecode: a child must not leave __pycache__ in the source tree.
+    env = {
+        "PYTHONPATH": str(Path(lsat.__file__).parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=30,
         env=env,
@@ -198,24 +202,3 @@ def twobridge_alexander_closed(r: int, q: int) -> LaurentPoly2:
         terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly2.from_terms(terms)
 
-
-def family_pairs(include_q1: bool = False):
-    lo = 1 if include_q1 else 3
-    return [
-        (r, q)
-        for r in (3, 5, 7, 9)
-        for q in range(lo, r + 1, 2)
-        if (r, q) != (1, 1)
-    ]
-
-
-def companion_grid():
-    from lsat import Companion
-
-    grid_ = [
-        Companion(tau=tau, eps=eps)
-        for eps in (-1, 1)
-        for tau in range(-2, 3)
-    ]
-    grid_.append(Companion(tau=0, eps=0))
-    return grid_

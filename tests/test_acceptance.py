@@ -12,8 +12,6 @@ from conftest import (
     UNLINK_TABLE,
     WHITEHEAD_TABLE,
     assert_table_matches,
-    companion_grid,
-    family_pairs,
     hi,
     negative_hopf_data,
     twobridge_alexander_closed,
@@ -39,13 +37,15 @@ from lsat import (
 from lsat.errors import InvalidInputError, UnsupportedRegimeError
 from lsat.halfgrid_poly import LaurentPoly2
 from lsat.hfunction import h_t22l
+from lsat.sweeps import (
+    COMPANIONS,
+    FAMILY_PAIRS,
+    FRAMINGS,
+    LINK_PAIRS,
+    link_cases,
+    sweep_profiles,
+)
 from lsat.zcomplex import tau_oracle
-
-
-def sweep_profiles():
-    profiles = [twobridge_profile(r, q) for r, q in family_pairs()]
-    profiles.append(twobridge_profile(3, 1))
-    return profiles
 
 
 def test_01_reference_h_tables():
@@ -82,7 +82,7 @@ def test_03_mazur_and_twobridge_r_formulas():
     assert h.r_of_t(hi(-1)) == hi(1)
     assert h.r_of_t(hi(1)) == hi(3)
     assert h.r_of_t(hi(3)) == hi(1)
-    for r, q in family_pairs():
+    for r, q in FAMILY_PAIRS:
         hf = HFunction(twobridge_data(r, q))
         half_l = HalfInt(hf.linking)
         assert hf.r_of_t(half_l) * 4 == HalfInt.whole(r + q - 2)
@@ -104,11 +104,8 @@ def test_04_hoste_polynomials():
         }
     )
     assert twobridge_alexander(5, 3) == expected
-    for r in (3, 5, 7, 9):
-        for q in range(1, r + 1, 2):
-            if (r, q) == (1, 1):
-                continue
-            assert twobridge_alexander(r, q) == twobridge_alexander_closed(r, q)
+    for r, q in LINK_PAIRS:
+        assert twobridge_alexander(r, q) == twobridge_alexander_closed(r, q)
 
 
 def test_05_tau_recoveries():
@@ -153,8 +150,8 @@ def test_06_oracle_equivalence():
     """Closed form = chain-complex oracle on >= 1000 sweep points."""
     supported = 0
     for prof in sweep_profiles():
-        for n in range(-4, 5):
-            for K in companion_grid():
+        for n in FRAMINGS:
+            for K in COMPANIONS:
                 try:
                     cf = tau_closed_form(prof, K, n)
                 except UnsupportedRegimeError:
@@ -170,12 +167,7 @@ def test_06_oracle_equivalence():
 
 def test_07_property_suite():
     """Structural H-function properties hold for every generated pattern."""
-    datas = [unlink_data()]
-    for r in (3, 5, 7, 9):
-        for q in range(1, r + 1, 2):
-            if (r, q) == (1, 1):
-                continue
-            datas.append(twobridge_data(r, q))
+    datas = [data for _, data in link_cases()]
     for data in datas:
         h = HFunction(data)
         report = validate(h)
@@ -198,11 +190,8 @@ def test_08_classifier_exactness():
     """Only the (3,1) pattern and the unlink are non-obstructed."""
     outcomes = {}
     cases = [("unlink", unlink_profile())]
-    for r in (3, 5, 7, 9):
-        for q in range(1, r + 1, 2):
-            if (r, q) == (1, 1):
-                continue
-            cases.append(((r, q), twobridge_profile(r, q)))
+    for r, q in LINK_PAIRS:
+        cases.append(((r, q), twobridge_profile(r, q)))
     for label, prof in cases:
         verdict, _ = classify_operator(prof.hfunction(), prof.g3)
         if verdict != "obstructed":
@@ -213,8 +202,8 @@ def test_08_classifier_exactness():
 def test_09_tau_inequality():
     """tau(satellite) >= tau of the comparison cable at every sweep point."""
     for prof in sweep_profiles():
-        for n in range(-4, 5):
-            for K in companion_grid():
+        for n in FRAMINGS:
+            for K in COMPANIONS:
                 result = tau_inequality_check(prof, K, n)
                 assert result is not False
                 if prof.l == 0 and result is not None:

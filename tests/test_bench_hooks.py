@@ -4,15 +4,18 @@
 checks and the CLI commands, and reads a few helpers by name; a removal
 under ``src/`` that breaks one of them fails only when a traced op runs.
 This loads the tracer by path without calling its ``install`` and checks
-each name it reads.  Nothing under ``bench/`` is changed.
+each name it reads, then runs it on a verify op.  Nothing under ``bench/``
+is changed.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import run_python
 import lsat.cli
 from lsat import hfunction
 
@@ -44,3 +47,20 @@ def test_verify_checks_and_cli_shim_are_in_place(tracer):
     assert set(lsat.cli.main.commands) == set(lsat.cli.COMMANDS)
     assert callable(lsat.cli.main.main)
     assert callable(hfunction._lattice_range)
+
+
+def test_traced_verify_records_every_layer_and_check(tmp_path):
+    out = tmp_path / "trace.json"
+    proc = run_python(
+        str(TRACER_PATH), str(out), "verify", "--check", "all", "--format", "json"
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(out.read_text())
+    calls = {name: stat[0] for name, stat in trace["stats"].items()}
+    assert calls["invariants.tau_closed_form"] == 1109
+    assert calls["zcomplex.tau_oracle"] == 1089
+    assert calls["zcomplex.build_summand"] == 473
+    checks = sorted(
+        span[1] for span in trace["spans"] if span[1].startswith("cli.verify.")
+    )
+    assert checks == sorted(f"cli.verify.{name}" for name in lsat.cli._CHECKS)

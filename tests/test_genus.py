@@ -14,6 +14,7 @@ from lsat import (
     twobridge_profile,
 )
 from lsat.errors import UnsupportedRegimeError
+from lsat.sweeps import FAMILY_PAIRS
 
 
 WHITEHEAD = twobridge_profile(3, 3)
@@ -32,11 +33,10 @@ class TestG3Rel:
         assert g3rel(twobridge_profile(3, 1)) == 0
 
     def test_integrality_across_family(self):
-        for r in (3, 5, 7, 9):
-            for q in range(3, r + 1, 2):
-                prof = twobridge_profile(r, q)
-                value = g3rel(prof)
-                assert value >= prof.g3
+        for r, q in FAMILY_PAIRS:
+            prof = twobridge_profile(r, q)
+            value = g3rel(prof)
+            assert value >= prof.g3
 
 
 class TestG4Satellite:

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from conftest import family_pairs
 from lsat import (
     Companion,
     classify_operator,
@@ -18,6 +17,7 @@ from lsat import (
     unlink_profile,
 )
 from lsat.errors import InvalidInputError, UnsupportedRegimeError
+from lsat.sweeps import FAMILY_PAIRS
 
 
 WHITEHEAD = twobridge_profile(3, 3)
@@ -50,7 +50,7 @@ class TestClosedForm:
         # differ by R_center - l/2 - g3, which must be nonnegative.
         from lsat import HalfInt
 
-        for r, q in family_pairs():
+        for r, q in FAMILY_PAIRS:
             prof = twobridge_profile(r, q)
             gap = prof.r_center - HalfInt(prof.l) - HalfInt.whole(prof.g3)
             assert gap >= HalfInt.whole(0)

@@ -21,6 +21,7 @@ from lsat import (
 from lsat.errors import InvalidInputError
 from lsat.halfgrid_poly import LaurentPoly2
 from lsat.patterns import parse_pattern_spec
+from lsat.sweeps import LINK_PAIRS
 
 
 def p2(terms):
@@ -43,15 +44,12 @@ class TestEta:
 
     def test_linking_from_odd_signs(self):
         # Sum of eta over odd indices equals the linking number (r-q)/2.
-        for r in (3, 5, 7, 9):
-            for q in range(1, r + 1, 2):
-                if (r, q) == (1, 1):
-                    continue
-                p = r * q - 1
-                total = sum(
-                    twobridge_eta(p, q, 2 * k + 1) for k in range(p // 2)
-                )
-                assert total == (r - q) // 2
+        for r, q in LINK_PAIRS:
+            p = r * q - 1
+            total = sum(
+                twobridge_eta(p, q, 2 * k + 1) for k in range(p // 2)
+            )
+            assert total == (r - q) // 2
 
 
 class TestWalk:
@@ -68,13 +66,10 @@ class TestWalk:
         assert len(twobridge_walk(3, 3)) == 4
 
     def test_point_count(self):
-        for r in (3, 5, 7, 9):
-            for q in range(1, r + 1, 2):
-                if (r, q) == (1, 1):
-                    continue
-                pts = twobridge_walk(r, q)
-                assert len(pts) == (r * q - 1) // 2
-                assert len(set(pts)) == len(pts)
+        for r, q in LINK_PAIRS:
+            pts = twobridge_walk(r, q)
+            assert len(pts) == (r * q - 1) // 2
+            assert len(set(pts)) == len(pts)
 
 
 class TestAlexander:
@@ -89,13 +84,10 @@ class TestAlexander:
         assert twobridge_alexander(5, 3) == expected
 
     def test_walk_equals_closed_form(self):
-        for r in (3, 5, 7, 9):
-            for q in range(1, r + 1, 2):
-                if (r, q) == (1, 1):
-                    continue
-                assert twobridge_alexander(r, q) == (
-                    twobridge_alexander_closed(r, q)
-                )
+        for r, q in LINK_PAIRS:
+            assert twobridge_alexander(r, q) == (
+                twobridge_alexander_closed(r, q)
+            )
 
     def test_whitehead_normalized(self):
         # Delta-tilde of (3,3) is -x1 x2 + x1 + x2 - 1.

@@ -17,19 +17,15 @@ from lsat import (
 )
 from lsat.errors import UnsupportedRegimeError
 from lsat.halfgrid_poly import LaurentPoly2
+from lsat.sweeps import COMPANIONS, FRAMINGS, LINK_PAIRS
 from lsat.zcomplex import tau_oracle
 
 
 halfints = st.integers(min_value=-40, max_value=40).map(HalfInt)
 
-family = st.sampled_from(
-    [(r, q) for r in (3, 5, 7, 9) for q in range(1, r + 1, 2) if (r, q) != (1, 1)]
-)
+family = st.sampled_from(LINK_PAIRS)
 
-companions = st.one_of(
-    st.tuples(st.integers(-2, 2), st.sampled_from([-1, 1])),
-    st.just((0, 0)),
-).map(lambda t: Companion(tau=t[0], eps=t[1]))
+companions = st.sampled_from(COMPANIONS)
 
 
 class TestHalfIntAlgebra:
@@ -120,7 +116,7 @@ class TestHFunctionProperties:
 
 class TestTauProperties:
     @settings(max_examples=40, deadline=None)
-    @given(family, companions, st.integers(-4, 4))
+    @given(family, companions, st.sampled_from(FRAMINGS))
     def test_oracle_agrees_with_closed_form(self, rq, K, n):
         prof = twobridge_profile(*rq)
         try:
