@@ -41,6 +41,7 @@ from .invariants import (
 from .patterns import (
     Companion,
     PatternProfile,
+    ascii_int,
     bridge_braid_profile,
     cable_profile,
     generic_profile,
@@ -282,13 +283,13 @@ def cmd_verify(check: str, fmt: str) -> None:
 OPTIONS = {
     "pattern": {"metavar": "PATTERN",
                 "help": "twobridge:r,q, cable:p,q, braid:p,q,b or json:path"},
-    "--window": {"type": int, "help": f"Table half-width in t (0..{MAX_WINDOW})."},
-    "--tau": {"type": int, "required": True, "help": "tau of the companion."},
+    "--window": {"type": ascii_int, "help": f"Table half-width in t (0..{MAX_WINDOW})."},
+    "--tau": {"type": ascii_int, "required": True, "help": "tau of the companion."},
     "--eps": {"choices": ("-1", "0", "1"), "required": True,
               "help": "eps of the companion."},
-    "--n": {"type": int, "default": 0, "help": "Framing."},
+    "--n": {"type": ascii_int, "default": 0, "help": "Framing."},
     "--method": {"choices": ("closed", "oracle", "both"), "default": "closed"},
-    "--g4-eq-tau": {"type": int,
+    "--g4-eq-tau": {"type": ascii_int,
                     "help": "Assert tau(K) = g4(K) equals this positive value."},
     "--check": {"choices": ["all"] + sorted(_CHECKS), "default": "all"},
     "--format": {"dest": "fmt", "choices": ("tsv", "json"), "default": "tsv",

@@ -32,12 +32,12 @@ class PatternProfile(Record):
     winding/2 and winding/2 + 1; any of them may be unavailable (None) for
     closed-form-only families.  The side conditions, minimal wrapping and
     provenance are derived from these fields.  The oracle keeps the arrow
-    weights it derives in the ``_oracle_weights`` slot and its reduced
-    summands in the ``_oracle_memo`` slot, both outside the fields.
+    weights it derives and its reduced summands in the ``_oracle`` slot,
+    outside the fields.
     """
 
     _fields = ("l", "g3", "n_width", "r_minus", "r_center", "r_plus", "data")
-    __slots__ = _fields + ("_oracle_weights", "_oracle_memo")
+    __slots__ = _fields + ("_oracle",)
 
     def __init__(self, l: int, g3: int, n_width: HalfInt, r_minus: Optional[HalfInt],
                  r_center: Optional[HalfInt], r_plus: Optional[HalfInt],
@@ -69,8 +69,7 @@ class PatternProfile(Record):
         setslot(self, "r_center", r_center)
         setslot(self, "r_plus", r_plus)
         setslot(self, "data", data)
-        setslot(self, "_oracle_weights", None)
-        setslot(self, "_oracle_memo", {})
+        setslot(self, "_oracle", None)
 
     @property
     def cond_tau(self) -> bool:
@@ -371,6 +370,22 @@ def generic_profile(
     return _profile_from_h(h, g3)
 
 
+def ascii_int(text: str) -> int:
+    """The int written as ASCII digits with an optional sign.
+
+    ``int()`` also takes underscores, surrounding whitespace and non-ASCII
+    digits; this raises ValueError on them.  Its ``__name__`` is ``int``,
+    so argparse refuses a bad value as ``invalid int value: '...'``.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+ascii_int.__name__ = "int"
+
+
 def parse_pattern_spec(spec: str):
     """Parse a CLI pattern specifier into a (kind, params) tuple.
 
@@ -383,7 +398,7 @@ def parse_pattern_spec(spec: str):
     if kind == "json":
         return ("json", rest)
     try:
-        params = tuple(int(x) for x in rest.split(","))
+        params = tuple(ascii_int(x) for x in rest.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"non-integer parameters in {spec!r}") from exc
     expected = {"twobridge": 2, "cable": 2, "braid": 3}

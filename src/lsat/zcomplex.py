@@ -1,10 +1,11 @@
 """Chain complexes over F2[Z] and the independent tau oracle.
 
-A :class:`ZComplex` is a finitely generated free bigraded complex whose
-differential is a set of arrows weighted by powers of Z.  Every arrow is
-homogeneous for the Alexander grading A = (gr_w - gr_z)/2 (Z raises A by 1
-from target to source), which keeps the whole reduction monomial: matrix
-entries are single Z-powers and stay that way under row/column operations.
+A :class:`ZComplex` is a finitely generated free bigraded two-step complex
+whose differential is a set of arrows between generator indices, weighted
+by powers of Z.  Every arrow is homogeneous for the Alexander grading
+A = (gr_w - gr_z)/2 (Z raises A by 1 from target to source), which keeps
+the whole reduction monomial: matrix entries are single Z-powers and stay
+that way under row/column operations.
 
 The oracle builds the explicit truncated direct-summand complexes for each
 companion-eps regime, with absolute Alexander gradings fixed by one anchor
@@ -33,53 +34,46 @@ MAX_SUMMAND_SOURCES = 32768
 
 
 class ZComplex(Record):
-    """Free bigraded complex over F2[Z] with monomial differential.
+    """Two-step free bigraded complex over F2[Z] with monomial differential.
 
-    ``generators`` holds (name, gr_w, gr_z) triples; ``arrows`` is the
-    differential as (source, target, z_exponent) triples with F2
-    coefficients (an even multiset of identical arrows cancels to nothing).
-    The constructor stores the arrows sorted and runs :meth:`check`, so
-    every complex is valid.
+    ``generators`` holds (name, gr_w, gr_z) triples; the names are labels
+    for :meth:`to_json_obj` and messages.  ``arrows`` is the differential
+    as (source index, target index, z_exponent) triples into
+    ``generators``, with F2 coefficients (an even multiset of identical
+    arrows cancels to nothing).  The constructor stores the arrows sorted
+    and runs :meth:`check`, so every complex is valid.
     """
 
-    _fields = ("generators", "arrows", "case_tag")
-    __slots__ = _fields + ("_index", "_src", "_tgt")
+    _fields = __slots__ = ("generators", "arrows", "case_tag")
 
     def __init__(self, generators: Sequence[Tuple[str, int, int]],
-                 arrows: Sequence[Tuple[str, str, int]], case_tag: str = ""):
+                 arrows: Sequence[Tuple[int, int, int]], case_tag: str = ""):
         if len(set(arrows)) != len(arrows):  # a repeat: keep odd counts
             arrows = [a for a, c in Counter(arrows).items() if c % 2]
-        arrows = tuple(sorted(arrows))
         setslot(self, "generators", tuple(generators))
-        setslot(self, "arrows", arrows)
+        setslot(self, "arrows", tuple(sorted(arrows)))
         setslot(self, "case_tag", case_tag)
-        # Kept outside the fields: name -> index of the first generator of
-        # that name, and the source and target index of each arrow, None
-        # off the complex.  check and tower_alexander run on these ints.
-        names = [g for g, _, _ in generators]
-        index = dict(zip(reversed(names), range(len(names) - 1, -1, -1)))
-        get = index.get
-        setslot(self, "_index", index)
-        setslot(self, "_src", [get(s) for s, _, _ in arrows])
-        setslot(self, "_tgt", [get(t) for _, t, _ in arrows])
         self.check()
 
     def check(self) -> None:
-        """Assert d^2 = 0 and per-arrow grading homogeneity.
+        """Assert the complex is two-step and every arrow homogeneous.
 
-        Homogeneity in A = (gr_w - gr_z)/2, A(src) = A(tgt) + k, follows
-        from the gr_w and gr_z shifts, so it needs no test of its own.
+        No generator may have arrows both ways, so no arrow composes with
+        another and d^2 = 0 holds.  Homogeneity in A = (gr_w - gr_z)/2,
+        A(src) = A(tgt) + k, follows from the gr_w and gr_z shifts, so it
+        needs no test of its own.
         """
         gens = self.generators
-        if len(self._index) != len(gens):
+        if len({g for g, _, _ in gens}) != len(gens):
             raise InvalidInputError("duplicate generator names")
-        for (src, tgt, k), i, j in zip(self.arrows, self._src, self._tgt):
-            if i is None or j is None:
-                raise InvalidInputError(f"arrow {src}->{tgt} off the complex")
+        size = len(gens)
+        for i, j, k in self.arrows:
+            if not (0 <= i < size and 0 <= j < size):
+                raise InvalidInputError(f"arrow {i}->{j} off the complex")
+            src, ws, zs = gens[i]
+            tgt, wt, zt = gens[j]
             if k < 0:
                 raise InvalidInputError(f"negative Z-exponent on {src}->{tgt}")
-            _, ws, zs = gens[i]
-            _, wt, zt = gens[j]
             if ws != wt + 1:
                 raise VerificationError(
                     f"arrow {src}->{tgt} does not drop gr_w by 1"
@@ -88,23 +82,15 @@ class ZComplex(Record):
                 raise VerificationError(
                     f"arrow {src}->{tgt}: gr_z shift inconsistent with Z^{k}"
                 )
-        # d^2: compose every pair of consecutive arrows and count parity.
-        # No arrow composes with another when no target is also a source.
-        if set(self._src).isdisjoint(self._tgt):
-            return
-        out: Dict[str, List[Tuple[str, int]]] = {}
-        for src, tgt, k in self.arrows:
-            out.setdefault(src, []).append((tgt, k))
-        squares: Dict[Tuple[str, str, int], int] = {}
-        for src, tgt, k in self.arrows:
-            for tgt2, k2 in out.get(tgt, ()):
-                key = (src, tgt2, k + k2)
-                squares[key] = squares.get(key, 0) + 1
-        bad = [key for key, c in squares.items() if c % 2]
-        if bad:
-            raise VerificationError(f"d^2 != 0: surviving composite {bad[0]}")
+        both = {i for i, _, _ in self.arrows} & {j for _, j, _ in self.arrows}
+        if both:
+            first = min(gens[i][0] for i in both)
+            raise InvalidInputError(
+                f"not a two-step complex: {first} has arrows both ways"
+            )
 
     def to_json_obj(self) -> dict:
+        names = [g for g, _, _ in self.generators]
         return {
             "case": self.case_tag,
             "generators": [
@@ -112,7 +98,7 @@ class ZComplex(Record):
                 for g, w, z in self.generators
             ],
             "arrows": [
-                {"source": s, "target": t, "z_exp": k}
+                {"source": names[s], "target": names[t], "z_exp": k}
                 for s, t, k in self.arrows
             ],
         }
@@ -121,13 +107,12 @@ class ZComplex(Record):
 def tower_alexander(c: ZComplex) -> HalfInt:
     """Alexander grading of the generator of the free part of homology.
 
-    The complex must be two-step (no generator has both incoming and
-    outgoing arrows).  Reduction is a graded Smith normal form over F2[Z]:
-    since every entry is a homogeneous monomial, row and column operations
-    with the forced Z-shifts keep entries monomial and preserve the grading
-    labels of rows and columns.  Sources are columns and every other
-    generator a row.  Every entry is eventually a pivot or cancelled, so
-    the free classes are the generators never pivoted; exactly one must
+    Reduction is a graded Smith normal form over F2[Z]: since every entry
+    is a homogeneous monomial, row and column operations with the forced
+    Z-shifts keep entries monomial and preserve the grading labels of rows
+    and columns.  Sources are columns and every other generator a row (the
+    complex is two-step).  Every entry is eventually a pivot or cancelled,
+    so the free classes are the generators never pivoted; exactly one must
     survive.
 
     The matrix is held per generator index as a dict of Z-exponents, the
@@ -138,17 +123,11 @@ def tower_alexander(c: ZComplex) -> HalfInt:
     m arrows whose pivots stay sparse, as every zig-zag does, reduces in
     O(m log m).
     """
-    both = set(c._src).intersection(c._tgt)
-    if both:
-        first = min(c.generators[i][0] for i in both)
-        raise InvalidInputError(
-            f"not a two-step complex: {first} has arrows both ways"
-        )
     # line[t] = {s: k} for a row t and line[s] = {t: k} for a column s
     # hold the same live entries; generator order is row and column order.
     line: List[Dict[int, int]] = [{} for _ in c.generators]
     heap = []
-    for s, t, (_, _, k) in zip(c._src, c._tgt, c.arrows):
+    for s, t, k in c.arrows:
         line[t][s] = k
         line[s][t] = k
         heap.append((k, t, s))
@@ -216,11 +195,12 @@ class TauResult(Record):
 def _weights(prof: PatternProfile) -> Dict[str, int]:
     """Z-exponents of the four structure arrows on the free quotient.
 
-    Computed once per profile and kept in its ``_oracle_weights`` slot; a
-    profile with a negative weight keeps nothing and raises on every call.
+    The first call keeps them in the profile's ``_oracle`` slot, as the
+    pair (weights, summand memo of :func:`tau_oracle`); a profile with a
+    negative weight keeps nothing and raises on every call.
     """
-    if prof._oracle_weights is not None:
-        return prof._oracle_weights
+    if prof._oracle is not None:
+        return prof._oracle[0]
     half_l = HalfInt(prof.l)
     g = HalfInt.whole(prof.g3)
     out = {}
@@ -238,7 +218,7 @@ def _weights(prof: PatternProfile) -> Dict[str, int]:
     for name, k in out.items():
         if k < 0:
             raise InvalidInputError(f"negative arrow weight {name} = {k}")
-    setslot(prof, "_oracle_weights", out)
+    setslot(prof, "_oracle", (out, {}))
     return out
 
 
@@ -255,23 +235,21 @@ def _chain(
     left_w: int,
     right_w: int,
     source_label: str = "s",
-) -> Tuple[List[Tuple[str, int, int]], List[Tuple[str, str, int]]]:
-    """Zig-zag: len(sink_a)-1 sources over the sinks b0..bk.
+) -> Tuple[List[Tuple[str, int, int]], List[Tuple[int, int, int]]]:
+    """Zig-zag: k = len(sink_a)-1 sources over the sinks b0..bk.
 
-    Source i+1 sits over (b_i, b_{i+1}) with arrow weights left_w, right_w;
-    its Alexander grading is forced to sink_a[i] + left_w.  The caller must
+    The sinks are generators 0..k and source i the generator k+i; it sits
+    over (b_{i-1}, b_i) with arrow weights left_w, right_w, so its
+    Alexander grading is forced to sink_a[i-1] + left_w.  The caller must
     supply sink gradings satisfying sink_a[i+1] = sink_a[i] + left_w -
-    right_w (asserted later by the homogeneity check).  Gradings are those
-    of ``_sink`` and ``_source``, written inline.
+    right_w (asserted later by the homogeneity check).
     """
-    sinks = [f"b{i}" for i in range(len(sink_a))]
-    gens = [(b, 0, -2 * a) for b, a in zip(sinks, sink_a)]
-    arrows = []
-    for i in range(1, len(sinks)):
-        name = f"{source_label}{i}"
-        gens.append((name, 1, 1 - 2 * (sink_a[i - 1] + left_w)))
-        arrows.append((name, sinks[i - 1], left_w))
-        arrows.append((name, sinks[i], right_w))
+    k = len(sink_a) - 1
+    gens = [_sink(f"b{i}", a) for i, a in enumerate(sink_a)]
+    gens += [_source(f"{source_label}{i}", sink_a[i - 1] + left_w)
+             for i in range(1, k + 1)]
+    arrows = [(k + i, i - 1, left_w) for i in range(1, k + 1)]
+    arrows += [(k + i, i, right_w) for i in range(1, k + 1)]
     return gens, arrows
 
 
@@ -280,13 +258,11 @@ def _summand_shift(prof: PatternProfile, K: Companion, n: int) -> int:
     return prof.framing_shift(n) + prof.l * K.tau
 
 
-def build_summand(
-    case: str, prof: PatternProfile, K: Companion, n: int
-) -> ZComplex:
+def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
     """Construct the truncated direct summand carrying the Z-tower.
 
-    ``case`` is one of ``eps1``, ``eps0_pos``, ``eps0_neg``, ``epsm1`` and
-    must agree with (K.eps, sign of n).  One anchor generator per case gets
+    The case, one of ``eps1``, ``eps0_pos``, ``eps0_neg``, ``epsm1``, is
+    :func:`summand_case` of (K, n).  One anchor generator per case gets
     its Alexander grading from the proof-stated value; every other grading
     follows from arrow homogeneity.  Where a second endpoint grading is
     also stated, it is asserted rather than assumed.  A summand of more
@@ -295,8 +271,9 @@ def build_summand(
     Each branch states its anchor at T = 0 and adds the one translation
     T = l(l-1)n/2 + l tau, which homogeneity carries to every generator.
     The rest of the branch reads n - 2 tau alone, so two (tau, n) with equal
-    n - 2 tau give the same arrows, case tag and gr_w, and A-gradings
-    that differ by the difference of their T; they refuse alike, too.
+    case and n - 2 tau give the same arrows, case tag and gr_w, and
+    A-gradings that differ by the difference of their T; they refuse
+    alike, too.
     """
     l, g, tau = prof.l, prof.g3, K.tau
     sources = abs(n - 2 * tau)
@@ -307,126 +284,88 @@ def build_summand(
         )
     shift = _summand_shift(prof, K, n)
     wts = _weights(prof)
+    case = summand_case(K, n)
 
-    if case == "eps1":
-        if K.eps != 1:
-            raise InvalidInputError("case eps1 needs a companion with eps=1")
+    if case in ("eps1", "eps0_pos"):
         prof.require("r_center")
         a, c = wts["tau"], wts["sigma"]
         anchor = g + shift
-        if n < 2 * tau:
+        if n >= 2 * tau:
             # k sources with weight-a arrows left and weight-c arrows
-            # right; the anchor A value sits on the RIGHTMOST sink, and
-            # the two companion-staircase ends map in with identity
-            # arrows at the two extreme sinks.
-            k = 2 * tau - n
-            sink_a = [anchor - (k - i) * l for i in range(k + 1)]
-            gens, arrows = _chain(sink_a, a, c)
-            gens.append(_source("etop", sink_a[k]))
-            arrows.append(("etop", f"b{k}", 0))
-            gens.append(_source("ebot", sink_a[0]))
-            arrows.append(("ebot", "b0", 0))
-            return ZComplex(gens, arrows, "eps=1,n<2tau")
-        # n >= 2tau: same chain with the anchor on the LEFTMOST sink.
-        k = n - 2 * tau
-        sink_a = [anchor + i * l for i in range(k + 1)]
+            # right; the anchor A value sits on the LEFTMOST sink.
+            k = n - 2 * tau
+            gens, arrows = _chain([anchor + i * l for i in range(k + 1)], a, c)
+            tag = "eps=1,n>=2tau" if case == "eps1" else "eps=0,n>=0"
+            return ZComplex(gens, arrows, tag)
+        # eps = 1, n < 2tau: the same chain with the anchor on the
+        # RIGHTMOST sink, and the two companion-staircase ends map in with
+        # identity arrows at the two extreme sinks.
+        k = 2 * tau - n
+        sink_a = [anchor - (k - i) * l for i in range(k + 1)]
         gens, arrows = _chain(sink_a, a, c)
-        return ZComplex(gens, arrows, "eps=1,n>=2tau")
+        gens += [_source("etop", sink_a[k]), _source("ebot", sink_a[0])]
+        arrows += [(2 * k + 1, k, 0), (2 * k + 2, 0, 0)]
+        return ZComplex(gens, arrows, "eps=1,n<2tau")
 
-    if case == "eps0_pos":
-        if K.eps != 0 or n < 0:
-            raise InvalidInputError("case eps0_pos needs eps=0 and n >= 0")
-        prof.require("r_center")
-        a, c = wts["tau"], wts["sigma"]
-        sink_a = [g + shift + i * l for i in range(n + 1)]
-        gens, arrows = _chain(sink_a, a, c)
-        return ZComplex(gens, arrows, "eps=0,n>=0")
-
+    if not prof.cond_tau:
+        what = "eps=0 with n<0" if case == "eps0_neg" else "eps=-1"
+        raise UnsupportedRegimeError(f"{what} needs the R_{{l/2-1}} condition")
+    prof.require("r_minus", "r_center", "r_plus")
+    a, c = wts["tau"], wts["sigma"]
+    am, cp = wts["tau_minus"], wts["sigma_plus"]
+    v_a = (prof.r_minus + HalfInt(l)).as_int() + shift
+    k = 2 * tau - n
     if case == "eps0_neg":
-        if K.eps != 0 or n >= 0:
-            raise InvalidInputError("case eps0_neg needs eps=0 and n < 0")
-        if not prof.cond_tau:
-            raise UnsupportedRegimeError(
-                "eps=0 with n<0 needs the R_{l/2-1} condition"
-            )
-        prof.require("r_minus", "r_center", "r_plus")
-        a, c = wts["tau"], wts["sigma"]
-        am, cp = wts["tau_minus"], wts["sigma_plus"]
-        k = -n
         # Mirrored arrangement: the anchor generator v (one column left of
         # the winding/2 column) is LEFTMOST and the middle sources point
         # weight-c left, weight-a right, so sink gradings fall rightwards.
-        v_a = (prof.r_minus + HalfInt(l)).as_int() + shift
         sink_a = [v_a - am - i * l for i in range(k + 1)]
         gens, arrows = _chain(sink_a, c, a, source_label="w")
-        gens.append(_source("v", v_a))
-        arrows.append(("v", "b0", am))
-        gens.append(_source("u", sink_a[k] + cp))
-        arrows.append(("u", f"b{k}", cp))
+        gens += [_source("v", v_a), _source("u", sink_a[k] + cp)]
+        arrows += [(2 * k + 1, 0, am), (2 * k + 2, k, cp)]
         return ZComplex(gens, arrows, "eps=0,n<0")
 
-    if case == "epsm1":
-        if K.eps != -1:
-            raise InvalidInputError("case epsm1 needs a companion with eps=-1")
-        if not prof.cond_tau:
-            raise UnsupportedRegimeError(
-                "eps=-1 needs the R_{l/2-1} condition"
-            )
-        prof.require("r_minus", "r_center", "r_plus")
-        a, c = wts["tau"], wts["sigma"]
-        am, cp = wts["tau_minus"], wts["sigma_plus"]
-        v_a = (prof.r_minus + HalfInt(l)).as_int() + shift
-        if n <= 2 * tau:
-            # Ends swapped relative to eps0_neg: the anchor generator v is
-            # RIGHTMOST and the middle sources point weight-a left,
-            # weight-c right, so sink gradings rise rightwards.
-            k = 2 * tau - n
-            sink_a = [v_a - am - (k - i) * l for i in range(k + 1)]
-            gens, arrows = _chain(sink_a, a, c, source_label="w")
-            gens.append(_source("v", v_a))
-            arrows.append(("v", f"b{k}", am))
-            gens.append(_source("u", sink_a[0] + cp))
-            arrows.append(("u", "b0", cp))
-            tag = "eps=-1,n<2tau" if n < 2 * tau else "eps=-1,n=2tau"
-            return ZComplex(gens, arrows, tag)
-        kw, kz = wts["w"], wts["z"]
-        stated_u = (prof.r_plus + HalfInt(l)).as_int() + shift
-        if n == 2 * tau + 1:
-            # A single source cones onto the two off-center sinks through
-            # the W and Z structure arrows.
-            w_a = v_a + kw
-            u_a = w_a - kz
-            if u_a != stated_u:
-                raise VerificationError(
-                    "cone endpoint grading disagrees with the stated value"
-                )
-            gens = [_sink("v", v_a), _sink("u", u_a), _source("w1", w_a)]
-            arrows = [("w1", "v", kw), ("w1", "u", kz)]
-            return ZComplex(gens, arrows, "eps=-1,n=2tau+1")
-        # n > 2tau+1: k sources over the sinks v, m_1..m_{k-1}, u; the
-        # outer sources use the W/Z arrows, the interior ones the usual
-        # weight-a/weight-c pair.
-        k = n - 2 * tau
-        w1_a = v_a + kw
-        mid_a = [w1_a - c + i * l for i in range(k - 1)]
-        stated_mid = g + l + shift
-        if mid_a and mid_a[0] != stated_mid:
+    if n <= 2 * tau:
+        # Ends swapped relative to eps0_neg: the anchor generator v is
+        # RIGHTMOST and the middle sources point weight-a left, weight-c
+        # right, so sink gradings rise rightwards.
+        sink_a = [v_a - am - (k - i) * l for i in range(k + 1)]
+        gens, arrows = _chain(sink_a, a, c, source_label="w")
+        gens += [_source("v", v_a), _source("u", sink_a[0] + cp)]
+        arrows += [(2 * k + 1, k, am), (2 * k + 2, 0, cp)]
+        tag = "eps=-1,n<2tau" if n < 2 * tau else "eps=-1,n=2tau"
+        return ZComplex(gens, arrows, tag)
+    kw, kz = wts["w"], wts["z"]
+    k = n - 2 * tau
+    w1_a = v_a + kw
+    if k == 1:
+        # A single source cones onto the two off-center sinks through
+        # the W and Z structure arrows.
+        u_a = w1_a - kz
+        if u_a != (prof.r_plus + HalfInt(l)).as_int() + shift:
             raise VerificationError(
-                "interior sink grading disagrees with the stated value"
+                "cone endpoint grading disagrees with the stated value"
             )
-        # source_a[i] is the grading of w_{i+1}; for i >= 1 it sits over
-        # (m_i, m_{i+1}) and inherits mid_a[i-1] + a.
-        source_a = [w1_a] + [mid_a[i] + a for i in range(k - 1)]
-        u_a = source_a[-1] - kz
-        gens = [_sink("v", v_a), _sink("u", u_a)]
-        gens += [(f"m{i}", 0, -2 * m) for i, m in enumerate(mid_a, 1)]
-        gens += [(f"w{i}", 1, 1 - 2 * s) for i, s in enumerate(source_a, 1)]
-        arrows = [("w1", "v", kw), (f"w{k}", "u", kz)]
-        arrows += [(f"w{i}", f"m{i - 1}", a) for i in range(2, k + 1)]
-        arrows += [(f"w{i}", f"m{i}", c) for i in range(1, k)]
-        return ZComplex(gens, arrows, "eps=-1,n>2tau+1")
-
-    raise InvalidInputError(f"unknown summand case {case!r}")
+        gens = [_sink("v", v_a), _sink("u", u_a), _source("w1", w1_a)]
+        return ZComplex(gens, [(2, 0, kw), (2, 1, kz)], "eps=-1,n=2tau+1")
+    # n > 2tau+1: k sources over the sinks v, m_1..m_{k-1}, u (generators
+    # 0, 2..k, 1; w_i is generator k+i); the outer sources use the W/Z
+    # arrows, the interior ones the usual weight-a/weight-c pair.
+    mid_a = [w1_a - c + i * l for i in range(k - 1)]
+    if mid_a[0] != g + l + shift:
+        raise VerificationError(
+            "interior sink grading disagrees with the stated value"
+        )
+    # source_a[i] is the grading of w_{i+1}; for i >= 1 it sits over
+    # (m_i, m_{i+1}) and inherits mid_a[i-1] + a.
+    source_a = [w1_a] + [m + a for m in mid_a]
+    gens = [_sink("v", v_a), _sink("u", source_a[-1] - kz)]
+    gens += [_sink(f"m{i}", m) for i, m in enumerate(mid_a, 1)]
+    gens += [_source(f"w{i}", s) for i, s in enumerate(source_a, 1)]
+    arrows = [(k + 1, 0, kw), (2 * k, 1, kz)]
+    arrows += [(k + i, i, a) for i in range(2, k + 1)]
+    arrows += [(k + i, i + 1, c) for i in range(1, k)]
+    return ZComplex(gens, arrows, "eps=-1,n>2tau+1")
 
 
 def summand_case(K: Companion, n: int) -> str:
@@ -442,23 +381,21 @@ def tau_oracle(prof: PatternProfile, K: Companion, n: int) -> TauResult:
 
     The summand is fixed by its case and n - 2 tau up to the translation T
     of every grading (see :func:`build_summand`), so each profile keeps,
-    in its ``_oracle_memo`` slot, the reduced A - T and the case tag per
-    key (case, n - 2 tau).  The first call for a key builds, checks and
-    reduces the summand; later calls return their own T plus the stored
-    offset.  A call that raises stores nothing.  The summand cap bounds
-    the keys, and the memo lives as long as the profile.
+    in the memo of its ``_oracle`` slot, the reduced A - T and the case
+    tag per key (case, n - 2 tau).  The first call for a key builds,
+    checks and reduces the summand; later calls return their own T plus
+    the stored offset.  A call that raises stores nothing.  The summand
+    cap bounds the keys, and the memo lives as long as the profile.
     """
     if prof.l < 0:
         raise UnsupportedRegimeError("oracle needs winding >= 0")
-    case = summand_case(K, n)
     shift = _summand_shift(prof, K, n)
-    key = (case, n - 2 * K.tau)
-    memo = prof._oracle_memo
-    hit = memo.get(key)
+    key = (summand_case(K, n), n - 2 * K.tau)
+    hit = prof._oracle[1].get(key) if prof._oracle is not None else None
     if hit is None:
-        c = build_summand(case, prof, K, n)
+        c = build_summand(prof, K, n)  # its _weights call sets the slot
         value = tower_alexander(c)
         if not value.is_integral:
             raise VerificationError(f"oracle produced non-integer tau {value}")
-        hit = memo[key] = (value.as_int() - shift, c.case_tag)
+        hit = prof._oracle[1][key] = (value.as_int() - shift, c.case_tag)
     return TauResult(value=hit[0] + shift, method="oracle", case_tag=hit[1])

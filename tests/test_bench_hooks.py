@@ -4,8 +4,8 @@
 checks and the CLI commands, and reads a few helpers by name; a removal
 under ``src/`` that breaks one of them fails only when a traced op runs.
 This loads the tracer by path without calling its ``install`` and checks
-each name it reads, then runs it on a verify op.  Nothing under ``bench/``
-is changed.
+each name it reads, then runs it on a verify op and on a tau op that
+reads link data from a JSON file.  Nothing under ``bench/`` is changed.
 """
 
 import importlib.util
@@ -19,7 +19,8 @@ from conftest import run_python
 import lsat.cli
 from lsat import hfunction
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +65,20 @@ def test_traced_verify_records_every_layer_and_check(tmp_path):
         span[1] for span in trace["spans"] if span[1].startswith("cli.verify.")
     )
     assert checks == sorted(f"cli.verify.{name}" for name in lsat.cli._CHECKS)
+
+
+def test_traced_json_tau_records_the_ingest_path(tmp_path):
+    pool = json.loads((BENCH / "pool.json").read_text())
+    link = tmp_path / "link.json"
+    link.write_text(json.dumps(pool["tb-9-5"]))
+    out = tmp_path / "trace.json"
+    proc = run_python(
+        str(TRACER_PATH), str(out), "tau", f"json:{link}", "--tau", "1",
+        "--eps", "-1", "--n", "2", "--method", "both", "--format", "json",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["match"] is True
+    stats = json.loads(out.read_text())["stats"]
+    for name in ("halfgrid_poly.from_json_obj", "hfunction.validate",
+                 "patterns.generic_profile", "zcomplex.build_summand"):
+        assert stats[name][0] >= 1, name

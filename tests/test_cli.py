@@ -267,6 +267,20 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_cold_start_loads_no_heavy_module(self):
+        # Every op starts an interpreter, so what importing lsat.cli loads
+        # is paid on each; -S keeps the site module's imports out.
+        heavy = ["click", "concurrent", "dataclasses", "decimal", "fractions",
+                 "inspect", "multiprocessing", "subprocess"]
+        check = (
+            "import lsat.cli, sys; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} & "
+            f"set({heavy!r})))"
+        )
+        proc = run_python("-S", "-c", check)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_module_entry_point(self):
         ok = run_python(
             "-m", "lsat.cli", "tau", "twobridge:3,3", "--tau", "1", "--eps", "1"

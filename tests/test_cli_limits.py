@@ -1,5 +1,5 @@
 """CLI argument limits: negative framings and windows, JSON exponent cap,
-the oracle's summand cap."""
+the oracle's summand cap, integers written only as ASCII digits."""
 
 import json
 
@@ -120,6 +120,29 @@ def test_classify_json_reuses_the_profile_hfunction(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert len(built_by_profile) == 1
     assert len(builds) == built_by_profile[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tau", "twobridge:5,3", "--tau", "1_0", "--eps", "1"],
+     "lsat tau: argument --tau: invalid int value: '1_0'"),
+    (["tau", "twobridge:1_1,3", "--tau", "1", "--eps", "1"],
+     "non-integer parameters in 'twobridge:1_1,3'"),
+    (["hfunc", "twobridge:3,1", "--window", "\u0663"],  # Arabic-Indic 3
+     "lsat hfunc: argument --window: invalid int value: '\u0663'"),
+    (["genus", "twobridge:5,3", "--g4-eq-tau", " 2"],
+     "lsat genus: argument --g4-eq-tau: invalid int value: ' 2'"),
+    (["classify", "braid:4,5,+-2"], "non-integer parameters in 'braid:4,5,+-2'"),
+], ids=["underscore", "underscore-param", "arabic-indic-digit", "space",
+        "two-signs"])
+def test_integers_are_ascii_digits_with_an_optional_sign(argv, message):
+    assert _error(invoke(argv))["message"] == message
+
+
+def test_signed_integers_still_parse():
+    signed = invoke(["tau", "cable:+3,2", "--tau", "+1", "--eps", "1", "--n", "-2"])
+    plain = invoke(["tau", "cable:3,2", "--tau", "1", "--eps", "1", "--n", "-2"])
+    assert signed.exit_code == 0, signed.output
+    assert signed.stdout == plain.stdout
 
 
 def test_hfunc_window_limit():

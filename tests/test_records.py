@@ -2,9 +2,8 @@
 
 Frozen records compare and hash by class and field values, refuse
 assignment, and survive ``pickle`` and ``copy.deepcopy``; derived caches
-(the HFunction and support extent of link data, a complex's grading
-index, a profile's oracle weights and oracle memo) stay out of equality
-and hashing.
+(the HFunction and support extent of link data, a profile's oracle
+weights and summand memo) stay out of equality and hashing.
 ``ValidationReport`` and ``cli.Command`` are mutable and unhashable.
 """
 
@@ -66,7 +65,7 @@ FROZEN = {
     "PatternProfile(closed-form)": lambda: cable_profile(3, 2),
     "Companion": lambda: Companion(tau=1, eps=-1),
     "ZComplex": lambda: build_summand(
-        "eps1", twobridge_profile(5, 3), Companion(tau=1, eps=1), 0
+        twobridge_profile(5, 3), Companion(tau=1, eps=1), 0
     ),
     "TauResult": lambda: TauResult(2, "closed-form", "eps=1"),
     "LoadedPattern": lambda: cli._load_pattern("cable:3,2"),
@@ -164,11 +163,11 @@ def test_link_data_caches_stay_out_of_equality():
 def test_profile_oracle_weights_stay_out_of_equality():
     used, fresh = FROZEN["PatternProfile"](), FROZEN["PatternProfile"]()
     tau_oracle(used, Companion(tau=1, eps=1), 0)
-    assert used._oracle_weights is not None and used._oracle_memo
+    assert used._oracle is not None and used._oracle[1]
     assert used == fresh and hash(used) == hash(fresh)
     for clone in (pickle.loads(pickle.dumps(used)), used.replace()):
         assert clone == fresh and hash(clone) == hash(fresh)
-        assert clone._oracle_weights is None and clone._oracle_memo == {}
+        assert clone._oracle is None
 
 
 def test_replace_rebuilds_through_the_constructor():

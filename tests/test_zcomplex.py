@@ -33,12 +33,11 @@ MAZUR = twobridge_profile(5, 3)
 
 class TestZComplexInvariants:
     def test_d_squared_enforced(self):
-        # b -> a and c -> b and c -> a with inconsistent weights break
-        # homogeneity; a genuine d^2 != 0 needs a longer zig-zag, so
-        # build one: two composable arrows with an odd composite count.
+        # d^2 != 0 needs two composable arrows, c -> b -> a; a complex is
+        # two-step, so b, with arrows both ways, is refused when it is built.
         gens = [("a", 0, 0), ("b", 1, -1), ("c", 2, -2)]
-        arrows = [("c", "b", 1), ("b", "a", 1)]
-        with pytest.raises(VerificationError):
+        arrows = [(2, 1, 1), (1, 0, 1)]
+        with pytest.raises(InvalidInputError, match="b has arrows both ways"):
             ZComplex(gens, arrows)
 
     def test_homogeneity_enforced(self):
@@ -47,51 +46,48 @@ class TestZComplexInvariants:
         # by 1 where Z^2 needs 1 - 4 = -3.  Alexander homogeneity follows
         # from the gr_w and gr_z shifts, so this is the gr_z check.
         with pytest.raises(VerificationError, match="gr_z shift"):
-            ZComplex(gens, [("b", "a", 2)])
+            ZComplex(gens, [(1, 0, 2)])
 
     def test_arrows_mod_two(self):
         gens = [("a", 0, 0), ("b", 1, -1)]
-        c = ZComplex(gens, [("b", "a", 1), ("b", "a", 1)])
+        c = ZComplex(gens, [(1, 0, 1), (1, 0, 1)])
         assert c.arrows == ()
 
     def test_arrows_are_stored_sorted(self):
-        gens = (("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("c", 2, 0))
-        given = (("e", "a", 0), ("c", "e", 1), ("b", "a", 1), ("c", "b", 0))
+        gens = (("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("d", 0, -2))
+        given = ((2, 0, 0), (1, 3, 0), (1, 0, 1))
         c = ZComplex(gens, given)
         assert c.arrows == tuple(sorted(given))
         assert c == ZComplex(gens, given[::-1])
 
 
 CHECK_MESSAGES = [
-    # (generators, arrows, error class, full message); the constructor
-    # checks the arrows in sorted order.
+    # (generators, arrows, error class, full message); arrows are (source
+    # index, target index, Z-exponent) and the constructor checks them in
+    # sorted order.  An arrow off the complex is named by its indices.
     ((("a", 0, 0), ("a", 1, -1)), (), InvalidInputError,
      "duplicate generator names"),
-    ((("a", 0, 0),), (("b", "a", 1),), InvalidInputError,
-     "arrow b->a off the complex"),
-    ((("a", 0, 0),), (("a", "c", 1),), InvalidInputError,
-     "arrow a->c off the complex"),
-    ((("a", 0, 0), ("b", 1, 3)), (("b", "a", -1),), InvalidInputError,
+    ((("a", 0, 0),), ((1, 0, 1),), InvalidInputError,
+     "arrow 1->0 off the complex"),
+    ((("a", 0, 0),), ((0, 2, 1),), InvalidInputError,
+     "arrow 0->2 off the complex"),
+    ((("a", 0, 0), ("b", 1, 3)), ((1, 0, -1),), InvalidInputError,
      "negative Z-exponent on b->a"),
-    ((("a", 0, 0), ("b", 2, -3)), (("b", "a", 2),), VerificationError,
+    ((("a", 0, 0), ("b", 2, -3)), ((1, 0, 2),), VerificationError,
      "arrow b->a does not drop gr_w by 1"),
-    ((("a", 0, 0), ("b", 1, -1)), (("b", "a", 2),), VerificationError,
+    ((("a", 0, 0), ("b", 1, -1)), ((1, 0, 2),), VerificationError,
      "arrow b->a: gr_z shift inconsistent with Z^2"),
+    # Composable arrows c->b->a: b has arrows both ways.
     ((("a", 0, 0), ("b", 1, -1), ("c", 2, -2)),
-     (("c", "b", 1), ("b", "a", 1)), VerificationError,
-     "d^2 != 0: surviving composite ('c', 'a', 2)"),
+     ((2, 1, 1), (1, 0, 1)), InvalidInputError,
+     "not a two-step complex: b has arrows both ways"),
     # The first failing arrow in sorted order decides, whatever fails after
     # it and in whatever order the arrows are given.
-    ((("a", 0, 0), ("b", 1, -1)), (("b", "a", 2), ("b", "x", 0)),
+    ((("a", 0, 0), ("b", 1, -1)), ((1, 0, 2), (1, 2, 0)),
      VerificationError, "arrow b->a: gr_z shift inconsistent with Z^2"),
     ((("a", 0, 0), ("b", 1, -1), ("c", 1, -1)),
-     (("c", "a", 2), ("b", "x", 0)),
-     InvalidInputError, "arrow b->x off the complex"),
-    # Two paths c->a cancel mod 2; the odd composite d->a survives.
-    ((("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("c", 2, 0), ("d", 2, -2)),
-     (("c", "b", 0), ("c", "e", 1), ("b", "a", 1), ("e", "a", 0),
-      ("d", "b", 1)), VerificationError,
-     "d^2 != 0: surviving composite ('d', 'a', 2)"),
+     ((2, 0, 2), (1, 3, 0)),
+     InvalidInputError, "arrow 1->3 off the complex"),
 ]
 
 
@@ -103,24 +99,24 @@ def test_check_messages(gens, arrows, error, message):
 
 TOWER_MESSAGES = [
     # d^2 = 0 because the two paths c->b->a and c->e->a cancel, yet b and
-    # e have arrows both ways.
+    # e have arrows both ways; the complex is refused when it is built.
     ((("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("c", 2, 0)),
-     (("c", "b", 0), ("c", "e", 1), ("b", "a", 1), ("e", "a", 0)), "",
+     ((3, 1, 0), (3, 2, 1), (1, 0, 1), (2, 0, 0)), "",
      InvalidInputError, "not a two-step complex: b has arrows both ways"),
     # A non-homogeneous arrow, which would collide in the reduction, is
     # refused when the complex is built.
     ((("b0", 0, 0), ("b1", 0, -2), ("s0", 1, -1), ("s1", 1, 1)),
-     (("s0", "b0", 0), ("s0", "b1", 0), ("s1", "b0", 0), ("s1", "b1", 1)),
+     ((2, 0, 0), (2, 1, 0), (3, 0, 0), (3, 1, 1)),
      "", VerificationError, "arrow s0->b0: gr_z shift inconsistent with Z^0"),
     ((("x", 0, 0), ("y", 0, 0)), (), "two", VerificationError,
      "free homology rank 2 != 1 in 'two'"),
-    ((("b0", 0, 0), ("s0", 1, -1)), (("s0", "b0", 1),), "", VerificationError,
+    ((("b0", 0, 0), ("s0", 1, -1)), ((1, 0, 1),), "", VerificationError,
      "free homology rank 0 != 1 in ''"),
     # A complex with an arrow off it is refused when it is built.
-    ((("a", 0, 0),), (("b", "a", 0),), "", InvalidInputError,
-     "arrow b->a off the complex"),
-    ((("a", 0, 0),), (("a", "c", 0), ("b", "c", 0)), "", InvalidInputError,
-     "arrow a->c off the complex"),
+    ((("a", 0, 0),), ((1, 0, 0),), "", InvalidInputError,
+     "arrow 1->0 off the complex"),
+    ((("a", 0, 0),), ((0, 1, 0), (2, 1, 0)), "", InvalidInputError,
+     "arrow 0->1 off the complex"),
 ]
 
 
@@ -139,7 +135,7 @@ class TestTowerAlexander:
         # d(s) = Z b0 + b1 with A(b0)=0, A(b1)=1, A(s)=1:
         # homology is F2[Z] generated by b0, so tau = 0.
         gens = [("b0", 0, 0), ("b1", 0, -2), ("s", 1, -1)]
-        c = ZComplex(gens, [("s", "b0", 1), ("s", "b1", 0)])
+        c = ZComplex(gens, [(2, 0, 1), (2, 1, 0)])
         assert tower_alexander(c) == HalfInt.whole(0)
 
     def test_free_rank_must_be_one(self):
@@ -148,13 +144,13 @@ class TestTowerAlexander:
             tower_alexander(c)
 
     def test_whitehead_summand(self):
-        c = build_summand("eps1", WHITEHEAD, Companion(tau=1, eps=1), 0)
+        c = build_summand(WHITEHEAD, Companion(tau=1, eps=1), 0)
         assert tower_alexander(c) == HalfInt.whole(1)
 
 
 class TestBuildSummand:
     def test_whitehead_eps1_shape(self):
-        c = build_summand("eps1", WHITEHEAD, Companion(tau=1, eps=1), 0)
+        c = build_summand(WHITEHEAD, Companion(tau=1, eps=1), 0)
         # 2 tau - n = 2 zig-zag sources over 3 sinks, plus the two
         # identity-weight end generators.
         assert len(c.generators) == 7
@@ -162,7 +158,7 @@ class TestBuildSummand:
         assert weights == [0, 0, 1, 1, 1, 1]  # L_sigma = L_tau = Z^1 here
 
     def test_mazur_eps0_positive(self):
-        c = build_summand("eps0_pos", MAZUR, Companion(tau=0, eps=0), 2)
+        c = build_summand(MAZUR, Companion(tau=0, eps=0), 2)
         # 2 sources over 3 sinks; weights Z^1 (L_sigma) and Z^2 (L_tau).
         names = [g[0] for g in c.generators]
         assert len(names) == 5
@@ -171,7 +167,7 @@ class TestBuildSummand:
         assert tower_alexander(c) == HalfInt.whole(MAZUR.g3)
 
     def test_mazur_epsm1_cone(self):
-        c = build_summand("epsm1", MAZUR, Companion(tau=0, eps=-1), 1)
+        c = build_summand(MAZUR, Companion(tau=0, eps=-1), 1)
         assert len(c.generators) == 3
         ks = sorted(k for _, _, k in c.arrows)
         assert ks == [1, 1]  # L_W and L_Z both weigh Z^1
@@ -181,7 +177,7 @@ class TestBuildSummand:
 
         prof = cable_profile(2, 1)
         with pytest.raises(UnsupportedRegimeError):
-            build_summand("epsm1", prof, Companion(tau=0, eps=-1), 0)
+            build_summand(prof, Companion(tau=0, eps=-1), 0)
 
     def test_every_summand_checks(self):
         for n in (-3, 0, 2, 4):
@@ -209,10 +205,10 @@ class TestBuildSummand:
             with pytest.raises(
                 InvalidInputError, match="negative arrow weight tau_minus = -2"
             ):
-                build_summand("eps0_pos", prof, Companion(tau=0, eps=0), 1)
+                build_summand(prof, Companion(tau=0, eps=0), 1)
 
     def test_json_dump(self):
-        c = build_summand("eps1", WHITEHEAD, Companion(tau=1, eps=1), 0)
+        c = build_summand(WHITEHEAD, Companion(tau=1, eps=1), 0)
         obj = c.to_json_obj()
         assert set(obj) >= {"generators", "arrows"}
 
@@ -255,7 +251,6 @@ GRID = [
     + [Companion(tau=0, eps=0)]
     for n in range(-12, 13)
 ]
-CASES = ("eps1", "eps0_pos", "eps0_neg", "epsm1")
 
 
 def _translation(prof, K, n):
@@ -272,11 +267,11 @@ def _outcome(fn):
 
 class TestSummandTranslation:
     def test_summand_depends_on_n_minus_2tau_up_to_translation(self):
-        # Every case, matching the companion or not: equal n - 2 tau gives
-        # the same arrows, case tag, names and gr_w, and doubled A-gradings
-        # minus 2T; a refusal gives the same class and message.
-        def shape(case, prof, K, n):
-            c = build_summand(case, prof, K, n)
+        # Equal case and n - 2 tau give the same arrows, case tag, names
+        # and gr_w, and doubled A-gradings minus 2T; a refusal gives the
+        # same class and message.
+        def shape(prof, K, n):
+            c = build_summand(prof, K, n)
             doubled_t = 2 * _translation(prof, K, n)
             return (
                 c.arrows,
@@ -287,20 +282,20 @@ class TestSummandTranslation:
 
         first, pairs = {}, 0
         for prof, K, n in GRID:
-            for case in CASES:
-                key = (id(prof), case, K.eps, n - 2 * K.tau)
-                got = _outcome(lambda: shape(case, prof, K, n))
-                if key in first:
-                    pairs += 1
-                    assert got == first[key], (prof, K, n, case)
-                else:
-                    first[key] = got
-        # Per case: 27 profiles x 2 signs of eps x 184 repeated n - 2 tau.
-        assert len(GRID) == 12825 and pairs == 4 * 9936
+            key = (id(prof), summand_case(K, n), n - 2 * K.tau)
+            got = _outcome(lambda: shape(prof, K, n))
+            if key in first:
+                pairs += 1
+                assert got == first[key], (prof, K, n)
+            else:
+                first[key] = got
+        # 27 profiles x 2 signs of eps x 184 repeated n - 2 tau; eps = 0
+        # forces tau = 0, so its n - 2 tau never repeats.
+        assert len(GRID) == 12825 and pairs == 9936
 
     def test_oracle_memo_matches_a_fresh_reduction(self, monkeypatch):
         def reference(prof, K, n):
-            c = build_summand(summand_case(K, n), prof, K, n)
+            c = build_summand(prof, K, n)
             value = tower_alexander(c)
             assert value.is_integral
             return value.as_int(), c.case_tag
@@ -323,7 +318,7 @@ class TestSummandTranslation:
         monkeypatch.setattr(zcomplex, "build_summand", counting)
         fresh = {id(p): p.replace() for p, _, _ in points}  # empty memos
         copies = [(fresh[id(p)], K, n) for p, K, n in points]
-        assert all(not prof._oracle_memo for prof, _, _ in copies)
+        assert all(prof._oracle is None for prof, _, _ in copies)
         assert [_outcome(lambda: oracle(*p)) for p in copies] == want
         distinct = {
             (id(p), summand_case(K, n), n - 2 * K.tau) for p, K, n in copies
@@ -340,11 +335,13 @@ class TestSummandTranslation:
         for _ in range(2):
             with pytest.raises(UnsupportedRegimeError):
                 tau_oracle(prof, Companion(tau=0, eps=-1), 0)
-        assert prof._oracle_memo == {}
+        assert prof._oracle[1] == {}
 
 
 class TestGradingLookup:
     def test_unknown_generator_rejected(self):
-        # check looks each arrow's ends up in the generator index.
-        with pytest.raises(InvalidInputError, match="arrow a->z off the"):
-            ZComplex((("a", 0, 0),), (("a", "z", 0),))
+        # check refuses an arrow end that is not a generator index.
+        with pytest.raises(InvalidInputError, match="arrow 0->1 off the"):
+            ZComplex((("a", 0, 0),), ((0, 1, 0),))
+        with pytest.raises(InvalidInputError, match="arrow -1->0 off the"):
+            ZComplex((("a", 0, 0), ("b", 1, -1)), ((-1, 0, 0),))
