@@ -27,6 +27,7 @@ from .hfunction import (
 from .patterns import (
     Companion,
     PatternProfile,
+    TauResult,
     bridge_braid_profile,
     cable_profile,
     generic_profile,
@@ -47,7 +48,6 @@ from .invariants import (
     tau_inequality_check,
 )
 from .zcomplex import (
-    TauResult,
     ZComplex,
     build_summand,
     tau_oracle,

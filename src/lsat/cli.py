@@ -41,6 +41,7 @@ from .invariants import (
 from .patterns import (
     Companion,
     PatternProfile,
+    TauResult,
     ascii_int,
     bridge_braid_profile,
     cable_profile,
@@ -51,7 +52,7 @@ from .patterns import (
 # cmd_verify reads this dict object; bench/tracer.py and the tests replace
 # its entries in place.
 from .sweeps import CHECKS as _CHECKS
-from .zcomplex import TauResult, tau_oracle
+from .zcomplex import tau_oracle
 
 
 class LoadedPattern(Record):

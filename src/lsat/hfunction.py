@@ -95,7 +95,7 @@ class LinkAlexData(Record):
         for name, d in (("delta1", delta1), ("delta2", delta2)):
             if d.eval_at_one() not in (1, -1):
                 raise InvalidInputError(f"{name}(1) must be +-1")
-            if not (d.is_symmetric() or d.neg().is_symmetric()):
+            if not d.is_symmetric():
                 raise InvalidInputError(f"{name} is not symmetric")
         setslot(self, "linking", linking)
         setslot(self, "delta_tilde", delta_tilde)

@@ -16,8 +16,9 @@ from typing import Optional, Tuple
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .halfgrid_poly import HalfInt
 from .hfunction import HFunction, width, _point, _t22l
-from .patterns import Companion, PatternProfile, bridge_braid_knot_check
-from .zcomplex import TauResult
+from .patterns import (
+    Companion, PatternProfile, TauResult, bridge_braid_knot_check,
+)
 
 
 def _as_tau(doubled: int, case_tag: str) -> TauResult:

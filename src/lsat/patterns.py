@@ -146,6 +146,20 @@ class Companion(Record):
         setslot(self, "eps", eps)
 
 
+class TauResult(Record):
+    """A tau value with the method and case (branch) that produced it."""
+
+    _fields = __slots__ = ("value", "method", "case_tag")
+
+    def __init__(self, value: int, method: str, case_tag: str):
+        setslot(self, "value", value)
+        setslot(self, "method", method)
+        setslot(self, "case_tag", case_tag)
+
+    def to_json_obj(self) -> dict:
+        return {"tau": self.value, "case": self.case_tag, "method": self.method}
+
+
 def twobridge_eta(p: int, q: int, i: int) -> int:
     """Sign sequence (-1)^floor(iq/p) of the two-bridge walk."""
     if p <= 0 or i <= 0:

@@ -7,11 +7,11 @@ A = (gr_w - gr_z)/2 (Z raises A by 1 from target to source), which keeps
 the whole reduction monomial: matrix entries are single Z-powers and stay
 that way under row/column operations.
 
-The oracle builds the explicit truncated direct-summand complexes for each
-companion-eps regime, with absolute Alexander gradings fixed by one anchor
-generator per case and propagated through arrow homogeneity, then computes
-the Alexander grading of the free part of homology over the PID F2[Z] by a
-graded Smith reduction.  The free part must have rank exactly one; its
+The oracle builds the explicit truncated direct-summand complex for each
+companion-eps regime, a zig-zag path whose absolute Alexander gradings are
+fixed by one anchor generator and propagated through arrow homogeneity,
+then computes the Alexander grading of the free part of homology over the
+PID F2[Z] by a graded Smith reduction.  The free part must have rank exactly one; its
 grading is tau.  Every grading of a summand carries the same translation
 T = l(l-1)n/2 + l tau, so the oracle reduces each summand shape once per
 profile and adds T.
@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
 from .halfgrid_poly import HalfInt, Record, setslot
-from .patterns import Companion, PatternProfile
+from .patterns import Companion, PatternProfile, TauResult
 
 # Largest oracle summand, in sources: every case builds |n - 2 tau| of them
 # (eps = 0 forces tau = 0).  The heap-driven Smith reduction is near-linear
@@ -178,22 +178,8 @@ def tower_alexander(c: ZComplex) -> HalfInt:
     return HalfInt(w - z)
 
 
-class TauResult(Record):
-    """A tau value with the method and case (branch) that produced it."""
-
-    _fields = __slots__ = ("value", "method", "case_tag")
-
-    def __init__(self, value: int, method: str, case_tag: str):
-        setslot(self, "value", value)
-        setslot(self, "method", method)
-        setslot(self, "case_tag", case_tag)
-
-    def to_json_obj(self) -> dict:
-        return {"tau": self.value, "case": self.case_tag, "method": self.method}
-
-
 def _weights(prof: PatternProfile) -> Dict[str, int]:
-    """Z-exponents of the four structure arrows on the free quotient.
+    """Z-exponents of the six structure arrows on the free quotient.
 
     The first call keeps them in the profile's ``_oracle`` slot, as the
     pair (weights, summand memo of :func:`tau_oracle`); a profile with a
@@ -222,35 +208,29 @@ def _weights(prof: PatternProfile) -> Dict[str, int]:
     return out
 
 
-def _source(name: str, a: int) -> Tuple[str, int, int]:
-    return (name, 1, 1 - 2 * a)
+def _zigzag(names: Sequence[str], weights: Sequence[int], first_sink: bool,
+            at: int, anchor: int, case_tag: str) -> ZComplex:
+    """The path names[0] - names[1] - ..., whose generators alternate.
 
-
-def _sink(name: str, a: int) -> Tuple[str, int, int]:
-    return (name, 0, -2 * a)
-
-
-def _chain(
-    sink_a: List[int],
-    left_w: int,
-    right_w: int,
-    source_label: str = "s",
-) -> Tuple[List[Tuple[str, int, int]], List[Tuple[int, int, int]]]:
-    """Zig-zag: k = len(sink_a)-1 sources over the sinks b0..bk.
-
-    The sinks are generators 0..k and source i the generator k+i; it sits
-    over (b_{i-1}, b_i) with arrow weights left_w, right_w, so its
-    Alexander grading is forced to sink_a[i-1] + left_w.  The caller must
-    supply sink gradings satisfying sink_a[i+1] = sink_a[i] + left_w -
-    right_w (asserted later by the homogeneity check).
+    names[0] is a sink if ``first_sink`` holds, else a source.  Arrow i
+    joins names[i] and names[i+1], from the source of the pair to its sink,
+    with Z-exponent weights[i].  Every Alexander grading follows from
+    A(names[at]) = anchor through A(source) = A(sink) + k on each arrow.
     """
-    k = len(sink_a) - 1
-    gens = [_sink(f"b{i}", a) for i, a in enumerate(sink_a)]
-    gens += [_source(f"{source_label}{i}", sink_a[i - 1] + left_w)
-             for i in range(1, k + 1)]
-    arrows = [(k + i, i - 1, left_w) for i in range(1, k + 1)]
-    arrows += [(k + i, i, right_w) for i in range(1, k + 1)]
-    return gens, arrows
+    gr_w = [(i + (not first_sink)) % 2 for i in range(len(names))]  # 1: source
+    rel = [0]  # A(names[i]) - A(names[0])
+    for i, k in enumerate(weights):
+        rel.append(rel[i] + k * (gr_w[i + 1] - gr_w[i]))
+    base = anchor - rel[at]
+    gens = [(x, w, w - 2 * (base + d)) for x, w, d in zip(names, gr_w, rel)]
+    arrows = [(i, i + 1, k) if gr_w[i] else (i + 1, i, k)
+              for i, k in enumerate(weights)]
+    return ZComplex(gens, arrows, case_tag)
+
+
+def _staircase(k: int, source: str) -> List[str]:
+    """b0, {source}1, b1, ..., {source}k, bk: k sources between k+1 sinks."""
+    return ["b0"] + [x for i in range(1, k + 1) for x in (f"{source}{i}", f"b{i}")]
 
 
 def _summand_shift(prof: PatternProfile, K: Companion, n: int) -> int:
@@ -294,18 +274,15 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
             # k sources with weight-a arrows left and weight-c arrows
             # right; the anchor A value sits on the LEFTMOST sink.
             k = n - 2 * tau
-            gens, arrows = _chain([anchor + i * l for i in range(k + 1)], a, c)
             tag = "eps=1,n>=2tau" if case == "eps1" else "eps=0,n>=0"
-            return ZComplex(gens, arrows, tag)
+            return _zigzag(_staircase(k, "s"), [a, c] * k, True, 0, anchor, tag)
         # eps = 1, n < 2tau: the same chain with the anchor on the
         # RIGHTMOST sink, and the two companion-staircase ends map in with
         # identity arrows at the two extreme sinks.
         k = 2 * tau - n
-        sink_a = [anchor - (k - i) * l for i in range(k + 1)]
-        gens, arrows = _chain(sink_a, a, c)
-        gens += [_source("etop", sink_a[k]), _source("ebot", sink_a[0])]
-        arrows += [(2 * k + 1, k, 0), (2 * k + 2, 0, 0)]
-        return ZComplex(gens, arrows, "eps=1,n<2tau")
+        names = ["ebot"] + _staircase(k, "s") + ["etop"]
+        return _zigzag(names, [0] + [a, c] * k + [0], False, -2, anchor,
+                       "eps=1,n<2tau")
 
     if not prof.cond_tau:
         what = "eps=0 with n<0" if case == "eps0_neg" else "eps=-1"
@@ -319,53 +296,35 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
         # Mirrored arrangement: the anchor generator v (one column left of
         # the winding/2 column) is LEFTMOST and the middle sources point
         # weight-c left, weight-a right, so sink gradings fall rightwards.
-        sink_a = [v_a - am - i * l for i in range(k + 1)]
-        gens, arrows = _chain(sink_a, c, a, source_label="w")
-        gens += [_source("v", v_a), _source("u", sink_a[k] + cp)]
-        arrows += [(2 * k + 1, 0, am), (2 * k + 2, k, cp)]
-        return ZComplex(gens, arrows, "eps=0,n<0")
+        names = ["v"] + _staircase(k, "w") + ["u"]
+        return _zigzag(names, [am] + [c, a] * k + [cp], False, 0, v_a,
+                       "eps=0,n<0")
 
     if n <= 2 * tau:
         # Ends swapped relative to eps0_neg: the anchor generator v is
         # RIGHTMOST and the middle sources point weight-a left, weight-c
         # right, so sink gradings rise rightwards.
-        sink_a = [v_a - am - (k - i) * l for i in range(k + 1)]
-        gens, arrows = _chain(sink_a, a, c, source_label="w")
-        gens += [_source("v", v_a), _source("u", sink_a[0] + cp)]
-        arrows += [(2 * k + 1, k, am), (2 * k + 2, 0, cp)]
+        names = ["u"] + _staircase(k, "w") + ["v"]
         tag = "eps=-1,n<2tau" if n < 2 * tau else "eps=-1,n=2tau"
-        return ZComplex(gens, arrows, tag)
-    kw, kz = wts["w"], wts["z"]
+        return _zigzag(names, [cp] + [a, c] * k + [am], False, -1, v_a, tag)
+    # n > 2tau: k sources on the path v - w1 - m1 - w2 - ... - m_{k-1} - wk
+    # - u.  The outer sources use the W and Z structure arrows, the
+    # interior ones the usual weight-c/weight-a pair; at k = 1 this is the
+    # cone of w1 onto the two off-center sinks.
     k = n - 2 * tau
-    w1_a = v_a + kw
+    names = ["v", "w1"]
+    names += [x for i in range(1, k) for x in (f"m{i}", f"w{i + 1}")]
+    tag = "eps=-1,n=2tau+1" if k == 1 else "eps=-1,n>2tau+1"
+    weights = [wts["w"]] + [c, a] * (k - 1) + [wts["z"]]
+    summand = _zigzag(names + ["u"], weights, True, 0, v_a, tag)
     if k == 1:
-        # A single source cones onto the two off-center sinks through
-        # the W and Z structure arrows.
-        u_a = w1_a - kz
-        if u_a != (prof.r_plus + HalfInt(l)).as_int() + shift:
-            raise VerificationError(
-                "cone endpoint grading disagrees with the stated value"
-            )
-        gens = [_sink("v", v_a), _sink("u", u_a), _source("w1", w1_a)]
-        return ZComplex(gens, [(2, 0, kw), (2, 1, kz)], "eps=-1,n=2tau+1")
-    # n > 2tau+1: k sources over the sinks v, m_1..m_{k-1}, u (generators
-    # 0, 2..k, 1; w_i is generator k+i); the outer sources use the W/Z
-    # arrows, the interior ones the usual weight-a/weight-c pair.
-    mid_a = [w1_a - c + i * l for i in range(k - 1)]
-    if mid_a[0] != g + l + shift:
-        raise VerificationError(
-            "interior sink grading disagrees with the stated value"
-        )
-    # source_a[i] is the grading of w_{i+1}; for i >= 1 it sits over
-    # (m_i, m_{i+1}) and inherits mid_a[i-1] + a.
-    source_a = [w1_a] + [m + a for m in mid_a]
-    gens = [_sink("v", v_a), _sink("u", source_a[-1] - kz)]
-    gens += [_sink(f"m{i}", m) for i, m in enumerate(mid_a, 1)]
-    gens += [_source(f"w{i}", s) for i, s in enumerate(source_a, 1)]
-    arrows = [(k + 1, 0, kw), (2 * k, 1, kz)]
-    arrows += [(k + i, i, a) for i in range(2, k + 1)]
-    arrows += [(k + i, i + 1, c) for i in range(1, k)]
-    return ZComplex(gens, arrows, "eps=-1,n>2tau+1")
+        stated, what = (prof.r_plus + HalfInt(l)).as_int(), "cone endpoint"
+    else:
+        stated, what = g + l, "interior sink"
+    _, _, gr_z = summand.generators[2]  # the sink after w1: u or m1
+    if gr_z != -2 * (stated + shift):
+        raise VerificationError(f"{what} grading disagrees with the stated value")
+    return summand
 
 
 def summand_case(K: Companion, n: int) -> str:

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import lsat
 from conftest import invoke, run_python
 from lsat import unlink_data
 
@@ -280,6 +282,20 @@ class TestEntryPoint:
         proc = run_python("-S", "-c", check)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_closed_form_route_does_not_import_the_oracle(self):
+        # The two tau routes stay independent: lsat.invariants must not
+        # load lsat.zcomplex.  The package __init__ re-exports both, so the
+        # child registers a bare lsat package to see invariants' own imports.
+        check = (
+            "import sys, types; pkg = types.ModuleType('lsat'); "
+            f"pkg.__path__ = [{str(Path(lsat.__file__).parent)!r}]; "
+            "sys.modules['lsat'] = pkg; import lsat.invariants; "
+            "print('lsat.zcomplex' in sys.modules)"
+        )
+        proc = run_python("-S", "-c", check)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_module_entry_point(self):
         ok = run_python(

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from lsat import (
     twobridge_profile,
     unlink_profile,
 )
-from lsat import zcomplex
+from lsat import sweeps, zcomplex
 from lsat.errors import (
     InvalidInputError,
     LsatError,
@@ -211,6 +212,47 @@ class TestBuildSummand:
         c = build_summand(WHITEHEAD, Companion(tau=1, eps=1), 0)
         obj = c.to_json_obj()
         assert set(obj) >= {"generators", "arrows"}
+
+
+class TestSummandsArePaths:
+    def test_every_summand_is_a_zigzag_path(self):
+        # The sweep grid, plus n - 2 tau in {1, 2, 40} at eps = -1 (the
+        # cone, the shortest interior and a long one) on every sweep
+        # profile where cond_tau holds: each summand is a path, m arrows
+        # joining m + 1 generators with none in more than two arrows.
+        points = list(sweeps.sweep_grid())
+        points += [
+            (prof, K, 2 * K.tau + d)
+            for prof in sweeps.sweep_profiles() if prof.cond_tau
+            for K in sweeps.COMPANIONS if K.eps == -1
+            for d in (1, 2, 40)
+        ]
+        tags = Counter()
+        for prof, K, n in points:
+            c = build_summand(prof, K, n)
+            tags[c.case_tag] += 1
+            size = len(c.generators)
+            assert len(c.arrows) == size - 1, (prof, K, n)
+            nbrs = [[] for _ in range(size)]
+            for s, t, _ in c.arrows:
+                nbrs[s].append(t)
+                nbrs[t].append(s)
+            assert max(map(len, nbrs)) <= 2, (prof, K, n)
+            seen, todo = {0}, [0]
+            while todo:
+                for y in nbrs[todo.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            assert len(seen) == size, (prof, K, n)
+        # Every sweep profile meets cond_tau, so no point is refused, and
+        # every shape is built.
+        assert len(points) == 1089 + 165
+        assert tags == {
+            "eps=1,n>=2tau": 275, "eps=1,n<2tau": 220, "eps=0,n>=0": 55,
+            "eps=0,n<0": 44, "eps=-1,n<2tau": 220, "eps=-1,n=2tau": 55,
+            "eps=-1,n=2tau+1": 99, "eps=-1,n>2tau+1": 286,
+        }
 
 
 class TestTauOracle:
