@@ -9,7 +9,7 @@ Run:  python3 demos/01_h_function_tables.py
 
 from lsat import (
     HFunction,
-    HalfInt,
+    half,
     hf_table_tsv,
     twobridge_data,
     unlink_data,
@@ -22,12 +22,12 @@ from lsat.sweeps import FAMILY_PAIRS
 def show(title: str, data) -> None:
     h = HFunction(data)
     print(f"== {title} (linking {h.linking}) ==")
-    print(hf_table_tsv(h, width(data) + 2))
-    half_l = HalfInt(h.linking)
-    print(f"width N        = {width(data)}")
-    print(f"R at winding/2 = {h.r_of_t(half_l)}")
-    report = validate(h)
-    print(f"validation     = {'ok' if report.ok else report.failures}")
+    # Coordinates, R values and the width are doubled ints: l/2 is l.
+    print(hf_table_tsv(h, width(data) + 4))
+    print(f"width N        = {half(width(data))}")
+    print(f"R at winding/2 = {half(h.r_of_t(h.linking))}")
+    failures = validate(h)
+    print(f"validation     = {failures or 'ok'}")
     print()
 
 
@@ -42,13 +42,12 @@ def main() -> None:
     print("== closed R formulas across the family ==")
     for r, q in FAMILY_PAIRS:
         h = HFunction(twobridge_data(r, q))
-        half_l = HalfInt(h.linking)
-        center = h.r_of_t(half_l)
-        off = h.r_of_t(half_l - 1)
+        center = h.r_of_t(h.linking)
+        off = h.r_of_t(h.linking - 2)
         print(
             f"(r,q)=({r},{q})  l={h.linking}  "
-            f"R_center={center} (expect {(r + q - 2)}/4)  "
-            f"R_minus={off} (expect {(r + q - 6)}/4)"
+            f"R_center={half(center)} (expect {(r + q - 2)}/4)  "
+            f"R_minus={half(off)} (expect {(r + q - 6)}/4)"
         )
 
 

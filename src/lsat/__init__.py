@@ -8,9 +8,9 @@ homology oracle over F2[Z].
 """
 
 from .halfgrid_poly import (
-    HalfInt,
     LaurentPoly1,
     LaurentPoly2,
+    half,
     knot_chi_expansion,
     shift,
     symmetrize,

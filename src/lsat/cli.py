@@ -131,7 +131,8 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
         )
     h = loaded.profile().hfunction()
     if window is None:
-        window = (width(h.data) + 3).doubled // 2
+        window = (width(h.data) + 6) // 2  # whole units: floor(N + 3)
+    window *= 2
     if fmt == "tsv":
         sys.stdout.write(hf_table_tsv(h, window))
         return
@@ -139,11 +140,9 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
     _emit_json(
         {
             "linking": h.linking,
-            "t_doubled": [t.doubled for t in coords],
-            "rows": [
-                {"r_doubled": r.doubled, "h": vals} for r, vals in rows
-            ],
-            "r_of_t_doubled": [h.r_of_t(t).doubled for t in coords],
+            "t_doubled": coords,
+            "rows": [{"r_doubled": r, "h": vals} for r, vals in rows],
+            "r_of_t_doubled": [h.r_of_t(t) for t in coords],
         }
     )
 

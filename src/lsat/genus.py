@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from .errors import UnsupportedRegimeError
-from .halfgrid_poly import HalfInt
 from .patterns import Companion, PatternProfile
 
 
@@ -15,7 +14,7 @@ def g3rel(prof: PatternProfile) -> int:
         raise UnsupportedRegimeError("needs winding >= 0")
     if prof.r_center is None:
         raise UnsupportedRegimeError("R_center unavailable for this profile")
-    return (prof.r_center - HalfInt(prof.l)).as_int()
+    return (prof.r_center - prof.l) // 2
 
 
 def g4_satellite(

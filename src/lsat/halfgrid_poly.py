@@ -1,9 +1,10 @@
 """Exact sparse Laurent-polynomial arithmetic with half-integer exponents.
 
 Values on the shifted lattice (l/2 + Z)^2 are represented exactly by storing
-every half-integer as its doubled integer value (:class:`HalfInt`), so no
-floating point appears anywhere.  Polynomials are sparse maps from exponents
-to nonzero integer coefficients with a canonical (sorted) term order.
+every half-integer as its doubled ``int``, here and in every other module,
+so no floating point appears anywhere; :func:`half` prints one as ``p/2``.
+Polynomials are sparse maps from exponents to nonzero integer coefficients
+with a canonical (sorted) term order.
 
 The module also provides the two normalization steps every Alexander
 polynomial goes through before H-function evaluation:
@@ -17,7 +18,6 @@ polynomial goes through before H-function evaluation:
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import (
@@ -26,8 +26,6 @@ from .errors import (
     InvalidInputError,
     NotAlexanderSymmetricError,
 )
-
-HalfIntLike = Union["HalfInt", int]
 
 # A record's __init__ sets its slots through this; plain assignment raises.
 setslot = object.__setattr__
@@ -85,91 +83,12 @@ class MutableRecord(Record):
     __delattr__ = object.__delattr__
 
 
-@total_ordering
-class HalfInt(Record):
-    """An element of (1/2)Z stored as twice its value.
+def half(doubled: int) -> str:
+    """The half-integer ``doubled / 2`` as text: ``n`` when whole, else ``p/2``."""
+    if doubled % 2 == 0:
+        return str(doubled // 2)
+    return f"{doubled}/2"
 
-    All arithmetic is exact integer arithmetic on the doubled value; a
-    HalfInt is integral iff ``doubled`` is even.
-    """
-
-    _fields = __slots__ = ("doubled",)
-
-    def __init__(self, doubled: int):
-        _set_doubled(self, doubled)
-
-    @staticmethod
-    def whole(n: int) -> "HalfInt":
-        return HalfInt(2 * n)
-
-    @staticmethod
-    def of(value: HalfIntLike) -> "HalfInt":
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidInputError(f"not a half-integer: {value!r}")
-        return HalfInt(2 * value)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integral:
-            raise InvalidInputError(f"{self} is not an integer")
-        return self.doubled // 2
-
-    def __add__(self, other: HalfIntLike) -> "HalfInt":
-        return HalfInt(self.doubled + HalfInt.of(other).doubled)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: HalfIntLike) -> "HalfInt":
-        return HalfInt(self.doubled - HalfInt.of(other).doubled)
-
-    def __rsub__(self, other: HalfIntLike) -> "HalfInt":
-        return HalfInt(HalfInt.of(other).doubled - self.doubled)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.doubled)
-
-    def __mul__(self, other: int) -> "HalfInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return HalfInt(self.doubled * other)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other: HalfIntLike) -> bool:
-        return self.doubled < HalfInt.of(other).doubled
-
-    def __eq__(self, other: object) -> bool:
-        # A bool is not a half-integer: compare unequal rather than raise.
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, (HalfInt, int)):
-            return self.doubled == HalfInt.of(other).doubled
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # An integral value equals the int it denotes, so it hashes like it.
-        if self.is_integral:
-            return hash(self.doubled // 2)
-        return hash(("HalfInt", self.doubled))
-
-    def __str__(self) -> str:
-        if self.is_integral:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.doubled})"
-
-
-# HalfInt is the most often built record, so its __init__ stores through the
-# slot's own setter, a little cheaper than setslot.
-_set_doubled = HalfInt.doubled.__set__  # type: ignore[attr-defined]
-ZERO = HalfInt(0)
 
 # Largest |doubled exponent| accepted in JSON input.  The sign probe and the
 # validator scan a lattice square whose side grows with the exponents, and
@@ -200,8 +119,8 @@ def _json_terms(obj: object, arity: int) -> list:
         if not (isinstance(t, dict) and isinstance(t.get("e"), list)
                 and len(t["e"]) == arity):
             raise InvalidInputError(f"malformed polynomial term {t!r}")
-        exps = tuple(HalfInt(json_int(e, "exponent")) for e in t["e"])
-        if any(abs(e.doubled) > MAX_DOUBLED_EXPONENT for e in exps):
+        exps = tuple(json_int(e, "exponent") for e in t["e"])
+        if any(abs(e) > MAX_DOUBLED_EXPONENT for e in exps):
             raise InvalidInputError(
                 f"doubled exponent in {t['e']!r} exceeds the limit "
                 f"|e| <= {MAX_DOUBLED_EXPONENT}"
@@ -213,27 +132,23 @@ def _json_terms(obj: object, arity: int) -> list:
 def _canonical_terms(items: Iterable[tuple], arity: int) -> tuple:
     merged: dict = {}
     for exp, coeff in items:
-        if arity == 1:
-            key = HalfInt.of(exp)
-        else:
-            key = tuple(HalfInt.of(e) for e in exp)
-            if len(key) != arity:
+        if arity == 2:
+            exp = tuple(exp)
+            if len(exp) != 2:
                 raise InvalidInputError(f"exponent arity mismatch: {exp!r}")
-        merged[key] = merged.get(key, 0) + coeff
-    cleaned = {k: c for k, c in merged.items() if c != 0}
-    if arity == 1:
-        order = sorted(cleaned, key=lambda e: e.doubled)
-    else:
-        order = sorted(cleaned, key=lambda e: tuple(x.doubled for x in e))
-    return tuple((k, cleaned[k]) for k in order)
+        merged[exp] = merged.get(exp, 0) + coeff
+    return tuple(sorted((e, c) for e, c in merged.items() if c != 0))
 
 
 class LaurentPoly1(Record):
-    """Sparse one-variable Laurent polynomial, exponents in (1/2)Z."""
+    """Sparse one-variable Laurent polynomial, exponents in (1/2)Z.
+
+    ``terms`` is ((doubled exponent, coefficient), ...), sorted, no zeros.
+    """
 
     _fields = __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):  # ((HalfInt, int), ...) sorted, no zeros
+    def __init__(self, terms: tuple):
         setslot(self, "terms", terms)
 
     @staticmethod
@@ -248,25 +163,22 @@ class LaurentPoly1(Record):
 
     @staticmethod
     def one() -> "LaurentPoly1":
-        return LaurentPoly1.from_terms({ZERO: 1})
+        return LaurentPoly1(((0, 1),))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, e: HalfIntLike) -> int:
-        e = HalfInt.of(e)
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return 0
+    def coeff(self, e: int) -> int:
+        """The coefficient at the doubled exponent e."""
+        return dict(self.terms).get(e, 0)
 
-    def degree(self) -> HalfInt:
+    def degree(self) -> int:
         if self.is_zero:
             raise InvalidInputError("zero polynomial has no degree")
         return self.terms[-1][0]
 
-    def valuation(self) -> HalfInt:
+    def valuation(self) -> int:
         if self.is_zero:
             raise InvalidInputError("zero polynomial has no valuation")
         return self.terms[0][0]
@@ -278,12 +190,13 @@ class LaurentPoly1(Record):
         return LaurentPoly1(tuple((e, -c) for e, c in self.terms))
 
     def is_symmetric(self) -> bool:
-        return all(self.coeff(-e) == c for e, c in self.terms)
+        coeffs = dict(self.terms)
+        return all(coeffs.get(-e, 0) == c for e, c in self.terms)
 
     def to_json_obj(self) -> dict:
         return {
             "vars": 1,
-            "terms": [{"e": [e.doubled], "c": c} for e, c in self.terms],
+            "terms": [{"e": [e], "c": c} for e, c in self.terms],
         }
 
     @staticmethod
@@ -296,14 +209,15 @@ class LaurentPoly1(Record):
 class LaurentPoly2(Record):
     """Sparse two-variable Laurent polynomial, exponents in (1/2)Z x (1/2)Z.
 
-    All exponent pairs must lie on a single coset of Z^2: both coordinates
-    have a fixed doubled-parity across the support.
+    ``terms`` is (((doubled e1, doubled e2), coefficient), ...), sorted, no
+    zeros.  All exponent pairs must lie on a single coset of Z^2: both
+    coordinates have a fixed doubled-parity across the support.
     """
 
     _fields = __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):  # (((HalfInt, HalfInt), int), ...) sorted
-        parities = {(e1.doubled % 2, e2.doubled % 2) for (e1, e2), _ in terms}
+    def __init__(self, terms: tuple):
+        parities = {(e1 % 2, e2 % 2) for (e1, e2), _ in terms}
         if len(parities) > 1:
             raise CosetMismatchError(
                 f"support spans several exponent cosets: {sorted(parities)}"
@@ -329,23 +243,21 @@ class LaurentPoly2(Record):
         if self.is_zero:
             return None
         (e1, e2), _ = self.terms[0]
-        return (e1.doubled % 2, e2.doubled % 2)
+        return (e1 % 2, e2 % 2)
 
     def neg(self) -> "LaurentPoly2":
         return LaurentPoly2(tuple((e, -c) for e, c in self.terms))
 
-    def max_exp1(self) -> HalfInt:
+    def max_exp1(self) -> int:
+        """The top doubled x1-exponent."""
         if self.is_zero:
             raise InvalidInputError("zero polynomial has no top exponent")
-        return max((e1 for (e1, _), _ in self.terms), key=lambda h: h.doubled)
+        return max(e1 for (e1, _), _ in self.terms)
 
     def to_json_obj(self) -> dict:
         return {
             "vars": 2,
-            "terms": [
-                {"e": [e1.doubled, e2.doubled], "c": c}
-                for (e1, e2), c in self.terms
-            ],
+            "terms": [{"e": list(e), "c": c} for e, c in self.terms],
         }
 
     @staticmethod
@@ -353,9 +265,8 @@ class LaurentPoly2(Record):
         return LaurentPoly2.from_terms(_json_terms(obj, 2))
 
 
-def shift(p: LaurentPoly2, a: HalfIntLike, b: HalfIntLike) -> LaurentPoly2:
-    """Multiply by the monomial x1^a x2^b."""
-    a, b = HalfInt.of(a), HalfInt.of(b)
+def shift(p: LaurentPoly2, a: int, b: int) -> LaurentPoly2:
+    """Multiply by the monomial x1^(a/2) x2^(b/2): a and b are doubled."""
     return LaurentPoly2(tuple(((e1 + a, e2 + b), c) for (e1, e2), c in p.terms))
 
 
@@ -370,8 +281,8 @@ def symmetrize(p: LaurentPoly2) -> LaurentPoly2:
     """
     if p.is_zero:
         raise InvalidInputError("cannot symmetrize the zero polynomial")
-    e1s = [e1.doubled for (e1, _), _ in p.terms]
-    e2s = [e2.doubled for (_, e2), _ in p.terms]
+    e1s = [e1 for (e1, _), _ in p.terms]
+    e2s = [e2 for (_, e2), _ in p.terms]
     mid1 = min(e1s) + max(e1s)
     mid2 = min(e2s) + max(e2s)
     # The recentering monomial has exponents -mid/2 in doubled units, so
@@ -380,33 +291,32 @@ def symmetrize(p: LaurentPoly2) -> LaurentPoly2:
         raise NotAlexanderSymmetricError(
             "Newton polytope has no half-integer center"
         )
-    a, b = HalfInt(-mid1 // 2), HalfInt(-mid2 // 2)
-    q = shift(p, a, b)
-    coeffs = {(e1.doubled, e2.doubled): c for (e1, e2), c in q.terms}
+    q = shift(p, -mid1 // 2, -mid2 // 2)
+    coeffs = dict(q.terms)
     (e1_0, e2_0), c_0 = q.terms[0]
-    inv = coeffs.get((-e1_0.doubled, -e2_0.doubled), 0)
+    inv = coeffs.get((-e1_0, -e2_0), 0)
     if abs(inv) != abs(c_0):
         raise NotAlexanderSymmetricError(
-            f"coefficient at ({e1_0},{e2_0}) breaks inversion symmetry"
+            f"coefficient at ({half(e1_0)},{half(e2_0)}) breaks inversion symmetry"
         )
     s = 1 if inv == c_0 else -1
     for (e1, e2), c in q.terms:
-        if coeffs.get((-e1.doubled, -e2.doubled), 0) != s * c:
+        if coeffs.get((-e1, -e2), 0) != s * c:
             raise NotAlexanderSymmetricError(
-                f"coefficient at ({e1},{e2}) breaks inversion symmetry"
+                f"coefficient at ({half(e1)},{half(e2)}) breaks inversion symmetry"
             )
     return q
 
 
-def knot_chi_expansion(delta: LaurentPoly1, depth: HalfIntLike) -> LaurentPoly1:
+def knot_chi_expansion(delta: LaurentPoly1, depth: int) -> LaurentPoly1:
     """Expand delta(x)/(1 - x^{-1}) as a power series in x^{-1}.
 
     The coefficient of x^s is chi(s); above the top degree of delta it is 0
     and below the requested ``depth`` it must already equal the constant 1
     (the stabilized tail), otherwise an increase-depth error is raised.
     Returns the coefficients for depth <= s <= top degree as a polynomial.
+    Exponents and ``depth`` are doubled; s steps by one whole unit.
     """
-    depth = HalfInt.of(depth)
     ev = delta.eval_at_one()
     if ev not in (1, -1):
         raise InvalidInputError(f"delta(1) = {ev}, expected +-1")
@@ -414,37 +324,31 @@ def knot_chi_expansion(delta: LaurentPoly1, depth: HalfIntLike) -> LaurentPoly1:
         delta = delta.neg()
     if not delta.is_symmetric():
         raise InvalidInputError("delta is not inversion-symmetric")
-    for e, _ in delta.terms:
-        if not e.is_integral:
-            raise InvalidInputError("knot polynomial needs integer exponents")
+    coeffs = dict(delta.terms)
+    if any(e % 2 for e in coeffs):
+        raise InvalidInputError("knot polynomial needs integer exponents")
 
     top = delta.degree()
     bottom = delta.valuation()
+    low = min(bottom, depth)
     # chi(s) = sum of delta coefficients at exponents >= s (partial sums
     # from the top); the tail below the bottom degree is delta(1) = 1.
     chi: dict = {}
     running = 0
-    s = top
-    while s >= min(bottom, depth):
-        running += delta.coeff(s)
+    for s in range(top, low - 1, -2):
+        running += coeffs.get(s, 0)
         chi[s] = running
-        s = s - 1
     # Guarantee: chi(s) = 1 for every s strictly below depth.  Below the
     # bottom degree that holds automatically (the partial sum is complete),
     # so only [bottom, depth) needs checking.
-    s = min(bottom, depth)
-    while s < depth:
+    for s in range(low, depth, 2):
         if chi.get(s, 1) != 1:
             raise IncreaseDepthError(
-                f"tail not stabilized at depth {depth}: chi({s}) != 1"
+                f"tail not stabilized at depth {half(depth)}: chi({half(s)}) != 1"
             )
-        s = s + 1
     out = {}
-    s = depth
-    while s <= top:
+    for s in range(depth, top + 1, 2):
         c = chi.get(s, 1 if s < bottom else 0)
         if c:
             out[s] = c
-        s = s + 1
     return LaurentPoly1.from_terms(out)
-

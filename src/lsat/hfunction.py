@@ -11,7 +11,10 @@ evaluates a whole lattice square in doubled integers.
 Also provided: the overall-sign resolution rule (the unique sign making the
 H-function nonnegative with bounded gaps), the derived quantities R_t and
 the width N, the reference H-function of the torus link T(2,2l), a
-property-report validator and the TSV table export used by the CLI.
+property validator and the TSV table export used by the CLI.
+
+Every coordinate, window, R value and width taken or returned here is a
+doubled int: 2t for the half-integer t.
 """
 
 from __future__ import annotations
@@ -20,24 +23,21 @@ from typing import Iterator, List, Optional, Tuple
 
 from .errors import InvalidInputError, NotLSpaceLinkError
 from .halfgrid_poly import (
-    HalfInt,
-    HalfIntLike,
     LaurentPoly1,
     LaurentPoly2,
-    MutableRecord,
     Record,
+    half,
     json_int,
     knot_chi_expansion,
     setslot,
 )
 
 
-def h_t22l(l: int, s1: HalfIntLike, s2: HalfIntLike) -> int:
-    """H-function of the torus link T(2, 2l) at (s1, s2)."""
-    s1, s2 = HalfInt.of(s1), HalfInt.of(s2)
-    if (s1.doubled - l) % 2 or (s2.doubled - l) % 2:
-        raise InvalidInputError(f"({s1},{s2}) not on the lattice for l={l}")
-    return _t22l(l, s1.doubled, s2.doubled)
+def h_t22l(l: int, s1: int, s2: int) -> int:
+    """H-function of the torus link T(2, 2l) at doubled (s1, s2)."""
+    if (s1 - l) % 2 or (s2 - l) % 2:
+        raise InvalidInputError(f"{_point(s1, s2)} not on the lattice for l={l}")
+    return _t22l(l, s1, s2)
 
 
 def _t22l(l: int, t: int, r: int) -> int:
@@ -51,21 +51,21 @@ def _t22l(l: int, t: int, r: int) -> int:
 
 def _point(t: int, r: int) -> str:
     """``(t,r)`` for doubled coordinates, half-integers printed as p/2."""
-    return f"({HalfInt(t)},{HalfInt(r)})"
+    return f"({half(t)},{half(r)})"
 
 
 class _KnotH:
     """Closed-form evaluator for the H-function of a knot component."""
 
     def __init__(self, delta: LaurentPoly1):
-        chi = knot_chi_expansion(delta, min(HalfInt(0), delta.valuation() - 1))
-        self.top = delta.degree().as_int()
-        self.bottom = delta.valuation().as_int()
+        chi = dict(knot_chi_expansion(delta, min(0, delta.valuation() - 2)).terms)
+        self.top = delta.degree() // 2
+        self.bottom = delta.valuation() // 2
         # table[s] = H(s) for bottom-1 <= s <= top; H is 0 above top and
         # grows with slope 1 (chi tail = 1) below bottom.
         table = {self.top: 0}
         for s in range(self.top, self.bottom - 2, -1):
-            table[s - 1] = table[s] + chi.coeff(HalfInt.whole(s))
+            table[s - 1] = table[s] + chi.get(2 * s, 0)
         self._table = table
 
     def __call__(self, s: int) -> int:
@@ -108,30 +108,23 @@ class LinkAlexData(Record):
     @property
     def first_component_unknot(self) -> bool:
         """Whether delta1 is +-1, i.e. the first component is an unknot."""
-        return self.delta1.terms in (
-            LaurentPoly1.one().terms,
-            LaurentPoly1.one().neg().terms,
-        )
+        return self.delta1.terms in (((0, 1),), ((0, -1),))
 
-    def on_lattice(self, t: HalfIntLike, r: HalfIntLike) -> bool:
-        want = self.linking % 2
-        return (
-            HalfInt.of(t).doubled % 2 == want
-            and HalfInt.of(r).doubled % 2 == want
-        )
+    def on_lattice(self, t: int, r: int) -> bool:
+        """Whether doubled (t, r) lies on (l/2 + Z)^2."""
+        return (t - self.linking) % 2 == 0 and (r - self.linking) % 2 == 0
 
-    def support_extent(self) -> HalfInt:
-        """Largest |exponent| appearing in delta_tilde (0 when empty).
+    def support_extent(self) -> int:
+        """Largest |doubled exponent| appearing in delta_tilde (0 when empty).
 
         Scanned once and kept in a slot outside the fields, like
         :meth:`hfunction`.
         """
         if self._extent is None:
-            setslot(self, "_extent", HalfInt(max(
-                (max(abs(e1.doubled), abs(e2.doubled))
-                 for (e1, e2), _ in self.delta_tilde.terms),
+            setslot(self, "_extent", max(
+                (max(abs(e1), abs(e2)) for (e1, e2), _ in self.delta_tilde.terms),
                 default=0,
-            )))
+            ))
         return self._extent
 
     def hfunction(self) -> "HFunction":
@@ -181,7 +174,7 @@ def resolve_sign(data: LinkAlexData) -> LinkAlexData:
     The winner keeps the HFunction the probe built (see
     :meth:`LinkAlexData.hfunction`).
     """
-    window = data.support_extent() + 2
+    window = data.support_extent() + 4
     for delta_tilde in (data.delta_tilde, data.delta_tilde.neg()):
         cand = data.replace(delta_tilde=delta_tilde, sign_resolved=True)
         if next(_gap_failures(*cand.hfunction().grid(window)), None) is None:
@@ -214,16 +207,14 @@ def _gap_failures(ds: List[int], rows: List[List[int]]) -> Iterator[str]:
                 )
 
 
-def _snap_up(x: HalfInt, linking: int) -> HalfInt:
-    """Smallest point of the lattice coset l/2 + Z that is >= x."""
-    return x + HalfInt((x.doubled - linking) % 2)
+def _snap_up(x: int, linking: int) -> int:
+    """Smallest point of the lattice coset l/2 + Z that is >= x (doubled)."""
+    return x + (x - linking) % 2
 
 
-def _lattice_range(linking: int, window: HalfIntLike) -> List[HalfInt]:
-    """Lattice coordinates of (l/2 + Z) within [-window, window]."""
-    window = HalfInt.of(window)
-    start = _snap_up(-window, linking).doubled
-    return [HalfInt(d) for d in range(start, window.doubled + 1, 2)]
+def _lattice_range(linking: int, window: int) -> List[int]:
+    """Doubled lattice coordinates of (l/2 + Z) within [-window, window]."""
+    return list(range(_snap_up(-window, linking), window + 1, 2))
 
 
 def _above(d: int, lo: int, n: int) -> int:
@@ -243,9 +234,8 @@ class HFunction:
     box side is bounded by ``MAX_DOUBLED_EXPONENT`` on JSON input.  A point
     query then costs O(1): two knot lookups and one table entry.
     :meth:`grid` evaluates a whole lattice square [-window, window]^2 as
-    O(window^2) ints, built once per scan with no HalfInt per point; every
-    window scan (sign probe, ``validate``, the classifier, the table
-    export) reads one grid.
+    O(window^2) ints, built once per scan; every window scan (sign probe,
+    ``validate``, the classifier, the table export) reads one grid.
     """
 
     def __init__(self, data: LinkAlexData):
@@ -257,8 +247,8 @@ class HFunction:
         self.h2 = _KnotH(data.delta2)
         terms = data.delta_tilde.terms
         # The zero polynomial gets a one-cell box holding 0.
-        js = [j.doubled for (j, _), _ in terms] or [0]
-        ks = [k.doubled for (_, k), _ in terms] or [0]
+        js = [j for (j, _), _ in terms] or [0]
+        ks = [k for (_, k), _ in terms] or [0]
         self._j_min, self._k_min = min(js), min(ks)
         self._nj = (max(js) - self._j_min) // 2 + 1
         self._nk = (max(ks) - self._k_min) // 2 + 1
@@ -284,13 +274,13 @@ class HFunction:
         quadrant = self._suffix[a][b]
         return self.h1((t - l) // 2) + self.h2((r - l) // 2) - quadrant
 
-    def __call__(self, t: HalfIntLike, r: HalfIntLike) -> int:
-        t, r = HalfInt.of(t), HalfInt.of(r)
+    def __call__(self, t: int, r: int) -> int:
+        """H at the lattice point with doubled coordinates (t, r)."""
         if not self.data.on_lattice(t, r):
-            raise InvalidInputError(f"({t},{r}) is not on the lattice")
-        return self._at(t.doubled, r.doubled)
+            raise InvalidInputError(f"{_point(t, r)} is not on the lattice")
+        return self._at(t, r)
 
-    def grid(self, window: HalfIntLike) -> Tuple[List[int], List[List[int]]]:
+    def grid(self, window: int) -> Tuple[List[int], List[List[int]]]:
         """H on the lattice square [-window, window]^2, in doubled ints.
 
         Returns (ds, rows): ds are the doubled lattice coordinates in
@@ -299,7 +289,7 @@ class HFunction:
         the suffix-table row.
         """
         l = self.linking
-        ds = [c.doubled for c in _lattice_range(l, window)]
+        ds = _lattice_range(l, window)
         h2s = [self.h2((r - l) // 2) for r in ds]
         cols = [_above(r, self._k_min, self._nk) for r in ds]
         rows = []
@@ -309,33 +299,33 @@ class HFunction:
             rows.append([base + h2 - quadrants[b] for h2, b in zip(h2s, cols)])
         return ds, rows
 
-    def stabilization_r(self) -> HalfInt:
-        """An r beyond which every column has stabilized."""
-        return self.data.support_extent() + 1
+    def stabilization_r(self) -> int:
+        """A doubled r beyond which every column has stabilized."""
+        return self.data.support_extent() + 2
 
-    def r_of_t(self, t: HalfIntLike) -> HalfInt:
+    def r_of_t(self, t: int) -> int:
         """Largest r where the column at t is flat above and steps below."""
-        t = HalfInt.of(t)
         r = _snap_up(self.stabilization_r(), self.linking)
         if not self.data.on_lattice(t, r):
-            raise InvalidInputError(f"({t},{r}) is not on the lattice")
-        td, rd = t.doubled, r.doubled
-        limit = 4 * (rd + abs(td) + 16)
+            raise InvalidInputError(f"{_point(t, r)} is not on the lattice")
+        limit = 4 * (r + abs(t) + 16)
         # The walk goes on only while the column is flat, so H stays here.
-        here = self._at(td, rd)
+        here = self._at(t, r)
         for _ in range(limit):
-            below = self._at(td, rd - 2)
+            below = self._at(t, r - 2)
             if below == here + 1:
-                return HalfInt(rd)
+                return r
             if below != here:
                 raise NotLSpaceLinkError(
-                    f"bounded gap violated in column t={t} at r={HalfInt(rd)}"
+                    f"bounded gap violated in column t={half(t)} at r={half(r)}"
                 )
-            rd -= 2
-        raise NotLSpaceLinkError(f"column t={t} never steps; not L-space data")
+            r -= 2
+        raise NotLSpaceLinkError(
+            f"column t={half(t)} never steps; not L-space data"
+        )
 
 
-def width(data: LinkAlexData) -> HalfInt:
+def width(data: LinkAlexData) -> int:
     """Width N: the t beyond which columns stabilize.
 
     When the first component is an unknot this is the top x1-power of
@@ -344,14 +334,14 @@ def width(data: LinkAlexData) -> HalfInt:
     """
     if data.first_component_unknot:
         if data.delta_tilde.is_zero:
-            return HalfInt(0)
+            return 0
         return data.delta_tilde.max_exp1()
     return _width_from_h(data)
 
 
-def _width_from_h(data: LinkAlexData) -> HalfInt:
-    bound = _snap_up(data.support_extent() + 2, data.linking).doubled
-    ds, rows = data.hfunction().grid(HalfInt(bound) + 2)
+def _width_from_h(data: LinkAlexData) -> int:
+    bound = _snap_up(data.support_extent() + 4, data.linking)
+    ds, rows = data.hfunction().grid(bound + 4)
     column = dict(zip(ds, rows))  # doubled t -> H(t, r) for r in ds
     t = bound
     # Walk down while column t-1 equals column t (upper stabilization) and,
@@ -360,113 +350,89 @@ def _width_from_h(data: LinkAlexData) -> HalfInt:
         upper_ok = column[t - 2] == column[t]
         lower_ok = [v + 1 for v in column[2 - t]] == column[-t]
         if not (upper_ok and lower_ok):
-            return HalfInt(t)
+            return t
         t -= 2
-    return HalfInt(t)
+    return t
 
 
-class ValidationReport(MutableRecord):
-    """Outcome of the H-function property checks on a window."""
-
-    _fields = __slots__ = ("ok", "failures", "checks_run")
-
-    def __init__(self, ok: bool, failures: Optional[List[str]] = None,
-                 checks_run: Optional[List[str]] = None):
-        self.ok = ok
-        self.failures = [] if failures is None else failures
-        self.checks_run = [] if checks_run is None else checks_run
-
-
-def validate(h: HFunction, window: Optional[HalfIntLike] = None) -> ValidationReport:
+def validate(h: HFunction, window: Optional[int] = None) -> List[str]:
     """Check the defining properties of an L-space-link H-function.
 
-    Runs on the lattice square [-window, window]^2: nonnegativity, both
-    monotonicity and bounded-gap directions, the symmetry
-    H(t,r) + t + r = H(-t,-r), stabilization to the component H-functions,
-    -N <= l/2 <= N, the pointwise lower bound by H of T(2,2l) (first
-    component unknot, l >= 0), and the unimodal-with-flat-ends shape of R_t.
-    The square is evaluated once, by :meth:`HFunction.grid`.
+    Runs on the lattice square [-window, window]^2 (doubled window; by
+    default N + 3): nonnegativity, both monotonicity and bounded-gap
+    directions, the symmetry H(t,r) + t + r = H(-t,-r), stabilization to
+    the component H-functions, -N <= l/2 <= N, the pointwise lower bound by
+    H of T(2,2l) (first component unknot, l >= 0), and the
+    unimodal-with-flat-ends shape of R_t.  The square is evaluated once, by
+    :meth:`HFunction.grid`.  Returns the failure messages, empty when every
+    check passes.
     """
-    report = ValidationReport(ok=True)
     n_width = width(h.data)
     if window is None:
-        window = n_width + 3
-    window = HalfInt.of(window)
+        window = n_width + 6
     l = h.linking
-    half_l = HalfInt(l)
     ds, rows = h.grid(window)
-
-    def fail(msg: str) -> None:
-        report.ok = False
-        report.failures.append(msg)
-
-    report.checks_run.append("nonnegativity")
-    report.checks_run.append("monotonicity+gap")
-    for msg in _gap_failures(ds, rows):
-        fail(msg)
+    failures = list(_gap_failures(ds, rows))
 
     # ds is symmetric about 0, so (-t, -r) sits at the mirrored indices; t
     # and r share the coset l/2 + Z, so t + r is an integer.
-    report.checks_run.append("symmetry")
     for t, row, mirror in zip(ds, rows, reversed(rows)):
         for r, v, v_mirror in zip(ds, row, reversed(mirror)):
             if v + (t + r) // 2 != v_mirror:
-                fail(f"symmetry fails at {_point(t, r)}")
+                failures.append(f"symmetry fails at {_point(t, r)}")
 
-    report.checks_run.append("stabilization")
-    edge = _snap_up(h.stabilization_r() + window, l).doubled
+    edge = _snap_up(h.stabilization_r() + window, l)
     for s in ds:
         if h._at(s, edge) != h.h1((s - l) // 2):
-            fail(f"row stabilization fails at t={HalfInt(s)}")
+            failures.append(f"row stabilization fails at t={half(s)}")
         if h._at(edge, s) != h.h2((s - l) // 2):
-            fail(f"column stabilization fails at r={HalfInt(s)}")
+            failures.append(f"column stabilization fails at r={half(s)}")
 
-    report.checks_run.append("width-bounds")
-    if not (-n_width <= half_l <= n_width):
-        fail(f"width bound fails: N={n_width}, l/2={half_l}")
+    if not -n_width <= l <= n_width:
+        failures.append(f"width bound fails: N={half(n_width)}, l/2={half(l)}")
 
     if h.data.first_component_unknot and l >= 0:
-        report.checks_run.append("torus-link-lower-bound")
         for t, row in zip(ds, rows):
             for r, v in zip(ds, row):
                 if v < _t22l(l, t, r):
-                    fail(f"H < H_T(2,2l) at {_point(t, r)}")
+                    failures.append(f"H < H_T(2,2l) at {_point(t, r)}")
 
-    report.checks_run.append("r-shape")
-    t_window = max(window, n_width + 1)
-    ts = _lattice_range(l, t_window)
+    ts = _lattice_range(l, max(window, n_width + 2))
     try:
         rs = {t: h.r_of_t(t) for t in ts}
     except NotLSpaceLinkError as exc:
-        fail(f"R_t undefined: {exc}")
-        return report
+        failures.append(f"R_t undefined: {exc}")
+        return failures
     for a, b in zip(ts, ts[1:]):
-        if b <= half_l and rs[a] > rs[b]:
-            fail(f"R_t decreases before l/2: R_{a}={rs[a]} > R_{b}={rs[b]}")
-        if a >= half_l and rs[a] < rs[b]:
-            fail(f"R_t increases after l/2: R_{a}={rs[a]} < R_{b}={rs[b]}")
-        if (b <= -n_width or a >= n_width) and rs[a] != rs[b]:
-            fail(f"R_t not constant outside [-N, N] between {a} and {b}")
-    return report
+        ra, rb = rs[a], rs[b]
+        if b <= l and ra > rb:
+            failures.append(f"R_t decreases before l/2: "
+                            f"R_{half(a)}={half(ra)} > R_{half(b)}={half(rb)}")
+        if a >= l and ra < rb:
+            failures.append(f"R_t increases after l/2: "
+                            f"R_{half(a)}={half(ra)} < R_{half(b)}={half(rb)}")
+        if (b <= -n_width or a >= n_width) and ra != rb:
+            failures.append(f"R_t not constant outside [-N, N] "
+                            f"between {half(a)} and {half(b)}")
+    return failures
 
 
-def hf_table(h: HFunction, window: HalfIntLike):
-    """Grid of H values: columns t ascending, rows r descending."""
+def hf_table(h: HFunction, window: int):
+    """Grid of H values: doubled columns t ascending, rows r descending."""
     ds, rows = h.grid(window)
-    coords = [HalfInt(d) for d in ds]
-    return coords, [(r, list(col)) for r, col in zip(coords, zip(*rows))][::-1]
+    return ds, [(r, list(col)) for r, col in zip(ds, zip(*rows))][::-1]
 
 
-def hf_table_tsv(h: HFunction, window: HalfIntLike) -> str:
+def hf_table_tsv(h: HFunction, window: int) -> str:
     """TSV rendering of the H-table with an R_t marker column."""
     coords, rows = hf_table(h, window)
     marks: dict = {}
     for t in coords:
-        marks.setdefault(h.r_of_t(t), []).append(str(t))
-    lines = ["r\\t\t" + "\t".join(str(t) for t in coords) + "\tR_t_at"]
+        marks.setdefault(h.r_of_t(t), []).append(half(t))
+    lines = ["r\\t\t" + "\t".join(half(t) for t in coords) + "\tR_t_at"]
     for r, vals in rows:
         lines.append(
-            str(r) + "\t" + "\t".join(str(v) for v in vals) + "\t"
+            half(r) + "\t" + "\t".join(str(v) for v in vals) + "\t"
             + ",".join(marks.get(r, ()))
         )
     return "\n".join(lines) + "\n"

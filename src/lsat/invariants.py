@@ -14,7 +14,7 @@ import math
 from typing import Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .halfgrid_poly import HalfInt
+from .halfgrid_poly import half
 from .hfunction import HFunction, width, _point, _t22l
 from .patterns import (
     Companion, PatternProfile, TauResult, bridge_braid_knot_check,
@@ -22,10 +22,10 @@ from .patterns import (
 
 
 def _as_tau(doubled: int, case_tag: str) -> TauResult:
-    """The tau of a doubled value; a HalfInt is made only for the message."""
+    """The tau of a doubled value; it must be whole."""
     if doubled % 2:
         raise InvalidInputError(
-            f"closed form produced a non-integer tau {HalfInt(doubled)} ({case_tag})"
+            f"closed form produced a non-integer tau {half(doubled)} ({case_tag})"
         )
     return TauResult(doubled // 2, "closed-form", case_tag)
 
@@ -33,8 +33,8 @@ def _as_tau(doubled: int, case_tag: str) -> TauResult:
 def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     """tau of the satellite with pattern ``prof``, companion K, framing n.
 
-    Computed on doubled ints: every R value enters as ``.doubled`` and l/2
-    as l, so each branch is the paper's formula times two.
+    Computed on doubled ints: the R values are doubled already and l/2
+    enters as l, so each branch is the paper's formula times two.
     """
     l, tau = prof.l, K.tau
     if l < 0:
@@ -46,7 +46,7 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
         if n < 2 * tau:
             prof.require("r_center")
             return _as_tau(
-                prof.r_center.doubled - l + shift + ltau, "eps=1,n<2tau"
+                prof.r_center - l + shift + ltau, "eps=1,n<2tau"
             )
         return _as_tau(2 * prof.g3 + shift + ltau, "eps=1,n>=2tau")
 
@@ -59,7 +59,7 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
             )
         prof.require("r_minus", "r_center")
         return _as_tau(
-            max(prof.r_minus.doubled + l, prof.r_center.doubled - l) + shift,
+            max(prof.r_minus + l, prof.r_center - l) + shift,
             "eps=0,n<0",
         )
 
@@ -69,26 +69,26 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     if n < 2 * tau:
         prof.require("r_minus", "r_center")
         return _as_tau(
-            max(prof.r_minus.doubled + l, prof.r_center.doubled - l)
+            max(prof.r_minus + l, prof.r_center - l)
             + shift + ltau,
             "eps=-1,n<2tau",
         )
     if n == 2 * tau:
         prof.require("r_minus", "r_plus")
         return _as_tau(
-            max(prof.r_minus.doubled + l, prof.r_plus.doubled - l)
+            max(prof.r_minus + l, prof.r_plus - l)
             + shift + ltau,
             "eps=-1,n=2tau",
         )
     if n == 2 * tau + 1:
         prof.require("r_minus", "r_plus")
         return _as_tau(
-            min(prof.r_minus.doubled, prof.r_plus.doubled) + l + shift + ltau,
+            min(prof.r_minus, prof.r_plus) + l + shift + ltau,
             "eps=-1,n=2tau+1",
         )
     prof.require("r_minus")
     return _as_tau(
-        min(prof.r_minus.doubled + l, 2 * prof.g3 + 2 * l) + shift + ltau,
+        min(prof.r_minus + l, 2 * prof.g3 + 2 * l) + shift + ltau,
         "eps=-1,n>2tau+1",
     )
 
@@ -147,24 +147,24 @@ def classify_operator(h: HFunction, g3: int, n: int = 0) -> Tuple[str, Optional[
         raise InvalidInputError("classifier applies to framings n >= 0")
     if abs(l) > 1:
         return ("obstructed", f"winding {l} not in {{0, +-1}}")
-    half_l = HalfInt(l)
     if g3 != 0:
         return ("obstructed", f"g3 = {g3} != 0")
-    r_center = h.r_of_t(half_l)
-    if r_center != half_l:
-        return ("obstructed", f"R at winding/2 is {r_center} != {half_l}")
+    # Doubled: l is 2 * (l/2), and the R values and the width are doubled.
+    r_center = h.r_of_t(l)
+    if r_center != l:
+        return ("obstructed", f"R at winding/2 is {half(r_center)} != {half(l)}")
     n_width = width(h.data)
-    if n_width != HalfInt(abs(l)):
-        return ("obstructed", f"width {n_width} != |winding|/2")
-    r_minus = h.r_of_t(half_l - 1)
-    if r_minus != -HalfInt(abs(l)):
+    if n_width != abs(l):
+        return ("obstructed", f"width {half(n_width)} != |winding|/2")
+    r_minus = h.r_of_t(l - 2)
+    if r_minus != -abs(l):
         return (
             "obstructed",
-            f"R one column left of winding/2 is {r_minus} != -|winding|/2",
+            f"R one column left of winding/2 is {half(r_minus)} != -|winding|/2",
         )
     # All scalar claims pass; the verdict needs full-table equality with
     # the model link of the same winding on a window of radius N + 3.
-    ds, rows = h.grid(n_width + 3)
+    ds, rows = h.grid(n_width + 6)
     for t, row in zip(ds, rows):
         for r, v in zip(ds, row):
             if v != _t22l(l, t, r):

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
 from .halfgrid_poly import (
-    HalfInt, LaurentPoly1, LaurentPoly2, Record, setslot, shift, symmetrize,
+    LaurentPoly1, LaurentPoly2, Record, half, setslot, shift, symmetrize,
 )
 from .hfunction import HFunction, LinkAlexData, resolve_sign, validate, width
 
@@ -30,7 +30,8 @@ class PatternProfile(Record):
 
     ``r_minus``, ``r_center``, ``r_plus`` are the R values at winding/2 - 1,
     winding/2 and winding/2 + 1; any of them may be unavailable (None) for
-    closed-form-only families.  The side conditions, minimal wrapping and
+    closed-form-only families.  ``n_width`` and the three R values are
+    doubled ints (2N, 2R); ``l`` and ``g3`` are plain ints.  The side conditions, minimal wrapping and
     provenance are derived from these fields.  The oracle keeps the arrow
     weights it derives and its reduced summands in the ``_oracle`` slot,
     outside the fields.
@@ -39,26 +40,25 @@ class PatternProfile(Record):
     _fields = ("l", "g3", "n_width", "r_minus", "r_center", "r_plus", "data")
     __slots__ = _fields + ("_oracle",)
 
-    def __init__(self, l: int, g3: int, n_width: HalfInt, r_minus: Optional[HalfInt],
-                 r_center: Optional[HalfInt], r_plus: Optional[HalfInt],
+    def __init__(self, l: int, g3: int, n_width: int, r_minus: Optional[int],
+                 r_center: Optional[int], r_plus: Optional[int],
                  data: Optional[LinkAlexData] = None):
         if l < 0:
             raise InvalidInputError("profiles are normalized to winding >= 0")
         if g3 < 0:
             raise InvalidInputError("negative Seifert genus")
-        half_l = HalfInt(l)
         if r_center is not None:
             for other in (r_minus, r_plus):
                 if other is not None and other > r_center:
                     raise InvalidInputError(
                         "R at the winding/2 column must be maximal"
                     )
-            excess = r_center - half_l - HalfInt.whole(g3)
+            excess = r_center - l - 2 * g3
             if excess < 0:
                 raise InvalidInputError(
-                    f"R_center - l/2 = {r_center - half_l} < g3 = {g3}"
+                    f"R_center - l/2 = {half(r_center - l)} < g3 = {g3}"
                 )
-            if n_width == half_l and excess != 0:
+            if n_width == l and excess != 0:
                 raise InvalidInputError(
                     "minimal wrapping forces R_center - l/2 = g3"
                 )
@@ -77,7 +77,7 @@ class PatternProfile(Record):
         if self.r_minus is None:
             # Unknotted patterns and small winding satisfy it automatically.
             return self.l in (0, 1) or self.g3 == 0
-        return self.r_minus.doubled >= 2 * self.g3 + self.l - 2
+        return self.r_minus >= 2 * self.g3 + self.l - 2
 
     @property
     def cond_eps(self) -> bool:
@@ -85,12 +85,12 @@ class PatternProfile(Record):
         if self.r_minus is None:
             # Automatic only at winding 0.
             return self.l == 0
-        return self.r_minus.doubled >= 2 * self.g3 + self.l
+        return self.r_minus >= 2 * self.g3 + self.l
 
     @property
     def minimal_wrapping(self) -> bool:
         """Whether the width N equals l/2."""
-        return self.n_width == HalfInt(self.l)
+        return self.n_width == self.l
 
     @property
     def provenance(self) -> Tuple[Tuple[str, str], ...]:
@@ -226,7 +226,7 @@ def twobridge_alexander(r: int, q: int) -> LaurentPoly2:
     pts = twobridge_walk(r, q)
     terms = {}
     for (i, j) in pts:
-        terms[(HalfInt.whole(i), HalfInt.whole(j))] = -1 if (i + j) % 2 else 1
+        terms[(2 * i, 2 * j)] = -1 if (i + j) % 2 else 1
     return LaurentPoly2.from_terms(terms)
 
 
@@ -253,7 +253,7 @@ def twobridge_data(r: int, q: int) -> LinkAlexData:
             f"linking cross-check fails for ({r},{q}): "
             f"sign sum {eta_link} != (r-q)/2 = {l}"
         )
-    normalized = shift(symmetrize(raw), HalfInt(1), HalfInt(1))
+    normalized = shift(symmetrize(raw), 1, 1)
     data = LinkAlexData(
         linking=l,
         delta_tilde=normalized,
@@ -264,14 +264,14 @@ def twobridge_data(r: int, q: int) -> LinkAlexData:
 
 
 def _profile_from_h(h: HFunction, g3: int) -> PatternProfile:
-    half_l = HalfInt(h.linking)
+    l = h.linking
     return PatternProfile(
-        l=h.linking,
+        l=l,
         g3=g3,
         n_width=width(h.data),
-        r_minus=h.r_of_t(half_l - 1),
-        r_center=h.r_of_t(half_l),
-        r_plus=h.r_of_t(half_l + 1),
+        r_minus=h.r_of_t(l - 2),
+        r_center=h.r_of_t(l),
+        r_plus=h.r_of_t(l + 2),
         data=h.data,
     )
 
@@ -313,9 +313,9 @@ def _braided_profile(p: int, r: int, b: int) -> PatternProfile:
     return PatternProfile(
         l=p,
         g3=g3,
-        n_width=HalfInt(p),
+        n_width=p,
         r_minus=None,
-        r_center=HalfInt.whole(g3) + HalfInt(p),
+        r_center=2 * g3 + p,
         r_plus=None,
     )
 
@@ -362,15 +362,15 @@ def generic_profile(
     if not data.first_component_unknot:
         raise InvalidInputError("first component must be an unknot")
     h = data.hfunction()
-    report = validate(h)
-    if not report.ok:
+    failures = validate(h)
+    if failures:
         raise InvalidInputError(
             "Alexander data fails H-function validation: "
-            + "; ".join(report.failures[:3])
+            + "; ".join(failures[:3])
         )
-    half_l = HalfInt(data.linking)
-    if width(h.data) == half_l:
-        computed_g3 = (h.r_of_t(half_l) - half_l).as_int()
+    l = data.linking
+    if width(h.data) == l:
+        computed_g3 = (h.r_of_t(l) - l) // 2
         if g3 is not None and g3 != computed_g3:
             raise InvalidInputError(
                 f"supplied g3 = {g3} conflicts with minimal wrapping "

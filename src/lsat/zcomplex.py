@@ -24,7 +24,7 @@ from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
-from .halfgrid_poly import HalfInt, Record, setslot
+from .halfgrid_poly import Record, half, setslot
 from .patterns import Companion, PatternProfile, TauResult
 
 # Largest oracle summand, in sources: every case builds |n - 2 tau| of them
@@ -104,16 +104,18 @@ class ZComplex(Record):
         }
 
 
-def tower_alexander(c: ZComplex) -> HalfInt:
-    """Alexander grading of the generator of the free part of homology.
+def tower_alexander(c: ZComplex) -> int:
+    """Doubled Alexander grading gr_w - gr_z of the free part's generator.
 
     Reduction is a graded Smith normal form over F2[Z]: since every entry
     is a homogeneous monomial, row and column operations with the forced
     Z-shifts keep entries monomial and preserve the grading labels of rows
     and columns.  Sources are columns and every other generator a row (the
-    complex is two-step).  Every entry is eventually a pivot or cancelled,
-    so the free classes are the generators never pivoted; exactly one must
-    survive.
+    complex is two-step).  Each entry is Z^(A(column) - A(row)), which
+    :meth:`ZComplex.check` ensures at construction, so a row operation that
+    lands on a live entry carries the same exponent and cancels it.  Every
+    entry is eventually a pivot or cancelled, so the free classes are the
+    generators never pivoted; exactly one must survive.
 
     The matrix is held per generator index as a dict of Z-exponents, the
     row of a target and the column of a source, and each pivot is the live
@@ -149,15 +151,10 @@ def tower_alexander(c: ZComplex) -> HalfInt:
             row = line[i]
             for j, piv in prow.items():
                 new = piv + d
-                old = row.get(j)
-                if old is None:
+                if row.get(j) is None:
                     row[j] = new
                     line[j][i] = new
                     push(heap, (new, i, j))
-                elif old != new:
-                    raise VerificationError(
-                        "non-homogeneous entry collision in reduction"
-                    )
                 else:
                     del row[j]
                     del line[j][i]
@@ -175,7 +172,7 @@ def tower_alexander(c: ZComplex) -> HalfInt:
             f"free homology rank {len(free)} != 1 in {c.case_tag!r}"
         )
     _, w, z = free[0]
-    return HalfInt(w - z)
+    return w - z
 
 
 def _weights(prof: PatternProfile) -> Dict[str, int]:
@@ -187,20 +184,21 @@ def _weights(prof: PatternProfile) -> Dict[str, int]:
     """
     if prof._oracle is not None:
         return prof._oracle[0]
-    half_l = HalfInt(prof.l)
-    g = HalfInt.whole(prof.g3)
+    # Doubled R values; l is 2 * (l/2) and 2 * g3 the doubled genus.
+    l, g = prof.l, 2 * prof.g3
+    r_minus, r_center, r_plus = prof.r_minus, prof.r_center, prof.r_plus
     out = {}
-    if prof.r_center is not None:
-        out["sigma"] = (prof.r_center - half_l - g).as_int()
-        out["tau"] = (prof.r_center + half_l - g).as_int()
-    if prof.r_minus is not None:
-        out["tau_minus"] = (prof.r_minus + half_l - g).as_int()
-        if prof.r_center is not None:
-            out["w"] = (prof.r_center - prof.r_minus).as_int()
-    if prof.r_plus is not None:
-        out["sigma_plus"] = (prof.r_plus - half_l - g).as_int()
-        if prof.r_center is not None:
-            out["z"] = (prof.r_center - prof.r_plus).as_int()
+    if r_center is not None:
+        out["sigma"] = (r_center - l - g) // 2
+        out["tau"] = (r_center + l - g) // 2
+    if r_minus is not None:
+        out["tau_minus"] = (r_minus + l - g) // 2
+        if r_center is not None:
+            out["w"] = (r_center - r_minus) // 2
+    if r_plus is not None:
+        out["sigma_plus"] = (r_plus - l - g) // 2
+        if r_center is not None:
+            out["z"] = (r_center - r_plus) // 2
     for name, k in out.items():
         if k < 0:
             raise InvalidInputError(f"negative arrow weight {name} = {k}")
@@ -290,7 +288,7 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
     prof.require("r_minus", "r_center", "r_plus")
     a, c = wts["tau"], wts["sigma"]
     am, cp = wts["tau_minus"], wts["sigma_plus"]
-    v_a = (prof.r_minus + HalfInt(l)).as_int() + shift
+    v_a = (prof.r_minus + l) // 2 + shift
     k = 2 * tau - n
     if case == "eps0_neg":
         # Mirrored arrangement: the anchor generator v (one column left of
@@ -318,7 +316,7 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
     weights = [wts["w"]] + [c, a] * (k - 1) + [wts["z"]]
     summand = _zigzag(names + ["u"], weights, True, 0, v_a, tag)
     if k == 1:
-        stated, what = (prof.r_plus + HalfInt(l)).as_int(), "cone endpoint"
+        stated, what = (prof.r_plus + l) // 2, "cone endpoint"
     else:
         stated, what = g + l, "interior sink"
     _, _, gr_z = summand.generators[2]  # the sink after w1: u or m1
@@ -354,7 +352,9 @@ def tau_oracle(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     if hit is None:
         c = build_summand(prof, K, n)  # its _weights call sets the slot
         value = tower_alexander(c)
-        if not value.is_integral:
-            raise VerificationError(f"oracle produced non-integer tau {value}")
-        hit = prof._oracle[1][key] = (value.as_int() - shift, c.case_tag)
+        if value % 2:
+            raise VerificationError(
+                f"oracle produced non-integer tau {half(value)}"
+            )
+        hit = prof._oracle[1][key] = (value // 2 - shift, c.case_tag)
     return TauResult(value=hit[0] + shift, method="oracle", case_tag=hit[1])

@@ -20,9 +20,9 @@ from typing import List, Optional
 import pytest
 
 import lsat
-from lsat import HalfInt, LinkAlexData
+from lsat import LinkAlexData
 from lsat.cli import main
-from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
+from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2, half
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,9 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def hi(doubled: int) -> HalfInt:
-    return HalfInt(doubled)
-
-
 def grid(doubled_lo: int, doubled_hi: int):
-    """Lattice coordinates from doubled_lo to doubled_hi in whole steps."""
-    return [HalfInt(d) for d in range(doubled_lo, doubled_hi + 1, 2)]
+    """Doubled lattice coordinates from doubled_lo to doubled_hi in whole steps."""
+    return list(range(doubled_lo, doubled_hi + 1, 2))
 
 
 # Rows r descending, columns t ascending, exactly as in the reference
@@ -154,7 +150,7 @@ def negative_hopf_data() -> LinkAlexData:
     return resolve_sign(
         LinkAlexData(
             linking=-1,
-            delta_tilde=LaurentPoly2.from_terms({(hi(1), hi(1)): -1}),
+            delta_tilde=LaurentPoly2.from_terms({(1, 1): -1}),
             delta1=LaurentPoly1.one(),
             delta2=LaurentPoly1.one(),
         )
@@ -178,7 +174,9 @@ def mazur_h():
 def assert_table_matches(h, table) -> None:
     for row, r in zip(table["h"], table["r"]):
         for value, t in zip(row, table["t"]):
-            assert h(t, r) == value, f"H({t},{r}) = {h(t, r)} != {value}"
+            assert h(t, r) == value, (
+                f"H({half(t)},{half(r)}) = {h(t, r)} != {value}"
+            )
 
 
 def twobridge_alexander_closed(r: int, q: int) -> LaurentPoly2:
@@ -198,7 +196,7 @@ def twobridge_alexander_closed(r: int, q: int) -> LaurentPoly2:
         e2 = (eta[2 * i - 1] - 1) // 2 + sum(
             eta[2 * k - 1] for k in range(1, i)
         )
-        key = (HalfInt.whole(e1), HalfInt.whole(e2))
+        key = (2 * e1, 2 * e2)
         terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly2.from_terms(terms)
 

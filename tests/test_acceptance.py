@@ -12,14 +12,12 @@ from conftest import (
     UNLINK_TABLE,
     WHITEHEAD_TABLE,
     assert_table_matches,
-    hi,
     negative_hopf_data,
     twobridge_alexander_closed,
 )
 from lsat import (
     Companion,
     HFunction,
-    HalfInt,
     classify_operator,
     g4_satellite,
     tau_bridge_braid,
@@ -62,45 +60,48 @@ def test_02_whitehead():
     # normalization (recentering, half-shift, sign resolution).
     expected = LaurentPoly2.from_terms(
         {
-            (hi(2), hi(2)): -1,
-            (hi(2), hi(0)): 1,
-            (hi(0), hi(2)): 1,
-            (hi(0), hi(0)): -1,
+            (2, 2): -1,
+            (2, 0): 1,
+            (0, 2): 1,
+            (0, 0): -1,
         }
     )
     assert data.delta_tilde == expected
     h = HFunction(data)
     assert_table_matches(h, WHITEHEAD_TABLE)
-    assert h.r_of_t(0) == HalfInt.whole(1)
-    assert width(data) == HalfInt.whole(1)
+    # R values and widths are doubled: 2 stands for 1.
+    assert h.r_of_t(0) == 2
+    assert width(data) == 2
 
 
 def test_03_mazur_and_twobridge_r_formulas():
     """Mazur H-table and the closed R-value formulas across the family."""
     h = HFunction(twobridge_data(5, 3))
     assert_table_matches(h, MAZUR_TABLE)
-    assert h.r_of_t(hi(-1)) == hi(1)
-    assert h.r_of_t(hi(1)) == hi(3)
-    assert h.r_of_t(hi(3)) == hi(1)
+    # Doubled: R_{-1/2} = 1/2, R_{1/2} = 3/2, R_{3/2} = 1/2.
+    assert h.r_of_t(-1) == 1
+    assert h.r_of_t(1) == 3
+    assert h.r_of_t(3) == 1
     for r, q in FAMILY_PAIRS:
         hf = HFunction(twobridge_data(r, q))
-        half_l = HalfInt(hf.linking)
-        assert hf.r_of_t(half_l) * 4 == HalfInt.whole(r + q - 2)
-        assert hf.r_of_t(half_l - 1) * 4 == HalfInt.whole(r + q - 6)
-        assert hf.r_of_t(half_l + 1) * 4 == HalfInt.whole(r + q - 6)
+        l = hf.linking  # the doubled l/2
+        # 4R = 2 * (doubled R)
+        assert hf.r_of_t(l) * 2 == r + q - 2
+        assert hf.r_of_t(l - 2) * 2 == r + q - 6
+        assert hf.r_of_t(l + 2) * 2 == r + q - 6
 
 
 def test_04_hoste_polynomials():
     """The printed 7-term L(14,3) polynomial; walk = closed form familywide."""
     expected = LaurentPoly2.from_terms(
         {
-            (hi(0), hi(0)): 1,
-            (hi(2), hi(2)): 1,
-            (hi(4), hi(2)): -1,
-            (hi(2), hi(0)): -1,
-            (hi(0), hi(-2)): -1,
-            (hi(2), hi(-2)): 1,
-            (hi(4), hi(0)): 1,
+            (0, 0): 1,
+            (2, 2): 1,
+            (4, 2): -1,
+            (2, 0): -1,
+            (0, -2): -1,
+            (2, -2): 1,
+            (4, 0): 1,
         }
     )
     assert twobridge_alexander(5, 3) == expected
@@ -170,11 +171,10 @@ def test_07_property_suite():
     datas = [data for _, data in link_cases()]
     for data in datas:
         h = HFunction(data)
-        report = validate(h)
-        assert report.ok, report.failures
-        n_width = width(data)
-        half_l = HalfInt(data.linking)
-        assert -n_width <= half_l <= n_width
+        failures = validate(h)
+        assert not failures, failures
+        n_width = width(data)  # doubled, like l as the doubled l/2
+        assert -n_width <= data.linking <= n_width
         # Width equals the top x1-power of the normalized polynomial.
         if not data.delta_tilde.is_zero:
             assert n_width == data.delta_tilde.max_exp1()
@@ -182,7 +182,7 @@ def test_07_property_suite():
         parity = data.linking % 2
         for ti in range(-3, 4):
             for ri in range(-3, 4):
-                t, r = HalfInt(2 * ti + parity), HalfInt(2 * ri + parity)
+                t, r = 2 * ti + parity, 2 * ri + parity
                 assert h(t, r) >= h_t22l(data.linking, t, r)
 
 

@@ -1,4 +1,4 @@
-"""Input-boundary contracts: malformed JSON link data and HalfInt hashing."""
+"""Input-boundary contracts: malformed JSON link data exits 2."""
 
 import copy
 import json
@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import invoke
-from lsat import HalfInt, twobridge_data
+from lsat import twobridge_data
 
 VALID = twobridge_data(5, 3).to_json_obj()
 
@@ -49,18 +49,3 @@ def test_malformed_json_exits_2(tmp_path, name, command):
     assert payload["exit_code"] == 2
     assert payload["message"]
 
-
-def test_integral_halfint_hashes_like_its_int():
-    assert HalfInt(2) == 1
-    assert HalfInt(2) in {1}
-    assert 1 in {HalfInt(2)}
-    assert {HalfInt(-4): "x"}[-2] == "x"
-    assert HalfInt(1) not in {0, 1}
-
-
-def test_halfint_equality_with_bool_is_false_not_an_error():
-    assert not HalfInt(2) == True  # noqa: E712
-    assert HalfInt(2) != True  # noqa: E712
-    assert HalfInt(0) != False  # noqa: E712
-    assert HalfInt(2) in [True, 1]
-    assert HalfInt(4) not in [True, False]

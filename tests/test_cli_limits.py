@@ -162,7 +162,7 @@ def test_two_bridge_r_limit(spec):
 
 def test_largest_two_bridge_r_stays_within_the_exponent_cap():
     data = twobridge_data(65, 63)
-    assert data.support_extent().doubled <= MAX_DOUBLED_EXPONENT
+    assert data.support_extent() <= MAX_DOUBLED_EXPONENT
     result = invoke(["classify", "twobridge:65,1"])
     assert result.exit_code == 0, result.output
 

@@ -1,17 +1,20 @@
-"""The doubled-int closed form agrees with a HalfInt reference.
+"""The doubled-int closed form agrees with a Fraction reference.
 
-``reference_closed_form`` is the closed form written on ``HalfInt``
-arithmetic, branch for branch as the paper states it.  It lives here only,
-as the check on ``invariants.tau_closed_form`` and on the profile's
-``cond_tau`` and ``cond_eps``: value, method, case tag, and the class and
-message of every error must agree.
+``reference_closed_form`` is the closed form written on
+``fractions.Fraction`` arithmetic, branch for branch as the paper states
+it: every doubled R value of the profile is read back as its rational
+value first.  It lives here only, as the check on
+``invariants.tau_closed_form`` and on the profile's ``cond_tau`` and
+``cond_eps``: value, method, case tag, and the class and message of every
+error must agree.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from lsat import (
     Companion,
-    HalfInt,
     PatternProfile,
     bridge_braid_profile,
     cable_profile,
@@ -23,53 +26,62 @@ from lsat.errors import InvalidInputError, UnsupportedRegimeError
 from lsat.zcomplex import TauResult
 
 
+def value_of(doubled):
+    """The rational value of a doubled profile field (None stays None)."""
+    return None if doubled is None else Fraction(doubled, 2)
+
+
 def reference_cond_tau(prof: PatternProfile) -> bool:
     if prof.r_minus is None:
         return prof.l in (0, 1) or prof.g3 == 0
-    return prof.r_minus >= HalfInt.whole(prof.g3) + HalfInt(prof.l) - 1
+    return value_of(prof.r_minus) >= prof.g3 + Fraction(prof.l, 2) - 1
 
 
 def reference_cond_eps(prof: PatternProfile) -> bool:
     if prof.r_minus is None:
         return prof.l == 0
-    return prof.r_minus >= HalfInt.whole(prof.g3) + HalfInt(prof.l)
+    return value_of(prof.r_minus) >= prof.g3 + Fraction(prof.l, 2)
 
 
-def _as_tau(value: HalfInt, case_tag: str) -> TauResult:
-    if not value.is_integral:
+def _as_tau(value: Fraction, case_tag: str) -> TauResult:
+    # str(Fraction) prints a half-integer as p/2 and a whole value as n.
+    if value.denominator != 1:
         raise InvalidInputError(
             f"closed form produced a non-integer tau {value} ({case_tag})"
         )
-    return TauResult(value=value.as_int(), method="closed-form", case_tag=case_tag)
+    return TauResult(value=int(value), method="closed-form", case_tag=case_tag)
 
 
 def reference_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     if prof.l < 0:
         raise UnsupportedRegimeError("closed form needs winding >= 0")
-    half_l = HalfInt(prof.l)
-    g = HalfInt.whole(prof.g3)
-    shift = HalfInt.whole(prof.framing_shift(n))
-    ltau = HalfInt.whole(prof.l * K.tau)
+    half_l = Fraction(prof.l, 2)
+    g = prof.g3
+    shift = prof.framing_shift(n)
+    ltau = prof.l * K.tau
     cond_tau = reference_cond_tau(prof)
+    r_minus = value_of(prof.r_minus)
+    r_center = value_of(prof.r_center)
+    r_plus = value_of(prof.r_plus)
 
     if K.eps == 1:
         if n < 2 * K.tau:
             prof.require("r_center")
             return _as_tau(
-                prof.r_center - half_l + shift + ltau, "eps=1,n<2tau"
+                r_center - half_l + shift + ltau, "eps=1,n<2tau"
             )
-        return _as_tau(g + shift + ltau, "eps=1,n>=2tau")
+        return _as_tau(Fraction(g + shift + ltau), "eps=1,n>=2tau")
 
     if K.eps == 0:
         if n >= 0:
-            return _as_tau(g + shift, "eps=0,n>=0")
+            return _as_tau(Fraction(g + shift), "eps=0,n>=0")
         if not cond_tau:
             raise UnsupportedRegimeError(
                 "eps=0 with n<0 needs the R_{l/2-1} condition"
             )
         prof.require("r_minus", "r_center")
         return _as_tau(
-            max(prof.r_minus + half_l, prof.r_center - half_l) + shift,
+            max(r_minus + half_l, r_center - half_l) + shift,
             "eps=0,n<0",
         )
 
@@ -78,24 +90,24 @@ def reference_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResu
     if n < 2 * K.tau:
         prof.require("r_minus", "r_center")
         return _as_tau(
-            max(prof.r_minus + half_l, prof.r_center - half_l) + shift + ltau,
+            max(r_minus + half_l, r_center - half_l) + shift + ltau,
             "eps=-1,n<2tau",
         )
     if n == 2 * K.tau:
         prof.require("r_minus", "r_plus")
         return _as_tau(
-            max(prof.r_minus + half_l, prof.r_plus - half_l) + shift + ltau,
+            max(r_minus + half_l, r_plus - half_l) + shift + ltau,
             "eps=-1,n=2tau",
         )
     if n == 2 * K.tau + 1:
         prof.require("r_minus", "r_plus")
         return _as_tau(
-            min(prof.r_minus + half_l, prof.r_plus + half_l) + shift + ltau,
+            min(r_minus + half_l, r_plus + half_l) + shift + ltau,
             "eps=-1,n=2tau+1",
         )
     prof.require("r_minus")
     return _as_tau(
-        min(prof.r_minus + half_l, g + half_l + half_l) + shift + ltau,
+        min(r_minus + half_l, g + half_l + half_l) + shift + ltau,
         "eps=-1,n>2tau+1",
     )
 
@@ -112,20 +124,15 @@ COMPANIONS = [Companion(tau=0, eps=0)] + [
     Companion(tau=tau, eps=eps) for eps in (-1, 1) for tau in range(-3, 4)
 ]
 
-# Hand-made profiles: cond_tau fails on the first two, the doubled R
-# values of the next two make some branches non-integral, and the last one
-# passes cond_tau without r_plus.
+# Hand-made profiles, R values and widths doubled: cond_tau fails on the
+# first two, the doubled R values of the next two make some branches
+# non-integral, and the last one passes cond_tau without r_plus.
 HAND_MADE = [
-    PatternProfile(l=2, g3=1, n_width=HalfInt(4), r_minus=HalfInt(0),
-                   r_center=HalfInt(4), r_plus=HalfInt(2)),
-    PatternProfile(l=3, g3=2, n_width=HalfInt(5), r_minus=HalfInt(4),
-                   r_center=HalfInt(9), r_plus=None),
-    PatternProfile(l=1, g3=0, n_width=HalfInt(3), r_minus=HalfInt(0),
-                   r_center=HalfInt(2), r_plus=HalfInt(1)),
-    PatternProfile(l=2, g3=0, n_width=HalfInt(4), r_minus=HalfInt(-1),
-                   r_center=HalfInt(3), r_plus=HalfInt(3)),
-    PatternProfile(l=0, g3=0, n_width=HalfInt(2), r_minus=HalfInt(0),
-                   r_center=HalfInt(0), r_plus=None),
+    PatternProfile(l=2, g3=1, n_width=4, r_minus=0, r_center=4, r_plus=2),
+    PatternProfile(l=3, g3=2, n_width=5, r_minus=4, r_center=9, r_plus=None),
+    PatternProfile(l=1, g3=0, n_width=3, r_minus=0, r_center=2, r_plus=1),
+    PatternProfile(l=2, g3=0, n_width=4, r_minus=-1, r_center=3, r_plus=3),
+    PatternProfile(l=0, g3=0, n_width=2, r_minus=0, r_center=0, r_plus=None),
 ]
 
 OTHER_PROFILES = {

@@ -1,44 +1,24 @@
-"""Unit tests for exact half-integer Laurent polynomial arithmetic."""
+"""Unit tests for exact half-integer Laurent polynomial arithmetic.
+
+Every exponent is written doubled: 3 stands for x^{3/2}.
+"""
 
 import pytest
 
-from lsat import HalfInt, LaurentPoly1, LaurentPoly2, shift, symmetrize
+from lsat import LaurentPoly1, LaurentPoly2, half, shift, symmetrize
 from lsat.errors import CosetMismatchError, InvalidInputError
 from lsat.halfgrid_poly import knot_chi_expansion
 
 
-def hi(doubled):
-    return HalfInt(doubled)
-
-
-class TestHalfInt:
-    def test_arithmetic(self):
-        assert hi(1) + hi(1) == HalfInt.whole(1)
-        assert hi(3) - 1 == hi(1)
-        assert -hi(5) == hi(-5)
-        assert hi(1) * 3 == hi(3)
-
-    def test_ordering(self):
-        assert hi(1) < hi(3) <= hi(3) < HalfInt.whole(2)
-        assert max(hi(-1), hi(1)) == hi(1)
-
-    def test_integrality(self):
-        assert HalfInt.whole(4).is_integral
-        assert not hi(3).is_integral
-        assert HalfInt.whole(4).as_int() == 4
-        with pytest.raises(InvalidInputError):
-            hi(3).as_int()
-
+class TestHalf:
     def test_str(self):
-        assert str(hi(3)) == "3/2"
-        assert str(hi(-1)) == "-1/2"
-        assert str(HalfInt.whole(2)) == "2"
+        assert half(3) == "3/2"
+        assert half(-1) == "-1/2"
+        assert half(4) == "2"
 
 
 def p2(terms):
-    return LaurentPoly2.from_terms(
-        {(hi(a), hi(b)): c for (a, b), c in terms.items()}
-    )
+    return LaurentPoly2.from_terms(terms)
 
 
 def add(p, q):
@@ -68,7 +48,7 @@ class TestAddShift:
 
     def test_shift_half(self):
         wh = p2({(1, 1): -1, (1, -1): 1, (-1, 1): 1, (-1, -1): -1})
-        shifted = shift(wh, hi(1), hi(1))
+        shifted = shift(wh, 1, 1)
         assert shifted == p2({(2, 2): -1, (2, 0): 1, (0, 2): 1, (0, 0): -1})
 
     def test_shift_identity(self):
@@ -77,7 +57,7 @@ class TestAddShift:
 
     def test_shift_one(self):
         # shift(1, 1/2, 1/2) = x1^{1/2} x2^{1/2}
-        assert shift(p2({(0, 0): 1}), hi(1), hi(1)) == p2({(1, 1): 1})
+        assert shift(p2({(0, 0): 1}), 1, 1) == p2({(1, 1): 1})
 
 
 class TestSymmetrize:
@@ -86,7 +66,7 @@ class TestSymmetrize:
         poly = p2({(4, 2): -1, (2, 2): 1, (2, 0): 1, (0, 0): -1})
         sym = symmetrize(poly)
         assert sym == p2({(2, 1): -1, (0, 1): 1, (0, -1): 1, (-2, -1): -1})
-        assert sym == shift(poly, hi(-2), hi(-1))
+        assert sym == shift(poly, -2, -1)
 
     def test_whitehead_translate(self):
         # x1 * (-x1 x2 + x1 + x2 - 1): a unit translate of the Whitehead
@@ -94,7 +74,7 @@ class TestSymmetrize:
         poly = p2({(4, 2): -1, (4, 0): 1, (2, 2): 1, (2, 0): -1})
         sym = symmetrize(poly)
         assert sym == p2({(1, 1): -1, (1, -1): 1, (-1, 1): 1, (-1, -1): -1})
-        assert sym == shift(poly, hi(-3), hi(-1))
+        assert sym == shift(poly, -3, -1)
 
     def test_constant(self):
         assert symmetrize(p2({(0, 0): 1})) == p2({(0, 0): 1})
@@ -129,43 +109,43 @@ class TestSymmetrize:
 
 
 def p1(terms):
-    return LaurentPoly1.from_terms({hi(a): c for a, c in terms.items()})
+    return LaurentPoly1.from_terms(terms)
 
 
 class TestChiExpansion:
     def test_unknot(self):
-        chi = knot_chi_expansion(LaurentPoly1.one(), HalfInt.whole(-5))
+        chi = knot_chi_expansion(LaurentPoly1.one(), -10)
         for s in range(-5, 1):
-            assert chi.coeff(HalfInt.whole(s)) == 1
-        assert chi.coeff(HalfInt.whole(1)) == 0
+            assert chi.coeff(2 * s) == 1
+        assert chi.coeff(2) == 0
 
     def test_trefoil(self):
         # x - 1 + x^{-1}
         delta = p1({2: 1, 0: -1, -2: 1})
-        chi = knot_chi_expansion(delta, HalfInt.whole(-4))
-        assert chi.coeff(HalfInt.whole(1)) == 1
-        assert chi.coeff(HalfInt.whole(0)) == 0
+        chi = knot_chi_expansion(delta, -8)
+        assert chi.coeff(2) == 1
+        assert chi.coeff(0) == 0
         for s in range(-4, 0):
-            assert chi.coeff(HalfInt.whole(s)) == 1
+            assert chi.coeff(2 * s) == 1
 
     def test_above_top_degree(self):
-        chi = knot_chi_expansion(LaurentPoly1.one(), HalfInt.whole(-1))
-        assert chi.coeff(HalfInt.whole(3)) == 0
+        chi = knot_chi_expansion(LaurentPoly1.one(), -2)
+        assert chi.coeff(6) == 0
 
     def test_rejects_nonunit(self):
         with pytest.raises(InvalidInputError):
-            knot_chi_expansion(p1({2: 1, 0: 1}), HalfInt.whole(-3))
+            knot_chi_expansion(p1({2: 1, 0: 1}), -6)
 
     def test_negative_sign_normalized(self):
-        chi = knot_chi_expansion(p1({0: -1}), HalfInt.whole(-3))
-        assert chi.coeff(HalfInt.whole(0)) == 1
+        chi = knot_chi_expansion(p1({0: -1}), -6)
+        assert chi.coeff(0) == 1
 
     def test_tail_matches_unknot_h(self):
         # sum_{s' >= a} chi_U(s') = max(1 - a, 0) for integral a
-        chi = knot_chi_expansion(LaurentPoly1.one(), HalfInt.whole(-10))
+        chi = knot_chi_expansion(LaurentPoly1.one(), -20)
         for a in range(-8, 4):
             total = sum(
-                chi.coeff(HalfInt.whole(s)) for s in range(a, 2)
+                chi.coeff(2 * s) for s in range(a, 2)
             )
             assert total == max(1 - a, 0)
 

@@ -1,16 +1,17 @@
-"""Unit tests for H-function evaluation, R_t, width, and validation."""
+"""Unit tests for H-function evaluation, R_t, width, and validation.
+
+Coordinates, windows, R values and widths are doubled ints: 3 is 3/2.
+"""
 
 import pytest
 
 from conftest import (
     HOPF_MINUS_TABLE,
     assert_table_matches,
-    hi,
     negative_hopf_data,
 )
 from lsat import (
     HFunction,
-    HalfInt,
     LinkAlexData,
     h_t22l,
     hf_table_tsv,
@@ -30,13 +31,13 @@ class TestGnH:
         assert twobridge_data(3, 3).hfunction()(0, 0) == 1
 
     def test_hopf_plus(self):
-        assert twobridge_data(3, 1).hfunction()(hi(-1), hi(-1)) == 1
+        assert twobridge_data(3, 1).hfunction()(-1, -1) == 1
 
     def test_unlink_stabilized(self):
-        assert unlink_data().hfunction()(5, 7) == 0
+        assert unlink_data().hfunction()(10, 14) == 0
 
     def test_mazur(self):
-        assert twobridge_data(5, 3).hfunction()(hi(1), hi(1)) == 1
+        assert twobridge_data(5, 3).hfunction()(1, 1) == 1
 
     def test_off_lattice_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -69,40 +70,40 @@ class TestResolveSign:
     def test_negative_hopf_unchanged(self):
         data = negative_hopf_data()
         assert data.delta_tilde == LaurentPoly2.from_terms(
-            {(hi(1), hi(1)): -1}
+            {(1, 1): -1}
         )
 
 
 class TestRofT:
     def test_whitehead(self, whitehead_h):
-        assert whitehead_h.r_of_t(0) == HalfInt.whole(1)
+        assert whitehead_h.r_of_t(0) == 2
 
     def test_mazur(self, mazur_h):
-        assert mazur_h.r_of_t(hi(1)) == hi(3)
+        assert mazur_h.r_of_t(1) == 3
 
     def test_twobridge_formulas(self):
         for r, q in ((5, 3), (7, 5), (9, 3)):
             h = HFunction(twobridge_data(r, q))
-            half_l = HalfInt(h.linking)
-            assert h.r_of_t(half_l) * 4 == HalfInt.whole(r + q - 2)
-            assert h.r_of_t(half_l - 1) * 4 == HalfInt.whole(r + q - 6)
-            assert h.r_of_t(half_l + 1) * 4 == HalfInt.whole(r + q - 6)
+            l = h.linking  # the doubled l/2
+            assert h.r_of_t(l) * 2 == r + q - 2
+            assert h.r_of_t(l - 2) * 2 == r + q - 6
+            assert h.r_of_t(l + 2) * 2 == r + q - 6
 
     def test_module_level_wrapper(self, whitehead_h):
         # The module-level alias is gone: the method is the one route.
         assert not hasattr(hfunction, "r_of_t")
-        assert whitehead_h.r_of_t(2) == HalfInt.whole(0)
+        assert whitehead_h.r_of_t(4) == 0
 
 
 class TestWidth:
     def test_whitehead(self):
-        assert width(twobridge_data(3, 3)) == HalfInt.whole(1)
+        assert width(twobridge_data(3, 3)) == 2
 
     def test_unlink(self):
-        assert width(unlink_data()) == HalfInt.whole(0)
+        assert width(unlink_data()) == 0
 
     def test_mazur(self):
-        assert width(twobridge_data(5, 3)) == hi(3)
+        assert width(twobridge_data(5, 3)) == 3
 
 
 class TestModelFunctions:
@@ -110,13 +111,13 @@ class TestModelFunctions:
         # The unlink's H is the sum of two unknot H-functions max(-s, 0).
         h = unlink_data().hfunction()
         for s in range(-3, 4):
-            assert h(s, 4) == max(-s, 0) and h(4, s) == max(-s, 0)
+            assert h(2 * s, 8) == max(-s, 0) and h(8, 2 * s) == max(-s, 0)
 
     def test_h_t22l_hopf(self):
-        assert h_t22l(1, hi(1), hi(1)) == 0
+        assert h_t22l(1, 1, 1) == 0
 
     def test_h_t22l_unlink_entry(self):
-        assert h_t22l(0, 0, -1) == 1
+        assert h_t22l(0, 0, -2) == 1
 
     def test_h_t22l_matches_negative_hopf(self):
         h = HFunction(negative_hopf_data())
@@ -128,24 +129,23 @@ class TestModelFunctions:
 
 class TestValidate:
     def test_whitehead_passes(self, whitehead_h):
-        report = validate(whitehead_h)
-        assert report.ok, report.failures
+        failures = validate(whitehead_h)
+        assert not failures, failures
 
     def test_mazur_passes(self, mazur_h):
-        report = validate(mazur_h)
-        assert report.ok, report.failures
-        assert width(mazur_h.data) >= HalfInt(mazur_h.linking)
+        failures = validate(mazur_h)
+        assert not failures, failures
+        assert width(mazur_h.data) >= mazur_h.linking
 
     def test_injected_corruption_fails(self):
         good = twobridge_data(3, 3)
         bad = good.replace(delta_tilde=good.delta_tilde.neg())
-        report = validate(HFunction(bad), window=3)
-        assert not report.ok
+        assert validate(HFunction(bad), window=6)
 
 
 class TestTableExport:
     def test_tsv_layout(self, whitehead_h):
-        text = hf_table_tsv(whitehead_h, 2)
+        text = hf_table_tsv(whitehead_h, 4)
         lines = text.strip().split("\n")
         header = lines[0].split("\t")
         assert header[1:6] == ["-2", "-1", "0", "1", "2"]
@@ -154,7 +154,7 @@ class TestTableExport:
         assert first[0] == "2"  # rows r descending
 
     def test_half_integer_labels(self, mazur_h):
-        text = hf_table_tsv(mazur_h, 2)
+        text = hf_table_tsv(mazur_h, 4)
         assert "3/2" in text and "-1/2" in text
 
 

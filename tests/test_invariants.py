@@ -48,12 +48,11 @@ class TestClosedForm:
     def test_branch_continuity_eps1(self):
         # Evaluated at the boundary n = 2 tau, the two eps=1 branches
         # differ by R_center - l/2 - g3, which must be nonnegative.
-        from lsat import HalfInt
-
         for r, q in FAMILY_PAIRS:
             prof = twobridge_profile(r, q)
-            gap = prof.r_center - HalfInt(prof.l) - HalfInt.whole(prof.g3)
-            assert gap >= HalfInt.whole(0)
+            # Doubled: 2 R_center - l - 2 g3.
+            gap = prof.r_center - prof.l - 2 * prof.g3
+            assert gap >= 0
 
     def test_cable_needs_family_formula_for_negative_eps(self):
         prof = cable_profile(2, 1)

@@ -63,7 +63,7 @@ def raised(call):
 
 def failures(data, window=None):
     """The failure list of ``validate`` on ``data``."""
-    return validate(HFunction(data), window).failures
+    return validate(HFunction(data), window)
 
 
 def flipped(r, q):

@@ -1,12 +1,14 @@
-"""Unit tests for the pattern families and profile assembly."""
+"""Unit tests for the pattern families and profile assembly.
+
+Exponents, R values and widths are doubled ints: 3 is 3/2.
+"""
 
 import pytest
 
-from conftest import hi, twobridge_alexander_closed
+from conftest import twobridge_alexander_closed
 from lsat import (
     Companion,
     HFunction,
-    HalfInt,
     bridge_braid_profile,
     cable_profile,
     generic_profile,
@@ -25,9 +27,7 @@ from lsat.sweeps import LINK_PAIRS
 
 
 def p2(terms):
-    return LaurentPoly2.from_terms(
-        {(hi(a), hi(b)): c for (a, b), c in terms.items()}
-    )
+    return LaurentPoly2.from_terms(terms)
 
 
 class TestEta:
@@ -105,31 +105,31 @@ class TestProfiles:
     def test_mazur(self):
         prof = twobridge_profile(5, 3)
         assert prof.l == 1
-        assert prof.r_center == hi(3)
-        assert prof.r_minus == hi(1)
-        assert prof.r_plus == hi(1)
-        assert prof.n_width == hi(3)
+        assert prof.r_center == 3
+        assert prof.r_minus == 1
+        assert prof.r_plus == 1
+        assert prof.n_width == 3
         assert prof.g3 == 0
         assert prof.cond_tau
 
     def test_whitehead(self):
         prof = twobridge_profile(3, 3)
         assert prof.l == 0
-        assert prof.r_center == HalfInt.whole(1)
-        assert prof.r_minus == HalfInt.whole(0)
+        assert prof.r_center == 2
+        assert prof.r_minus == 0
         assert prof.cond_eps
 
     def test_hopf(self):
         prof = twobridge_profile(3, 1)
         assert prof.l == 1
-        assert prof.r_center == hi(1)
+        assert prof.r_center == 1
         assert prof.g3 == 0
         assert prof.minimal_wrapping
 
     def test_unlink(self):
         prof = unlink_profile()
         assert prof.l == 0 and prof.g3 == 0
-        assert prof.r_center == HalfInt.whole(0)
+        assert prof.r_center == 0
         assert prof.minimal_wrapping
 
     def test_swapped_parameters_normalized(self):
@@ -140,13 +140,13 @@ class TestCableProfile:
     def test_2_1(self):
         prof = cable_profile(2, 1)
         assert prof.l == 2 and prof.g3 == 0
-        assert prof.r_center == HalfInt.whole(1)
+        assert prof.r_center == 2
         assert prof.minimal_wrapping
 
     def test_3_2(self):
         prof = cable_profile(3, 2)
         assert prof.l == 3 and prof.g3 == 1
-        assert prof.r_center == hi(5)
+        assert prof.r_center == 5
 
     def test_rejects_gcd(self):
         with pytest.raises(InvalidInputError):
@@ -178,13 +178,13 @@ class TestGenericProfile:
     def test_whitehead_data(self):
         prof = generic_profile(twobridge_data(3, 3), g3=0)
         assert prof.l == 0
-        assert prof.r_center == HalfInt.whole(1)
+        assert prof.r_center == 2
         assert prof.cond_tau and prof.cond_eps
 
     def test_hopf_data(self):
         prof = generic_profile(twobridge_data(3, 1))
         assert prof.l == 1
-        assert prof.r_center == hi(1)
+        assert prof.r_center == 1
         assert prof.g3 == 0
 
     def test_g3_conflict_under_minimal_wrapping(self):

@@ -10,7 +10,7 @@ independent of the suffix-sum algorithm too.
 
 import pytest
 
-from lsat import HFunction, HalfInt, twobridge_data, unlink_data, width
+from lsat import HFunction, twobridge_data, unlink_data, width
 from lsat.halfgrid_poly import LaurentPoly1
 from lsat.hfunction import _KnotH, _width_from_h
 
@@ -30,7 +30,7 @@ def reference_table(data, coords):
             LaurentPoly1.one().terms,
             LaurentPoly1.one().neg().terms,
         ), "reference covers unknotted components only"
-    terms = {(j.doubled, k.doubled): c for (j, k), c in data.delta_tilde.terms}
+    terms = dict(data.delta_tilde.terms)
     js = [j for j, _ in terms] or [0]
     ks = [k for _, k in terms] or [0]
     j_lo, j_hi, k_lo, k_hi = min(js), max(js), min(ks), max(ks)
@@ -63,7 +63,7 @@ def reference_table(data, coords):
 
 def validate_window(data):
     """Doubled lattice coordinates of the window ``validate`` uses."""
-    window = width(data).doubled + 6
+    window = width(data) + 6
     return [d for d in range(-window, window + 1) if d % 2 == data.linking % 2]
 
 
@@ -76,7 +76,7 @@ def test_hfunction_matches_reference(rq):
     data = unlink_data() if rq is None else twobridge_data(*rq)
     h = HFunction(data)
     for (t, r), value in reference_table(data, validate_window(data)).items():
-        assert h(HalfInt(t), HalfInt(r)) == value, (rq, t, r)
+        assert h(t, r) == value, (rq, t, r)
 
 
 def sparse_reference(data, t, r):
@@ -84,7 +84,7 @@ def sparse_reference(data, t, r):
     l = data.linking
     quadrant = sum(
         c for (j, k), c in data.delta_tilde.terms
-        if j.doubled > t and k.doubled > r
+        if j > t and k > r
     )
     return max(-(t - l) // 2, 0) + max(-(r - l) // 2, 0) - quadrant
 
@@ -97,7 +97,7 @@ def test_hfunction_matches_sparse_definition_at_scale(rq):
     for t in coords:
         for r in coords:
             want = sparse_reference(data, t, r)
-            assert h(HalfInt(t), HalfInt(r)) == want, (rq, t, r)
+            assert h(t, r) == want, (rq, t, r)
 
 
 def test_width_scan_agrees_with_width():
@@ -109,8 +109,6 @@ def test_width_scan_agrees_with_width():
 
 
 def test_knot_h_of_trefoil():
-    trefoil = LaurentPoly1.from_terms(
-        {HalfInt.whole(1): 1, HalfInt.whole(0): -1, HalfInt.whole(-1): 1}
-    )
+    trefoil = LaurentPoly1.from_terms({2: 1, 0: -1, -2: 1})
     h = _KnotH(trefoil)
     assert [h(s) for s in range(-3, 4)] == [3, 2, 1, 1, 0, 0, 0]

@@ -4,6 +4,7 @@ The failure reports of ``validate`` and the error text of
 ``generic_profile`` are pinned on data that breaks the L-space properties
 (sign-flipped two-bridge links, a coefficient-2 Hopf link, asymmetric and
 non-stabilizing data), so the messages keep their order and wording.
+Windows, coordinates and widths are doubled ints.
 """
 
 import collections
@@ -16,7 +17,6 @@ import lsat.hfunction
 import lsat.patterns
 from conftest import invoke
 from lsat import (
-    HalfInt,
     HFunction,
     LinkAlexData,
     classify_operator,
@@ -32,7 +32,7 @@ from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
 def torus_knot(top):
     """Alexander polynomial of T(2, 2*top + 1), degree ``top``."""
     return LaurentPoly1.from_terms(
-        {HalfInt.whole(k): (-1) ** (top - k) for k in range(-top, top + 1)}
+        {2 * k: (-1) ** (top - k) for k in range(-top, top + 1)}
     )
 
 
@@ -40,9 +40,7 @@ def link(l, terms, delta1=None, delta2=None):
     """Sign-resolved link data from {(doubled j, doubled k): coefficient}."""
     return LinkAlexData(
         linking=l,
-        delta_tilde=LaurentPoly2.from_terms(
-            {(HalfInt(j), HalfInt(k)): c for (j, k), c in terms.items()}
-        ),
+        delta_tilde=LaurentPoly2.from_terms(terms),
         delta1=delta1 or LaurentPoly1.one(),
         delta2=delta2 or LaurentPoly1.one(),
         sign_resolved=True,
@@ -67,9 +65,10 @@ def first_of_each(failures):
     return list(firsts.values())
 
 
-# name -> (data factory, validate window or None for the default)
+# name -> (data factory, doubled validate window or None for the default);
+# a name gives the window in whole units.
 BROKEN = {
-    "flip(3,3) window 3": (lambda: flipped(3, 3), 3),
+    "flip(3,3) window 3": (lambda: flipped(3, 3), 6),
     "flip(5,3)": (lambda: flipped(5, 3), None),
     "flip(9,7)": (lambda: flipped(9, 7), None),
     "hopf coefficient 2": (lambda: link(1, {(1, 1): 2}), None),
@@ -188,7 +187,7 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(BROKEN))
 def test_validate_failures_are_pinned(name):
     make, window = BROKEN[name]
-    failures = validate(HFunction(make()), window).failures
+    failures = validate(HFunction(make()), window)
     count, want_digest, firsts, _ = PINNED[name]
     assert first_of_each(failures) == firsts
     assert (len(failures), digest(failures)) == (count, want_digest)
@@ -225,17 +224,16 @@ GRID_CASES = {
 def test_grid_equals_pointwise_h(name):
     data = GRID_CASES[name]()
     h = HFunction(data)
-    window = data.support_extent() + 3
-    ds, rows = h.grid(window)
-    w = window.doubled
+    w = data.support_extent() + 6
+    ds, rows = h.grid(w)
     assert ds == [d for d in range(-w, w + 1) if (d - data.linking) % 2 == 0]
     assert len(rows) == len(ds)
     for t, row in zip(ds, rows):
-        assert row == [h(HalfInt(t), HalfInt(r)) for r in ds], (name, t)
+        assert row == [h(t, r) for r in ds], (name, t)
 
 
 def test_grid_values_go_negative_on_flipped_data():
-    _, rows = HFunction(flipped(21, 13)).grid(3)
+    _, rows = HFunction(flipped(21, 13)).grid(6)
     assert min(min(row) for row in rows) < 0
 
 
@@ -269,7 +267,7 @@ def test_verify_builds_each_link_once_and_scans_without_point_queries(
         data = twobridge_data(r, q)
         unresolved = flipped(r, q).replace(sign_resolved=False)
         assert resolve_sign(unresolved) == data
-        assert validate(data.hfunction()).ok
+        assert validate(data.hfunction()) == []
         validate(HFunction(flipped(r, q)))
         classify_operator(data.hfunction(), 0)
     assert point_queries == []
@@ -310,4 +308,4 @@ def test_width_scan_on_asymmetric_data(terms, l, top, want):
     # Asymmetric delta_tilde with a knotted first component: the scan
     # checks both the upper and the mirrored lower columns.
     data = link(l, terms, torus_knot(top))
-    assert lsat.hfunction._width_from_h(data) == HalfInt(want)
+    assert lsat.hfunction._width_from_h(data) == want

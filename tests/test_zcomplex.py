@@ -8,7 +8,6 @@ import pytest
 
 from lsat import (
     Companion,
-    HalfInt,
     ZComplex,
     build_summand,
     tau_closed_form,
@@ -128,16 +127,17 @@ def test_tower_messages(gens, arrows, tag, error, message):
 
 
 class TestTowerAlexander:
+    # tower_alexander returns the doubled grading gr_w - gr_z.
     def test_single_generator(self):
         c = ZComplex([("x", 0, 0)], [])
-        assert tower_alexander(c) == HalfInt.whole(0)
+        assert tower_alexander(c) == 0
 
     def test_hand_smith_reduction(self):
         # d(s) = Z b0 + b1 with A(b0)=0, A(b1)=1, A(s)=1:
         # homology is F2[Z] generated by b0, so tau = 0.
         gens = [("b0", 0, 0), ("b1", 0, -2), ("s", 1, -1)]
         c = ZComplex(gens, [(2, 0, 1), (2, 1, 0)])
-        assert tower_alexander(c) == HalfInt.whole(0)
+        assert tower_alexander(c) == 0
 
     def test_free_rank_must_be_one(self):
         c = ZComplex([("x", 0, 0), ("y", 0, 0)], [])
@@ -146,7 +146,7 @@ class TestTowerAlexander:
 
     def test_whitehead_summand(self):
         c = build_summand(WHITEHEAD, Companion(tau=1, eps=1), 0)
-        assert tower_alexander(c) == HalfInt.whole(1)
+        assert tower_alexander(c) == 2
 
 
 class TestBuildSummand:
@@ -165,7 +165,7 @@ class TestBuildSummand:
         assert len(names) == 5
         ks = sorted(k for _, _, k in c.arrows)
         assert ks == [1, 1, 2, 2]
-        assert tower_alexander(c) == HalfInt.whole(MAZUR.g3)
+        assert tower_alexander(c) == 2 * MAZUR.g3  # doubled grading
 
     def test_mazur_epsm1_cone(self):
         c = build_summand(MAZUR, Companion(tau=0, eps=-1), 1)
@@ -199,8 +199,8 @@ class TestBuildSummand:
         from lsat import PatternProfile
 
         prof = PatternProfile(
-            l=0, g3=0, n_width=HalfInt(0),
-            r_minus=HalfInt(-4), r_center=HalfInt(0), r_plus=HalfInt(0),
+            l=0, g3=0, n_width=0,
+            r_minus=-4, r_center=0, r_plus=0,
         )
         for _ in range(2):
             with pytest.raises(
@@ -338,9 +338,9 @@ class TestSummandTranslation:
     def test_oracle_memo_matches_a_fresh_reduction(self, monkeypatch):
         def reference(prof, K, n):
             c = build_summand(prof, K, n)
-            value = tower_alexander(c)
-            assert value.is_integral
-            return value.as_int(), c.case_tag
+            value = tower_alexander(c)  # doubled
+            assert value % 2 == 0
+            return value // 2, c.case_tag
 
         def oracle(prof, K, n):
             res = tau_oracle(prof, K, n)
