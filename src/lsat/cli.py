@@ -132,7 +132,7 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
     h = loaded.profile().hfunction()
     if window is None:
         window = (width(h.data) + 6) // 2  # whole units: floor(N + 3)
-    window *= 2
+    window *= 2  # the table functions take the doubled window
     if fmt == "tsv":
         sys.stdout.write(hf_table_tsv(h, window))
         return

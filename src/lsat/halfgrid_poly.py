@@ -169,10 +169,6 @@ class LaurentPoly1(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, e: int) -> int:
-        """The coefficient at the doubled exponent e."""
-        return dict(self.terms).get(e, 0)
-
     def degree(self) -> int:
         if self.is_zero:
             raise InvalidInputError("zero polynomial has no degree")

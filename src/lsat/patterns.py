@@ -31,10 +31,10 @@ class PatternProfile(Record):
     ``r_minus``, ``r_center``, ``r_plus`` are the R values at winding/2 - 1,
     winding/2 and winding/2 + 1; any of them may be unavailable (None) for
     closed-form-only families.  ``n_width`` and the three R values are
-    doubled ints (2N, 2R); ``l`` and ``g3`` are plain ints.  The side conditions, minimal wrapping and
-    provenance are derived from these fields.  The oracle keeps the arrow
-    weights it derives and its reduced summands in the ``_oracle`` slot,
-    outside the fields.
+    doubled ints (2N, 2R); ``l`` and ``g3`` are plain ints.  The side
+    conditions, minimal wrapping and provenance are derived from these
+    fields.  The oracle keeps the arrow weights it derives and its reduced
+    summands in the ``_oracle`` slot, outside the fields.
     """
 
     _fields = ("l", "g3", "n_width", "r_minus", "r_center", "r_plus", "data")
