@@ -155,6 +155,33 @@ class TestClassifyGenus:
         obj = json.loads(result.output)
         assert obj["g3rel"] == 1 and obj["g4"] is None
 
+    @pytest.mark.parametrize("spec, tau, winding, genus_error", [
+        ("cable:3,5", 15, 3, "cable needs p >= 2 and 0 < r < p"),
+        ("braid:4,9,2", 32, 4, "bridge braid profile needs p < r < 2p"),
+    ])
+    def test_family_formula_outside_the_principal_range(
+        self, spec, tau, winding, genus_error
+    ):
+        # tau and classify answer for any valid parameters; the scalar
+        # profile behind genus exists only on the principal range.
+        kind = spec.split(":")[0]
+        result = invoke(["tau", spec, "--tau", "1", "--eps", "-1", "--n", "2"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith(f"tau = {tau}\t")
+        result = invoke(["genus", spec])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["message"] == genus_error
+        result = invoke(["classify", spec, "--n", "1"])
+        assert (result.exit_code, result.stdout) == (
+            0, f"obstructed\twinding {winding} not in {{0, +-1}}\n"
+        )
+        result = invoke(["hfunc", spec])
+        assert result.exit_code == 3
+        assert json.loads(result.stderr)["message"] == (
+            f"{kind} patterns carry only a scalar profile; "
+            "no H-function table is available"
+        )
+
 
 class TestVerify:
     def test_tables_check_passes(self):
