@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     VerificationError,
 )
 from .genus import g3rel, g4_satellite_regime
-from .halfgrid_poly import MutableRecord, Record, json_int, setslot
+from .halfgrid_poly import json_int
 from .hfunction import LinkAlexData, hf_table, hf_table_tsv, resolve_sign, width
 from .invariants import (
     classify_operator,
@@ -55,45 +56,24 @@ from .sweeps import CHECKS as _CHECKS
 from .zcomplex import tau_oracle
 
 
-class LoadedPattern(Record):
-    """A parsed pattern spec; cable/braid profiles are built on demand.
+_Loaded = Tuple[str, Tuple[int, ...], Optional[PatternProfile]]
 
-    Cables and braids admit the family tau formula for any coprime
-    parameters, but their scalar profile (genus, classifier input) is
-    only defined on the principal parameter range, so the profile is
-    not constructed until a command actually needs it.
+
+def _load_pattern(spec: str) -> _Loaded:
+    """(kind, params, profile) of a spec; profile is None for cable/braid.
+
+    Their family tau formula holds for any coprime parameters, but their
+    scalar profile (genus, classifier input) is only defined on the
+    principal parameter range, so it is not built until a command needs it.
     """
-
-    _fields = __slots__ = ("kind", "params", "_profile")
-
-    def __init__(self, kind: str, params: Tuple[int, ...],
-                 _profile: Optional[PatternProfile]):
-        setslot(self, "kind", kind)
-        setslot(self, "params", params)
-        setslot(self, "_profile", _profile)
-
-    @property
-    def has_table(self) -> bool:
-        return self.kind in ("twobridge", "json")
-
-    def profile(self) -> PatternProfile:
-        if self._profile is not None:
-            return self._profile
-        if self.kind == "cable":
-            return cable_profile(*self.params)
-        return bridge_braid_profile(*self.params)
-
-
-def _load_pattern(spec: str) -> LoadedPattern:
     parsed = parse_pattern_spec(spec)
-    kind = parsed[0]
+    kind, params = parsed[0], parsed[1:]
     if kind == "twobridge":
-        r, q = parsed[1], parsed[2]
-        return LoadedPattern(kind, (r, q), twobridge_profile(r, q))
+        return kind, params, twobridge_profile(*params)
     if kind in ("cable", "braid"):
-        return LoadedPattern(kind, tuple(parsed[1:]), None)
+        return kind, params, None
     # json:<path>
-    path = parsed[1]
+    path = params[0]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -107,7 +87,17 @@ def _load_pattern(spec: str) -> LoadedPattern:
     g3 = obj.get("g3")
     if g3 is not None:
         json_int(g3, "g3")
-    return LoadedPattern("json", (), generic_profile(resolve_sign(data), g3=g3))
+    return kind, (), generic_profile(resolve_sign(data), g3=g3)
+
+
+def _family_tau(
+    kind: str, params: Tuple[int, ...], K: Companion, n: int
+) -> TauResult:
+    """tau of an n-framed cable or braid satellite by its family formula."""
+    p, q = params[:2]
+    if kind == "cable":
+        return tau_cable(p, q + p * n, K)
+    return tau_bridge_braid(p, q + p * n, params[2], K)
 
 
 def _emit_json(obj) -> None:
@@ -123,13 +113,13 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
     if window is not None and not 0 <= window <= MAX_WINDOW:
         bound = ">= 0" if window < 0 else f"<= {MAX_WINDOW}"
         raise InvalidInputError(f"--window must be {bound}, got {window}")
-    loaded = _load_pattern(pattern)
-    if not loaded.has_table:
+    kind, _, prof = _load_pattern(pattern)
+    if prof is None:
         raise UnsupportedRegimeError(
-            f"{loaded.kind} patterns carry only a scalar profile; "
+            f"{kind} patterns carry only a scalar profile; "
             "no H-function table is available"
         )
-    h = loaded.profile().hfunction()
+    h = prof.hfunction()
     if window is None:
         window = (width(h.data) + 6) // 2  # whole units: floor(N + 3)
     window *= 2  # the table functions take the doubled window
@@ -148,25 +138,22 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
 
 
 def _tau_for(
-    loaded: LoadedPattern, K: Companion, n: int, method: str
+    loaded: _Loaded, K: Companion, n: int, method: str
 ) -> List[TauResult]:
     """Evaluate tau by the requested method(s); raise on both-mismatch."""
-    if loaded.kind in ("cable", "braid"):
+    kind, params, prof = loaded
+    if prof is None:
         if method in ("oracle", "both"):
             raise UnsupportedRegimeError(
-                f"the oracle needs full Alexander data; {loaded.kind} "
+                f"the oracle needs full Alexander data; {kind} "
                 "patterns support the closed form only"
             )
-        if loaded.kind == "cable":
-            p, q = loaded.params
-            return [tau_cable(p, q + p * n, K)]
-        p, q, b = loaded.params
-        return [tau_bridge_braid(p, q + p * n, b, K)]
+        return [_family_tau(kind, params, K, n)]
     results: List[TauResult] = []
     if method in ("closed", "both"):
-        results.append(tau_closed_form(loaded.profile(), K, n))
+        results.append(tau_closed_form(prof, K, n))
     if method in ("oracle", "both"):
-        results.append(tau_oracle(loaded.profile(), K, n))
+        results.append(tau_oracle(prof, K, n))
     if method == "both" and results[0].value != results[1].value:
         raise VerificationError(
             f"closed form {results[0].value} != oracle {results[1].value} "
@@ -202,19 +189,18 @@ def cmd_tau(
 
 def cmd_classify(pattern: str, n: int, fmt: str) -> None:
     """Homomorphism-obstruction verdict for the operator PATTERN."""
-    loaded = _load_pattern(pattern)
+    kind, params, prof = _load_pattern(pattern)
     if n < 0:
         raise InvalidInputError("classifier applies to framings n >= 0")
-    if loaded.has_table:
-        prof = loaded.profile()
+    if prof is not None:
         verdict, failed = classify_operator(prof.hfunction(), prof.g3, n)
     else:
         # Refuse the parameters tau refuses (closures that are links).  The
         # (1,q) cable is the core of the solid torus, the identity operator;
         # every other valid cable or braid has winding >= 2, which a
         # homomorphism-inducing operator cannot have.
-        _tau_for(loaded, Companion(tau=0, eps=0), n, "closed")
-        p = loaded.params[0]
+        _family_tau(kind, params, Companion(tau=0, eps=0), n)
+        p = params[0]
         verdict, failed = (
             ("identity", None) if p == 1
             else ("obstructed", f"winding {p} not in {{0, +-1}}")
@@ -229,8 +215,9 @@ def cmd_genus(
     pattern: str, g4_eq_tau: Optional[int], n: int, fmt: str
 ) -> None:
     """Relative Seifert genus and (optionally) satellite slice genus."""
-    loaded = _load_pattern(pattern)
-    prof = loaded.profile()
+    kind, params, prof = _load_pattern(pattern)
+    if prof is None:
+        prof = (cable_profile if kind == "cable" else bridge_braid_profile)(*params)
     g3r = g3rel(prof)
     g4: Optional[int] = None
     regime = "g3rel-only"
@@ -297,14 +284,13 @@ OPTIONS = {
 }
 
 
-class Command(MutableRecord):
-    """A subcommand: the function that runs it and the OPTIONS it takes."""
+def Command(callback: Callable[..., None], options: Tuple[str, ...]):
+    """A subcommand: the function that runs it and the OPTIONS it takes.
 
-    _fields = __slots__ = ("callback", "options")
-
-    def __init__(self, callback: Callable[..., None], options: Tuple[str, ...]):
-        self.callback = callback
-        self.options = options
+    A namespace, so ``callback`` can be reassigned; it compares by value
+    and does not hash.
+    """
+    return SimpleNamespace(callback=callback, options=options)
 
 
 COMMANDS = {

@@ -74,15 +74,6 @@ class Record:
         return type(self)(**{**fields, **changes})
 
 
-class MutableRecord(Record):
-    """A Record whose fields can be reassigned; unhashable, like a list."""
-
-    __slots__ = ()
-    __hash__ = None  # type: ignore[assignment]
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-
-
 def half(doubled: int) -> str:
     """The half-integer ``doubled / 2`` as text: ``n`` when whole, else ``p/2``."""
     if doubled % 2 == 0:
@@ -156,10 +147,6 @@ class LaurentPoly1(Record):
         if isinstance(items, Mapping):
             items = items.items()
         return LaurentPoly1(_canonical_terms(items, 1))
-
-    @staticmethod
-    def zero() -> "LaurentPoly1":
-        return LaurentPoly1(())
 
     @staticmethod
     def one() -> "LaurentPoly1":
@@ -311,7 +298,7 @@ def knot_chi_expansion(delta: LaurentPoly1, depth: int) -> LaurentPoly1:
     and below the requested ``depth`` it must already equal the constant 1
     (the stabilized tail), otherwise an increase-depth error is raised.
     Returns the coefficients for depth <= s <= top degree as a polynomial.
-    Exponents and ``depth`` are doubled; s steps by one whole unit.
+    Exponents and ``depth`` are doubled, ``depth`` even; s steps by one.
     """
     ev = delta.eval_at_one()
     if ev not in (1, -1):
@@ -323,6 +310,8 @@ def knot_chi_expansion(delta: LaurentPoly1, depth: int) -> LaurentPoly1:
     coeffs = dict(delta.terms)
     if any(e % 2 for e in coeffs):
         raise InvalidInputError("knot polynomial needs integer exponents")
+    if depth % 2:
+        raise InvalidInputError(f"depth must be whole, got {half(depth)}")
 
     top = delta.degree()
     bottom = delta.valuation()

@@ -141,6 +141,24 @@ class TestChiExpansion:
         with pytest.raises(InvalidInputError):
             knot_chi_expansion(p1({2: 1, 0: 1}), -6)
 
+    @pytest.mark.parametrize("depth, terms", [
+        (-6, ((-6, 1), (-4, 1), (-2, 1), (2, 1))),
+        (-4, ((-4, 1), (-2, 1), (2, 1))),
+        (-2, ((-2, 1), (2, 1))),
+        (0, ((2, 1),)),
+    ])
+    def test_even_depths_on_the_trefoil(self, depth, terms):
+        trefoil = p1({2: 1, 0: -1, -2: 1})
+        assert knot_chi_expansion(trefoil, depth).terms == terms
+
+    @pytest.mark.parametrize("depth, shown", [(-5, "-5/2"), (-1, "-1/2"), (3, "3/2")])
+    def test_refuses_a_half_integral_depth(self, depth, shown):
+        # Knot exponents are whole, so an odd doubled depth has no coset.
+        trefoil = p1({2: 1, 0: -1, -2: 1})
+        with pytest.raises(InvalidInputError) as info:
+            knot_chi_expansion(trefoil, depth)
+        assert str(info.value) == f"depth must be whole, got {shown}"
+
     def test_negative_sign_normalized(self):
         chi = chi_of(p1({0: -1}), -6)
         assert chi.get(0, 0) == 1

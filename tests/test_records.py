@@ -4,7 +4,8 @@ Frozen records compare and hash by class and field values, refuse
 assignment, and survive ``pickle`` and ``copy.deepcopy``; derived caches
 (the HFunction and support extent of link data, a profile's oracle
 weights and summand memo) stay out of equality and hashing.
-``cli.Command`` is mutable and unhashable.
+``cli.Command`` (a namespace, not a record class) is mutable and
+unhashable.
 """
 
 import copy
@@ -63,7 +64,6 @@ FROZEN = {
         twobridge_profile(5, 3), Companion(tau=1, eps=1), 0
     ),
     "TauResult": lambda: TauResult(2, "closed-form", "eps=1"),
-    "LoadedPattern": lambda: cli._load_pattern("cable:3,2"),
 }
 
 MUTABLE = {
@@ -93,8 +93,7 @@ def test_mutable_records_compare_by_value_and_do_not_hash(name):
 def test_frozen_fields_refuse_assignment(name):
     record = FROZEN[name]()
     field = next(
-        f for f in ("terms", "linking", "l", "tau",
-                    "generators", "value", "kind")
+        f for f in ("terms", "linking", "l", "tau", "generators", "value")
         if hasattr(record, f)
     )
     with pytest.raises(AttributeError):
