@@ -110,8 +110,8 @@ MAX_WINDOW = 64
 
 def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
     """Render the H-function table of PATTERN (rows r descending)."""
-    if window is not None and not 0 <= window <= MAX_WINDOW:
-        bound = ">= 0" if window < 0 else f"<= {MAX_WINDOW}"
+    if window is not None and not 1 <= window <= MAX_WINDOW:
+        bound = ">= 1" if window < 1 else f"<= {MAX_WINDOW}"
         raise InvalidInputError(f"--window must be {bound}, got {window}")
     kind, _, prof = _load_pattern(pattern)
     if prof is None:
@@ -270,7 +270,7 @@ def cmd_verify(check: str, fmt: str) -> None:
 OPTIONS = {
     "pattern": {"metavar": "PATTERN",
                 "help": "twobridge:r,q, cable:p,q, braid:p,q,b or json:path"},
-    "--window": {"type": ascii_int, "help": f"Table half-width in t (0..{MAX_WINDOW})."},
+    "--window": {"type": ascii_int, "help": f"Table half-width in t (1..{MAX_WINDOW})."},
     "--tau": {"type": ascii_int, "required": True, "help": "tau of the companion."},
     "--eps": {"choices": ("-1", "0", "1"), "required": True,
               "help": "eps of the companion."},

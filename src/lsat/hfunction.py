@@ -80,11 +80,11 @@ class _KnotH:
 class LinkAlexData(Record):
     """Normalized Alexander data of a 2-component L-space link."""
 
-    _fields = ("linking", "delta_tilde", "delta1", "delta2", "sign_resolved")
-    __slots__ = _fields + ("_extent", "_h")
+    _fields = ("linking", "delta_tilde", "delta1", "delta2")
+    __slots__ = _fields + ("_h",)
 
     def __init__(self, linking: int, delta_tilde: LaurentPoly2, delta1: LaurentPoly1,
-                 delta2: LaurentPoly1, sign_resolved: bool = False):
+                 delta2: LaurentPoly1):
         coset = delta_tilde.coset()
         want = linking % 2
         if coset is not None and coset != (want, want):
@@ -101,8 +101,6 @@ class LinkAlexData(Record):
         setslot(self, "delta_tilde", delta_tilde)
         setslot(self, "delta1", delta1)
         setslot(self, "delta2", delta2)
-        setslot(self, "sign_resolved", sign_resolved)
-        setslot(self, "_extent", None)
         setslot(self, "_h", None)
 
     @property
@@ -115,31 +113,20 @@ class LinkAlexData(Record):
         return (t - self.linking) % 2 == 0 and (r - self.linking) % 2 == 0
 
     def support_extent(self) -> int:
-        """Largest |doubled exponent| appearing in delta_tilde (0 when empty).
-
-        Scanned once and kept in a slot outside the fields, like
-        :meth:`hfunction`.
-        """
-        if self._extent is None:
-            setslot(self, "_extent", max(
-                (max(abs(e1), abs(e2)) for (e1, e2), _ in self.delta_tilde.terms),
-                default=0,
-            ))
-        return self._extent
+        """Largest |doubled exponent| appearing in delta_tilde (0 when empty)."""
+        return max(
+            (max(abs(e1), abs(e2)) for (e1, e2), _ in self.delta_tilde.terms),
+            default=0,
+        )
 
     def hfunction(self) -> "HFunction":
-        """The one HFunction of this data, so every caller shares its table.
+        """The one HFunction of this data, evaluated with its sign as given.
 
-        Built on first use and kept in a slot outside the fields, so
-        equality and hashing do not see it.  Unresolved data hands out the
-        HFunction its sign probe built for the resolved data.
+        Built on first use and kept in a slot outside the fields, so every
+        caller shares its table and equality and hashing do not see it.
         """
         if self._h is None:
-            if self.sign_resolved:
-                h = HFunction(self)
-            else:
-                h = resolve_sign(self).hfunction()
-            setslot(self, "_h", h)
+            setslot(self, "_h", HFunction(self))
         return self._h
 
     def to_json_obj(self) -> dict:
@@ -168,15 +155,13 @@ class LinkAlexData(Record):
 def resolve_sign(data: LinkAlexData) -> LinkAlexData:
     """Fix the overall sign of delta_tilde by nonnegativity of H.
 
-    The signs are probed on a window past the support, the input sign
-    first; the first giving a nonnegative H-function with one-step gaps
-    wins, so the input sign is kept when both pass (delta_tilde = 0).
-    The winner keeps the HFunction the probe built (see
-    :meth:`LinkAlexData.hfunction`).
+    The one place a sign is chosen.  The signs are probed on a window past
+    the support, the input sign first; the first giving a nonnegative
+    H-function with one-step gaps wins, so the input sign is kept when both
+    pass (delta_tilde = 0).  The winner keeps the HFunction its probe built.
     """
     window = data.support_extent() + 4
-    for delta_tilde in (data.delta_tilde, data.delta_tilde.neg()):
-        cand = data.replace(delta_tilde=delta_tilde, sign_resolved=True)
+    for cand in (data, data.replace(delta_tilde=data.delta_tilde.neg())):
         if next(_gap_failures(*cand.hfunction().grid(window)), None) is None:
             return cand
     raise NotLSpaceLinkError(
@@ -227,7 +212,7 @@ def _above(d: int, lo: int, n: int) -> int:
 
 
 class HFunction:
-    """H-function evaluator for resolved link data.
+    """H-function evaluator for link data, with its sign as given.
 
     Construction precomputes a dense suffix-sum table of delta_tilde over
     its support box, in doubled integers: O(box) time and memory, where the
@@ -239,8 +224,6 @@ class HFunction:
     """
 
     def __init__(self, data: LinkAlexData):
-        if not data.sign_resolved:
-            data = resolve_sign(data)
         self.data = data
         self.linking = data.linking
         self.h1 = _KnotH(data.delta1)
@@ -249,6 +232,7 @@ class HFunction:
         # The zero polynomial gets a one-cell box holding 0.
         js = [j for (j, _), _ in terms] or [0]
         ks = [k for (_, k), _ in terms] or [0]
+        self._reach = max(map(abs, js + ks))  # data.support_extent()
         self._j_min, self._k_min = min(js), min(ks)
         self._nj = (max(js) - self._j_min) // 2 + 1
         self._nk = (max(ks) - self._k_min) // 2 + 1
@@ -301,7 +285,7 @@ class HFunction:
 
     def stabilization_r(self) -> int:
         """A doubled r beyond which every column has stabilized."""
-        return self.data.support_extent() + 2
+        return self._reach + 2
 
     def r_of_t(self, t: int) -> int:
         """Largest r where the column at t is flat above and steps below."""

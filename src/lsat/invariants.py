@@ -150,17 +150,19 @@ def classify_operator(h: HFunction, g3: int, n: int = 0) -> Tuple[str, Optional[
     if g3 != 0:
         return ("obstructed", f"g3 = {g3} != 0")
     # Doubled: l is 2 * (l/2), and the R values and the width are doubled.
+    # A negative winding mirrors the model, so its step column is l/2 + 1.
     r_center = h.r_of_t(l)
-    if r_center != l:
-        return ("obstructed", f"R at winding/2 is {half(r_center)} != {half(l)}")
+    if r_center != abs(l):
+        return ("obstructed", f"R at winding/2 is {half(r_center)} != {half(abs(l))}")
     n_width = width(h.data)
     if n_width != abs(l):
         return ("obstructed", f"width {half(n_width)} != |winding|/2")
-    r_minus = h.r_of_t(l - 2)
-    if r_minus != -abs(l):
+    side, step = ("left", l - 2) if l >= 0 else ("right", l + 2)
+    r_step = h.r_of_t(step)
+    if r_step != -abs(l):
         return (
             "obstructed",
-            f"R one column left of winding/2 is {half(r_minus)} != -|winding|/2",
+            f"R one column {side} of winding/2 is {half(r_step)} != -|winding|/2",
         )
     # All scalar claims pass; the verdict needs full-table equality with
     # the model link of the same winding on a window of radius N + 3.

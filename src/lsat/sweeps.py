@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from .errors import UnsupportedRegimeError
 from .genus import g4_satellite_regime
 from .halfgrid_poly import half
-from .hfunction import LinkAlexData, _point, _t22l, validate, width
+from .hfunction import LinkAlexData, _point, _t22l, validate
 from .invariants import classify_operator, tau_closed_form, tau_inequality_check
 from .patterns import (
     Companion,
@@ -97,16 +97,18 @@ def check_tables() -> Tuple[int, List[str]]:
                 points += 1
                 if v != _t22l(l, t, r):
                     failures.append(f"{label} H{_point(t, r)} != model")
-    wh = twobridge_data(3, 3).hfunction()
+    # Whitehead and Mazur values come from the profiles both tau routes read.
+    wh = twobridge_profile(3, 3)
     points += 2
-    if wh.r_of_t(0) != 2:
+    if wh.r_center != 2:
         failures.append("Whitehead R_0 != 1")
-    if width(wh.data) != 2:
+    if wh.n_width != 2:
         failures.append("Whitehead width != 1")
-    mz = twobridge_data(5, 3).hfunction()
-    for t, r in ((-1, 1), (1, 3), (3, 1)):  # doubled (t, R_t)
+    mz = twobridge_profile(5, 3)
+    # Doubled (t, R_t read, R_t wanted) at t = l/2 - 1, l/2, l/2 + 1.
+    for t, got, r in ((-1, mz.r_minus, 1), (1, mz.r_center, 3), (3, mz.r_plus, 1)):
         points += 1
-        if mz.r_of_t(t) != r:
+        if got != r:
             failures.append(f"Mazur R_{half(t)} != {half(r)}")
     return points, failures
 

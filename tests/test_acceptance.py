@@ -18,6 +18,8 @@ from conftest import (
 from lsat import (
     Companion,
     HFunction,
+    bridge_braid_profile,
+    cable_profile,
     classify_operator,
     g4_satellite,
     tau_bridge_braid,
@@ -145,6 +147,37 @@ def test_05_tau_recoveries():
                     assert up.value == ((p - 1) * (q - 1) + b) // 2 + p * tau
                     dn = tau_bridge_braid(p, q, b, Companion(tau=tau, eps=-1))
                     assert dn.value == ((p - 1) * (q + 1) + b) // 2 + p * tau
+    # The closed form on a family profile recovers the family formula at
+    # the n-framed slope r + p n wherever it answers.
+    companions = [Companion(tau=0, eps=0)] + [
+        Companion(tau=tau, eps=eps) for tau in range(-3, 4) for eps in (-1, 1)
+    ]
+    cases = [(p, r, None) for p in range(2, 8) for r in range(1, p)
+             if math.gcd(p, r) == 1]
+    for p in range(3, 8):
+        for r in range(p + 1, 2 * p):
+            for b in range(1, p - 1):
+                try:
+                    bridge_braid_profile(p, r, b)
+                except InvalidInputError:
+                    continue
+                cases.append((p, r, b))
+    agreed = {"cable": 0, "braid": 0}
+    for p, r, b in cases:
+        prof = cable_profile(p, r) if b is None else bridge_braid_profile(p, r, b)
+        for K in companions:
+            for n in range(-4, 5):
+                try:
+                    closed = tau_closed_form(prof, K, n).value
+                except UnsupportedRegimeError:
+                    continue
+                if b is None:
+                    family = tau_cable(p, r + p * n, K)
+                else:
+                    family = tau_bridge_braid(p, r + p * n, b, K)
+                assert closed == family.value, (p, r, b, K, n)
+                agreed["cable" if b is None else "braid"] += 1
+    assert agreed == {"cable": 1156, "braid": 1564}
 
 
 def test_06_oracle_equivalence():

@@ -32,6 +32,13 @@ def test_hfunc_rejects_negative_window():
     assert _error(result)["error"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("spec", ["twobridge:3,1", "twobridge:3,3"])
+def test_hfunc_rejects_window_zero(spec):
+    # Odd linking has no lattice point in [-0, 0], even linking just one.
+    result = invoke(["hfunc", spec, "--window", "0"])
+    assert _error(result)["message"] == "--window must be >= 1, got 0"
+
+
 def _link_json(tmp_path, obj):
     path = tmp_path / "link.json"
     path.write_text(json.dumps(obj), encoding="utf-8")

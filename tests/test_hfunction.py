@@ -45,27 +45,20 @@ class TestGnH:
 
     def test_unresolved_sign_is_resolved_first(self):
         good = twobridge_data(3, 3)
-        flipped = good.replace(
-            delta_tilde=good.delta_tilde.neg(), sign_resolved=False
-        )
-        h = flipped.hfunction()
+        flipped = good.replace(delta_tilde=good.delta_tilde.neg())
+        h = resolve_sign(flipped).hfunction()
         assert h.data == good and h(0, 0) == 1
 
 
 class TestResolveSign:
     def test_flips_wrong_sign(self):
         good = twobridge_data(3, 3)
-        flipped = good.replace(
-            delta_tilde=good.delta_tilde.neg(),
-            sign_resolved=False,
-        )
+        flipped = good.replace(delta_tilde=good.delta_tilde.neg())
         assert resolve_sign(flipped).delta_tilde == good.delta_tilde
 
     def test_zero_unchanged(self):
         data = unlink_data()
-        assert resolve_sign(
-            data.replace(sign_resolved=False)
-        ).delta_tilde.is_zero
+        assert resolve_sign(data.replace()).delta_tilde.is_zero
 
     def test_negative_hopf_unchanged(self):
         data = negative_hopf_data()

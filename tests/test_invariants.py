@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import negative_hopf_data
 from lsat import (
     Companion,
     classify_operator,
@@ -135,6 +136,10 @@ class TestClassifier:
             "trivial",
             None,
         )
+
+    def test_orientation_reversing(self):
+        h = negative_hopf_data().hfunction()
+        assert classify_operator(h, 0) == ("orientation_reversing", None)
 
     def test_whitehead_obstructed_at_r_center(self):
         verdict, claim = classify_operator(WHITEHEAD.hfunction(), 0)

@@ -44,13 +44,12 @@ UNKNOT = {0: 1}
 
 
 def link(l, terms, delta1=None, delta2=None):
-    """Sign-resolved link data; delta_tilde from doubled-exponent terms."""
+    """Link data; delta_tilde from doubled-exponent terms."""
     return LinkAlexData(
         linking=l,
         delta_tilde=p2(terms),
         delta1=delta1 or p1(UNKNOT),
         delta2=delta2 or p1(UNKNOT),
-        sign_resolved=True,
     )
 
 

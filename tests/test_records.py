@@ -36,7 +36,6 @@ def _link(data):
         delta_tilde=data.delta_tilde,
         delta1=data.delta1,
         delta2=data.delta2,
-        sign_resolved=data.sign_resolved,
     )
 
 
@@ -154,7 +153,7 @@ def test_replace_rebuilds_through_the_constructor():
     data = twobridge_data(5, 3)
     flipped = data.replace(delta_tilde=data.delta_tilde.neg())
     assert flipped.delta_tilde == data.delta_tilde.neg()
-    assert flipped.linking == data.linking and flipped.sign_resolved
+    assert flipped.linking == data.linking
     assert data.replace() == data
     with pytest.raises(InvalidInputError, match="off the"):
         data.replace(linking=data.linking + 1)

@@ -37,18 +37,17 @@ def torus_knot(top):
 
 
 def link(l, terms, delta1=None, delta2=None):
-    """Sign-resolved link data from {(doubled j, doubled k): coefficient}."""
+    """Link data from {(doubled j, doubled k): coefficient}."""
     return LinkAlexData(
         linking=l,
         delta_tilde=LaurentPoly2.from_terms(terms),
         delta1=delta1 or LaurentPoly1.one(),
         delta2=delta2 or LaurentPoly1.one(),
-        sign_resolved=True,
     )
 
 
 def flipped(r, q):
-    """Two-bridge data with the wrong overall sign, marked resolved."""
+    """Two-bridge data with the wrong overall sign."""
     data = twobridge_data(r, q)
     return data.replace(delta_tilde=data.delta_tilde.neg())
 
@@ -265,8 +264,7 @@ def test_verify_builds_each_link_once_and_scans_without_point_queries(
     # The sign probe, validate and the classifier read grids only.
     for r, q in two_bridge_pairs(9):
         data = twobridge_data(r, q)
-        unresolved = flipped(r, q).replace(sign_resolved=False)
-        assert resolve_sign(unresolved) == data
+        assert resolve_sign(flipped(r, q)) == data
         assert validate(data.hfunction()) == []
         validate(HFunction(flipped(r, q)))
         classify_operator(data.hfunction(), 0)
