@@ -1,18 +1,19 @@
 """Chain complexes over F2[Z] and the independent tau oracle.
 
-A :class:`ZComplex` is a finitely generated free bigraded two-step complex
-whose differential is a set of arrows between generator indices, weighted
-by powers of Z.  Every arrow is homogeneous for the Alexander grading
+A :class:`ZComplex` is a finitely generated free bigraded two-step complex:
+each generator is its (gr_w, gr_z) pair, named by its index, and the
+differential is a set of arrows between those indices, weighted by powers
+of Z.  Every arrow is homogeneous for the Alexander grading
 A = (gr_w - gr_z)/2 (Z raises A by 1 from target to source), which keeps
 the whole reduction monomial: matrix entries are single Z-powers and stay
 that way under row/column operations.
 
 The oracle builds the explicit truncated direct-summand complex for each
-companion-eps regime, a zig-zag path whose absolute Alexander gradings are
-fixed by one anchor generator and propagated through arrow homogeneity,
-then computes the Alexander grading of the free part of homology over the
-PID F2[Z] by a graded Smith reduction.  The free part must have rank exactly one; its
-grading is tau.  Every grading of a summand carries the same translation
+companion-eps regime, a zig-zag path stated by its arrow weights alone:
+one anchor generator fixes its absolute Alexander gradings and arrow
+homogeneity propagates them.  It then computes the Alexander grading of
+the free part of homology over the PID F2[Z] by a graded Smith reduction.
+The free part must have rank exactly one; its grading is tau.  Every grading of a summand carries the same translation
 T = l(l-1)n/2 + l tau, so the oracle reduces each summand shape once per
 profile and adds T.
 """
@@ -36,17 +37,17 @@ MAX_SUMMAND_SOURCES = 32768
 class ZComplex(Record):
     """Two-step free bigraded complex over F2[Z] with monomial differential.
 
-    ``generators`` holds (name, gr_w, gr_z) triples; the names are labels
-    for :meth:`to_json_obj` and messages.  ``arrows`` is the differential
-    as (source index, target index, z_exponent) triples into
-    ``generators``, with F2 coefficients (an even multiset of identical
-    arrows cancels to nothing).  The constructor stores the arrows sorted
-    and runs :meth:`check`, so every complex is valid.
+    ``generators`` holds (gr_w, gr_z) pairs, and a generator is named by
+    its index there.  ``arrows`` is the differential as (source index,
+    target index, z_exponent) triples, with F2 coefficients (an even
+    multiset of identical arrows cancels to nothing).  The constructor
+    stores the arrows sorted and runs :meth:`check`, so every complex is
+    valid.
     """
 
     _fields = __slots__ = ("generators", "arrows", "case_tag")
 
-    def __init__(self, generators: Sequence[Tuple[str, int, int]],
+    def __init__(self, generators: Sequence[Tuple[int, int]],
                  arrows: Sequence[Tuple[int, int, int]], case_tag: str = ""):
         if len(set(arrows)) != len(arrows):  # a repeat: keep odd counts
             arrows = [a for a, c in Counter(arrows).items() if c % 2]
@@ -64,42 +65,34 @@ class ZComplex(Record):
         needs no test of its own.
         """
         gens = self.generators
-        if len({g for g, _, _ in gens}) != len(gens):
-            raise InvalidInputError("duplicate generator names")
         size = len(gens)
         for i, j, k in self.arrows:
             if not (0 <= i < size and 0 <= j < size):
                 raise InvalidInputError(f"arrow {i}->{j} off the complex")
-            src, ws, zs = gens[i]
-            tgt, wt, zt = gens[j]
+            (ws, zs), (wt, zt) = gens[i], gens[j]
             if k < 0:
-                raise InvalidInputError(f"negative Z-exponent on {src}->{tgt}")
+                raise InvalidInputError(f"negative Z-exponent on {i}->{j}")
             if ws != wt + 1:
-                raise VerificationError(
-                    f"arrow {src}->{tgt} does not drop gr_w by 1"
-                )
+                raise VerificationError(f"arrow {i}->{j} does not drop gr_w by 1")
             if zs != zt + 1 - 2 * k:
                 raise VerificationError(
-                    f"arrow {src}->{tgt}: gr_z shift inconsistent with Z^{k}"
+                    f"arrow {i}->{j}: gr_z shift inconsistent with Z^{k}"
                 )
         both = {i for i, _, _ in self.arrows} & {j for _, j, _ in self.arrows}
         if both:
-            first = min(gens[i][0] for i in both)
             raise InvalidInputError(
-                f"not a two-step complex: {first} has arrows both ways"
+                f"not a two-step complex: generator {min(both)} has arrows "
+                "both ways"
             )
 
     def to_json_obj(self) -> dict:
-        names = [g for g, _, _ in self.generators]
         return {
             "case": self.case_tag,
             "generators": [
-                {"id": g, "gr_w": w, "gr_z": z, "A": (w - z)}
-                for g, w, z in self.generators
+                {"gr_w": w, "gr_z": z, "A": (w - z)} for w, z in self.generators
             ],
             "arrows": [
-                {"source": names[s], "target": names[t], "z_exp": k}
-                for s, t, k in self.arrows
+                {"source": s, "target": t, "z_exp": k} for s, t, k in self.arrows
             ],
         }
 
@@ -171,7 +164,7 @@ def tower_alexander(c: ZComplex) -> int:
         raise VerificationError(
             f"free homology rank {len(free)} != 1 in {c.case_tag!r}"
         )
-    _, w, z = free[0]
+    w, z = free[0]
     return w - z
 
 
@@ -206,29 +199,24 @@ def _weights(prof: PatternProfile) -> Dict[str, int]:
     return out
 
 
-def _zigzag(names: Sequence[str], weights: Sequence[int], first_sink: bool,
-            at: int, anchor: int, case_tag: str) -> ZComplex:
-    """The path names[0] - names[1] - ..., whose generators alternate.
+def _zigzag(weights: Sequence[int], first_sink: bool, at: int, anchor: int,
+            case_tag: str) -> ZComplex:
+    """The path 0 - 1 - ... - len(weights), whose generators alternate.
 
-    names[0] is a sink if ``first_sink`` holds, else a source.  Arrow i
-    joins names[i] and names[i+1], from the source of the pair to its sink,
+    Generator 0 is a sink if ``first_sink`` holds, else a source.  Arrow i
+    joins generators i and i+1, from the source of the pair to its sink,
     with Z-exponent weights[i].  Every Alexander grading follows from
-    A(names[at]) = anchor through A(source) = A(sink) + k on each arrow.
+    A(generator at) = anchor through A(source) = A(sink) + k on each arrow.
     """
-    gr_w = [(i + (not first_sink)) % 2 for i in range(len(names))]  # 1: source
-    rel = [0]  # A(names[i]) - A(names[0])
+    gr_w = [(i + (not first_sink)) % 2 for i in range(len(weights) + 1)]  # 1: source
+    rel = [0]  # A(generator i) - A(generator 0)
     for i, k in enumerate(weights):
         rel.append(rel[i] + k * (gr_w[i + 1] - gr_w[i]))
     base = anchor - rel[at]
-    gens = [(x, w, w - 2 * (base + d)) for x, w, d in zip(names, gr_w, rel)]
+    gens = [(w, w - 2 * (base + d)) for w, d in zip(gr_w, rel)]
     arrows = [(i, i + 1, k) if gr_w[i] else (i + 1, i, k)
               for i, k in enumerate(weights)]
     return ZComplex(gens, arrows, case_tag)
-
-
-def _staircase(k: int, source: str) -> List[str]:
-    """b0, {source}1, b1, ..., {source}k, bk: k sources between k+1 sinks."""
-    return ["b0"] + [x for i in range(1, k + 1) for x in (f"{source}{i}", f"b{i}")]
 
 
 def _summand_shift(prof: PatternProfile, K: Companion, n: int) -> int:
@@ -273,14 +261,12 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
             # right; the anchor A value sits on the LEFTMOST sink.
             k = n - 2 * tau
             tag = "eps=1,n>=2tau" if case == "eps1" else "eps=0,n>=0"
-            return _zigzag(_staircase(k, "s"), [a, c] * k, True, 0, anchor, tag)
+            return _zigzag([a, c] * k, True, 0, anchor, tag)
         # eps = 1, n < 2tau: the same chain with the anchor on the
         # RIGHTMOST sink, and the two companion-staircase ends map in with
         # identity arrows at the two extreme sinks.
         k = 2 * tau - n
-        names = ["ebot"] + _staircase(k, "s") + ["etop"]
-        return _zigzag(names, [0] + [a, c] * k + [0], False, -2, anchor,
-                       "eps=1,n<2tau")
+        return _zigzag([0] + [a, c] * k + [0], False, -2, anchor, "eps=1,n<2tau")
 
     if not prof.cond_tau:
         what = "eps=0 with n<0" if case == "eps0_neg" else "eps=-1"
@@ -294,32 +280,27 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
         # Mirrored arrangement: the anchor generator v (one column left of
         # the winding/2 column) is LEFTMOST and the middle sources point
         # weight-c left, weight-a right, so sink gradings fall rightwards.
-        names = ["v"] + _staircase(k, "w") + ["u"]
-        return _zigzag(names, [am] + [c, a] * k + [cp], False, 0, v_a,
-                       "eps=0,n<0")
+        return _zigzag([am] + [c, a] * k + [cp], False, 0, v_a, "eps=0,n<0")
 
     if n <= 2 * tau:
         # Ends swapped relative to eps0_neg: the anchor generator v is
         # RIGHTMOST and the middle sources point weight-a left, weight-c
         # right, so sink gradings rise rightwards.
-        names = ["u"] + _staircase(k, "w") + ["v"]
         tag = "eps=-1,n<2tau" if n < 2 * tau else "eps=-1,n=2tau"
-        return _zigzag(names, [cp] + [a, c] * k + [am], False, -1, v_a, tag)
+        return _zigzag([cp] + [a, c] * k + [am], False, -1, v_a, tag)
     # n > 2tau: k sources on the path v - w1 - m1 - w2 - ... - m_{k-1} - wk
     # - u.  The outer sources use the W and Z structure arrows, the
     # interior ones the usual weight-c/weight-a pair; at k = 1 this is the
     # cone of w1 onto the two off-center sinks.
     k = n - 2 * tau
-    names = ["v", "w1"]
-    names += [x for i in range(1, k) for x in (f"m{i}", f"w{i + 1}")]
     tag = "eps=-1,n=2tau+1" if k == 1 else "eps=-1,n>2tau+1"
     weights = [wts["w"]] + [c, a] * (k - 1) + [wts["z"]]
-    summand = _zigzag(names + ["u"], weights, True, 0, v_a, tag)
+    summand = _zigzag(weights, True, 0, v_a, tag)
     if k == 1:
         stated, what = (prof.r_plus + l) // 2, "cone endpoint"
     else:
         stated, what = g + l, "interior sink"
-    _, _, gr_z = summand.generators[2]  # the sink after w1: u or m1
+    _, gr_z = summand.generators[2]  # the sink after w1: u or m1
     if gr_z != -2 * (stated + shift):
         raise VerificationError(f"{what} grading disagrees with the stated value")
     return summand

@@ -61,6 +61,9 @@ def test_traced_verify_records_every_layer_and_check(tmp_path):
     assert calls["invariants.tau_closed_form"] == 1109
     assert calls["zcomplex.tau_oracle"] == 1089
     assert calls["zcomplex.build_summand"] == 473
+    counters = trace["counters"]
+    assert counters["zcomplex.summand.generators_max"] == 19
+    assert counters["zcomplex.summand.arrows_sum"] == 4070
     checks = sorted(
         span[1] for span in trace["spans"] if span[1].startswith("cli.verify.")
     )

@@ -33,28 +33,29 @@ MAZUR = twobridge_profile(5, 3)
 
 class TestZComplexInvariants:
     def test_d_squared_enforced(self):
-        # d^2 != 0 needs two composable arrows, c -> b -> a; a complex is
-        # two-step, so b, with arrows both ways, is refused when it is built.
-        gens = [("a", 0, 0), ("b", 1, -1), ("c", 2, -2)]
+        # d^2 != 0 needs two composable arrows, 2 -> 1 -> 0; a complex is
+        # two-step, so 1, with arrows both ways, is refused when it is built.
+        gens = [(0, 0), (1, -1), (2, -2)]
         arrows = [(2, 1, 1), (1, 0, 1)]
-        with pytest.raises(InvalidInputError, match="b has arrows both ways"):
+        with pytest.raises(InvalidInputError,
+                           match="generator 1 has arrows both ways"):
             ZComplex(gens, arrows)
 
     def test_homogeneity_enforced(self):
-        gens = [("a", 0, 0), ("b", 1, -1)]
-        # A(b) - A(a) = 1 but the arrow claims Z-exponent 2, so gr_z drops
+        gens = [(0, 0), (1, -1)]
+        # A(1) - A(0) = 1 but the arrow claims Z-exponent 2, so gr_z drops
         # by 1 where Z^2 needs 1 - 4 = -3.  Alexander homogeneity follows
         # from the gr_w and gr_z shifts, so this is the gr_z check.
         with pytest.raises(VerificationError, match="gr_z shift"):
             ZComplex(gens, [(1, 0, 2)])
 
     def test_arrows_mod_two(self):
-        gens = [("a", 0, 0), ("b", 1, -1)]
+        gens = [(0, 0), (1, -1)]
         c = ZComplex(gens, [(1, 0, 1), (1, 0, 1)])
         assert c.arrows == ()
 
     def test_arrows_are_stored_sorted(self):
-        gens = (("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("d", 0, -2))
+        gens = ((0, 0), (1, -1), (1, 1), (0, -2))
         given = ((2, 0, 0), (1, 3, 0), (1, 0, 1))
         c = ZComplex(gens, given)
         assert c.arrows == tuple(sorted(given))
@@ -64,28 +65,31 @@ class TestZComplexInvariants:
 CHECK_MESSAGES = [
     # (generators, arrows, error class, full message); arrows are (source
     # index, target index, Z-exponent) and the constructor checks them in
-    # sorted order.  An arrow off the complex is named by its indices.
-    ((("a", 0, 0), ("a", 1, -1)), (), InvalidInputError,
-     "duplicate generator names"),
-    ((("a", 0, 0),), ((1, 0, 1),), InvalidInputError,
+    # sorted order.  Every message names generators by their indices.
+    # The chain 3 -> 0 -> 2 -> 1 gives 0 and 2 arrows both ways; the least
+    # index is named.
+    (((2, -2), (0, 0), (1, -1), (3, -3)),
+     ((3, 0, 1), (0, 2, 1), (2, 1, 1)), InvalidInputError,
+     "not a two-step complex: generator 0 has arrows both ways"),
+    (((0, 0),), ((1, 0, 1),), InvalidInputError,
      "arrow 1->0 off the complex"),
-    ((("a", 0, 0),), ((0, 2, 1),), InvalidInputError,
+    (((0, 0),), ((0, 2, 1),), InvalidInputError,
      "arrow 0->2 off the complex"),
-    ((("a", 0, 0), ("b", 1, 3)), ((1, 0, -1),), InvalidInputError,
-     "negative Z-exponent on b->a"),
-    ((("a", 0, 0), ("b", 2, -3)), ((1, 0, 2),), VerificationError,
-     "arrow b->a does not drop gr_w by 1"),
-    ((("a", 0, 0), ("b", 1, -1)), ((1, 0, 2),), VerificationError,
-     "arrow b->a: gr_z shift inconsistent with Z^2"),
-    # Composable arrows c->b->a: b has arrows both ways.
-    ((("a", 0, 0), ("b", 1, -1), ("c", 2, -2)),
+    (((0, 0), (1, 3)), ((1, 0, -1),), InvalidInputError,
+     "negative Z-exponent on 1->0"),
+    (((0, 0), (2, -3)), ((1, 0, 2),), VerificationError,
+     "arrow 1->0 does not drop gr_w by 1"),
+    (((0, 0), (1, -1)), ((1, 0, 2),), VerificationError,
+     "arrow 1->0: gr_z shift inconsistent with Z^2"),
+    # Composable arrows 2->1->0: 1 has arrows both ways.
+    (((0, 0), (1, -1), (2, -2)),
      ((2, 1, 1), (1, 0, 1)), InvalidInputError,
-     "not a two-step complex: b has arrows both ways"),
+     "not a two-step complex: generator 1 has arrows both ways"),
     # The first failing arrow in sorted order decides, whatever fails after
     # it and in whatever order the arrows are given.
-    ((("a", 0, 0), ("b", 1, -1)), ((1, 0, 2), (1, 2, 0)),
-     VerificationError, "arrow b->a: gr_z shift inconsistent with Z^2"),
-    ((("a", 0, 0), ("b", 1, -1), ("c", 1, -1)),
+    (((0, 0), (1, -1)), ((1, 0, 2), (1, 2, 0)),
+     VerificationError, "arrow 1->0: gr_z shift inconsistent with Z^2"),
+    (((0, 0), (1, -1), (1, -1)),
      ((2, 0, 2), (1, 3, 0)),
      InvalidInputError, "arrow 1->3 off the complex"),
 ]
@@ -98,24 +102,25 @@ def test_check_messages(gens, arrows, error, message):
 
 
 TOWER_MESSAGES = [
-    # d^2 = 0 because the two paths c->b->a and c->e->a cancel, yet b and
-    # e have arrows both ways; the complex is refused when it is built.
-    ((("a", 0, 0), ("b", 1, -1), ("e", 1, 1), ("c", 2, 0)),
+    # d^2 = 0 because the two paths 3->1->0 and 3->2->0 cancel, yet 1 and
+    # 2 have arrows both ways; the complex is refused when it is built.
+    (((0, 0), (1, -1), (1, 1), (2, 0)),
      ((3, 1, 0), (3, 2, 1), (1, 0, 1), (2, 0, 0)), "",
-     InvalidInputError, "not a two-step complex: b has arrows both ways"),
+     InvalidInputError,
+     "not a two-step complex: generator 1 has arrows both ways"),
     # A non-homogeneous arrow, which would collide in the reduction, is
     # refused when the complex is built.
-    ((("b0", 0, 0), ("b1", 0, -2), ("s0", 1, -1), ("s1", 1, 1)),
+    (((0, 0), (0, -2), (1, -1), (1, 1)),
      ((2, 0, 0), (2, 1, 0), (3, 0, 0), (3, 1, 1)),
-     "", VerificationError, "arrow s0->b0: gr_z shift inconsistent with Z^0"),
-    ((("x", 0, 0), ("y", 0, 0)), (), "two", VerificationError,
+     "", VerificationError, "arrow 2->0: gr_z shift inconsistent with Z^0"),
+    (((0, 0), (0, 0)), (), "two", VerificationError,
      "free homology rank 2 != 1 in 'two'"),
-    ((("b0", 0, 0), ("s0", 1, -1)), ((1, 0, 1),), "", VerificationError,
+    (((0, 0), (1, -1)), ((1, 0, 1),), "", VerificationError,
      "free homology rank 0 != 1 in ''"),
     # A complex with an arrow off it is refused when it is built.
-    ((("a", 0, 0),), ((1, 0, 0),), "", InvalidInputError,
+    (((0, 0),), ((1, 0, 0),), "", InvalidInputError,
      "arrow 1->0 off the complex"),
-    ((("a", 0, 0),), ((0, 1, 0), (2, 1, 0)), "", InvalidInputError,
+    (((0, 0),), ((0, 1, 0), (2, 1, 0)), "", InvalidInputError,
      "arrow 0->1 off the complex"),
 ]
 
@@ -129,18 +134,18 @@ def test_tower_messages(gens, arrows, tag, error, message):
 class TestTowerAlexander:
     # tower_alexander returns the doubled grading gr_w - gr_z.
     def test_single_generator(self):
-        c = ZComplex([("x", 0, 0)], [])
+        c = ZComplex([(0, 0)], [])
         assert tower_alexander(c) == 0
 
     def test_hand_smith_reduction(self):
-        # d(s) = Z b0 + b1 with A(b0)=0, A(b1)=1, A(s)=1:
-        # homology is F2[Z] generated by b0, so tau = 0.
-        gens = [("b0", 0, 0), ("b1", 0, -2), ("s", 1, -1)]
+        # d(g2) = Z g0 + g1 with A(g0)=0, A(g1)=1, A(g2)=1:
+        # homology is F2[Z] generated by g0, so tau = 0.
+        gens = [(0, 0), (0, -2), (1, -1)]
         c = ZComplex(gens, [(2, 0, 1), (2, 1, 0)])
         assert tower_alexander(c) == 0
 
     def test_free_rank_must_be_one(self):
-        c = ZComplex([("x", 0, 0), ("y", 0, 0)], [])
+        c = ZComplex([(0, 0), (0, 0)], [])
         with pytest.raises(VerificationError):
             tower_alexander(c)
 
@@ -161,8 +166,7 @@ class TestBuildSummand:
     def test_mazur_eps0_positive(self):
         c = build_summand(MAZUR, Companion(tau=0, eps=0), 2)
         # 2 sources over 3 sinks; weights Z^1 (L_sigma) and Z^2 (L_tau).
-        names = [g[0] for g in c.generators]
-        assert len(names) == 5
+        assert len(c.generators) == 5
         ks = sorted(k for _, _, k in c.arrows)
         assert ks == [1, 1, 2, 2]
         assert tower_alexander(c) == 2 * MAZUR.g3  # doubled grading
@@ -212,6 +216,13 @@ class TestBuildSummand:
         c = build_summand(WHITEHEAD, Companion(tau=1, eps=1), 0)
         obj = c.to_json_obj()
         assert set(obj) >= {"generators", "arrows"}
+        # Generators in index order, arrow ends named by index.
+        assert obj["generators"] == [
+            {"gr_w": w, "gr_z": z, "A": w - z} for w, z in c.generators
+        ]
+        assert obj["arrows"] == [
+            {"source": s, "target": t, "z_exp": k} for s, t, k in c.arrows
+        ]
 
 
 class TestSummandsArePaths:
@@ -220,6 +231,9 @@ class TestSummandsArePaths:
         # cone, the shortest interior and a long one) on every sweep
         # profile where cond_tau holds: each summand is a path, m arrows
         # joining m + 1 generators with none in more than two arrows.
+        # Index order is path order, which build_summand relies on when it
+        # anchors by position and reads generators[2]: arrow i (in stored
+        # order) joins generators i and i + 1, and gr_w alternates.
         points = list(sweeps.sweep_grid())
         points += [
             (prof, K, 2 * K.tau + d)
@@ -245,6 +259,11 @@ class TestSummandsArePaths:
                         seen.add(y)
                         todo.append(y)
             assert len(seen) == size, (prof, K, n)
+            for i, (s, t, _) in enumerate(c.arrows):
+                assert {s, t} == {i, i + 1}, (prof, K, n, i)
+            gr_w = [w for w, _ in c.generators]
+            assert set(gr_w) <= {0, 1}, (prof, K, n)
+            assert all(a != b for a, b in zip(gr_w, gr_w[1:])), (prof, K, n)
         # Every sweep profile meets cond_tau, so no point is refused, and
         # every shape is built.
         assert len(points) == 1089 + 165
@@ -309,17 +328,17 @@ def _outcome(fn):
 
 class TestSummandTranslation:
     def test_summand_depends_on_n_minus_2tau_up_to_translation(self):
-        # Equal case and n - 2 tau give the same arrows, case tag, names
-        # and gr_w, and doubled A-gradings minus 2T; a refusal gives the
-        # same class and message.
+        # Equal case and n - 2 tau give the same arrows, case tag and gr_w,
+        # and doubled A-gradings minus 2T; a refusal gives the same class
+        # and message.
         def shape(prof, K, n):
             c = build_summand(prof, K, n)
             doubled_t = 2 * _translation(prof, K, n)
             return (
                 c.arrows,
                 c.case_tag,
-                [(x, w) for x, w, _ in c.generators],
-                [w - z - doubled_t for _, w, z in c.generators],
+                [w for w, _ in c.generators],
+                [w - z - doubled_t for w, z in c.generators],
             )
 
         first, pairs = {}, 0
@@ -384,6 +403,6 @@ class TestGradingLookup:
     def test_unknown_generator_rejected(self):
         # check refuses an arrow end that is not a generator index.
         with pytest.raises(InvalidInputError, match="arrow 0->1 off the"):
-            ZComplex((("a", 0, 0),), ((0, 1, 0),))
+            ZComplex(((0, 0),), ((0, 1, 0),))
         with pytest.raises(InvalidInputError, match="arrow -1->0 off the"):
-            ZComplex((("a", 0, 0), ("b", 1, -1)), ((-1, 0, 0),))
+            ZComplex(((0, 0), (1, -1)), ((-1, 0, 0),))
