@@ -87,7 +87,14 @@ def _load_pattern(spec: str) -> _Loaded:
     g3 = obj.get("g3")
     if g3 is not None:
         json_int(g3, "g3")
-    return kind, (), generic_profile(resolve_sign(data), g3=g3)
+    prof = generic_profile(resolve_sign(data))
+    # A supplied g3 is a claim, checked against the genus read from delta2.
+    if g3 is not None and g3 != prof.g3:
+        raise InvalidInputError(
+            f"supplied g3 = {g3} disagrees with g3 = {prof.g3}, "
+            "the top degree of delta2"
+        )
+    return kind, (), prof
 
 
 def _family_tau(

@@ -103,11 +103,6 @@ class LinkAlexData(Record):
         setslot(self, "delta2", delta2)
         setslot(self, "_h", None)
 
-    @property
-    def first_component_unknot(self) -> bool:
-        """Whether delta1 is +-1, i.e. the first component is an unknot."""
-        return self.delta1.terms in (((0, 1),), ((0, -1),))
-
     def on_lattice(self, t: int, r: int) -> bool:
         """Whether doubled (t, r) lies on (l/2 + Z)^2."""
         return (t - self.linking) % 2 == 0 and (r - self.linking) % 2 == 0
@@ -232,7 +227,7 @@ class HFunction:
         # The zero polynomial gets a one-cell box holding 0.
         js = [j for (j, _), _ in terms] or [0]
         ks = [k for (_, k), _ in terms] or [0]
-        self._reach = max(map(abs, js + ks))  # data.support_extent()
+        self._reach = data.support_extent()
         self._j_min, self._k_min = min(js), min(ks)
         self._nj = (max(js) - self._j_min) // 2 + 1
         self._nk = (max(ks) - self._k_min) // 2 + 1
@@ -310,33 +305,17 @@ class HFunction:
 
 
 def width(data: LinkAlexData) -> int:
-    """Width N: the t beyond which columns stabilize.
+    """Width N: the top x1-power of delta_tilde (0 for the unlink).
 
-    When the first component is an unknot this is the top x1-power of
-    delta_tilde (0 for the unlink); otherwise fall back to scanning the
-    H-function columns with an explicit bound.
+    Columns stabilize beyond N.  This reading needs an unknotted first
+    component, as every profile does; a knotted one (delta1 not +-1)
+    raises InvalidInputError.
     """
-    if data.first_component_unknot:
-        if data.delta_tilde.is_zero:
-            return 0
-        return data.delta_tilde.max_exp1()
-    return _width_from_h(data)
-
-
-def _width_from_h(data: LinkAlexData) -> int:
-    bound = _snap_up(data.support_extent() + 4, data.linking)
-    ds, rows = data.hfunction().grid(bound + 4)
-    column = dict(zip(ds, rows))  # doubled t -> H(t, r) for r in ds
-    t = bound
-    # Walk down while column t-1 equals column t (upper stabilization) and,
-    # mirrored, H still grows by exactly 1 from column -(t-1) to column -t.
-    while t > 0:
-        upper_ok = column[t - 2] == column[t]
-        lower_ok = [v + 1 for v in column[2 - t]] == column[-t]
-        if not (upper_ok and lower_ok):
-            return t
-        t -= 2
-    return t
+    if data.delta1.terms not in (((0, 1),), ((0, -1),)):
+        raise InvalidInputError("first component must be an unknot")
+    if data.delta_tilde.is_zero:
+        return 0
+    return data.delta_tilde.max_exp1()
 
 
 def validate(h: HFunction, window: Optional[int] = None) -> List[str]:
@@ -346,10 +325,10 @@ def validate(h: HFunction, window: Optional[int] = None) -> List[str]:
     default N + 3): nonnegativity, both monotonicity and bounded-gap
     directions, the symmetry H(t,r) + t + r = H(-t,-r), stabilization to
     the component H-functions, -N <= l/2 <= N, the pointwise lower bound by
-    H of T(2,2l) (first component unknot, l >= 0), and the
-    unimodal-with-flat-ends shape of R_t.  The square is evaluated once, by
-    :meth:`HFunction.grid`.  Returns the failure messages, empty when every
-    check passes.
+    H of T(2,2l) (l >= 0), and the unimodal-with-flat-ends shape of R_t.
+    The square is evaluated once, by :meth:`HFunction.grid`.  Returns the
+    failure messages, empty when every check passes.  N is :func:`width`,
+    so a knotted first component raises InvalidInputError instead.
     """
     n_width = width(h.data)
     if window is None:
@@ -375,7 +354,7 @@ def validate(h: HFunction, window: Optional[int] = None) -> List[str]:
     if not -n_width <= l <= n_width:
         failures.append(f"width bound fails: N={half(n_width)}, l/2={half(l)}")
 
-    if h.data.first_component_unknot and l >= 0:
+    if l >= 0:
         for t, row in zip(ds, rows):
             for r, v in zip(ds, row):
                 if v < _t22l(l, t, r):

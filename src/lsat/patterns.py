@@ -94,7 +94,11 @@ class PatternProfile(Record):
 
     @property
     def provenance(self) -> Tuple[Tuple[str, str], ...]:
-        """Per field: closed form, H-function queries, unknown or user."""
+        """Per field: closed form, H-function queries, delta2 or unknown.
+
+        Every profile with Alexander data reads g3 from delta2; none takes
+        it from the user.
+        """
         if self.data is None:
             return (
                 ("n_width", "closed-form"),
@@ -106,7 +110,7 @@ class PatternProfile(Record):
         return tuple(
             (name, "computed-from-H")
             for name in ("n_width", "r_minus", "r_center", "r_plus")
-        ) + (("g3", "closed-form" if self.g3 == 0 else "user"),)
+        ) + (("g3", "computed-from-delta2"),)
 
     def hfunction(self) -> HFunction:
         """The one HFunction of ``data`` (see LinkAlexData.hfunction)."""
@@ -263,11 +267,16 @@ def twobridge_data(r: int, q: int) -> LinkAlexData:
     return resolve_sign(data)
 
 
-def _profile_from_h(h: HFunction, g3: int) -> PatternProfile:
+def _profile_from_h(h: HFunction) -> PatternProfile:
+    """Profile of an HFunction: width and R values from H, g3 from delta2.
+
+    The second component P(U) is an L-space knot, so its genus g3 is the
+    top degree of delta2.
+    """
     l = h.linking
     return PatternProfile(
         l=l,
-        g3=g3,
+        g3=h.data.delta2.degree() // 2,
         n_width=width(h.data),
         r_minus=h.r_of_t(l - 2),
         r_center=h.r_of_t(l),
@@ -288,7 +297,7 @@ def twobridge_profile(r: int, q: int) -> PatternProfile:
 
 @functools.lru_cache(maxsize=_TWOBRIDGE_MEMO)
 def _twobridge_profile(r: int, q: int) -> PatternProfile:
-    return _profile_from_h(twobridge_data(r, q).hfunction(), g3=0)
+    return _profile_from_h(twobridge_data(r, q).hfunction())
 
 
 def unlink_data() -> LinkAlexData:
@@ -304,7 +313,7 @@ def unlink_data() -> LinkAlexData:
 
 
 def unlink_profile() -> PatternProfile:
-    return _profile_from_h(unlink_data().hfunction(), g3=0)
+    return _profile_from_h(unlink_data().hfunction())
 
 
 def _braided_profile(p: int, r: int, b: int) -> PatternProfile:
@@ -351,16 +360,18 @@ def bridge_braid_profile(p: int, r: int, b: int) -> PatternProfile:
     return _braided_profile(p, r, b)
 
 
-def generic_profile(
-    data: LinkAlexData, g3: Optional[int] = None
-) -> PatternProfile:
-    """Assemble a profile from user Alexander data by H-function queries."""
+def generic_profile(data: LinkAlexData) -> PatternProfile:
+    """Assemble a profile from user Alexander data by H-function queries.
+
+    The data must pass :func:`validate`, whose width needs an unknotted
+    first component.  Like every profile with Alexander data, g3 is the
+    top degree of delta2; the profile's own checks refuse data whose R
+    values disagree with it.
+    """
     if data.linking < 0:
         raise InvalidInputError(
             "orient the pattern so the winding number is nonnegative"
         )
-    if not data.first_component_unknot:
-        raise InvalidInputError("first component must be an unknot")
     h = data.hfunction()
     failures = validate(h)
     if failures:
@@ -368,20 +379,7 @@ def generic_profile(
             "Alexander data fails H-function validation: "
             + "; ".join(failures[:3])
         )
-    l = data.linking
-    if width(h.data) == l:
-        computed_g3 = (h.r_of_t(l) - l) // 2
-        if g3 is not None and g3 != computed_g3:
-            raise InvalidInputError(
-                f"supplied g3 = {g3} conflicts with minimal wrapping "
-                f"value {computed_g3}"
-            )
-        g3 = computed_g3
-    elif g3 is None:
-        raise InvalidInputError(
-            "g3 must be supplied for patterns without minimal wrapping"
-        )
-    return _profile_from_h(h, g3)
+    return _profile_from_h(h)
 
 
 def ascii_int(text: str) -> int:

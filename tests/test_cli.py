@@ -7,7 +7,7 @@ import pytest
 
 import lsat
 from conftest import invoke, run_python
-from lsat import unlink_data
+from lsat import twobridge_data, unlink_data
 
 
 @pytest.fixture()
@@ -237,6 +237,43 @@ class TestVerify:
             "message": "verify: 1 failures in 3 points",
             "exit_code": 4,
         }
+
+
+class TestJsonG3:
+    """g3 of a ``json:`` link comes from delta2; a supplied one is a claim."""
+
+    COMMANDS = [
+        ["tau", "--tau", "-1", "--eps", "1", "--n", "3", "--method", "both"],
+        ["classify"],
+        ["genus", "--g4-eq-tau", "1"],
+    ]
+
+    @staticmethod
+    def write(tmp_path, rq, **extra):
+        path = tmp_path / f"tb-{rq[0]}-{rq[1]}-{len(extra)}.json"
+        obj = dict(twobridge_data(*rq).to_json_obj(), **extra)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        return f"json:{path}"
+
+    @pytest.mark.parametrize("rq", [(9, 5), (5, 3)], ids="%d,%d".__mod__)
+    def test_json_without_g3_matches_twobridge(self, tmp_path, rq):
+        spec = self.write(tmp_path, rq)
+        for cmd in self.COMMANDS:
+            want = invoke([cmd[0], "twobridge:%d,%d" % rq] + cmd[1:])
+            got = invoke([cmd[0], spec] + cmd[1:])
+            assert want.exit_code == 0, want.output
+            assert (got.exit_code, got.stdout) == (0, want.stdout), cmd
+
+    @pytest.mark.parametrize("rq", [(9, 5), (5, 3)], ids="%d,%d".__mod__)
+    @pytest.mark.parametrize("g3", [1, 2])
+    def test_json_g3_claim_must_agree(self, tmp_path, rq, g3):
+        spec = self.write(tmp_path, rq, g3=g3)
+        for cmd in self.COMMANDS:
+            result = invoke([cmd[0], spec] + cmd[1:])
+            assert (result.exit_code, result.stdout) == (2, ""), cmd
+            payload = json.loads(result.stderr.splitlines()[-1])
+            assert payload["exit_code"] == 2
+            assert "g3" in payload["message"], payload
 
 
 class TestErrors:

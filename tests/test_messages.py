@@ -121,7 +121,7 @@ CASES = {
         "row stabilization fails at t=-5/2",
     ),
     "validate column stabilization": (
-        lambda: failures(link(0, {}, torus_knot(5), torus_knot(5)), 0),
+        lambda: failures(link(4, {}), 0),
         "column stabilization fails at r=0",
     ),
     "profile R_center below g3": (

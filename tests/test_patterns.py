@@ -3,15 +3,21 @@
 Exponents, R values and widths are doubled ints: 3 is 3/2.
 """
 
+import json
+import math
+
 import pytest
 
 from conftest import twobridge_alexander_closed
 from lsat import (
     Companion,
     HFunction,
+    LinkAlexData,
     bridge_braid_profile,
     cable_profile,
     generic_profile,
+    resolve_sign,
+    symmetrize,
     twobridge_alexander,
     twobridge_data,
     twobridge_eta,
@@ -20,14 +26,45 @@ from lsat import (
     unlink_data,
     unlink_profile,
 )
+from lsat.cli import _load_pattern
 from lsat.errors import InvalidInputError
-from lsat.halfgrid_poly import LaurentPoly2
+from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2, shift
 from lsat.patterns import parse_pattern_spec
 from lsat.sweeps import LINK_PAIRS
 
 
 def p2(terms):
     return LaurentPoly2.from_terms(terms)
+
+
+def torus_knot_alexander(p, q):
+    """Alexander polynomial of T(p, q), symmetrized, doubled exponents.
+
+    (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) by long division on
+    coefficient lists.
+    """
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def minus_one(n):
+        return [-1] + [0] * (n - 1) + [1]
+
+    num = times(minus_one(p * q), minus_one(1))
+    den = times(minus_one(p), minus_one(q))
+    quo = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = num[k + len(den) - 1]  # den is monic
+        for i, d in enumerate(den):
+            num[k + i] -= quo[k] * d
+    assert not any(num)
+    deg = len(quo) - 1
+    return LaurentPoly1.from_terms(
+        {2 * k - deg: c for k, c in enumerate(quo) if c}
+    )
 
 
 class TestEta:
@@ -176,7 +213,7 @@ class TestBridgeBraidProfile:
 
 class TestGenericProfile:
     def test_whitehead_data(self):
-        prof = generic_profile(twobridge_data(3, 3), g3=0)
+        prof = generic_profile(twobridge_data(3, 3))
         assert prof.l == 0
         assert prof.r_center == 2
         assert prof.cond_tau and prof.cond_eps
@@ -187,13 +224,37 @@ class TestGenericProfile:
         assert prof.r_center == 1
         assert prof.g3 == 0
 
-    def test_g3_conflict_under_minimal_wrapping(self):
-        with pytest.raises(InvalidInputError):
-            generic_profile(twobridge_data(3, 1), g3=1)
+    def test_g3_conflict_under_minimal_wrapping(self, tmp_path):
+        # A JSON g3 is a claim, refused where it disagrees with delta2.
+        path = tmp_path / "hopf.json"
+        path.write_text(json.dumps(dict(twobridge_data(3, 1).to_json_obj(), g3=1)))
+        with pytest.raises(InvalidInputError, match="g3 = 1 disagrees"):
+            _load_pattern(f"json:{path}")
 
     def test_g3_required_without_minimal_wrapping(self):
-        with pytest.raises(InvalidInputError):
-            generic_profile(twobridge_data(3, 3))
+        # Without minimal wrapping g3 is still read from delta2.
+        prof = generic_profile(twobridge_data(3, 3))
+        assert not prof.minimal_wrapping
+        assert prof.g3 == 0
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(p, q) for p in range(2, 7) for q in range(1, p) if math.gcd(p, q) == 1],
+    )
+    def test_cable_link_with_knotted_second_component(self, p, q):
+        # The link axis + C_{p,q}: its second component is the torus knot
+        # T(p,q), so g3 comes from a delta2 of positive degree.
+        walk = p2({(2 * i, 2 * q * i): 1 for i in range(p)})
+        data = resolve_sign(LinkAlexData(
+            linking=p,
+            delta_tilde=shift(symmetrize(walk), 1, 1),
+            delta1=LaurentPoly1.one(),
+            delta2=torus_knot_alexander(p, q),
+        ))
+        prof = generic_profile(data)
+        assert prof.minimal_wrapping
+        assert prof.g3 == (prof.r_center - prof.l) // 2
+        assert prof.g3 == cable_profile(p, q).g3
 
 
 class TestCompanion:

@@ -1,4 +1,4 @@
-"""H-function checked against brute-force references and the width scan.
+"""H-function checked against brute-force references.
 
 Both references evaluate H(t, r) = H1(t - l/2) + H2(r - l/2) - (sum of
 delta_tilde over the quadrant j > t, k > r) in doubled integers.  The
@@ -12,7 +12,7 @@ import pytest
 
 from lsat import HFunction, twobridge_data, unlink_data, width
 from lsat.halfgrid_poly import LaurentPoly1
-from lsat.hfunction import _KnotH, _width_from_h
+from lsat.hfunction import _KnotH
 
 
 def two_bridge_pairs(max_r):
@@ -98,14 +98,6 @@ def test_hfunction_matches_sparse_definition_at_scale(rq):
         for r in coords:
             want = sparse_reference(data, t, r)
             assert h(t, r) == want, (rq, t, r)
-
-
-def test_width_scan_agrees_with_width():
-    datas = [twobridge_data(r, q) for r, q in two_bridge_pairs(13)]
-    datas.append(unlink_data())
-    assert len(datas) == 28
-    for data in datas:
-        assert _width_from_h(data) == width(data), data.delta_tilde
 
 
 def test_knot_h_of_trefoil():

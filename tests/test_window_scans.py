@@ -2,8 +2,9 @@
 
 The failure reports of ``validate`` and the error text of
 ``generic_profile`` are pinned on data that breaks the L-space properties
-(sign-flipped two-bridge links, a coefficient-2 Hopf link, asymmetric and
-non-stabilizing data), so the messages keep their order and wording.
+(sign-flipped two-bridge links, a coefficient-2 Hopf link, asymmetric data,
+a width below l/2), so the messages keep their order and wording.  Data
+with a knotted first component has no width, so both refuse it.
 Windows, coordinates and widths are doubled ints.
 """
 
@@ -24,6 +25,7 @@ from lsat import (
     resolve_sign,
     twobridge_data,
     validate,
+    width,
 )
 from lsat.errors import InvalidInputError
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
@@ -79,7 +81,8 @@ BROKEN = {
 }
 
 # name -> (failure count, digest of all failures, first of each kind,
-#          generic_profile error text or None)
+#          generic_profile error text or None); count, digest and firsts
+#          are None when validate refuses the data with that same text.
 PINNED = {
     "flip(3,3) window 3": (
         7,
@@ -159,12 +162,9 @@ PINNED = {
         ),
     ),
     "unstabilized window 0": (
-        2,
-        "63f247977df6049c",
-        [
-            "row stabilization fails at t=0",
-            "column stabilization fails at r=0",
-        ],
+        None,
+        None,
+        None,
         "first component must be an unknot",
     ),
     "width below l/2": (
@@ -186,8 +186,13 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(BROKEN))
 def test_validate_failures_are_pinned(name):
     make, window = BROKEN[name]
+    count, want_digest, firsts, refusal = PINNED[name]
+    if count is None:
+        with pytest.raises(InvalidInputError) as exc:
+            validate(HFunction(make()), window)
+        assert str(exc.value) == refusal
+        return
     failures = validate(HFunction(make()), window)
-    count, want_digest, firsts, _ = PINNED[name]
     assert first_of_each(failures) == firsts
     assert (len(failures), digest(failures)) == (count, want_digest)
 
@@ -197,10 +202,10 @@ def test_generic_profile_error_is_pinned(name):
     make, _ = BROKEN[name]
     want = PINNED[name][3]
     if want is None:
-        generic_profile(make(), g3=0)
+        generic_profile(make())
         return
     with pytest.raises(InvalidInputError) as exc:
-        generic_profile(make(), g3=0)
+        generic_profile(make())
     assert str(exc.value) == want
 
 
@@ -293,17 +298,16 @@ def test_json_path_builds_one_hfunction(tmp_path, monkeypatch):
         assert len(builds) == want
 
 
-@pytest.mark.parametrize(
-    "terms, l, top, want",
-    [
-        ({(1, 1): 1, (3, 1): 1}, 1, 1, 3),
-        ({(2, 0): 1, (-2, 0): 1}, 0, 1, 4),
-        ({(-4, 0): 1}, 0, 2, 6),
-        ({(-3, 1): 1}, 1, 1, 5),
-    ],
-)
-def test_width_scan_on_asymmetric_data(terms, l, top, want):
-    # Asymmetric delta_tilde with a knotted first component: the scan
-    # checks both the upper and the mirrored lower columns.
-    data = link(l, terms, torus_knot(top))
-    assert lsat.hfunction._width_from_h(data) == want
+def test_width_refuses_knotted_first_component():
+    # Asymmetric delta_tilde with a knotted first component: the width is
+    # read from delta_tilde only over an unknotted axis.
+    cases = [
+        ({(1, 1): 1, (3, 1): 1}, 1, 1),
+        ({(2, 0): 1, (-2, 0): 1}, 0, 1),
+        ({(-4, 0): 1}, 0, 2),
+        ({(-3, 1): 1}, 1, 1),
+    ]
+    for terms, l, top in cases:
+        with pytest.raises(InvalidInputError) as exc:
+            width(link(l, terms, torus_knot(top)))
+        assert str(exc.value) == "first component must be an unknot"
