@@ -298,16 +298,41 @@ def test_json_path_builds_one_hfunction(tmp_path, monkeypatch):
         assert len(builds) == want
 
 
-def test_width_refuses_knotted_first_component():
-    # Asymmetric delta_tilde with a knotted first component: the width is
-    # read from delta_tilde only over an unknotted axis.
-    cases = [
-        ({(1, 1): 1, (3, 1): 1}, 1, 1),
-        ({(2, 0): 1, (-2, 0): 1}, 0, 1),
-        ({(-4, 0): 1}, 0, 2),
-        ({(-3, 1): 1}, 1, 1),
-    ]
-    for terms, l, top in cases:
-        with pytest.raises(InvalidInputError) as exc:
-            width(link(l, terms, torus_knot(top)))
-        assert str(exc.value) == "first component must be an unknot"
+def column_scan(data):
+    """Doubled t from which the columns of H stabilize, both ways.
+
+    Walks down from past the support while column t-1 equals column t
+    (upper stabilization) and, mirrored, H grows by exactly 1 from column
+    -(t-1) to column -t.
+    """
+    bound = lsat.hfunction._snap_up(data.support_extent() + 4, data.linking)
+    ds, rows = data.hfunction().grid(bound + 4)
+    column = dict(zip(ds, rows))
+    t = bound
+    while t > 0:
+        upper_ok = column[t - 2] == column[t]
+        lower_ok = [v + 1 for v in column[2 - t]] == column[-t]
+        if not (upper_ok and lower_ok):
+            return t
+        t -= 2
+    return t
+
+
+@pytest.mark.parametrize(
+    "terms, l, top, want",
+    [
+        ({(1, 1): 1, (3, 1): 1}, 1, 1, 3),
+        ({(2, 0): 1, (-2, 0): 1}, 0, 1, 4),
+        ({(-4, 0): 1}, 0, 2, 6),
+        ({(-3, 1): 1}, 1, 1, 5),
+    ],
+)
+def test_width_scan_on_asymmetric_data(terms, l, top, want):
+    # Asymmetric delta_tilde with a knotted first component: the H columns
+    # still stabilize (upper and mirrored lower) at the pinned place, but
+    # width reads delta_tilde only over an unknotted axis and refuses.
+    data = link(l, terms, torus_knot(top))
+    assert column_scan(data) == want
+    with pytest.raises(InvalidInputError) as exc:
+        width(data)
+    assert str(exc.value) == "first component must be an unknot"
