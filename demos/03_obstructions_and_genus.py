@@ -13,7 +13,7 @@ from lsat import (
     classify_operator,
     g3rel,
     g3rel_framed,
-    g4_satellite,
+    g4_satellite_regime,
     tau_inequality_check,
     twobridge_profile,
     unlink_profile,
@@ -28,7 +28,7 @@ def main() -> None:
         (twobridge_profile(3, 3), "Whitehead (3,3)"),
         (twobridge_profile(5, 3), "Mazur (5,3)"),
     ):
-        kind, failed_claim = classify_operator(prof.hfunction(), prof.g3, 0)
+        kind, failed_claim = classify_operator(prof.hfunction())
         print(f"{label:22s} -> {kind}"
               + (f"  ({failed_claim})" if failed_claim else ""))
 
@@ -69,7 +69,7 @@ def main() -> None:
         (whitehead, Companion(tau=2, eps=1), 3, "Whitehead, tau=2, n=3"),
         (mazur, Companion(tau=2, eps=1), 0, "Mazur, tau=2, n=0"),
     ):
-        val = g4_satellite(prof, K, n, tau_equals_g4=True)
+        val, _ = g4_satellite_regime(prof, K, n)
         print(f"{label:24s} -> g4 = {val}")
 
 

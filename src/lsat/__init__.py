@@ -18,7 +18,6 @@ from .halfgrid_poly import (
 from .hfunction import (
     HFunction,
     LinkAlexData,
-    h_t22l,
     hf_table_tsv,
     resolve_sign,
     validate,
@@ -53,7 +52,7 @@ from .zcomplex import (
     tau_oracle,
     tower_alexander,
 )
-from .genus import g3rel, g3rel_framed, g4_satellite, g4_satellite_regime
+from .genus import g3rel, g3rel_framed, g4_satellite_regime
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

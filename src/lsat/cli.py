@@ -200,7 +200,7 @@ def cmd_classify(pattern: str, n: int, fmt: str) -> None:
     if n < 0:
         raise InvalidInputError("classifier applies to framings n >= 0")
     if prof is not None:
-        verdict, failed = classify_operator(prof.hfunction(), prof.g3, n)
+        verdict, failed = classify_operator(prof.hfunction())
     else:
         # Refuse the parameters tau refuses (closures that are links).  The
         # (1,q) cable is the core of the solid torus, the identity operator;
@@ -230,7 +230,7 @@ def cmd_genus(
     regime = "g3rel-only"
     if g4_eq_tau is not None:
         K = Companion(tau=g4_eq_tau, eps=1)
-        g4, regime = g4_satellite_regime(prof, K, n, tau_equals_g4=True)
+        g4, regime = g4_satellite_regime(prof, K, n)
     if fmt == "json":
         _emit_json({"g3rel": g3r, "g4": g4, "regime": regime})
         return

@@ -26,10 +26,6 @@ class NotAlexanderSymmetricError(InvalidInputError):
     """No recentering makes the polynomial symmetric under inversion."""
 
 
-class IncreaseDepthError(InvalidInputError):
-    """The coefficient tail has not stabilized at the requested depth."""
-
-
 class NotLSpaceLinkError(InvalidInputError):
     """Neither sign of the Alexander data yields a valid H-function."""
 

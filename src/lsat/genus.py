@@ -17,27 +17,14 @@ def g3rel(prof: PatternProfile) -> int:
     return (prof.r_center - prof.l) // 2
 
 
-def g4_satellite(
-    prof: PatternProfile, K: Companion, n: int, *, tau_equals_g4: bool = False
-) -> int:
-    """Slice genus of the satellite under the tau = g4 > 0 hypothesis.
+def g4_satellite_regime(prof: PatternProfile, K: Companion, n: int) -> Tuple[int, str]:
+    """Slice genus of the satellite, and the regime that gave it.
 
-    The hypothesis cannot be checked from companion data, so the caller
-    must set ``tau_equals_g4`` explicitly.  Three regimes are supported:
-    zero framing, winding-zero patterns with n < 2 tau, and minimal
-    wrapping with n >= 0.
+    Holds under the hypothesis tau(K) = g4(K) > 0, which cannot be checked
+    from companion data: asserting it is the caller's part, as the CLI's
+    ``--g4-eq-tau`` does.  Three regimes are supported: zero framing,
+    winding-zero patterns with n < 2 tau, and minimal wrapping with n >= 0.
     """
-    return g4_satellite_regime(prof, K, n, tau_equals_g4=tau_equals_g4)[0]
-
-
-def g4_satellite_regime(
-    prof: PatternProfile, K: Companion, n: int, *, tau_equals_g4: bool = False
-) -> Tuple[int, str]:
-    """Like :func:`g4_satellite` but also names the regime that applied."""
-    if not tau_equals_g4:
-        raise UnsupportedRegimeError(
-            "set tau_equals_g4=True to assert tau(K) = g4(K) > 0"
-        )
     if K.tau <= 0:
         raise UnsupportedRegimeError("the hypothesis needs tau(K) > 0")
     if n == 0:

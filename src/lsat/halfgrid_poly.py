@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import (
     CosetMismatchError,
-    IncreaseDepthError,
     InvalidInputError,
     NotAlexanderSymmetricError,
 )
@@ -291,14 +290,14 @@ def symmetrize(p: LaurentPoly2) -> LaurentPoly2:
     return q
 
 
-def knot_chi_expansion(delta: LaurentPoly1, depth: int) -> LaurentPoly1:
+def knot_chi_expansion(delta: LaurentPoly1) -> LaurentPoly1:
     """Expand delta(x)/(1 - x^{-1}) as a power series in x^{-1}.
 
-    The coefficient of x^s is chi(s); above the top degree of delta it is 0
-    and below the requested ``depth`` it must already equal the constant 1
-    (the stabilized tail), otherwise an increase-depth error is raised.
-    Returns the coefficients for depth <= s <= top degree as a polynomial.
-    Exponents and ``depth`` are doubled, ``depth`` even; s steps by one.
+    The coefficient of x^s is chi(s): the sum of delta's coefficients at
+    exponents >= s, after delta is normalized to delta(1) = 1.  Returns
+    chi(s) for s from one step below the bottom degree of delta up to its
+    top degree; above that chi is 0 and below it the constant 1.
+    Exponents are doubled and s steps by one.
     """
     ev = delta.eval_at_one()
     if ev not in (1, -1):
@@ -310,30 +309,9 @@ def knot_chi_expansion(delta: LaurentPoly1, depth: int) -> LaurentPoly1:
     coeffs = dict(delta.terms)
     if any(e % 2 for e in coeffs):
         raise InvalidInputError("knot polynomial needs integer exponents")
-    if depth % 2:
-        raise InvalidInputError(f"depth must be whole, got {half(depth)}")
-
-    top = delta.degree()
-    bottom = delta.valuation()
-    low = min(bottom, depth)
-    # chi(s) = sum of delta coefficients at exponents >= s (partial sums
-    # from the top); the tail below the bottom degree is delta(1) = 1.
-    chi: dict = {}
+    chi = {}
     running = 0
-    for s in range(top, low - 1, -2):
+    for s in range(delta.degree(), delta.valuation() - 3, -2):
         running += coeffs.get(s, 0)
         chi[s] = running
-    # Guarantee: chi(s) = 1 for every s strictly below depth.  Below the
-    # bottom degree that holds automatically (the partial sum is complete),
-    # so only [bottom, depth) needs checking.
-    for s in range(low, depth, 2):
-        if chi.get(s, 1) != 1:
-            raise IncreaseDepthError(
-                f"tail not stabilized at depth {half(depth)}: chi({half(s)}) != 1"
-            )
-    out = {}
-    for s in range(depth, top + 1, 2):
-        c = chi.get(s, 1 if s < bottom else 0)
-        if c:
-            out[s] = c
-    return LaurentPoly1.from_terms(out)
+    return LaurentPoly1.from_terms(chi)

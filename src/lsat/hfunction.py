@@ -33,13 +33,6 @@ from .halfgrid_poly import (
 )
 
 
-def h_t22l(l: int, s1: int, s2: int) -> int:
-    """H-function of the torus link T(2, 2l) at doubled (s1, s2)."""
-    if (s1 - l) % 2 or (s2 - l) % 2:
-        raise InvalidInputError(f"{_point(s1, s2)} not on the lattice for l={l}")
-    return _t22l(l, s1, s2)
-
-
 def _t22l(l: int, t: int, r: int) -> int:
     """H of T(2, 2l) at the lattice point with doubled coordinates (t, r).
 
@@ -58,7 +51,7 @@ class _KnotH:
     """Closed-form evaluator for the H-function of a knot component."""
 
     def __init__(self, delta: LaurentPoly1):
-        chi = dict(knot_chi_expansion(delta, min(0, delta.valuation() - 2)).terms)
+        chi = dict(knot_chi_expansion(delta).terms)
         self.top = delta.degree() // 2
         self.bottom = delta.valuation() // 2
         # table[s] = H(s) for bottom-1 <= s <= top; H is 0 above top and
@@ -102,6 +95,11 @@ class LinkAlexData(Record):
         setslot(self, "delta1", delta1)
         setslot(self, "delta2", delta2)
         setslot(self, "_h", None)
+
+    @property
+    def g3(self) -> int:
+        """Genus of the pattern knot P(U), an L-space knot: delta2's top degree."""
+        return self.delta2.degree() // 2
 
     def on_lattice(self, t: int, r: int) -> bool:
         """Whether doubled (t, r) lies on (l/2 + Z)^2."""

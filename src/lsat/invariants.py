@@ -134,17 +134,17 @@ def eps_not_minus_one(prof: PatternProfile, K: Companion, n: int) -> str:
     return "inconclusive"
 
 
-def classify_operator(h: HFunction, g3: int, n: int = 0) -> Tuple[str, Optional[str]]:
+def classify_operator(h: HFunction) -> Tuple[str, Optional[str]]:
     """Decide whether the operator can induce a concordance homomorphism.
 
-    Returns (verdict, failed_claim).  The only non-obstructed verdicts are
-    ``trivial`` (H-table of the 2-component unlink), ``identity`` (positive
-    Hopf link) and ``orientation_reversing`` (negative Hopf link); every
-    scalar claim below is a necessary condition used for fast failure.
+    Returns (verdict, failed_claim), with g3 read from the link's delta2;
+    the verdict does not depend on the framing.  The only non-obstructed
+    verdicts are ``trivial`` (H-table of the 2-component unlink),
+    ``identity`` (positive Hopf link) and ``orientation_reversing``
+    (negative Hopf link); every scalar claim below is a necessary
+    condition used for fast failure.
     """
-    l = h.linking
-    if n < 0:
-        raise InvalidInputError("classifier applies to framings n >= 0")
+    l, g3 = h.linking, h.data.g3
     if abs(l) > 1:
         return ("obstructed", f"winding {l} not in {{0, +-1}}")
     if g3 != 0:

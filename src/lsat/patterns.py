@@ -268,15 +268,11 @@ def twobridge_data(r: int, q: int) -> LinkAlexData:
 
 
 def _profile_from_h(h: HFunction) -> PatternProfile:
-    """Profile of an HFunction: width and R values from H, g3 from delta2.
-
-    The second component P(U) is an L-space knot, so its genus g3 is the
-    top degree of delta2.
-    """
+    """Profile of an HFunction: width and R values from H, g3 from delta2."""
     l = h.linking
     return PatternProfile(
         l=l,
-        g3=h.data.delta2.degree() // 2,
+        g3=h.data.g3,
         n_width=width(h.data),
         r_minus=h.r_of_t(l - 2),
         r_center=h.r_of_t(l),

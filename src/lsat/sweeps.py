@@ -139,12 +139,11 @@ def check_properties() -> Tuple[int, List[str]]:
 
 
 def check_classifier() -> Tuple[int, List[str]]:
-    # Two-bridge links and the unlink are genus-0 operators (g3 = 0).
     cases = link_cases()
     failures = []
     expected = {"twobridge(3,1)": "identity", "unlink": "trivial"}
     for label, data in cases:
-        verdict, _ = classify_operator(data.hfunction(), 0)
+        verdict, _ = classify_operator(data.hfunction())
         want = expected.get(label, "obstructed")
         if verdict != want:
             failures.append(f"{label}: classified {verdict}, expected {want}")
@@ -170,7 +169,7 @@ def check_genus() -> Tuple[int, List[str]]:
         for tau in (1, 2):
             K = Companion(tau=tau, eps=1)
             points += 1
-            g4, _ = g4_satellite_regime(prof, K, 0, tau_equals_g4=True)
+            g4, _ = g4_satellite_regime(prof, K, 0)
             want = tau_closed_form(prof, K, 0).value
             if g4 != want:
                 failures.append(
@@ -180,9 +179,7 @@ def check_genus() -> Tuple[int, List[str]]:
     for tau in (1, 2, 3):
         for n in range(-2, 2 * tau):
             points += 1
-            g4, _ = g4_satellite_regime(
-                wh, Companion(tau=tau, eps=1), n, tau_equals_g4=True
-            )
+            g4, _ = g4_satellite_regime(wh, Companion(tau=tau, eps=1), n)
             if g4 != 1:
                 failures.append(f"Whitehead g4(tau={tau},n={n}) = {g4} != 1")
     return points, failures

@@ -85,17 +85,6 @@ class ZComplex(Record):
                 "both ways"
             )
 
-    def to_json_obj(self) -> dict:
-        return {
-            "case": self.case_tag,
-            "generators": [
-                {"gr_w": w, "gr_z": z, "A": (w - z)} for w, z in self.generators
-            ],
-            "arrows": [
-                {"source": s, "target": t, "z_exp": k} for s, t, k in self.arrows
-            ],
-        }
-
 
 def tower_alexander(c: ZComplex) -> int:
     """Doubled Alexander grading gr_w - gr_z of the free part's generator.

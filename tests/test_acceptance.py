@@ -21,7 +21,7 @@ from lsat import (
     bridge_braid_profile,
     cable_profile,
     classify_operator,
-    g4_satellite,
+    g4_satellite_regime,
     tau_bridge_braid,
     tau_cable,
     tau_closed_form,
@@ -36,7 +36,7 @@ from lsat import (
 )
 from lsat.errors import InvalidInputError, UnsupportedRegimeError
 from lsat.halfgrid_poly import LaurentPoly2
-from lsat.hfunction import h_t22l
+from lsat.hfunction import _t22l
 from lsat.sweeps import (
     COMPANIONS,
     FAMILY_PAIRS,
@@ -216,7 +216,7 @@ def test_07_property_suite():
         for ti in range(-3, 4):
             for ri in range(-3, 4):
                 t, r = 2 * ti + parity, 2 * ri + parity
-                assert h(t, r) >= h_t22l(data.linking, t, r)
+                assert h(t, r) >= _t22l(data.linking, t, r)
 
 
 def test_08_classifier_exactness():
@@ -226,7 +226,7 @@ def test_08_classifier_exactness():
     for r, q in LINK_PAIRS:
         cases.append(((r, q), twobridge_profile(r, q)))
     for label, prof in cases:
-        verdict, _ = classify_operator(prof.hfunction(), prof.g3)
+        verdict, _ = classify_operator(prof.hfunction())
         if verdict != "obstructed":
             outcomes[label] = verdict
     assert outcomes == {(3, 1): "identity", "unlink": "trivial"}
@@ -249,10 +249,10 @@ def test_10_genus_formulas():
     for tau in (1, 2, 3):
         K = Companion(tau=tau, eps=1)
         for n in range(-3, 2 * tau):
-            assert g4_satellite(whitehead, K, n, tau_equals_g4=True) == 1
+            assert g4_satellite_regime(whitehead, K, n)[0] == 1
     for prof in sweep_profiles():
         for tau in (1, 2, 3):
             K = Companion(tau=tau, eps=1)
-            assert g4_satellite(
-                prof, K, 0, tau_equals_g4=True
-            ) == tau_closed_form(prof, K, 0).value
+            assert g4_satellite_regime(prof, K, 0)[0] == (
+                tau_closed_form(prof, K, 0).value
+            )

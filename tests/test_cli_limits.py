@@ -20,8 +20,14 @@ def _error(result, code=2):
     return payload
 
 
-@pytest.mark.parametrize("spec", ["twobridge:3,1", "cable:3,2", "braid:4,5,2"])
-def test_classify_rejects_negative_framing(spec):
+@pytest.mark.parametrize(
+    "spec", ["twobridge:3,1", "cable:3,2", "braid:4,5,2", "json:"]
+)
+def test_classify_rejects_negative_framing(tmp_path, spec):
+    # The classifier takes no framing, so the CLI is the one place that
+    # refuses a negative one, whatever the pattern's kind.
+    if spec == "json:":
+        spec += str(_link_json(tmp_path, twobridge_data(3, 1).to_json_obj()))
     result = invoke(["classify", spec, "--n", "-1"])
     payload = _error(result)
     assert payload["message"] == "classifier applies to framings n >= 0"

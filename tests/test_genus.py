@@ -8,7 +8,6 @@ from lsat import (
     cable_profile,
     g3rel,
     g3rel_framed,
-    g4_satellite,
     g4_satellite_regime,
     tau_closed_form,
     twobridge_profile,
@@ -41,48 +40,38 @@ class TestG3Rel:
 
 class TestG4Satellite:
     def test_mazur_zero_framing(self):
-        value = g4_satellite(
-            MAZUR, Companion(tau=1, eps=1), 0, tau_equals_g4=True
-        )
-        assert value == 2
+        value, regime = g4_satellite_regime(MAZUR, Companion(tau=1, eps=1), 0)
+        assert (value, regime) == (2, "zero-framing")
 
     def test_whitehead_small_framing(self):
         value, regime = g4_satellite_regime(
-            WHITEHEAD, Companion(tau=2, eps=1), 3, tau_equals_g4=True
+            WHITEHEAD, Companion(tau=2, eps=1), 3
         )
         assert value == 1
         assert regime == "winding-zero,n<2tau"
 
     def test_cable_minimal_wrapping(self):
-        value = g4_satellite(
-            cable_profile(2, 1), Companion(tau=1, eps=1), 2, tau_equals_g4=True
+        value, regime = g4_satellite_regime(
+            cable_profile(2, 1), Companion(tau=1, eps=1), 2
         )
-        assert value == 4
-
-    def test_flag_required(self):
-        with pytest.raises(UnsupportedRegimeError):
-            g4_satellite(MAZUR, Companion(tau=1, eps=1), 0)
+        assert (value, regime) == (4, "minimal-wrapping,n>=0")
 
     def test_positive_tau_required(self):
         with pytest.raises(UnsupportedRegimeError):
-            g4_satellite(
-                MAZUR, Companion(tau=0, eps=1), 0, tau_equals_g4=True
-            )
+            g4_satellite_regime(MAZUR, Companion(tau=0, eps=1), 0)
 
     def test_no_regime(self):
         # Winding 1, not minimal wrapping, nonzero negative framing.
         with pytest.raises(UnsupportedRegimeError):
-            g4_satellite(
-                MAZUR, Companion(tau=1, eps=1), -1, tau_equals_g4=True
-            )
+            g4_satellite_regime(MAZUR, Companion(tau=1, eps=1), -1)
 
     def test_matches_tau_at_zero_framing(self):
         for prof in (MAZUR, WHITEHEAD, cable_profile(3, 2)):
             for tau in (1, 2, 3):
                 K = Companion(tau=tau, eps=1)
-                assert g4_satellite(
-                    prof, K, 0, tau_equals_g4=True
-                ) == tau_closed_form(prof, K, 0).value
+                assert g4_satellite_regime(prof, K, 0)[0] == (
+                    tau_closed_form(prof, K, 0).value
+                )
 
 
 class TestG3RelFramed:

@@ -112,34 +112,42 @@ def p1(terms):
     return LaurentPoly1.from_terms(terms)
 
 
-def chi_of(delta, depth):
-    """knot_chi_expansion's coefficients as {doubled s: chi(s)}."""
-    return dict(knot_chi_expansion(delta, depth).terms)
+def chi_of(delta):
+    """chi(s) at every doubled s, read from knot_chi_expansion's terms.
+
+    The terms run from one step below delta's bottom degree to its top
+    degree; below them chi is the constant 1 and above them 0.
+    """
+    terms = dict(knot_chi_expansion(delta).terms)
+    low = delta.valuation() - 2
+    return lambda s: terms.get(s, 1 if s < low else 0)
 
 
 class TestChiExpansion:
     def test_unknot(self):
-        chi = chi_of(LaurentPoly1.one(), -10)
+        assert knot_chi_expansion(LaurentPoly1.one()).terms == ((-2, 1), (0, 1))
+        chi = chi_of(LaurentPoly1.one())
         for s in range(-5, 1):
-            assert chi.get(2 * s, 0) == 1
-        assert chi.get(2, 0) == 0
+            assert chi(2 * s) == 1
+        assert chi(2) == 0
 
     def test_trefoil(self):
         # x - 1 + x^{-1}
         delta = p1({2: 1, 0: -1, -2: 1})
-        chi = chi_of(delta, -8)
-        assert chi.get(2, 0) == 1
-        assert chi.get(0, 0) == 0
+        assert knot_chi_expansion(delta).terms == ((-4, 1), (-2, 1), (2, 1))
+        chi = chi_of(delta)
+        assert chi(2) == 1
+        assert chi(0) == 0
         for s in range(-4, 0):
-            assert chi.get(2 * s, 0) == 1
+            assert chi(2 * s) == 1
 
     def test_above_top_degree(self):
-        chi = chi_of(LaurentPoly1.one(), -2)
-        assert chi.get(6, 0) == 0
+        chi = chi_of(LaurentPoly1.one())
+        assert chi(6) == 0
 
     def test_rejects_nonunit(self):
         with pytest.raises(InvalidInputError):
-            knot_chi_expansion(p1({2: 1, 0: 1}), -6)
+            knot_chi_expansion(p1({2: 1, 0: 1}))
 
     @pytest.mark.parametrize("depth, terms", [
         (-6, ((-6, 1), (-4, 1), (-2, 1), (2, 1))),
@@ -148,28 +156,35 @@ class TestChiExpansion:
         (0, ((2, 1),)),
     ])
     def test_even_depths_on_the_trefoil(self, depth, terms):
-        trefoil = p1({2: 1, 0: -1, -2: 1})
-        assert knot_chi_expansion(trefoil, depth).terms == terms
+        # The nonzero chi(s) for depth <= s: the tail of 1 below the
+        # returned terms reaches every even depth.
+        chi = chi_of(p1({2: 1, 0: -1, -2: 1}))
+        assert tuple((s, chi(s)) for s in range(depth, 4, 2) if chi(s)) == terms
 
-    @pytest.mark.parametrize("depth, shown", [(-5, "-5/2"), (-1, "-1/2"), (3, "3/2")])
-    def test_refuses_a_half_integral_depth(self, depth, shown):
-        # Knot exponents are whole, so an odd doubled depth has no coset.
-        trefoil = p1({2: 1, 0: -1, -2: 1})
-        with pytest.raises(InvalidInputError) as info:
-            knot_chi_expansion(trefoil, depth)
-        assert str(info.value) == f"depth must be whole, got {shown}"
+    def test_t25_staircase(self):
+        # x^2 - x + 1 - x^{-1} + x^{-2}: chi alternates 1, 0 down to the tail.
+        delta = p1({4: 1, 2: -1, 0: 1, -2: -1, -4: 1})
+        assert knot_chi_expansion(delta).terms == (
+            (-6, 1), (-4, 1), (0, 1), (4, 1)
+        )
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(InvalidInputError, match="not inversion-symmetric"):
+            knot_chi_expansion(p1({2: 1, 0: -1, -4: 1}))
+
+    def test_rejects_half_integral_exponents(self):
+        # Symmetric with delta(1) = 1, but x^{1/2} has no integer degree.
+        with pytest.raises(InvalidInputError, match="integer exponents"):
+            knot_chi_expansion(p1({2: -1, 1: 1, 0: 1, -1: 1, -2: -1}))
 
     def test_negative_sign_normalized(self):
-        chi = chi_of(p1({0: -1}), -6)
-        assert chi.get(0, 0) == 1
+        assert chi_of(p1({0: -1}))(0) == 1
 
     def test_tail_matches_unknot_h(self):
         # sum_{s' >= a} chi_U(s') = max(1 - a, 0) for integral a
-        chi = chi_of(LaurentPoly1.one(), -20)
+        chi = chi_of(LaurentPoly1.one())
         for a in range(-8, 4):
-            total = sum(
-                chi.get(2 * s, 0) for s in range(a, 2)
-            )
+            total = sum(chi(2 * s) for s in range(a, 2))
             assert total == max(1 - a, 0)
 
 

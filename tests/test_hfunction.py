@@ -13,7 +13,6 @@ from conftest import (
 from lsat import (
     HFunction,
     LinkAlexData,
-    h_t22l,
     hf_table_tsv,
     resolve_sign,
     twobridge_data,
@@ -24,6 +23,7 @@ from lsat import (
 from lsat import hfunction
 from lsat.errors import InvalidInputError
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
+from lsat.hfunction import _t22l
 
 
 class TestGnH:
@@ -107,15 +107,15 @@ class TestModelFunctions:
             assert h(2 * s, 8) == max(-s, 0) and h(8, 2 * s) == max(-s, 0)
 
     def test_h_t22l_hopf(self):
-        assert h_t22l(1, 1, 1) == 0
+        assert _t22l(1, 1, 1) == 0
 
     def test_h_t22l_unlink_entry(self):
-        assert h_t22l(0, 0, -2) == 1
+        assert _t22l(0, 0, -2) == 1
 
     def test_h_t22l_matches_negative_hopf(self):
         h = HFunction(negative_hopf_data())
         assert_table_matches(
-            lambda t, r: h_t22l(-1, t, r), HOPF_MINUS_TABLE
+            lambda t, r: _t22l(-1, t, r), HOPF_MINUS_TABLE
         )
         assert_table_matches(h, HOPF_MINUS_TABLE)
 

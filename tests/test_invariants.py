@@ -1,19 +1,24 @@
 """Unit tests for closed-form tau, family formulas, and obstructions."""
 
+import json
 import math
 
 import pytest
 
-from conftest import negative_hopf_data
+from conftest import invoke, negative_hopf_data
 from lsat import (
     Companion,
+    LinkAlexData,
     classify_operator,
     eps_not_minus_one,
     cable_profile,
+    generic_profile,
+    resolve_sign,
     tau_bridge_braid,
     tau_cable,
     tau_closed_form,
     tau_inequality_check,
+    tau_oracle,
     twobridge_profile,
     unlink_profile,
 )
@@ -125,34 +130,78 @@ class TestEpsPredicate:
 class TestClassifier:
     def test_identity(self):
         prof = twobridge_profile(3, 1)
-        assert classify_operator(prof.hfunction(), prof.g3) == (
+        assert classify_operator(prof.hfunction()) == (
             "identity",
             None,
         )
 
     def test_trivial(self):
         prof = unlink_profile()
-        assert classify_operator(prof.hfunction(), prof.g3) == (
+        assert classify_operator(prof.hfunction()) == (
             "trivial",
             None,
         )
 
     def test_orientation_reversing(self):
         h = negative_hopf_data().hfunction()
-        assert classify_operator(h, 0) == ("orientation_reversing", None)
+        assert classify_operator(h) == ("orientation_reversing", None)
 
     def test_whitehead_obstructed_at_r_center(self):
-        verdict, claim = classify_operator(WHITEHEAD.hfunction(), 0)
+        verdict, claim = classify_operator(WHITEHEAD.hfunction())
         assert verdict == "obstructed"
         assert "R at winding/2" in claim
 
     def test_mazur_obstructed(self):
-        verdict, _ = classify_operator(MAZUR.hfunction(), 0)
+        verdict, _ = classify_operator(MAZUR.hfunction())
         assert verdict == "obstructed"
 
-    def test_nonzero_g3_obstructed(self):
-        verdict, claim = classify_operator(WHITEHEAD.hfunction(), 1)
-        assert verdict == "obstructed" and "g3" in claim
+
+# P(K) = K # T(2,3): the Hopf link with a trefoil tied into the pattern
+# component, so l = 1 and delta2 is the trefoil's polynomial.
+TREFOIL_SUM = {
+    "linking": 1,
+    "delta_tilde": {"vars": 2, "terms": [
+        {"e": [1, -1], "c": 1}, {"e": [1, 1], "c": -1}, {"e": [1, 3], "c": 1},
+    ]},
+    "delta1": {"vars": 1, "terms": [{"e": [0], "c": 1}]},
+    "delta2": {"vars": 1, "terms": [
+        {"e": [-2], "c": 1}, {"e": [0], "c": -1}, {"e": [2], "c": 1},
+    ]},
+}
+
+
+class TestTrefoilSumPattern:
+    """A g3 > 0 pattern read from link data: g3 = 1 comes from delta2."""
+
+    prof = generic_profile(resolve_sign(LinkAlexData.from_json_obj(TREFOIL_SUM)))
+
+    def test_profile(self):
+        p = self.prof
+        assert (p.l, p.g3, p.n_width, p.r_minus, p.r_center, p.r_plus) == (
+            1, 1, 1, 1, 3, 3
+        )
+
+    def test_tau_adds_tau_of_the_trefoil(self):
+        # tau is additive under # and tau(T(2,3)) = 1 (Ozsvath-Szabo 2003).
+        points = 0
+        for eps in (-1, 0, 1):
+            for tau in range(-3, 4) if eps else (0,):
+                K = Companion(tau=tau, eps=eps)
+                for n in range(-5, 6):
+                    points += 1
+                    assert tau_closed_form(self.prof, K, n).value == tau + 1
+                    assert tau_oracle(self.prof, K, n).value == tau + 1
+        assert points == 165
+
+    def test_classify_names_g3(self, tmp_path):
+        assert classify_operator(self.prof.hfunction()) == (
+            "obstructed", "g3 = 1 != 0"
+        )
+        path = tmp_path / "trefoil_sum.json"
+        path.write_text(json.dumps(TREFOIL_SUM), encoding="utf-8")
+        result = invoke(["classify", f"json:{path}"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "obstructed\tg3 = 1 != 0\n"
 
 
 class TestInequality:

@@ -17,7 +17,7 @@ from lsat import (
     validate,
 )
 from lsat.errors import LsatError
-from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2, knot_chi_expansion
+from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
 
 
 def p1(terms):
@@ -70,8 +70,6 @@ def flipped(r, q):
     return data.replace(delta_tilde=data.delta_tilde.neg())
 
 
-TREFOIL = {2: 1, 0: -1, -2: 1}
-
 # name -> (messages produced, the exact message that must be among them)
 CASES = {
     "symmetrize first term": (
@@ -83,12 +81,6 @@ CASES = {
             p2({(-1, -1): 1, (1, 1): 1, (-1, 1): 1, (1, -1): 2})
         )),
         "coefficient at (-1/2,1/2) breaks inversion symmetry",
-    ),
-    "chi tail": (
-        lambda: raised(lambda: knot_chi_expansion(
-            p1(TREFOIL), p1(TREFOIL).degree()
-        )),
-        "tail not stabilized at depth 1: chi(0) != 1",
     ),
     "r_of_t gap": (
         lambda: raised(lambda: HFunction(flipped(3, 3)).r_of_t(0)),

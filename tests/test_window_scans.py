@@ -272,7 +272,7 @@ def test_verify_builds_each_link_once_and_scans_without_point_queries(
         assert resolve_sign(flipped(r, q)) == data
         assert validate(data.hfunction()) == []
         validate(HFunction(flipped(r, q)))
-        classify_operator(data.hfunction(), 0)
+        classify_operator(data.hfunction())
     assert point_queries == []
 
 

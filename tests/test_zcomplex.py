@@ -212,18 +212,6 @@ class TestBuildSummand:
             ):
                 build_summand(prof, Companion(tau=0, eps=0), 1)
 
-    def test_json_dump(self):
-        c = build_summand(WHITEHEAD, Companion(tau=1, eps=1), 0)
-        obj = c.to_json_obj()
-        assert set(obj) >= {"generators", "arrows"}
-        # Generators in index order, arrow ends named by index.
-        assert obj["generators"] == [
-            {"gr_w": w, "gr_z": z, "A": w - z} for w, z in c.generators
-        ]
-        assert obj["arrows"] == [
-            {"source": s, "target": t, "z_exp": k} for s, t, k in c.arrows
-        ]
-
 
 class TestSummandsArePaths:
     def test_every_summand_is_a_zigzag_path(self):
