@@ -225,7 +225,6 @@ class HFunction:
         # The zero polynomial gets a one-cell box holding 0.
         js = [j for (j, _), _ in terms] or [0]
         ks = [k for (_, k), _ in terms] or [0]
-        self._reach = data.support_extent()
         self._j_min, self._k_min = min(js), min(ks)
         self._nj = (max(js) - self._j_min) // 2 + 1
         self._nk = (max(ks) - self._k_min) // 2 + 1
@@ -239,6 +238,10 @@ class HFunction:
             for b in range(self._nk - 1, -1, -1):
                 row[b] += row[b + 1] + below[b] - below[b + 1]
         self._suffix = suffix
+        # At and past the flat edge delta_tilde has no term and H1, H2 are
+        # 0, so every column there equals H1 and every row H2.
+        top = data.linking + 2 * max(self.h1.top, self.h2.top)
+        self._edge = _snap_up(max(data.support_extent(), top), data.linking)
 
     def _at(self, t: int, r: int) -> int:
         """H at the lattice point with doubled coordinates (t, r), unchecked.
@@ -276,19 +279,22 @@ class HFunction:
             rows.append([base + h2 - quadrants[b] for h2, b in zip(h2s, cols)])
         return ds, rows
 
-    def stabilization_r(self) -> int:
-        """A doubled r beyond which every column has stabilized."""
-        return self._reach + 2
-
     def r_of_t(self, t: int) -> int:
-        """Largest r where the column at t is flat above and steps below."""
-        r = _snap_up(self.stabilization_r(), self.linking)
+        """Largest r where the column at t is flat above and steps below.
+
+        The walk goes down from the flat edge.  Below delta_tilde's support
+        the column moves with H2 alone, flat down to r = l + 2 g2, so the
+        walk jumps there; its length is bounded by the support and the genus.
+        """
+        r = self._edge
         if not self.data.on_lattice(t, r):
             raise InvalidInputError(f"{_point(t, r)} is not on the lattice")
-        limit = 4 * (r + abs(t) + 16)
+        h2_top = self.linking + 2 * self.h2.top
         # The walk goes on only while the column is flat, so H stays here.
         here = self._at(t, r)
-        for _ in range(limit):
+        while True:
+            if h2_top < r < self._k_min:
+                r = h2_top
             below = self._at(t, r - 2)
             if below == here + 1:
                 return r
@@ -297,9 +303,6 @@ class HFunction:
                     f"bounded gap violated in column t={half(t)} at r={half(r)}"
                 )
             r -= 2
-        raise NotLSpaceLinkError(
-            f"column t={half(t)} never steps; not L-space data"
-        )
 
 
 def width(data: LinkAlexData) -> int:
@@ -320,18 +323,21 @@ def validate(h: HFunction, window: Optional[int] = None) -> List[str]:
     """Check the defining properties of an L-space-link H-function.
 
     Runs on the lattice square [-window, window]^2 (doubled window; by
-    default N + 3): nonnegativity, both monotonicity and bounded-gap
-    directions, the symmetry H(t,r) + t + r = H(-t,-r), stabilization to
-    the component H-functions, -N <= l/2 <= N, the pointwise lower bound by
+    default N + 3, or |l|/2 + g + 1 with g the larger component genus when
+    that is more, so every step of H1 and H2 is inside): nonnegativity,
+    both monotonicity and bounded-gap directions, the symmetry
+    H(t,r) + t + r = H(-t,-r), -N <= l/2 <= N, the pointwise lower bound by
     H of T(2,2l) (l >= 0), and the unimodal-with-flat-ends shape of R_t.
-    The square is evaluated once, by :meth:`HFunction.grid`.  Returns the
-    failure messages, empty when every check passes.  N is :func:`width`,
-    so a knotted first component raises InvalidInputError instead.
+    Stabilization needs no check: past delta_tilde's support the formula is
+    H1(t - l/2) + H2(r - l/2), which is H1 once r >= l/2 + g2 and H2 once
+    t >= l/2 + g1.  The square is evaluated once, by :meth:`HFunction.grid`.
+    Returns the failure messages, empty when every check passes.  N is
+    :func:`width`, so a knotted first component raises InvalidInputError.
     """
     n_width = width(h.data)
-    if window is None:
-        window = n_width + 6
     l = h.linking
+    if window is None:
+        window = max(n_width + 6, abs(l) + 2 * max(h.h1.top, h.h2.top) + 2)
     ds, rows = h.grid(window)
     failures = list(_gap_failures(ds, rows))
 
@@ -341,13 +347,6 @@ def validate(h: HFunction, window: Optional[int] = None) -> List[str]:
         for r, v, v_mirror in zip(ds, row, reversed(mirror)):
             if v + (t + r) // 2 != v_mirror:
                 failures.append(f"symmetry fails at {_point(t, r)}")
-
-    edge = _snap_up(h.stabilization_r() + window, l)
-    for s in ds:
-        if h._at(s, edge) != h.h1((s - l) // 2):
-            failures.append(f"row stabilization fails at t={half(s)}")
-        if h._at(edge, s) != h.h2((s - l) // 2):
-            failures.append(f"column stabilization fails at r={half(s)}")
 
     if not -n_width <= l <= n_width:
         failures.append(f"width bound fails: N={half(n_width)}, l/2={half(l)}")

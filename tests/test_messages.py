@@ -108,13 +108,13 @@ CASES = {
         lambda: failures(link(-1, {})),
         "width bound fails: N=0, l/2=-1/2",
     ),
-    "validate row stabilization": (
+    "validate width bound with T(2,13) as P(U)": (
         lambda: failures(link(1, {}, None, torus_knot(6))),
-        "row stabilization fails at t=-5/2",
+        "width bound fails: N=0, l/2=1/2",
     ),
-    "validate column stabilization": (
+    "validate width bound at window 0": (
         lambda: failures(link(4, {}), 0),
-        "column stabilization fails at r=0",
+        "width bound fails: N=0, l/2=2",
     ),
     "profile R_center below g3": (
         lambda: raised(lambda: twobridge_profile(5, 3).replace(g3=2)),
