@@ -32,7 +32,7 @@ from .errors import (
 )
 from .genus import g3rel, g4_satellite_regime
 from .halfgrid_poly import json_int
-from .hfunction import LinkAlexData, hf_table, hf_table_tsv, resolve_sign, width
+from .hfunction import LinkAlexData, default_window, hf_table, hf_table_tsv, resolve_sign
 from .invariants import (
     classify_operator,
     tau_bridge_braid,
@@ -128,7 +128,7 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
         )
     h = prof.hfunction()
     if window is None:
-        window = (width(h.data) + 6) // 2  # whole units: floor(N + 3)
+        window = default_window(h) // 2  # whole units, rounded down
     window *= 2  # the table functions take the doubled window
     if fmt == "tsv":
         sys.stdout.write(hf_table_tsv(h, window))

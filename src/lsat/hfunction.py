@@ -238,10 +238,10 @@ class HFunction:
             for b in range(self._nk - 1, -1, -1):
                 row[b] += row[b + 1] + below[b] - below[b + 1]
         self._suffix = suffix
-        # At and past the flat edge delta_tilde has no term and H1, H2 are
-        # 0, so every column there equals H1 and every row H2.
-        top = data.linking + 2 * max(self.h1.top, self.h2.top)
-        self._edge = _snap_up(max(data.support_extent(), top), data.linking)
+        # At and past the flat edge delta_tilde has no term and H2 is 0, so
+        # H is constant along every column there.
+        self._h2_top = h2_top = data.linking + 2 * self.h2.top
+        self._edge = _snap_up(max(data.support_extent(), h2_top), data.linking)
 
     def _at(self, t: int, r: int) -> int:
         """H at the lattice point with doubled coordinates (t, r), unchecked.
@@ -282,19 +282,17 @@ class HFunction:
     def r_of_t(self, t: int) -> int:
         """Largest r where the column at t is flat above and steps below.
 
-        The walk goes down from the flat edge.  Below delta_tilde's support
-        the column moves with H2 alone, flat down to r = l + 2 g2, so the
-        walk jumps there; its length is bounded by the support and the genus.
+        Walks down from the flat edge and jumps the flat stretch between
+        delta_tilde's support and l + 2 g2, so the support and g2 bound it.
         """
         r = self._edge
         if not self.data.on_lattice(t, r):
             raise InvalidInputError(f"{_point(t, r)} is not on the lattice")
-        h2_top = self.linking + 2 * self.h2.top
         # The walk goes on only while the column is flat, so H stays here.
         here = self._at(t, r)
         while True:
-            if h2_top < r < self._k_min:
-                r = h2_top
+            if self._h2_top < r < self._k_min:
+                r = self._h2_top
             below = self._at(t, r - 2)
             if below == here + 1:
                 return r
@@ -319,25 +317,27 @@ def width(data: LinkAlexData) -> int:
     return data.delta_tilde.max_exp1()
 
 
+def default_window(h: HFunction) -> int:
+    """Doubled N + 3, or N + g2 + 1 if more: every step of H2 when |l| <= N."""
+    return width(h.data) + max(6, 2 * h.h2.top + 2)
+
+
 def validate(h: HFunction, window: Optional[int] = None) -> List[str]:
     """Check the defining properties of an L-space-link H-function.
 
-    Runs on the lattice square [-window, window]^2 (doubled window; by
-    default N + 3, or |l|/2 + g + 1 with g the larger component genus when
-    that is more, so every step of H1 and H2 is inside): nonnegativity,
-    both monotonicity and bounded-gap directions, the symmetry
-    H(t,r) + t + r = H(-t,-r), -N <= l/2 <= N, the pointwise lower bound by
-    H of T(2,2l) (l >= 0), and the unimodal-with-flat-ends shape of R_t.
-    Stabilization needs no check: past delta_tilde's support the formula is
-    H1(t - l/2) + H2(r - l/2), which is H1 once r >= l/2 + g2 and H2 once
-    t >= l/2 + g1.  The square is evaluated once, by :meth:`HFunction.grid`.
-    Returns the failure messages, empty when every check passes.  N is
-    :func:`width`, so a knotted first component raises InvalidInputError.
+    On the doubled lattice square [-window, window]^2 (by default
+    :func:`default_window`), read once by :meth:`HFunction.grid`:
+    nonnegativity, monotonicity and bounded gap both ways, the symmetry
+    H(t,r) + t + r = H(-t,-r), -N <= l/2 <= N with N = :func:`width`, the
+    lower bound by H of T(2,2l) (l >= 0) and the unimodal-with-flat-ends
+    shape of R_t.  Past delta_tilde's support H is H1 + H2, so it
+    stabilizes with no check.  Returns the failure messages, empty when
+    all pass; a knotted first component raises InvalidInputError.
     """
     n_width = width(h.data)
     l = h.linking
     if window is None:
-        window = max(n_width + 6, abs(l) + 2 * max(h.h1.top, h.h2.top) + 2)
+        window = default_window(h)
     ds, rows = h.grid(window)
     failures = list(_gap_failures(ds, rows))
 

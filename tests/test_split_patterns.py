@@ -8,8 +8,8 @@ Geom. Topol. 7, 2003).  Its H-function steps inside H2's staircase, above
 the support of delta_tilde, which is where the column walk must start.
 
 The walk itself is checked against a plain downward scan from well above
-the flat edge max(support, l + 2 max(g1, g2)), and its work is checked to
-stay bounded however large |l| is.
+the flat edge max(support, l + 2 g2), and its work, and validate's, is
+checked to stay bounded however large |l| is.
 """
 
 import json
@@ -30,10 +30,10 @@ from lsat import (
     tau_oracle,
     twobridge_data,
     validate,
-    width,
 )
 from lsat.errors import InvalidInputError
 from lsat.halfgrid_poly import MAX_DOUBLED_EXPONENT
+from lsat.hfunction import default_window
 
 
 def poly(arity, terms):
@@ -116,11 +116,39 @@ def test_split_tau_at_the_exponent_cap(tmp_path):
     assert out["closed"]["tau"] == out["oracle"]["tau"] == g
 
 
+def test_split_hfunc_table_reaches_the_staircase_top(tmp_path):
+    # R_t is g = 6 in every column, above floor(N + 3) = 3; the default
+    # window widens to N + g + 1 so the table holds it.
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(split_obj(6)), encoding="utf-8")
+    result = invoke(["hfunc", f"json:{path}", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    out = json.loads(result.stdout)
+    assert set(out["r_of_t_doubled"]) == {12}
+    assert out["rows"][0]["r_doubled"] == 14
+
+
+@pytest.mark.parametrize("linking", [10**9, -10**9])
+def test_a_huge_linking_is_refused_quickly(tmp_path, linking):
+    # |l|/2 > N = 0, so the width bound refuses it; validate's window must
+    # not grow with |l| on the way there (checked first, before any grid).
+    far = HFunction(LinkAlexData.from_json_obj(split_obj(0, linking)))
+    assert default_window(far) == 6
+    start = time.perf_counter()
+    assert f"width bound fails: N=0, l/2={linking // 2}" in validate(far)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(split_obj(0, linking)), encoding="utf-8")
+    result = invoke(["tau", f"json:{path}", "--tau", "1", "--eps", "1",
+                     "--n", "0"])
+    assert result.exit_code == 2, result.output
+    assert '"error": "InvalidInputError"' in result.stderr
+    assert time.perf_counter() - start < 5.0
+
+
 def flat_edge(data):
     """Doubled r at and past which every column is flat, snapped up."""
-    g1 = data.delta1.degree() // 2
     g2 = data.delta2.degree() // 2
-    edge = max(data.support_extent(), data.linking + 2 * max(g1, g2))
+    edge = max(data.support_extent(), data.linking + 2 * g2)
     return edge + (edge - data.linking) % 2
 
 
@@ -147,7 +175,7 @@ def test_walk_matches_a_scan_from_above_the_edge(name):
     data = build(*params)
     h = data.hfunction()
     # The t range validate reads R_t on, by default.
-    reach = width(data) + 6
+    reach = default_window(h)
     ts = range(-reach + (reach - data.linking) % 2, reach + 1, 2)
     for t in ts:
         assert h.r_of_t(t) == scanned_r(h, t), t
