@@ -10,8 +10,6 @@ from .patterns import Companion, PatternProfile
 
 def g3rel(prof: PatternProfile) -> int:
     """Relative Seifert genus in the solid torus: R_center - winding/2."""
-    if prof.l < 0:
-        raise UnsupportedRegimeError("needs winding >= 0")
     if prof.r_center is None:
         raise UnsupportedRegimeError("R_center unavailable for this profile")
     return (prof.r_center - prof.l) // 2
@@ -32,8 +30,7 @@ def g4_satellite_regime(prof: PatternProfile, K: Companion, n: int) -> Tuple[int
     if prof.l == 0 and n < 2 * K.tau:
         return g3rel(prof), "winding-zero,n<2tau"
     if prof.minimal_wrapping and n >= 0:
-        value = prof.g3 + prof.framing_shift(n) + prof.l * K.tau
-        return value, "minimal-wrapping,n>=0"
+        return g3rel_framed(prof, n) + prof.l * K.tau, "minimal-wrapping,n>=0"
     raise UnsupportedRegimeError(
         "no slice-genus formula applies to this (pattern, framing) regime"
     )
@@ -43,6 +40,6 @@ def g3rel_framed(prof: PatternProfile, n: int) -> int:
     """Relative genus with n-framed longitudes, minimal wrapping only."""
     if not prof.minimal_wrapping:
         raise UnsupportedRegimeError("formula needs minimal wrapping")
-    if n < 0 or prof.l < 0:
-        raise UnsupportedRegimeError("formula needs n >= 0 and winding >= 0")
+    if n < 0:
+        raise UnsupportedRegimeError("formula needs n >= 0")
     return prof.g3 + prof.framing_shift(n)

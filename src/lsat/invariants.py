@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .halfgrid_poly import half
-from .hfunction import HFunction, width, _point, _t22l
+from .hfunction import HFunction, default_window, width, _point, _t22l
 from .patterns import (
     Companion, PatternProfile, TauResult, bridge_braid_knot_check,
 )
@@ -37,8 +37,6 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     enters as l, so each branch is the paper's formula times two.
     """
     l, tau = prof.l, K.tau
-    if l < 0:
-        raise UnsupportedRegimeError("closed form needs winding >= 0")
     shift = 2 * prof.framing_shift(n)
     ltau = 2 * l * tau
 
@@ -123,8 +121,6 @@ def tau_bridge_braid(p: int, q: int, b: int, K: Companion) -> TauResult:
 
 def eps_not_minus_one(prof: PatternProfile, K: Companion, n: int) -> str:
     """'guaranteed' when eps of the satellite cannot be -1, else 'inconclusive'."""
-    if prof.l < 0:
-        raise UnsupportedRegimeError("predicate needs winding >= 0")
     if K.eps == 1:
         return "guaranteed"
     if K.eps == 0 and n >= 0:
@@ -165,8 +161,8 @@ def classify_operator(h: HFunction) -> Tuple[str, Optional[str]]:
             f"R one column {side} of winding/2 is {half(r_step)} != -|winding|/2",
         )
     # All scalar claims pass; the verdict needs full-table equality with
-    # the model link of the same winding on a window of radius N + 3.
-    ds, rows = h.grid(n_width + 6)
+    # the model link of the same winding on validate's window, N + 3 here.
+    ds, rows = h.grid(default_window(h))
     for t, row in zip(ds, rows):
         for r, v in zip(ds, row):
             if v != _t22l(l, t, r):

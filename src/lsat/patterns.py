@@ -33,8 +33,9 @@ class PatternProfile(Record):
     closed-form-only families.  ``n_width`` and the three R values are
     doubled ints (2N, 2R); ``l`` and ``g3`` are plain ints.  The side
     conditions, minimal wrapping and provenance are derived from these
-    fields.  The oracle keeps the arrow weights it derives and its reduced
-    summands in the ``_oracle`` slot, outside the fields.
+    fields.  The constructor is the one place that refuses a negative
+    winding, so no consumer checks it again.  The oracle keeps its reduced
+    summands in the ``_oracle`` dict, outside the fields.
     """
 
     _fields = ("l", "g3", "n_width", "r_minus", "r_center", "r_plus", "data")
@@ -69,7 +70,7 @@ class PatternProfile(Record):
         setslot(self, "r_center", r_center)
         setslot(self, "r_plus", r_plus)
         setslot(self, "data", data)
-        setslot(self, "_oracle", None)
+        setslot(self, "_oracle", {})
 
     @property
     def cond_tau(self) -> bool:
@@ -234,9 +235,10 @@ def twobridge_alexander(r: int, q: int) -> LaurentPoly2:
     return LaurentPoly2.from_terms(terms)
 
 
-# The two-bridge data and profiles are pure functions of (r, q); verify
-# rebuilds the same links in most of its checks, so each is built once per
-# process.  The bound keeps the memo small for long-lived callers.
+# The two-bridge data is a pure function of (r, q); verify rebuilds the
+# same links in most of its checks, so it is built once per process, with
+# its one HFunction, and profiles are re-read from it.  The bound keeps the
+# memo small for long-lived callers.
 _TWOBRIDGE_MEMO = 64
 
 
@@ -245,9 +247,9 @@ def twobridge_data(r: int, q: int) -> LinkAlexData:
     """Normalized, sign-resolved Alexander data of the two-bridge operator.
 
     Memoized per process on (r, q): repeated calls return the same
-    (immutable) data, which carries its one HFunction.
+    (immutable) data, which carries its one HFunction.  The parameters are
+    checked by :func:`twobridge_walk`.
     """
-    _check_twobridge(r, q)
     l = (r - q) // 2
     raw = twobridge_alexander(r, q)
     p = r * q - 1
@@ -284,15 +286,10 @@ def _profile_from_h(h: HFunction) -> PatternProfile:
 def twobridge_profile(r: int, q: int) -> PatternProfile:
     """Profile of the two-bridge operator; (r,q) and (q,r) agree.
 
-    Memoized per process on the normalized (r, q), like twobridge_data.
+    Each call reads a new profile from the memoized twobridge_data.
     """
     if q > r:
         r, q = q, r
-    return _twobridge_profile(r, q)
-
-
-@functools.lru_cache(maxsize=_TWOBRIDGE_MEMO)
-def _twobridge_profile(r: int, q: int) -> PatternProfile:
     return _profile_from_h(twobridge_data(r, q).hfunction())
 
 

@@ -160,12 +160,9 @@ def tower_alexander(c: ZComplex) -> int:
 def _weights(prof: PatternProfile) -> Dict[str, int]:
     """Z-exponents of the six structure arrows on the free quotient.
 
-    The first call keeps them in the profile's ``_oracle`` slot, as the
-    pair (weights, summand memo of :func:`tau_oracle`); a profile with a
-    negative weight keeps nothing and raises on every call.
+    A pure function of the profile's R values, read once per summand
+    build; a negative weight raises.
     """
-    if prof._oracle is not None:
-        return prof._oracle[0]
     # Doubled R values; l is 2 * (l/2) and 2 * g3 the doubled genus.
     l, g = prof.l, 2 * prof.g3
     r_minus, r_center, r_plus = prof.r_minus, prof.r_center, prof.r_plus
@@ -184,7 +181,6 @@ def _weights(prof: PatternProfile) -> Dict[str, int]:
     for name, k in out.items():
         if k < 0:
             raise InvalidInputError(f"negative arrow weight {name} = {k}")
-    setslot(prof, "_oracle", (out, {}))
     return out
 
 
@@ -308,23 +304,21 @@ def tau_oracle(prof: PatternProfile, K: Companion, n: int) -> TauResult:
 
     The summand is fixed by its case and n - 2 tau up to the translation T
     of every grading (see :func:`build_summand`), so each profile keeps,
-    in the memo of its ``_oracle`` slot, the reduced A - T and the case
-    tag per key (case, n - 2 tau).  The first call for a key builds,
-    checks and reduces the summand; later calls return their own T plus
-    the stored offset.  A call that raises stores nothing.  The summand
-    cap bounds the keys, and the memo lives as long as the profile.
+    in its ``_oracle`` dict, the reduced A - T and the case tag per key
+    (case, n - 2 tau).  The first call for a key builds, checks and
+    reduces the summand; later calls return their own T plus the stored
+    offset.  A call that raises stores nothing.  The summand cap bounds
+    the keys, and the memo lives as long as the profile.
     """
-    if prof.l < 0:
-        raise UnsupportedRegimeError("oracle needs winding >= 0")
     shift = _summand_shift(prof, K, n)
     key = (summand_case(K, n), n - 2 * K.tau)
-    hit = prof._oracle[1].get(key) if prof._oracle is not None else None
+    hit = prof._oracle.get(key)
     if hit is None:
-        c = build_summand(prof, K, n)  # its _weights call sets the slot
+        c = build_summand(prof, K, n)
         value = tower_alexander(c)
         if value % 2:
             raise VerificationError(
                 f"oracle produced non-integer tau {half(value)}"
             )
-        hit = prof._oracle[1][key] = (value // 2 - shift, c.case_tag)
+        hit = prof._oracle[key] = (value // 2 - shift, c.case_tag)
     return TauResult(value=hit[0] + shift, method="oracle", case_tag=hit[1])

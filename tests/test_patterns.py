@@ -13,6 +13,7 @@ from lsat import (
     Companion,
     HFunction,
     LinkAlexData,
+    PatternProfile,
     bridge_braid_profile,
     cable_profile,
     generic_profile,
@@ -171,6 +172,26 @@ class TestProfiles:
 
     def test_swapped_parameters_normalized(self):
         assert twobridge_profile(3, 5).l == twobridge_profile(5, 3).l
+
+    def test_the_constructor_is_the_one_winding_guard(self):
+        # No consumer re-checks the winding, so a profile with l < 0 must
+        # never be built, by the constructor or by replace.
+        msg = "profiles are normalized to winding >= 0"
+        with pytest.raises(InvalidInputError, match=msg):
+            PatternProfile(l=-1, g3=0, n_width=1, r_minus=None, r_center=1,
+                           r_plus=None)
+        with pytest.raises(InvalidInputError, match=msg):
+            twobridge_profile(5, 3).replace(l=-1)
+
+    @pytest.mark.parametrize("r, q, msg", [
+        (4, 3, "two-bridge parameters must be odd"),
+        (3, 5, r"two-bridge parameters need r >= q >= 1"),
+        (67, 3, r"two-bridge r = 67 exceeds the limit r <= 65"),
+        (1, 1, r"\(1,1\) is not a two-bridge operator"),
+    ])
+    def test_twobridge_data_refuses_bad_parameters(self, r, q, msg):
+        with pytest.raises(InvalidInputError, match=msg):
+            twobridge_data(r, q)
 
 
 class TestCableProfile:

@@ -142,11 +142,11 @@ def test_link_data_caches_stay_out_of_equality():
 def test_profile_oracle_weights_stay_out_of_equality():
     used, fresh = FROZEN["PatternProfile"](), FROZEN["PatternProfile"]()
     tau_oracle(used, Companion(tau=1, eps=1), 0)
-    assert used._oracle is not None and used._oracle[1]
+    assert used._oracle
     assert used == fresh and hash(used) == hash(fresh)
     for clone in (pickle.loads(pickle.dumps(used)), used.replace()):
         assert clone == fresh and hash(clone) == hash(fresh)
-        assert clone._oracle is None
+        assert clone._oracle == {}
 
 
 def test_replace_rebuilds_through_the_constructor():

@@ -245,7 +245,6 @@ def test_verify_builds_each_link_once_and_scans_without_point_queries(
     monkeypatch,
 ):
     lsat.patterns.twobridge_data.cache_clear()
-    lsat.patterns._twobridge_profile.cache_clear()
     walks = collections.Counter()
     point_queries = []
     walk = lsat.patterns.twobridge_walk

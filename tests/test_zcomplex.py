@@ -194,11 +194,6 @@ class TestBuildSummand:
                 res = tau_oracle(MAZUR, K, n)
                 assert isinstance(res.value, int)
 
-    def test_weights_are_computed_once_per_profile(self):
-        from lsat.zcomplex import _weights
-
-        assert _weights(MAZUR) is _weights(MAZUR)
-
     def test_negative_weight_raises_on_every_call(self):
         from lsat import PatternProfile
 
@@ -292,10 +287,14 @@ class TestTauOracle:
 
 # Two-bridge r <= 13, companions eps = +-1 with |tau| <= 4 and eps = 0,
 # framings |n| <= 12: 27 profiles x 19 companions x 25 framings.
+# One profile per (r, q), so each profile's memo sees all its points.
 GRID = [
-    (twobridge_profile(r, q), K, n)
-    for r in range(3, 14, 2)
-    for q in range(1, r + 1, 2)
+    (prof, K, n)
+    for prof in [
+        twobridge_profile(r, q)
+        for r in range(3, 14, 2)
+        for q in range(1, r + 1, 2)
+    ]
     for K in [Companion(tau=t, eps=e) for e in (-1, 1) for t in range(-4, 5)]
     + [Companion(tau=0, eps=0)]
     for n in range(-12, 13)
@@ -367,7 +366,7 @@ class TestSummandTranslation:
         monkeypatch.setattr(zcomplex, "build_summand", counting)
         fresh = {id(p): p.replace() for p, _, _ in points}  # empty memos
         copies = [(fresh[id(p)], K, n) for p, K, n in points]
-        assert all(prof._oracle is None for prof, _, _ in copies)
+        assert all(prof._oracle == {} for prof, _, _ in copies)
         assert [_outcome(lambda: oracle(*p)) for p in copies] == want
         distinct = {
             (id(p), summand_case(K, n), n - 2 * K.tau) for p, K, n in copies
@@ -384,7 +383,7 @@ class TestSummandTranslation:
         for _ in range(2):
             with pytest.raises(UnsupportedRegimeError):
                 tau_oracle(prof, Companion(tau=0, eps=-1), 0)
-        assert prof._oracle[1] == {}
+        assert prof._oracle == {}
 
 
 class TestGradingLookup:
