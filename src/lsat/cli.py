@@ -6,7 +6,8 @@ the chain-complex oracle, ``verify`` drives the cross-validation sweeps,
 ``classify`` runs the homomorphism-obstruction test, and ``genus``
 reports Thurston-norm and slice-genus quantities.
 
-The parser is stdlib ``argparse``, declared by ``OPTIONS`` and ``COMMANDS``.
+The parser reads argv by the ``OPTIONS`` and ``COMMANDS`` tables with the
+rules and words of CPython 3.11's argparse, without abbreviations or ``-h``.
 Exit codes: 0 success, 2 invalid input (usage errors on argv included),
 3 unsupported regime, 4 verification failure.  Each error prints one JSON
 object ``{"error", "message", "exit_code"}`` on stderr and nothing on
@@ -18,27 +19,22 @@ JSON.  Identical invocations produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
+# Registered lazily by the package: each runs only when a command calls it.
+from . import genus, invariants, sweeps, zcomplex
 from .errors import (
     InvalidInputError,
     LsatError,
     UnsupportedRegimeError,
     VerificationError,
 )
-from .genus import g3rel, g4_satellite_regime
 from .halfgrid_poly import json_int
 from .hfunction import LinkAlexData, default_window, hf_table, hf_table_tsv, resolve_sign
-from .invariants import (
-    classify_operator,
-    tau_bridge_braid,
-    tau_cable,
-    tau_closed_form,
-)
 from .patterns import (
     Companion,
     PatternProfile,
@@ -50,10 +46,14 @@ from .patterns import (
     parse_pattern_spec,
     twobridge_profile,
 )
-# cmd_verify reads this dict object; bench/tracer.py and the tests replace
-# its entries in place.
-from .sweeps import CHECKS as _CHECKS
-from .zcomplex import tau_oracle
+
+
+def __getattr__(name: str):
+    # _CHECKS is sweeps.CHECKS, the dict cmd_verify reads; bench/tracer.py
+    # and the tests replace its entries in place.
+    if name == "_CHECKS":
+        return sweeps.CHECKS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _Loaded = Tuple[str, Tuple[int, ...], Optional[PatternProfile]]
@@ -103,8 +103,8 @@ def _family_tau(
     """tau of an n-framed cable or braid satellite by its family formula."""
     p, q = params[:2]
     if kind == "cable":
-        return tau_cable(p, q + p * n, K)
-    return tau_bridge_braid(p, q + p * n, params[2], K)
+        return invariants.tau_cable(p, q + p * n, K)
+    return invariants.tau_bridge_braid(p, q + p * n, params[2], K)
 
 
 def _emit_json(obj) -> None:
@@ -158,9 +158,9 @@ def _tau_for(
         return [_family_tau(kind, params, K, n)]
     results: List[TauResult] = []
     if method in ("closed", "both"):
-        results.append(tau_closed_form(prof, K, n))
+        results.append(invariants.tau_closed_form(prof, K, n))
     if method in ("oracle", "both"):
-        results.append(tau_oracle(prof, K, n))
+        results.append(zcomplex.tau_oracle(prof, K, n))
     if method == "both" and results[0].value != results[1].value:
         raise VerificationError(
             f"closed form {results[0].value} != oracle {results[1].value} "
@@ -200,7 +200,7 @@ def cmd_classify(pattern: str, n: int, fmt: str) -> None:
     if n < 0:
         raise InvalidInputError("classifier applies to framings n >= 0")
     if prof is not None:
-        verdict, failed = classify_operator(prof.hfunction())
+        verdict, failed = invariants.classify_operator(prof.hfunction())
     else:
         # Refuse the parameters tau refuses (closures that are links).  The
         # (1,q) cable is the core of the solid torus, the identity operator;
@@ -225,12 +225,12 @@ def cmd_genus(
     kind, params, prof = _load_pattern(pattern)
     if prof is None:
         prof = (cable_profile if kind == "cable" else bridge_braid_profile)(*params)
-    g3r = g3rel(prof)
+    g3r = genus.g3rel(prof)
     g4: Optional[int] = None
     regime = "g3rel-only"
     if g4_eq_tau is not None:
         K = Companion(tau=g4_eq_tau, eps=1)
-        g4, regime = g4_satellite_regime(prof, K, n)
+        g4, regime = genus.g4_satellite_regime(prof, K, n)
     if fmt == "json":
         _emit_json({"g3rel": g3r, "g4": g4, "regime": regime})
         return
@@ -241,11 +241,11 @@ def cmd_genus(
 
 def cmd_verify(check: str, fmt: str) -> None:
     """Run the cross-validation sweeps; nonzero exit on any failure."""
-    names = sorted(_CHECKS) if check == "all" else [check]
+    names = sorted(sweeps.CHECKS) if check == "all" else [check]
     summary = {}
     all_failures: List[str] = []
     for name in names:
-        points, failures = _CHECKS[name]()
+        points, failures = sweeps.CHECKS[name]()
         summary[name] = {"points": points, "failures": len(failures)}
         all_failures.extend(f"{name}: {msg}" for msg in failures)
     total_points = sum(s["points"] for s in summary.values())
@@ -273,9 +273,9 @@ def cmd_verify(check: str, fmt: str) -> None:
 
 
 # Every option and argument, declared once.  Each command lists the ones it
-# takes; all of them take --format.
+# takes; all of them take --format and --help.
 OPTIONS = {
-    "pattern": {"metavar": "PATTERN",
+    "pattern": {"metavar": "PATTERN", "required": True,
                 "help": "twobridge:r,q, cable:p,q, braid:p,q,b or json:path"},
     "--window": {"type": ascii_int, "help": f"Table half-width in t (1..{MAX_WINDOW})."},
     "--tau": {"type": ascii_int, "required": True, "help": "tau of the companion."},
@@ -285,7 +285,8 @@ OPTIONS = {
     "--method": {"choices": ("closed", "oracle", "both"), "default": "closed"},
     "--g4-eq-tau": {"type": ascii_int,
                     "help": "Assert tau(K) = g4(K) equals this positive value."},
-    "--check": {"choices": ["all"] + sorted(_CHECKS), "default": "all"},
+    # Called when verify is parsed, so that no other command runs lsat.sweeps.
+    "--check": {"choices": lambda: ["all"] + sorted(sweeps.CHECKS), "default": "all"},
     "--format": {"dest": "fmt", "choices": ("tsv", "json"), "default": "tsv",
                  "help": "Output format (tsv is the human-readable table/text form)."},
 }
@@ -308,34 +309,111 @@ COMMANDS = {
     "verify": Command(cmd_verify, ("--check",)),
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise InvalidInputError: exit 2 with the JSON error."""
-
-    def error(self, message: str):
-        raise InvalidInputError(f"{self.prog}: {message}")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _parser() -> argparse.ArgumentParser:
-    # No "-h" and no abbreviations: "--meth" is refused, not read as --method.
-    settings = {"allow_abbrev": False, "add_help": False}
-    top = _Parser(prog="lsat", description=main.__doc__, **settings)
-    subs = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for command, cmd in COMMANDS.items():
-        doc = cmd.callback.__doc__
-        sub = subs.add_parser(command, help=doc, description=doc, **settings)
-        for name in cmd.options + ("--format",):
-            sub.add_argument(name, **OPTIONS[name])
-        sub.add_argument("--help", action="help", help="Show this message and exit.")
-    top.add_argument("--help", action="help", help="Show this message and exit.")
-    return top
+def _option(arg: str, names) -> Optional[Tuple[str, Optional[str]]]:
+    """None if argparse reads ARG as a value, else (the option among NAMES
+    or "" if none, the value after '=' or None)."""
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    name, eq, value = arg.partition("=")
+    if name in names:
+        return name, value if eq else None
+    return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else ("", None)
+
+
+def _choices(name: str) -> Optional[list]:
+    choices = OPTIONS[name].get("choices")
+    return choices() if callable(choices) else choices
+
+
+def _spell(name: str) -> str:
+    """NAME as help shows it: PATTERN, --tau TAU or --eps {-1,0,1}."""
+    choices = _choices(name)
+    value = "{%s}" % ",".join(choices) if choices else name[2:].upper().replace("-", "_")
+    return OPTIONS[name].get("metavar", f"{name} {value}")
+
+
+def _help(command: Optional[str]) -> None:
+    """Print the --help text of lsat, or of COMMAND, and exit 0."""
+    usage, doc = "lsat [--help] COMMAND ...", main.__doc__
+    rows = [(c, cmd.callback.__doc__) for c, cmd in COMMANDS.items()]
+    if command is not None:
+        names = COMMANDS[command].options + ("--format",)
+        usage = " ".join([f"lsat {command}"] + [
+            _spell(n) if OPTIONS[n].get("required") else f"[{_spell(n)}]" for n in names
+        ] + ["[--help]"])
+        doc = COMMANDS[command].callback.__doc__
+        rows = [(_spell(n), OPTIONS[n].get("help", "")) for n in names]
+    rows.append(("--help", "Show this message and exit."))
+    print(f"usage: {usage}\n\n{doc}\n")
+    print("\n".join(f"  {name:<20}  {text}".rstrip() for name, text in rows))
+    sys.exit(0)
+
+
+def _parse(argv: List[str]) -> Tuple[str, dict]:
+    """(command, callback keywords) of ARGV; usage errors are argparse's."""
+    command, prog, options, names = None, "lsat", (), ("--help",)
+    given, extras, at, literal, j = {}, [], None, False, 0  # at: PATTERN's index
+
+    def fail(message: str):
+        raise InvalidInputError(f"{prog}: {message}")
+
+    def check(name: str, value: str, choices) -> None:
+        if choices is not None and value not in choices:
+            fail(f"argument {name}: invalid choice: {value!r} "
+                 f"(choose from {', '.join(map(repr, choices))})")
+
+    while j < len(argv):
+        word, j = argv[j], j + 1
+        found = None if literal or word == "--" else _option(word, names)
+        if command is None and found is None and (word != "--" or j < len(argv)):
+            check("COMMAND", word, list(COMMANDS))  # argparse reads "--" here too
+            command, prog = word, f"lsat {word}"
+            options = COMMANDS[command].options + ("--format",)
+            names = options + ("--help",)
+        elif word == "--" and not literal:
+            literal = True  # every later word is a value
+            # argparse drops this "--" only right before or after PATTERN.
+            if "pattern" not in options or at not in (None, j - 2):
+                extras.append(word)
+        elif found is None and "pattern" in options and at is None:
+            given["pattern"], at = word, j - 1
+        elif not (found and found[0]):  # a second value or an unknown option
+            extras.append(word)
+        elif found[0] == "--help":
+            if found[1] is not None:
+                fail(f"argument --help: ignored explicit argument {found[1]!r}")
+            _help(command)
+        else:
+            name, value = found
+            if value is None:
+                if j == len(argv) or argv[j] == "--" or _option(argv[j], names):
+                    fail(f"argument {name}: expected one argument")
+                value, j = argv[j], j + 1
+            try:
+                given[name] = OPTIONS[name].get("type", str)(value)
+            except ValueError:
+                fail(f"argument {name}: invalid int value: {value!r}")
+            check(name, value, _choices(name))
+    if command is None:
+        fail("the following arguments are required: COMMAND")
+    missing = [OPTIONS[n].get("metavar", n) for n in options
+               if OPTIONS[n].get("required") and n not in given]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise InvalidInputError(f"lsat: unrecognized arguments: {' '.join(extras)}")
+    return command, {OPTIONS[n].get("dest", n.lstrip("-").replace("-", "_")):
+                     given.get(n, OPTIONS[n].get("default")) for n in options}
 
 
 def main(argv: Optional[List[str]] = None) -> None:
     """Concordance invariants of satellite knots from L-space operators."""
     try:
-        args = vars(_parser().parse_args(argv))
-        COMMANDS[args.pop("command")].callback(**args)
+        command, kwargs = _parse(sys.argv[1:] if argv is None else argv)
+        COMMANDS[command].callback(**kwargs)
     except LsatError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc),
                    "exit_code": exc.exit_code}

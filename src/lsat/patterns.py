@@ -379,16 +379,12 @@ def ascii_int(text: str) -> int:
     """The int written as ASCII digits with an optional sign.
 
     ``int()`` also takes underscores, surrounding whitespace and non-ASCII
-    digits; this raises ValueError on them.  Its ``__name__`` is ``int``,
-    so argparse refuses a bad value as ``invalid int value: '...'``.
+    digits; this raises ValueError on them.
     """
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
-
-
-ascii_int.__name__ = "int"
 
 
 def parse_pattern_spec(spec: str):

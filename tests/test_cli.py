@@ -318,6 +318,108 @@ class TestErrors:
         assert result.stdout.startswith("usage: lsat")
 
 
+TAU_OK = ["tau", "twobridge:3,3", "--tau", "1", "--eps", "1"]
+
+# The usage-error contract: each argv holds one fault, and its message is
+# the one the argparse-based parser gave (CPython 3.11).  Frozen data:
+# never regenerated from the code under test.
+USAGE_ERRORS = [
+    ([], "lsat: the following arguments are required: COMMAND"),
+    (["frobnicate"], "lsat: argument COMMAND: invalid choice: 'frobnicate' "
+     "(choose from 'hfunc', 'tau', 'classify', 'genus', 'verify')"),
+    (["-h"], "lsat: the following arguments are required: COMMAND"),
+    (["tau"], "lsat tau: the following arguments are required: "
+     "PATTERN, --tau, --eps"),
+    (["tau", "-h"], "lsat tau: the following arguments are required: "
+     "PATTERN, --tau, --eps"),
+    (["tau", "twobridge:3,3", "--eps", "1"],
+     "lsat tau: the following arguments are required: --tau"),
+    (["tau", "twobridge:3,3", "--tau", "x", "--eps", "1"],
+     "lsat tau: argument --tau: invalid int value: 'x'"),
+    (["tau", "twobridge:3,3", "--tau", "1", "--eps", "2"],
+     "lsat tau: argument --eps: invalid choice: '2' (choose from '-1', '0', '1')"),
+    (["verify", "--format", "xml"], "lsat verify: argument --format: "
+     "invalid choice: 'xml' (choose from 'tsv', 'json')"),
+    (["verify", "--check", "nope"], "lsat verify: argument --check: "
+     "invalid choice: 'nope' (choose from 'all', 'classifier', 'genus', "
+     "'inequality', 'oracle', 'properties', 'tables')"),
+    (TAU_OK + ["--meth", "both"], "lsat: unrecognized arguments: --meth both"),
+    (TAU_OK + ["--n"], "lsat tau: argument --n: expected one argument"),
+    (["tau", "twobridge:3,3", "--tau", "--eps", "1"],
+     "lsat tau: argument --tau: expected one argument"),
+    (["verify", "extra"], "lsat: unrecognized arguments: extra"),
+    (["--", "x"], "lsat: argument COMMAND: invalid choice: '--' "
+     "(choose from 'hfunc', 'tau', 'classify', 'genus', 'verify')"),
+    (["genus", "twobridge:3,3", "--g4-eq-tau"],
+     "lsat genus: argument --g4-eq-tau: expected one argument"),
+    (["genus", "twobridge:3,3", "--g4-eq-tau", "x"],
+     "lsat genus: argument --g4-eq-tau: invalid int value: 'x'"),
+    (["tau", "--", "x"], "lsat tau: the following arguments are required: "
+     "--tau, --eps"),
+    (["hfunc"], "lsat hfunc: the following arguments are required: PATTERN"),
+    (["hfunc", "-x"], "lsat hfunc: the following arguments are required: PATTERN"),
+    (["hfunc", "a", "b"], "lsat: unrecognized arguments: b"),
+    (["hfunc", "twobridge:3,3", "-5"], "lsat: unrecognized arguments: -5"),
+    (["hfunc", "twobridge:3,3", "--window", "٣"],
+     "lsat hfunc: argument --window: invalid int value: '٣'"),
+    (["verify", "--check"], "lsat verify: argument --check: expected one argument"),
+    (["verify", "--help=x"],
+     "lsat verify: argument --help: ignored explicit argument 'x'"),
+    (TAU_OK + ["--tau"], "lsat tau: argument --tau: expected one argument"),
+    (["tau", "twobridge:3,3", "--tau", "-x", "--eps", "1"],
+     "lsat tau: argument --tau: expected one argument"),
+    (["tau", "twobridge:3,3", "--tau=", "--eps", "1"],
+     "lsat tau: argument --tau: invalid int value: ''"),
+    (["tau", "--format=json=x", "twobridge:3,3"], "lsat tau: argument --format: "
+     "invalid choice: 'json=x' (choose from 'tsv', 'json')"),
+]
+
+
+class TestUsageContract:
+    """Usage errors, accepted argv forms and ``--help``, pinned as data."""
+
+    @pytest.mark.parametrize(
+        "argv, message", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS]
+    )
+    def test_usage_error_message(self, argv, message):
+        result = invoke(argv)
+        assert (result.exit_code, result.stdout) == (2, "")
+        payload = {"error": "InvalidInputError", "exit_code": 2, "message": message}
+        assert result.stderr == json.dumps(payload, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (TAU_OK + ["--n=-2"], TAU_OK + ["--n", "-2"]),
+        (["tau", "--tau", "1", "--eps", "1", "twobridge:3,3"], TAU_OK),
+        (TAU_OK + ["--n", "-3"], TAU_OK + ["--n=-3"]),
+        (["tau", "twobridge:3,3", "--tau", "5", "--tau", "1", "--eps", "1"], TAU_OK),
+        (["tau", "--method=both", "twobridge:5,3", "--n", "2", "--tau=0",
+          "--eps=-1", "--format=json"],
+         ["tau", "twobridge:5,3", "--tau", "0", "--eps", "-1", "--n", "2",
+          "--method", "both", "--format", "json"]),
+    ], ids=["opt=value", "positional-last", "negative-value", "last-repeat-wins",
+            "mixed"])
+    def test_accepted_forms(self, argv, same_as):
+        got, want = invoke(argv), invoke(same_as)
+        assert want.exit_code == 0, want.stderr
+        assert (got.exit_code, got.stdout, got.stderr) == (0, want.stdout, "")
+
+    @pytest.mark.parametrize("command, names", [
+        ("hfunc", ["PATTERN", "--window", "--format {tsv,json}", "--help"]),
+        ("tau", ["PATTERN", "--tau", "--eps {-1,0,1}", "--n",
+                 "--method {closed,oracle,both}", "--format {tsv,json}", "--help"]),
+        ("classify", ["PATTERN", "--n", "--format {tsv,json}", "--help"]),
+        ("genus", ["PATTERN", "--g4-eq-tau", "--n", "--format {tsv,json}", "--help"]),
+        ("verify", ["--check {all,classifier,genus,inequality,oracle,properties,"
+                    "tables}", "--format {tsv,json}", "--help"]),
+    ])
+    def test_command_help_names_every_option(self, command, names):
+        result = invoke([command, "--help"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith(f"usage: lsat {command}")
+        for name in names:
+            assert name in result.stdout, name
+
+
 class TestEntryPoint:
     def test_import_does_not_load_click(self):
         check = "import lsat.cli, sys; assert 'click' not in sys.modules"
@@ -336,8 +438,9 @@ class TestEntryPoint:
     def test_cold_start_loads_no_heavy_module(self):
         # Every op starts an interpreter, so what importing lsat.cli loads
         # is paid on each; -S keeps the site module's imports out.
-        heavy = ["click", "concurrent", "dataclasses", "decimal", "fractions",
-                 "inspect", "multiprocessing", "subprocess"]
+        heavy = ["argparse", "click", "concurrent", "dataclasses", "decimal",
+                 "fractions", "gettext", "inspect", "locale", "multiprocessing",
+                 "subprocess"]
         check = (
             "import lsat.cli, sys; "
             "print(sorted({m.partition('.')[0] for m in sys.modules} & "
@@ -346,6 +449,26 @@ class TestEntryPoint:
         proc = run_python("-S", "-c", check)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv, unexecuted", [
+        (["hfunc", "twobridge:5,3"], ["genus", "invariants", "sweeps", "zcomplex"]),
+        (["classify", "twobridge:5,3"], ["genus", "sweeps", "zcomplex"]),
+        (["tau", "twobridge:5,3", "--tau", "1", "--eps", "1", "--method", "closed"],
+         ["genus", "sweeps", "zcomplex"]),
+        (["verify", "--check", "tables"], []),
+    ], ids=["hfunc", "classify", "tau-closed", "verify"])
+    def test_a_command_executes_only_the_modules_it_runs(self, argv, unexecuted):
+        # A library module that no code has touched yet is still the lazy
+        # placeholder the package registered, not a plain module.
+        check = (
+            "import sys, types, lsat.cli; "
+            f"lsat.cli.main({argv!r}); "
+            "print(sorted(m for m in ('genus', 'invariants', 'sweeps', 'zcomplex') "
+            "if type(sys.modules['lsat.' + m]) is not types.ModuleType))"
+        )
+        proc = run_python("-S", "-c", check)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == repr(unexecuted)
 
     def test_closed_form_route_does_not_import_the_oracle(self):
         # The two tau routes stay independent: lsat.invariants must not
@@ -361,6 +484,22 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["tau", "twobridge:3,3", "--tau", "1", "--eps", "1"], ["--help"],
+    ], ids=["tau", "help"])
+    def test_console_script_call_matches_the_module_entry_point(self, argv):
+        # The installed ``lsat`` script imports lsat.cli as a module, sets
+        # sys.argv and calls main(); ``python -m`` runs it as __main__.
+        script = run_python(
+            "-c", "import sys; from lsat.cli import main; "
+            f"sys.argv = ['lsat', *{argv!r}]; sys.exit(main())"
+        )
+        module = run_python("-m", "lsat.cli", *argv)
+        assert (module.returncode, module.stderr) == (0, ""), module.stderr
+        assert (script.returncode, script.stdout, script.stderr) == (
+            0, module.stdout, ""
+        )
+
     def test_module_entry_point(self):
         ok = run_python(
             "-m", "lsat.cli", "tau", "twobridge:3,3", "--tau", "1", "--eps", "1"
@@ -371,3 +510,50 @@ class TestEntryPoint:
         assert bad.returncode == 2
         assert bad.stdout == ""
         assert json.loads(bad.stderr)["exit_code"] == 2
+
+
+# The package's public names when they were first re-exported lazily.
+PUBLIC_NAMES = [
+    "Companion", "HFunction", "LaurentPoly1", "LaurentPoly2", "LinkAlexData",
+    "PatternProfile", "TauResult", "ZComplex", "bridge_braid_profile",
+    "build_summand", "cable_profile", "classify_operator", "eps_not_minus_one",
+    "errors", "g3rel", "g3rel_framed", "g4_satellite_regime", "generic_profile",
+    "genus", "half", "halfgrid_poly", "hf_table_tsv", "hfunction", "invariants",
+    "knot_chi_expansion", "patterns", "resolve_sign", "shift", "symmetrize",
+    "tau_bridge_braid", "tau_cable", "tau_closed_form", "tau_inequality_check",
+    "tau_oracle", "tower_alexander", "twobridge_alexander", "twobridge_data",
+    "twobridge_eta", "twobridge_profile", "twobridge_walk", "unlink_data",
+    "unlink_profile", "validate", "width", "zcomplex",
+]
+
+
+class TestLibraryApi:
+    def test_public_names(self):
+        assert sorted(lsat.__all__) == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_each_name_is_its_module_object(self, name):
+        import importlib
+
+        got = getattr(lsat, name)
+        if name in lsat._MODULES:
+            assert got is importlib.import_module(f"lsat.{name}")
+        else:
+            home = importlib.import_module(f"lsat.{lsat._HOME[name]}")
+            assert got is getattr(home, name)
+            assert getattr(got, "__module__", home.__name__) == home.__name__
+
+    def test_star_import_binds_every_name(self):
+        scope = {}
+        exec("from lsat import *", scope)
+        assert sorted(set(scope) - {"__builtins__"}) == PUBLIC_NAMES
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lsat.no_such_name  # noqa: B018
+
+    def test_check_choices_are_the_sweeps_table(self):
+        from lsat import cli, sweeps
+
+        assert cli.OPTIONS["--check"]["choices"]() == ["all"] + sorted(sweeps.CHECKS)
+        assert cli._CHECKS is sweeps.CHECKS
