@@ -161,7 +161,8 @@ def classify_operator(h: HFunction) -> Tuple[str, Optional[str]]:
             f"R one column {side} of winding/2 is {half(r_step)} != -|winding|/2",
         )
     # All scalar claims pass; the verdict needs full-table equality with
-    # the model link of the same winding on validate's window, N + 3 here.
+    # the model link of the same winding on validate's window, which holds
+    # delta_tilde's support and past which H only translates.
     ds, rows = h.grid(default_window(h))
     for t, row in zip(ds, rows):
         for r, v in zip(ds, row):

@@ -133,7 +133,7 @@ class TestValidate:
     def test_injected_corruption_fails(self):
         good = twobridge_data(3, 3)
         bad = good.replace(delta_tilde=good.delta_tilde.neg())
-        assert validate(HFunction(bad), window=6)
+        assert validate(HFunction(bad))
 
 
 class TestTableExport:

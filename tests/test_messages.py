@@ -60,9 +60,9 @@ def raised(call):
     return [str(info.value)]
 
 
-def failures(data, window=None):
+def failures(data):
     """The failure list of ``validate`` on ``data``."""
-    return validate(HFunction(data), window)
+    return validate(HFunction(data))
 
 
 def flipped(r, q):
@@ -70,7 +70,10 @@ def flipped(r, q):
     return data.replace(delta_tilde=data.delta_tilde.neg())
 
 
-# name -> (messages produced, the exact message that must be among them)
+# name -> (messages produced, the exact message that must be among them).
+# The four "validate R_t" cases keep the data of the R_t checks validate
+# no longer runs; each is still refused, and the first message is pinned.
+# The "at window 0" case runs on validate's one window, as every case does.
 CASES = {
     "symmetrize first term": (
         lambda: raised(lambda: symmetrize(p2({(2, 0): 1, (0, 0): -2}))),
@@ -88,21 +91,21 @@ CASES = {
     ),
     "validate R_t undefined": (
         lambda: failures(link(-1, {(3, 3): 1})),
-        "R_t undefined: bounded gap violated in column t=-9/2 at r=3/2",
+        "monotonicity/gap fails between (-9/2,1/2) and (-9/2,3/2): step -1",
     ),
     "validate R_t decreases": (
         lambda: failures(link(-1, {(1, 3): -1, (-3, 5): -1})),
-        "R_t decreases before l/2: R_-5/2=5/2 > R_-3/2=3/2",
+        "monotonicity/gap fails between (-5/2,-9/2) and (-3/2,-9/2): step 2",
     ),
     "validate R_t increases": (
         lambda: failures(
             link(3, {(7, 3): 1, (3, -3): 1, (7, 1): 1, (3, -5): 1})
         ),
-        "R_t increases after l/2: R_5/2=-1/2 < R_7/2=3/2",
+        "monotonicity/gap fails between (1/2,-13/2) and (3/2,-13/2): step -1",
     ),
     "validate R_t not constant": (
         lambda: failures(link(-1, {(1, 3): -1, (-3, 5): -1})),
-        "R_t not constant outside [-N, N] between -5/2 and -3/2",
+        "monotonicity/gap fails between (-5/2,-9/2) and (-3/2,-9/2): step 2",
     ),
     "validate width bound": (
         lambda: failures(link(-1, {})),
@@ -113,7 +116,7 @@ CASES = {
         "width bound fails: N=0, l/2=1/2",
     ),
     "validate width bound at window 0": (
-        lambda: failures(link(4, {}), 0),
+        lambda: failures(link(4, {})),
         "width bound fails: N=0, l/2=2",
     ),
     "profile R_center below g3": (

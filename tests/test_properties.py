@@ -18,9 +18,13 @@ from lsat import (
     tau_closed_form,
     twobridge_data,
     twobridge_profile,
+    unlink_data,
+    validate,
+    width,
 )
 from lsat.errors import UnsupportedRegimeError
-from lsat.halfgrid_poly import LaurentPoly2
+from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
+from lsat.hfunction import _t22l
 from lsat.sweeps import COMPANIONS, FRAMINGS, LINK_PAIRS
 from lsat.zcomplex import tau_oracle
 
@@ -108,6 +112,86 @@ class TestHFunctionProperties:
         assert r_here <= prof.r_center
         if t < prof.l:
             assert r_here <= h.r_of_t(t + 2)
+
+
+def torus_knot(g):
+    """Alexander polynomial of T(2, 2g + 1), doubled degree 2g."""
+    return LaurentPoly1.from_terms(
+        {2 * k: (-1) ** (g - k) for k in range(-g, g + 1)}
+    )
+
+
+base_links = st.one_of(
+    st.sampled_from(
+        [(r, q) for r in range(3, 42, 2) for q in range(1, r + 1, 2)]
+    ).map(lambda rq: twobridge_data(*rq)),
+    st.integers(0, 6).map(
+        lambda g: unlink_data().replace(delta2=torus_knot(g)) if g else unlink_data()
+    ),
+)
+
+
+@st.composite
+def near_links(draw):
+    """A small valid link with 0-2 edits that may break it.
+
+    Edits: a pair of equal terms symmetric about doubled (1,1), a term (or
+    such a pair) far out in r, a linking shift of +-2, a torus-knot delta2
+    and a negated delta_tilde.  Every edit keeps the lattice coset.
+    """
+    data = draw(base_links)
+    parity = data.linking % 2
+    lattice = st.integers(-3, 3).map(lambda k: 2 * k + parity)
+    far = st.sampled_from(
+        [e for e in range(-30, 31) if abs(e) >= 10 and (e - parity) % 2 == 0]
+    )
+    for edit in draw(st.lists(st.sampled_from(
+            ["pair", "far", "linking", "delta2", "negate"]), max_size=2)):
+        terms = dict(data.delta_tilde.terms)
+        if edit in ("pair", "far"):
+            e = (draw(lattice), draw(lattice if edit == "pair" else far))
+            c = draw(st.sampled_from([-1, 1]))
+            paired = edit == "pair" or draw(st.booleans())
+            for at in {e, (2 - e[0], 2 - e[1])} if paired else {e}:
+                terms[at] = terms.get(at, 0) + c
+            data = data.replace(delta_tilde=LaurentPoly2.from_terms(terms))
+        elif edit == "linking":
+            data = data.replace(linking=data.linking + draw(st.sampled_from([-2, 2])))
+        elif edit == "delta2":
+            data = data.replace(delta2=torus_knot(draw(st.integers(1, 3))))
+        else:
+            data = data.replace(delta_tilde=data.delta_tilde.neg())
+    return data
+
+
+def removed_checks_hold(data):
+    """Whether validate accepts ``data``; if so, assert what it no longer checks.
+
+    On a grid past the flat edge: H >= H of T(2,2l), R_t defined for every
+    t, nondecreasing up to l/2, nonincreasing after it and constant outside
+    [-N, N].
+    """
+    h = HFunction(data)
+    if validate(h):
+        return False
+    l, n_width, reach = h.linking, width(data), h._edge + 4
+    ds, rows = h.grid(reach)
+    for t, row in zip(ds, rows):
+        for r, v in zip(ds, row):
+            assert v >= _t22l(l, t, r), (t, r)
+    rs = [h.r_of_t(t) for t in ds]
+    for a, b, ra, rb in zip(ds, ds[1:], rs, rs[1:]):
+        assert b > l or ra <= rb, (a, b)
+        assert a < l or ra >= rb, (a, b)
+        assert not (b <= -n_width or a >= n_width) or ra == rb, (a, b)
+    return True
+
+
+class TestValidateImpliesRemovedChecks:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(near_links())
+    def test_accepted_data_passes_the_removed_checks(self, data):
+        removed_checks_hold(data)
 
 
 class TestTauProperties:

@@ -174,7 +174,7 @@ def test_walk_matches_a_scan_from_above_the_edge(name):
     build, *params = LINKS[name]
     data = build(*params)
     h = data.hfunction()
-    # The t range validate reads R_t on, by default.
+    # The t range of validate's window.
     reach = default_window(h)
     ts = range(-reach + (reach - data.linking) % 2, reach + 1, 2)
     for t in ts:

@@ -66,18 +66,16 @@ def first_of_each(failures):
     return list(firsts.values())
 
 
-# name -> (data factory, doubled validate window or None for the default);
-# a name gives the window in whole units.
+# name -> data factory.  validate scans its one window; the names with a
+# window keep the whole-unit window the case was first pinned at.
 BROKEN = {
-    "flip(3,3) window 3": (lambda: flipped(3, 3), 6),
-    "flip(5,3)": (lambda: flipped(5, 3), None),
-    "flip(9,7)": (lambda: flipped(9, 7), None),
-    "hopf coefficient 2": (lambda: link(1, {(1, 1): 2}), None),
-    "asymmetric": (lambda: link(1, {(1, 1): 1, (3, 1): 1}), None),
-    "unstabilized window 0": (
-        lambda: link(0, {}, torus_knot(5), torus_knot(5)), 0
-    ),
-    "width below l/2": (lambda: link(3, {(1, 1): 1}), None),
+    "flip(3,3) window 3": lambda: flipped(3, 3),
+    "flip(5,3)": lambda: flipped(5, 3),
+    "flip(9,7)": lambda: flipped(9, 7),
+    "hopf coefficient 2": lambda: link(1, {(1, 1): 2}),
+    "asymmetric": lambda: link(1, {(1, 1): 1, (3, 1): 1}),
+    "unstabilized window 0": lambda: link(0, {}, torus_knot(5), torus_knot(5)),
+    "width below l/2": lambda: link(3, {(1, 1): 1}),
 }
 
 # name -> (failure count, digest of all failures, first of each kind,
@@ -85,13 +83,11 @@ BROKEN = {
 #          are None when validate refuses the data with that same text.
 PINNED = {
     "flip(3,3) window 3": (
-        7,
-        "f25d1cb94c6961f0",
+        5,
+        "514f6c8fb7f79c3d",
         [
             "monotonicity/gap fails between (-1,0) and (0,0): step 2",
             "negative value H(0,0) = -1",
-            "H < H_T(2,2l) at (0,0)",
-            "R_t undefined: bounded gap violated in column t=0 at r=1",
         ],
         (
             "Alexander data fails H-function validation: monotonicity/gap fails between (-1,0) and (0,0): step 2; "
@@ -100,14 +96,12 @@ PINNED = {
         ),
     ),
     "flip(5,3)": (
-        67,
-        "2493d665aac1cc65",
+        65,
+        "a7c0ed72fac052a7",
         [
             "monotonicity/gap fails between (-9/2,-1/2) and (-9/2,1/2): step 2",
             "negative value H(1/2,1/2) = -1",
             "symmetry fails at (-9/2,-9/2)",
-            "H < H_T(2,2l) at (1/2,1/2)",
-            "R_t undefined: bounded gap violated in column t=-9/2 at r=1/2",
         ],
         (
             "Alexander data fails H-function validation: monotonicity/gap fails between (-9/2,-1/2) and (-9/2,1/2): step 2; "
@@ -116,14 +110,12 @@ PINNED = {
         ),
     ),
     "flip(9,7)": (
-        155,
-        "2862a1967273afce",
+        142,
+        "fff90c138ed199b7",
         [
             "monotonicity/gap fails between (-13/2,-1/2) and (-13/2,1/2): step 2",
             "negative value H(1/2,1/2) = -2",
             "symmetry fails at (-13/2,-13/2)",
-            "H < H_T(2,2l) at (-3/2,1/2)",
-            "R_t undefined: bounded gap violated in column t=-13/2 at r=1/2",
         ],
         (
             "Alexander data fails H-function validation: monotonicity/gap fails between (-13/2,-1/2) and (-13/2,1/2): step 2; "
@@ -132,13 +124,11 @@ PINNED = {
         ),
     ),
     "hopf coefficient 2": (
-        57,
-        "8dee8f75880ca541",
+        40,
+        "604fa67fd70d4437",
         [
             "monotonicity/gap fails between (-7/2,-1/2) and (-7/2,1/2): step -1",
             "symmetry fails at (-7/2,-7/2)",
-            "H < H_T(2,2l) at (-7/2,-7/2)",
-            "R_t undefined: bounded gap violated in column t=-7/2 at r=1/2",
         ],
         (
             "Alexander data fails H-function validation: monotonicity/gap fails between (-7/2,-1/2) and (-7/2,1/2): step -1; "
@@ -147,13 +137,11 @@ PINNED = {
         ),
     ),
     "asymmetric": (
-        101,
-        "b6a307a529e57609",
+        70,
+        "efda05f20ea90b3f",
         [
             "monotonicity/gap fails between (-9/2,-1/2) and (-9/2,1/2): step -1",
             "symmetry fails at (-9/2,-9/2)",
-            "H < H_T(2,2l) at (-9/2,-9/2)",
-            "R_t undefined: bounded gap violated in column t=-9/2 at r=1/2",
         ],
         (
             "Alexander data fails H-function validation: monotonicity/gap fails between (-9/2,-1/2) and (-9/2,1/2): step -1; "
@@ -185,21 +173,21 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(BROKEN))
 def test_validate_failures_are_pinned(name):
-    make, window = BROKEN[name]
+    make = BROKEN[name]
     count, want_digest, firsts, refusal = PINNED[name]
     if count is None:
         with pytest.raises(InvalidInputError) as exc:
-            validate(HFunction(make()), window)
+            validate(HFunction(make()))
         assert str(exc.value) == refusal
         return
-    failures = validate(HFunction(make()), window)
+    failures = validate(HFunction(make()))
     assert first_of_each(failures) == firsts
     assert (len(failures), digest(failures)) == (count, want_digest)
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN))
 def test_generic_profile_error_is_pinned(name):
-    make, _ = BROKEN[name]
+    make = BROKEN[name]
     want = PINNED[name][3]
     if want is None:
         generic_profile(make())
@@ -335,3 +323,29 @@ def test_width_scan_on_asymmetric_data(terms, l, top, want):
     with pytest.raises(InvalidInputError) as exc:
         width(data)
     assert str(exc.value) == "first component must be an unknot"
+
+
+# l = 0, unknotted components, delta_tilde = y^-7: the term lies far below
+# the width window N + 3 in r, and the data is not symmetric.
+FAR_IN_R = {
+    "linking": 0,
+    "delta_tilde": {"vars": 2, "terms": [{"e": [0, -14], "c": 1}]},
+    "delta1": {"vars": 1, "terms": [{"e": [0], "c": 1}]},
+    "delta2": {"vars": 1, "terms": [{"e": [0], "c": 1}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [["tau", "--tau", "1", "--eps", "1"], ["classify"], ["hfunc"]]
+)
+def test_data_past_the_width_window_is_refused(tmp_path, argv):
+    path = tmp_path / "far-in-r.json"
+    path.write_text(json.dumps(FAR_IN_R), encoding="utf-8")
+    result = invoke([argv[0], f"json:{path}"] + argv[1:])
+    assert result.exit_code == 2, result.output
+    assert "symmetry fails" in result.stderr
+
+
+def test_classifier_sees_data_past_the_width_window():
+    data = LinkAlexData.from_json_obj(FAR_IN_R)
+    assert classify_operator(HFunction(data))[0] == "obstructed"
