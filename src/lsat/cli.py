@@ -19,33 +19,56 @@ JSON.  Identical invocations produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
 # Registered lazily by the package: each runs only when a command calls it.
-from . import genus, invariants, sweeps, zcomplex
+from . import genus, halfgrid_poly, hfunction, invariants, patterns, sweeps, zcomplex
 from .errors import (
     InvalidInputError,
     LsatError,
     UnsupportedRegimeError,
     VerificationError,
 )
-from .halfgrid_poly import json_int
-from .hfunction import LinkAlexData, default_window, hf_table, hf_table_tsv, resolve_sign
-from .patterns import (
-    Companion,
-    PatternProfile,
-    TauResult,
-    ascii_int,
-    bridge_braid_profile,
-    cable_profile,
-    generic_profile,
-    parse_pattern_spec,
-    twobridge_profile,
-)
+
+
+def ascii_int(text: str) -> int:
+    """The int written as ASCII digits with an optional sign.
+
+    ``int()`` also takes underscores, surrounding whitespace and non-ASCII
+    digits; this raises ValueError on them.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def parse_pattern_spec(spec: str):
+    """Parse a CLI pattern specifier into a (kind, params) tuple.
+
+    Supported: ``twobridge:r,q`` | ``cable:p,q`` | ``braid:p,q,b`` |
+    ``json:<path>``.
+    """
+    kind, sep, rest = spec.partition(":")
+    if not sep or not rest:
+        raise InvalidInputError(f"malformed pattern spec {spec!r}")
+    if kind == "json":
+        return ("json", rest)
+    try:
+        params = tuple(ascii_int(x) for x in rest.split(","))
+    except ValueError as exc:
+        raise InvalidInputError(f"non-integer parameters in {spec!r}") from exc
+    expected = {"twobridge": 2, "cable": 2, "braid": 3}
+    if kind not in expected:
+        raise InvalidInputError(f"unknown pattern family {kind!r}")
+    if len(params) != expected[kind]:
+        raise InvalidInputError(
+            f"{kind} takes {expected[kind]} parameters, got {len(params)}"
+        )
+    return (kind,) + params
 
 
 def __getattr__(name: str):
@@ -56,7 +79,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_Loaded = Tuple[str, Tuple[int, ...], Optional[PatternProfile]]
+_Loaded = Tuple[str, Tuple[int, ...], Optional["patterns.PatternProfile"]]
 
 
 def _load_pattern(spec: str) -> _Loaded:
@@ -69,10 +92,12 @@ def _load_pattern(spec: str) -> _Loaded:
     parsed = parse_pattern_spec(spec)
     kind, params = parsed[0], parsed[1:]
     if kind == "twobridge":
-        return kind, params, twobridge_profile(*params)
+        return kind, params, patterns.twobridge_profile(*params)
     if kind in ("cable", "braid"):
         return kind, params, None
     # json:<path>
+    import json
+
     path = params[0]
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -83,11 +108,11 @@ def _load_pattern(spec: str) -> _Loaded:
         raise InvalidInputError(
             f"cannot read link data from {path}: {exc}"
         ) from exc
-    data = LinkAlexData.from_json_obj(obj)
+    data = hfunction.LinkAlexData.from_json_obj(obj)
     g3 = obj.get("g3")
     if g3 is not None:
-        json_int(g3, "g3")
-    prof = generic_profile(resolve_sign(data))
+        halfgrid_poly.json_int(g3, "g3")
+    prof = patterns.generic_profile(hfunction.resolve_sign(data))
     # A supplied g3 is a claim, checked against the genus read from delta2.
     if g3 is not None and g3 != prof.g3:
         raise InvalidInputError(
@@ -98,8 +123,8 @@ def _load_pattern(spec: str) -> _Loaded:
 
 
 def _family_tau(
-    kind: str, params: Tuple[int, ...], K: Companion, n: int
-) -> TauResult:
+    kind: str, params: Tuple[int, ...], K: patterns.Companion, n: int
+) -> patterns.TauResult:
     """tau of an n-framed cable or braid satellite by its family formula."""
     p, q = params[:2]
     if kind == "cable":
@@ -108,6 +133,8 @@ def _family_tau(
 
 
 def _emit_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
@@ -128,12 +155,12 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
         )
     h = prof.hfunction()
     if window is None:
-        window = default_window(h) // 2  # whole units, rounded down
+        window = hfunction.default_window(h) // 2  # whole units, rounded down
     window *= 2  # the table functions take the doubled window
     if fmt == "tsv":
-        sys.stdout.write(hf_table_tsv(h, window))
+        sys.stdout.write(hfunction.hf_table_tsv(h, window))
         return
-    coords, rows = hf_table(h, window)
+    coords, rows = hfunction.hf_table(h, window)
     _emit_json(
         {
             "linking": h.linking,
@@ -145,8 +172,8 @@ def cmd_hfunc(pattern: str, window: Optional[int], fmt: str) -> None:
 
 
 def _tau_for(
-    loaded: _Loaded, K: Companion, n: int, method: str
-) -> List[TauResult]:
+    loaded: _Loaded, K: patterns.Companion, n: int, method: str
+) -> List[patterns.TauResult]:
     """Evaluate tau by the requested method(s); raise on both-mismatch."""
     kind, params, prof = loaded
     if prof is None:
@@ -156,7 +183,7 @@ def _tau_for(
                 "patterns support the closed form only"
             )
         return [_family_tau(kind, params, K, n)]
-    results: List[TauResult] = []
+    results: List[patterns.TauResult] = []
     if method in ("closed", "both"):
         results.append(invariants.tau_closed_form(prof, K, n))
     if method in ("oracle", "both"):
@@ -174,7 +201,7 @@ def cmd_tau(
 ) -> None:
     """tau of the satellite of PATTERN along a companion with the given data."""
     loaded = _load_pattern(pattern)
-    K = Companion(tau=tau, eps=int(eps))
+    K = patterns.Companion(tau=tau, eps=int(eps))
     results = _tau_for(loaded, K, n, method)
     if fmt == "json":
         if len(results) == 2:
@@ -206,7 +233,7 @@ def cmd_classify(pattern: str, n: int, fmt: str) -> None:
         # (1,q) cable is the core of the solid torus, the identity operator;
         # every other valid cable or braid has winding >= 2, which a
         # homomorphism-inducing operator cannot have.
-        _family_tau(kind, params, Companion(tau=0, eps=0), n)
+        _family_tau(kind, params, patterns.Companion(tau=0, eps=0), n)
         p = params[0]
         verdict, failed = (
             ("identity", None) if p == 1
@@ -224,12 +251,13 @@ def cmd_genus(
     """Relative Seifert genus and (optionally) satellite slice genus."""
     kind, params, prof = _load_pattern(pattern)
     if prof is None:
-        prof = (cable_profile if kind == "cable" else bridge_braid_profile)(*params)
+        prof = (patterns.cable_profile if kind == "cable"
+                else patterns.bridge_braid_profile)(*params)
     g3r = genus.g3rel(prof)
     g4: Optional[int] = None
     regime = "g3rel-only"
     if g4_eq_tau is not None:
-        K = Companion(tau=g4_eq_tau, eps=1)
+        K = patterns.Companion(tau=g4_eq_tau, eps=1)
         g4, regime = genus.g4_satellite_regime(prof, K, n)
     if fmt == "json":
         _emit_json({"g3rel": g3r, "g4": g4, "regime": regime})
@@ -415,6 +443,8 @@ def main(argv: Optional[List[str]] = None) -> None:
         command, kwargs = _parse(sys.argv[1:] if argv is None else argv)
         COMMANDS[command].callback(**kwargs)
     except LsatError as exc:
+        import json
+
         payload = {"error": type(exc).__name__, "message": str(exc),
                    "exit_code": exc.exit_code}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)

@@ -374,39 +374,3 @@ def generic_profile(data: LinkAlexData) -> PatternProfile:
         )
     return _profile_from_h(h)
 
-
-def ascii_int(text: str) -> int:
-    """The int written as ASCII digits with an optional sign.
-
-    ``int()`` also takes underscores, surrounding whitespace and non-ASCII
-    digits; this raises ValueError on them.
-    """
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid integer {text!r}")
-    return int(text)
-
-
-def parse_pattern_spec(spec: str):
-    """Parse a CLI pattern specifier into a (kind, params) tuple.
-
-    Supported: ``twobridge:r,q`` | ``cable:p,q`` | ``braid:p,q,b`` |
-    ``json:<path>``.
-    """
-    kind, sep, rest = spec.partition(":")
-    if not sep or not rest:
-        raise InvalidInputError(f"malformed pattern spec {spec!r}")
-    if kind == "json":
-        return ("json", rest)
-    try:
-        params = tuple(ascii_int(x) for x in rest.split(","))
-    except ValueError as exc:
-        raise InvalidInputError(f"non-integer parameters in {spec!r}") from exc
-    expected = {"twobridge": 2, "cable": 2, "braid": 3}
-    if kind not in expected:
-        raise InvalidInputError(f"unknown pattern family {kind!r}")
-    if len(params) != expected[kind]:
-        raise InvalidInputError(
-            f"{kind} takes {expected[kind]} parameters, got {len(params)}"
-        )
-    return (kind,) + params

@@ -420,6 +420,11 @@ class TestUsageContract:
             assert name in result.stdout, name
 
 
+# Every library module but lsat.errors, which lsat.cli imports itself.
+LIBRARY = ["genus", "halfgrid_poly", "hfunction", "invariants", "patterns",
+           "sweeps", "zcomplex"]
+
+
 class TestEntryPoint:
     def test_import_does_not_load_click(self):
         check = "import lsat.cli, sys; assert 'click' not in sys.modules"
@@ -450,25 +455,43 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
-    @pytest.mark.parametrize("argv, unexecuted", [
-        (["hfunc", "twobridge:5,3"], ["genus", "invariants", "sweeps", "zcomplex"]),
-        (["classify", "twobridge:5,3"], ["genus", "sweeps", "zcomplex"]),
-        (["tau", "twobridge:5,3", "--tau", "1", "--eps", "1", "--method", "closed"],
-         ["genus", "sweeps", "zcomplex"]),
-        (["verify", "--check", "tables"], []),
-    ], ids=["hfunc", "classify", "tau-closed", "verify"])
-    def test_a_command_executes_only_the_modules_it_runs(self, argv, unexecuted):
-        # A library module that no code has touched yet is still the lazy
-        # placeholder the package registered, not a plain module.
+    def test_import_runs_no_library_module_and_loads_no_json(self):
+        # lsat.cli binds the library modules as the package's lazy
+        # placeholders and imports json only where it writes or reads JSON.
         check = (
             "import sys, types, lsat.cli; "
-            f"lsat.cli.main({argv!r}); "
-            "print(sorted(m for m in ('genus', 'invariants', 'sweeps', 'zcomplex') "
-            "if type(sys.modules['lsat.' + m]) is not types.ModuleType))"
+            "print('json' in sys.modules, sorted(m for m in (*lsat._MODULES, 'sweeps') "
+            "if type(sys.modules['lsat.' + m]) is types.ModuleType))"
         )
         proc = run_python("-S", "-c", check)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == repr(unexecuted)
+        assert proc.stdout == "False ['errors']\n"
+
+    @pytest.mark.parametrize("argv, code, unexecuted", [
+        (["hfunc", "twobridge:5,3"], 0, ["genus", "invariants", "sweeps", "zcomplex"]),
+        (["classify", "twobridge:5,3"], 0, ["genus", "sweeps", "zcomplex"]),
+        (["tau", "twobridge:5,3", "--tau", "1", "--eps", "1", "--method", "closed"],
+         0, ["genus", "sweeps", "zcomplex"]),
+        (["verify", "--check", "tables"], 0, []),
+        (["--help"], 0, LIBRARY),
+        (["frobnicate"], 2, LIBRARY),
+        (["tau", "twobridge:x,1", "--tau", "0", "--eps", "0"], 2, LIBRARY),
+        (["hfunc", "twobridge:3,3", "--window", "0"], 2, LIBRARY),
+        (["classify", "json:no-such-dir/link.json"], 2, LIBRARY),
+    ], ids=["hfunc", "classify", "tau-closed", "verify", "help", "unknown-command",
+            "bad-spec", "bad-window", "unreadable-json"])
+    def test_a_command_executes_only_the_modules_it_runs(self, argv, code, unexecuted):
+        # A library module that no code has touched yet is still the lazy
+        # placeholder the package registered, not a plain module.
+        check = (
+            "import sys, types, lsat.cli\n"
+            f"try:\n    lsat.cli.main({argv!r}); code = 0\n"
+            "except SystemExit as exc:\n    code = exc.code\n"
+            f"print(code, sorted(m for m in {LIBRARY!r} "
+            "if type(sys.modules['lsat.' + m]) is not types.ModuleType))"
+        )
+        proc = run_python("-S", "-c", check)
+        assert proc.stdout.splitlines()[-1] == f"{code} {unexecuted!r}", proc.stderr
 
     def test_closed_form_route_does_not_import_the_oracle(self):
         # The two tau routes stay independent: lsat.invariants must not

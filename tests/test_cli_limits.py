@@ -115,18 +115,19 @@ def test_classify_json_reuses_the_profile_hfunction(tmp_path, monkeypatch):
     builds = []
     built_by_profile = []
     init = lsat.HFunction.__init__
+    profile = lsat.generic_profile
 
     def counting_init(self, data):
         builds.append(data)
         init(self, data)
 
     def marking_profile(*args, **kwargs):
-        prof = lsat.generic_profile(*args, **kwargs)
+        prof = profile(*args, **kwargs)
         built_by_profile.append(len(builds))
         return prof
 
     monkeypatch.setattr(lsat.HFunction, "__init__", counting_init)
-    monkeypatch.setattr(lsat.cli, "generic_profile", marking_profile)
+    monkeypatch.setattr(lsat.patterns, "generic_profile", marking_profile)
     obj = dict(twobridge_data(21, 13).to_json_obj(), g3=0)
     path = _link_json(tmp_path, obj)
     result = invoke(["classify", f"json:{path}"])

@@ -27,10 +27,9 @@ from lsat import (
     unlink_data,
     unlink_profile,
 )
-from lsat.cli import _load_pattern
+from lsat.cli import _load_pattern, parse_pattern_spec
 from lsat.errors import InvalidInputError
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2, shift
-from lsat.patterns import parse_pattern_spec
 from lsat.sweeps import LINK_PAIRS
 
 
