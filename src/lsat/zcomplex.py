@@ -13,9 +13,9 @@ companion-eps regime, a zig-zag path stated by its arrow weights alone:
 one anchor generator fixes its absolute Alexander gradings and arrow
 homogeneity propagates them.  It then computes the Alexander grading of
 the free part of homology over the PID F2[Z] by a graded Smith reduction.
-The free part must have rank exactly one; its grading is tau.  Every grading of a summand carries the same translation
-T = l(l-1)n/2 + l tau, so the oracle reduces each summand shape once per
-profile and adds T.
+The free part must have rank exactly one; its grading is tau.  Every
+grading of a summand carries the same translation T = l(l-1)n/2 + l tau,
+so the oracle reduces each summand shape once per profile and adds T.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
-from .halfgrid_poly import Record, half, setslot
+from .halfgrid_poly import Record, setslot
 from .patterns import Companion, PatternProfile, TauResult
 
 # Largest oracle summand, in sources: every case builds |n - 2 tau| of them
@@ -309,16 +309,14 @@ def tau_oracle(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     reduces the summand; later calls return their own T plus the stored
     offset.  A call that raises stores nothing.  The summand cap bounds
     the keys, and the memo lives as long as the profile.
+
+    The doubled grading gr_w - gr_z is even at every generator, so tau is
+    an integer: :func:`_zigzag` sets each gr_z to gr_w - 2A with A an int.
     """
     shift = _summand_shift(prof, K, n)
     key = (summand_case(K, n), n - 2 * K.tau)
     hit = prof._oracle.get(key)
     if hit is None:
         c = build_summand(prof, K, n)
-        value = tower_alexander(c)
-        if value % 2:
-            raise VerificationError(
-                f"oracle produced non-integer tau {half(value)}"
-            )
-        hit = prof._oracle[key] = (value // 2 - shift, c.case_tag)
+        hit = prof._oracle[key] = (tower_alexander(c) // 2 - shift, c.case_tag)
     return TauResult(value=hit[0] + shift, method="oracle", case_tag=hit[1])

@@ -23,6 +23,7 @@ import lsat
 from lsat import LinkAlexData
 from lsat.cli import main
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2, half
+from lsat.patterns import MAX_TWOBRIDGE_R
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,15 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
         [sys.executable, *args], capture_output=True, text=True, timeout=30,
         env=env,
     )
+
+
+def two_bridge_pairs(max_r: int):
+    """Two-bridge (r, q) with odd 1 <= q <= r <= max_r, except (1, 1)."""
+    return [(r, q) for r in range(3, max_r + 1, 2) for q in range(1, r + 1, 2)]
+
+
+# Every pair the two-bridge family accepts (560 at MAX_TWOBRIDGE_R = 65).
+TWOBRIDGE_PAIRS = two_bridge_pairs(MAX_TWOBRIDGE_R)
 
 
 def grid(doubled_lo: int, doubled_hi: int):

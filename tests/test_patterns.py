@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from conftest import twobridge_alexander_closed
+from conftest import TWOBRIDGE_PAIRS, twobridge_alexander_closed
 from lsat import (
     Companion,
     HFunction,
@@ -80,8 +80,9 @@ class TestEta:
         assert twobridge_eta(2, 1, 1) == 1
 
     def test_linking_from_odd_signs(self):
-        # Sum of eta over odd indices equals the linking number (r-q)/2.
-        for r, q in LINK_PAIRS:
+        # Sum of eta over odd indices equals the linking number (r-q)/2,
+        # on every accepted pair.
+        for r, q in TWOBRIDGE_PAIRS:
             p = r * q - 1
             total = sum(
                 twobridge_eta(p, q, 2 * k + 1) for k in range(p // 2)
@@ -103,7 +104,9 @@ class TestWalk:
         assert len(twobridge_walk(3, 3)) == 4
 
     def test_point_count(self):
-        for r, q in LINK_PAIRS:
+        # (rq-1)/2 distinct points on every accepted pair; the walk itself
+        # does not recheck this.
+        for r, q in TWOBRIDGE_PAIRS:
             pts = twobridge_walk(r, q)
             assert len(pts) == (r * q - 1) // 2
             assert len(set(pts)) == len(pts)

@@ -10,17 +10,10 @@ independent of the suffix-sum algorithm too.
 
 import pytest
 
+from conftest import two_bridge_pairs
 from lsat import HFunction, twobridge_data, unlink_data, width
 from lsat.halfgrid_poly import LaurentPoly1
 from lsat.hfunction import _KnotH
-
-
-def two_bridge_pairs(max_r):
-    return [
-        (r, q)
-        for r in range(3, max_r + 1, 2)
-        for q in range(1, r + 1, 2)
-    ]
 
 
 def reference_table(data, coords):

@@ -16,7 +16,7 @@ import pytest
 
 import lsat.hfunction
 import lsat.patterns
-from conftest import invoke
+from conftest import invoke, two_bridge_pairs
 from lsat import (
     HFunction,
     LinkAlexData,
@@ -195,10 +195,6 @@ def test_generic_profile_error_is_pinned(name):
     with pytest.raises(InvalidInputError) as exc:
         generic_profile(make())
     assert str(exc.value) == want
-
-
-def two_bridge_pairs(max_r):
-    return [(r, q) for r in range(3, max_r + 1, 2) for q in range(1, r + 1, 2)]
 
 
 GRID_CASES = {

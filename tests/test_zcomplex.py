@@ -247,6 +247,8 @@ class TestSummandsArePaths:
             gr_w = [w for w, _ in c.generators]
             assert set(gr_w) <= {0, 1}, (prof, K, n)
             assert all(a != b for a, b in zip(gr_w, gr_w[1:])), (prof, K, n)
+            # gr_w - gr_z = 2A with A an int, so tau_oracle halves exactly.
+            assert all((w - z) % 2 == 0 for w, z in c.generators), (prof, K, n)
         # Every sweep profile meets cond_tau, so no point is refused, and
         # every shape is built.
         assert len(points) == 1089 + 165
