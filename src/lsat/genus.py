@@ -10,8 +10,6 @@ from .patterns import Companion, PatternProfile
 
 def g3rel(prof: PatternProfile) -> int:
     """Relative Seifert genus in the solid torus: R_center - winding/2."""
-    if prof.r_center is None:
-        raise UnsupportedRegimeError("R_center unavailable for this profile")
     return (prof.r_center - prof.l) // 2
 
 

@@ -22,11 +22,7 @@ from .patterns import (
 
 
 def _as_tau(doubled: int, case_tag: str) -> TauResult:
-    """The tau of a doubled value; it must be whole."""
-    if doubled % 2:
-        raise InvalidInputError(
-            f"closed form produced a non-integer tau {half(doubled)} ({case_tag})"
-        )
+    """The tau of a doubled value, even since the R values lie on l/2 + Z."""
     return TauResult(doubled // 2, "closed-form", case_tag)
 
 
@@ -42,10 +38,7 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
 
     if K.eps == 1:
         if n < 2 * tau:
-            prof.require("r_center")
-            return _as_tau(
-                prof.r_center - l + shift + ltau, "eps=1,n<2tau"
-            )
+            return _as_tau(prof.r_center - l + shift + ltau, "eps=1,n<2tau")
         return _as_tau(2 * prof.g3 + shift + ltau, "eps=1,n>=2tau")
 
     if K.eps == 0:
@@ -55,7 +48,7 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
             raise UnsupportedRegimeError(
                 "eps=0 with n<0 needs the R_{l/2-1} condition"
             )
-        prof.require("r_minus", "r_center")
+        prof.require("r_minus")
         return _as_tau(
             max(prof.r_minus + l, prof.r_center - l) + shift,
             "eps=0,n<0",
@@ -65,17 +58,15 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     if not prof.cond_tau:
         raise UnsupportedRegimeError("eps=-1 needs the R_{l/2-1} condition")
     if n < 2 * tau:
-        prof.require("r_minus", "r_center")
+        prof.require("r_minus")
         return _as_tau(
-            max(prof.r_minus + l, prof.r_center - l)
-            + shift + ltau,
+            max(prof.r_minus + l, prof.r_center - l) + shift + ltau,
             "eps=-1,n<2tau",
         )
     if n == 2 * tau:
         prof.require("r_minus", "r_plus")
         return _as_tau(
-            max(prof.r_minus + l, prof.r_plus - l)
-            + shift + ltau,
+            max(prof.r_minus + l, prof.r_plus - l) + shift + ltau,
             "eps=-1,n=2tau",
         )
     if n == 2 * tau + 1:

@@ -29,40 +29,47 @@ class PatternProfile(Record):
     """Scalar data of a pattern operator used by every closed form.
 
     ``r_minus``, ``r_center``, ``r_plus`` are the R values at winding/2 - 1,
-    winding/2 and winding/2 + 1; any of them may be unavailable (None) for
-    closed-form-only families.  ``n_width`` and the three R values are
+    winding/2 and winding/2 + 1.  ``n_width`` and the three R values are
     doubled ints (2N, 2R); ``l`` and ``g3`` are plain ints.  The side
     conditions, minimal wrapping and provenance are derived from these
-    fields.  The constructor is the one place that refuses a negative
-    winding, so no consumer checks it again.  The oracle keeps its reduced
-    summands in the ``_oracle`` dict, outside the fields.
+    fields.  The constructor is the one guard of three invariants, so no
+    consumer checks them again: the winding is >= 0; ``r_center`` is
+    always given, and ``r_minus`` and ``r_plus`` both or neither (braided
+    families give neither); the width and every R value lie on the coset
+    l/2 + Z, so each doubled value is congruent to l mod 2.  The oracle
+    keeps its reduced summands in the ``_oracle`` dict, outside the fields.
     """
 
     _fields = ("l", "g3", "n_width", "r_minus", "r_center", "r_plus", "data")
     __slots__ = _fields + ("_oracle",)
 
     def __init__(self, l: int, g3: int, n_width: int, r_minus: Optional[int],
-                 r_center: Optional[int], r_plus: Optional[int],
+                 r_center: int, r_plus: Optional[int],
                  data: Optional[LinkAlexData] = None):
         if l < 0:
             raise InvalidInputError("profiles are normalized to winding >= 0")
         if g3 < 0:
             raise InvalidInputError("negative Seifert genus")
-        if r_center is not None:
-            for other in (r_minus, r_plus):
-                if other is not None and other > r_center:
-                    raise InvalidInputError(
-                        "R at the winding/2 column must be maximal"
-                    )
-            excess = r_center - l - 2 * g3
-            if excess < 0:
+        if r_center is None:
+            raise InvalidInputError("every profile needs r_center")
+        if (r_minus is None) != (r_plus is None):
+            raise InvalidInputError("r_minus and r_plus come as a pair")
+        for name, value in (("n_width", n_width), ("r_minus", r_minus),
+                            ("r_center", r_center), ("r_plus", r_plus)):
+            if value is not None and (value - l) % 2:
                 raise InvalidInputError(
-                    f"R_center - l/2 = {half(r_center - l)} < g3 = {g3}"
+                    f"{name} = {half(value)} is off the lattice l/2 + Z"
                 )
-            if n_width == l and excess != 0:
-                raise InvalidInputError(
-                    "minimal wrapping forces R_center - l/2 = g3"
-                )
+        for other in (r_minus, r_plus):
+            if other is not None and other > r_center:
+                raise InvalidInputError("R at the winding/2 column must be maximal")
+        excess = r_center - l - 2 * g3
+        if excess < 0:
+            raise InvalidInputError(
+                f"R_center - l/2 = {half(r_center - l)} < g3 = {g3}"
+            )
+        if n_width == l and excess != 0:
+            raise InvalidInputError("minimal wrapping forces R_center - l/2 = g3")
         setslot(self, "l", l)
         setslot(self, "g3", g3)
         setslot(self, "n_width", n_width)

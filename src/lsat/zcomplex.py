@@ -157,33 +157,6 @@ def tower_alexander(c: ZComplex) -> int:
     return w - z
 
 
-def _weights(prof: PatternProfile) -> Dict[str, int]:
-    """Z-exponents of the six structure arrows on the free quotient.
-
-    A pure function of the profile's R values, read once per summand
-    build; a negative weight raises.
-    """
-    # Doubled R values; l is 2 * (l/2) and 2 * g3 the doubled genus.
-    l, g = prof.l, 2 * prof.g3
-    r_minus, r_center, r_plus = prof.r_minus, prof.r_center, prof.r_plus
-    out = {}
-    if r_center is not None:
-        out["sigma"] = (r_center - l - g) // 2
-        out["tau"] = (r_center + l - g) // 2
-    if r_minus is not None:
-        out["tau_minus"] = (r_minus + l - g) // 2
-        if r_center is not None:
-            out["w"] = (r_center - r_minus) // 2
-    if r_plus is not None:
-        out["sigma_plus"] = (r_plus - l - g) // 2
-        if r_center is not None:
-            out["z"] = (r_center - r_plus) // 2
-    for name, k in out.items():
-        if k < 0:
-            raise InvalidInputError(f"negative arrow weight {name} = {k}")
-    return out
-
-
 def _zigzag(weights: Sequence[int], first_sink: bool, at: int, anchor: int,
             case_tag: str) -> ZComplex:
     """The path 0 - 1 - ... - len(weights), whose generators alternate.
@@ -215,9 +188,15 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
     The case, one of ``eps1``, ``eps0_pos``, ``eps0_neg``, ``epsm1``, is
     :func:`summand_case` of (K, n).  One anchor generator per case gets
     its Alexander grading from the proof-stated value; every other grading
-    follows from arrow homogeneity.  Where a second endpoint grading is
-    also stated, it is asserted rather than assumed.  A summand of more
-    than ``MAX_SUMMAND_SOURCES`` sources is refused before it is built.
+    follows from arrow homogeneity.  A summand of more than
+    ``MAX_SUMMAND_SOURCES`` sources is refused before it is built.
+
+    The arrow weights are read from the profile's R values, whose
+    constructor keeps them on l/2 + Z with R_center maximal and at least
+    g3 + l/2: so sigma = R_center - l/2 - g3, tau = sigma + l and the
+    weights W, Z of the n > 2 tau ends are whole and >= 0.  Only the
+    two n <= 2 tau branches read tau_minus = R_- + l/2 - g3 and
+    sigma_plus = R_+ - l/2 - g3, and refuse a negative one.
 
     Each branch states its anchor at T = 0 and adds the one translation
     T = l(l-1)n/2 + l tau, which homogeneity carries to every generator.
@@ -234,12 +213,12 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
             f"{MAX_SUMMAND_SOURCES}"
         )
     shift = _summand_shift(prof, K, n)
-    wts = _weights(prof)
     case = summand_case(K, n)
+    # Doubled R values: l is 2 * (l/2); c is sigma and a is tau.
+    c = (prof.r_center - l) // 2 - g
+    a = c + l
 
     if case in ("eps1", "eps0_pos"):
-        prof.require("r_center")
-        a, c = wts["tau"], wts["sigma"]
         anchor = g + shift
         if n >= 2 * tau:
             # k sources with weight-a arrows left and weight-c arrows
@@ -256,11 +235,17 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
     if not prof.cond_tau:
         what = "eps=0 with n<0" if case == "eps0_neg" else "eps=-1"
         raise UnsupportedRegimeError(f"{what} needs the R_{{l/2-1}} condition")
-    prof.require("r_minus", "r_center", "r_plus")
-    a, c = wts["tau"], wts["sigma"]
-    am, cp = wts["tau_minus"], wts["sigma_plus"]
+    prof.require("r_minus", "r_plus")
     v_a = (prof.r_minus + l) // 2 + shift
     k = 2 * tau - n
+    if k >= 0:  # eps0_neg (tau = 0) and eps = -1 with n <= 2tau
+        am = (prof.r_minus + l) // 2 - g
+        cp = (prof.r_plus - l) // 2 - g
+        for name, weight in (("tau_minus", am), ("sigma_plus", cp)):
+            if weight < 0:
+                raise InvalidInputError(
+                    f"negative arrow weight {name} = {weight}"
+                )
     if case == "eps0_neg":
         # Mirrored arrangement: the anchor generator v (one column left of
         # the winding/2 column) is LEFTMOST and the middle sources point
@@ -279,16 +264,9 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
     # cone of w1 onto the two off-center sinks.
     k = n - 2 * tau
     tag = "eps=-1,n=2tau+1" if k == 1 else "eps=-1,n>2tau+1"
-    weights = [wts["w"]] + [c, a] * (k - 1) + [wts["z"]]
-    summand = _zigzag(weights, True, 0, v_a, tag)
-    if k == 1:
-        stated, what = (prof.r_plus + l) // 2, "cone endpoint"
-    else:
-        stated, what = g + l, "interior sink"
-    _, gr_z = summand.generators[2]  # the sink after w1: u or m1
-    if gr_z != -2 * (stated + shift):
-        raise VerificationError(f"{what} grading disagrees with the stated value")
-    return summand
+    w = (prof.r_center - prof.r_minus) // 2
+    z = (prof.r_center - prof.r_plus) // 2
+    return _zigzag([w] + [c, a] * (k - 1) + [z], True, 0, v_a, tag)
 
 
 def summand_case(K: Companion, n: int) -> str:

@@ -97,6 +97,33 @@ class TestTau:
         result = invoke(["tau", "twobridge:5,3", "--tau", "1", "--eps", "0"])
         assert result.exit_code == 2
 
+    # Accepted L-space link data (linking 2, delta2 the trefoil) whose
+    # R_{l/2-1} fails cond_tau: l = 2, g3 = 1, doubled R values 0, 4, 4.
+    COND_TAU_FAILS = {
+        "linking": 2,
+        "delta_tilde": {"vars": 2, "terms": [{"e": [0, -2], "c": 1},
+                                             {"e": [2, 4], "c": 1}]},
+        "delta1": {"vars": 1, "terms": [{"e": [0], "c": 1}]},
+        "delta2": {"vars": 1, "terms": [{"e": [-2], "c": 1}, {"e": [0], "c": -1},
+                                        {"e": [2], "c": 1}]},
+    }
+
+    @pytest.mark.parametrize("eps, tau, n", [
+        ("-1", "1", "0"), ("-1", "0", "0"), ("-1", "0", "3"), ("0", "0", "-2"),
+    ])
+    def test_oracle_refuses_as_the_closed_form_where_cond_tau_fails(
+            self, tmp_path, eps, tau, n):
+        path = tmp_path / "cond-tau.json"
+        path.write_text(json.dumps(self.COND_TAU_FAILS))
+        messages = set()
+        for method in ("oracle", "closed"):
+            result = invoke(["tau", f"json:{path}", "--tau", tau, "--eps", eps,
+                             "--n", n, "--method", method])
+            assert result.exit_code == 3, method
+            messages.add(json.loads(result.stderr.splitlines()[-1])["message"])
+        what = "eps=-1" if eps == "-1" else "eps=0 with n<0"
+        assert messages == {f"{what} needs the R_{{l/2-1}} condition"}
+
     def test_unsupported_regime_exit_3(self):
         # eps=-1 on a cable profile has no closed form through this path,
         # but the family formula applies; use a generic unsupported case:
@@ -284,6 +311,17 @@ class TestErrors:
     def test_missing_file_exit_2(self):
         result = invoke(["hfunc", "json:/does/not/exist.json"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("name", ["delta1", "delta2"])
+    def test_component_not_a_knot_polynomial_exit_2(self, tmp_path, name):
+        obj = unlink_data().to_json_obj()
+        obj[name] = {"vars": 1, "terms": [{"e": [0], "c": 3}]}
+        path = tmp_path / "link.json"
+        path.write_text(json.dumps(obj))
+        result = invoke(["tau", f"json:{path}", "--tau", "1", "--eps", "1"])
+        assert result.exit_code == 2
+        payload = json.loads(result.stderr.splitlines()[-1])
+        assert payload["message"] == f"{name}(1) must be +-1"
 
     def test_error_payload_is_json(self):
         result = invoke(["hfunc", "cable:2,1"])

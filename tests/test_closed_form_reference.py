@@ -44,11 +44,8 @@ def reference_cond_eps(prof: PatternProfile) -> bool:
 
 
 def _as_tau(value: Fraction, case_tag: str) -> TauResult:
-    # str(Fraction) prints a half-integer as p/2 and a whole value as n.
-    if value.denominator != 1:
-        raise InvalidInputError(
-            f"closed form produced a non-integer tau {value} ({case_tag})"
-        )
+    # Whole on every profile the constructor accepts (R values on l/2 + Z).
+    assert value.denominator == 1, (value, case_tag)
     return TauResult(value=int(value), method="closed-form", case_tag=case_tag)
 
 
@@ -66,7 +63,6 @@ def reference_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResu
 
     if K.eps == 1:
         if n < 2 * K.tau:
-            prof.require("r_center")
             return _as_tau(
                 r_center - half_l + shift + ltau, "eps=1,n<2tau"
             )
@@ -79,7 +75,7 @@ def reference_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResu
             raise UnsupportedRegimeError(
                 "eps=0 with n<0 needs the R_{l/2-1} condition"
             )
-        prof.require("r_minus", "r_center")
+        prof.require("r_minus")
         return _as_tau(
             max(r_minus + half_l, r_center - half_l) + shift,
             "eps=0,n<0",
@@ -88,7 +84,7 @@ def reference_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResu
     if not cond_tau:
         raise UnsupportedRegimeError("eps=-1 needs the R_{l/2-1} condition")
     if n < 2 * K.tau:
-        prof.require("r_minus", "r_center")
+        prof.require("r_minus")
         return _as_tau(
             max(r_minus + half_l, r_center - half_l) + shift + ltau,
             "eps=-1,n<2tau",
@@ -124,15 +120,28 @@ COMPANIONS = [Companion(tau=0, eps=0)] + [
     Companion(tau=tau, eps=eps) for eps in (-1, 1) for tau in range(-3, 4)
 ]
 
-# Hand-made profiles, R values and widths doubled: cond_tau fails on the
-# first two, the doubled R values of the next two make some branches
-# non-integral, and the last one passes cond_tau without r_plus.
+# Hand-made profiles, R values and widths doubled and on l/2 + Z: cond_tau
+# fails on the first two and holds on the other three, of which cond_eps
+# holds on the third only.
 HAND_MADE = [
     PatternProfile(l=2, g3=1, n_width=4, r_minus=0, r_center=4, r_plus=2),
-    PatternProfile(l=3, g3=2, n_width=5, r_minus=4, r_center=9, r_plus=None),
-    PatternProfile(l=1, g3=0, n_width=3, r_minus=0, r_center=2, r_plus=1),
-    PatternProfile(l=2, g3=0, n_width=4, r_minus=-1, r_center=3, r_plus=3),
-    PatternProfile(l=0, g3=0, n_width=2, r_minus=0, r_center=0, r_plus=None),
+    PatternProfile(l=3, g3=2, n_width=5, r_minus=3, r_center=9, r_plus=5),
+    PatternProfile(l=1, g3=0, n_width=3, r_minus=1, r_center=3, r_plus=1),
+    PatternProfile(l=2, g3=0, n_width=4, r_minus=0, r_center=4, r_plus=2),
+    PatternProfile(l=0, g3=0, n_width=2, r_minus=-2, r_center=0, r_plus=-2),
+]
+
+# Profiles the constructor refuses: one side value without the other (the
+# first and the last), or R values off the coset l/2 + Z (the middle two).
+REFUSED = [
+    (dict(l=3, g3=2, n_width=5, r_minus=4, r_center=9, r_plus=None),
+     "r_minus and r_plus come as a pair"),
+    (dict(l=1, g3=0, n_width=3, r_minus=0, r_center=2, r_plus=1),
+     "r_minus = 0 is off the lattice l/2 [+] Z"),
+    (dict(l=2, g3=0, n_width=4, r_minus=-1, r_center=3, r_plus=3),
+     "r_minus = -1/2 is off the lattice l/2 [+] Z"),
+    (dict(l=0, g3=0, n_width=2, r_minus=0, r_center=0, r_plus=None),
+     "r_minus and r_plus come as a pair"),
 ]
 
 OTHER_PROFILES = {
@@ -170,16 +179,27 @@ def test_other_profiles_match_the_reference(name):
     _agree_on(OTHER_PROFILES[name], range(-12, 13))
 
 
+@pytest.mark.parametrize("fields, msg", REFUSED)
+def test_one_sided_and_off_coset_profiles_are_refused_when_built(fields, msg):
+    with pytest.raises(InvalidInputError, match=msg):
+        PatternProfile(**fields)
+
+
 def test_every_error_path_is_compared():
+    # Invalid R values are refused by the constructor, before any closed
+    # form reads them.
     seen = set()
+    for fields, _ in REFUSED:
+        with pytest.raises(InvalidInputError) as refused:
+            PatternProfile(**fields)
+        seen.add(refused.type)
     for prof in OTHER_PROFILES.values():
         seen |= _agree_on(prof, range(-4, 5))
     assert seen == {"value", InvalidInputError, UnsupportedRegimeError}
     messages = {
         _outcome(tau_closed_form, prof, K, n)[1]
-        for prof in HAND_MADE for K in COMPANIONS for n in range(-4, 5)
+        for prof in HAND_MADE + [OTHER_PROFILES["cable(2,1)"]]
+        for K in COMPANIONS for n in range(-4, 5)
     }
-    assert any(str(m).startswith("closed form produced a non-integer tau")
-               for m in messages)
     assert "eps=-1 needs the R_{l/2-1} condition" in messages
-    assert any(str(m).startswith("r_plus is unavailable") for m in messages)
+    assert any(str(m).startswith("r_minus is unavailable") for m in messages)

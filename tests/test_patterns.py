@@ -79,6 +79,10 @@ class TestEta:
     def test_2_1(self):
         assert twobridge_eta(2, 1, 1) == 1
 
+    def test_nonpositive_p_refused(self):
+        with pytest.raises(InvalidInputError, match="eta needs positive p and i"):
+            twobridge_eta(0, 1, 1)
+
     def test_linking_from_odd_signs(self):
         # Sum of eta over odd indices equals the linking number (r-q)/2,
         # on every accepted pair.
@@ -184,6 +188,33 @@ class TestProfiles:
                            r_plus=None)
         with pytest.raises(InvalidInputError, match=msg):
             twobridge_profile(5, 3).replace(l=-1)
+
+    @pytest.mark.parametrize("change, msg", [
+        (dict(g3=-1), "negative Seifert genus"),
+        (dict(r_center=None), "every profile needs r_center"),
+        (dict(r_minus=None), "r_minus and r_plus come as a pair"),
+        (dict(r_plus=None), "r_minus and r_plus come as a pair"),
+        (dict(n_width=4), "n_width = 2 is off the lattice l/2 [+] Z"),
+        (dict(r_minus=-2), "r_minus = -1 is off the lattice l/2 [+] Z"),
+        (dict(r_center=4), "r_center = 2 is off the lattice l/2 [+] Z"),
+        (dict(r_plus=0), "r_plus = 0 is off the lattice l/2 [+] Z"),
+    ])
+    def test_the_constructor_is_the_one_r_value_guard(self, change, msg):
+        # The Mazur profile: l = 1, so the width and every doubled R value
+        # are odd.
+        fields = dict(l=1, g3=0, n_width=3, r_minus=1, r_center=3, r_plus=1)
+        PatternProfile(**fields)
+        with pytest.raises(InvalidInputError, match=msg):
+            PatternProfile(**{**fields, **change})
+
+    def test_every_two_bridge_profile_is_accepted(self):
+        for r, q in TWOBRIDGE_PAIRS:
+            prof = twobridge_profile(r, q)
+            assert None not in (prof.r_minus, prof.r_plus), (r, q)
+
+    def test_a_closed_form_profile_has_no_hfunction(self):
+        with pytest.raises(InvalidInputError, match="carries no Alexander data"):
+            cable_profile(3, 2).hfunction()
 
     @pytest.mark.parametrize("r, q, msg", [
         (4, 3, "two-bridge parameters must be odd"),

@@ -197,15 +197,23 @@ class TestBuildSummand:
     def test_negative_weight_raises_on_every_call(self):
         from lsat import PatternProfile
 
+        # Only the eps = 0, n < 0 and eps = -1, n <= 2tau summands read
+        # tau_minus; a refused call stores nothing, so the next refuses too.
         prof = PatternProfile(
             l=0, g3=0, n_width=0,
-            r_minus=-4, r_center=0, r_plus=0,
+            r_minus=-2, r_center=0, r_plus=0,
         )
         for _ in range(2):
             with pytest.raises(
-                InvalidInputError, match="negative arrow weight tau_minus = -2"
+                InvalidInputError, match="negative arrow weight tau_minus = -1"
             ):
-                build_summand(prof, Companion(tau=0, eps=0), 1)
+                tau_oracle(prof, Companion(tau=0, eps=0), -1)
+        # The summands that read only sigma and tau answer as the closed
+        # form does, tau_minus = -2 notwithstanding.
+        prof = prof.replace(r_minus=-4)
+        for K, n in ((Companion(tau=0, eps=0), 1), (Companion(tau=0, eps=1), 0)):
+            assert tau_oracle(prof, K, n).value == tau_closed_form(prof, K, n).value
+        assert tau_oracle(prof, Companion(tau=0, eps=1), 0).value == 0
 
 
 class TestSummandsArePaths:
