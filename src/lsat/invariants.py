@@ -17,84 +17,47 @@ from .errors import InvalidInputError, UnsupportedRegimeError
 from .halfgrid_poly import half
 from .hfunction import HFunction, default_window, width, _point, _t22l
 from .patterns import (
-    Companion, PatternProfile, TauResult, bridge_braid_knot_check,
+    Companion, PatternProfile, TauResult, bridge_braid_knot_check, regime,
 )
-
-
-def _as_tau(doubled: int, case_tag: str) -> TauResult:
-    """The tau of a doubled value, even since the R values lie on l/2 + Z."""
-    return TauResult(doubled // 2, "closed-form", case_tag)
 
 
 def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     """tau of the satellite with pattern ``prof``, companion K, framing n.
 
     Computed on doubled ints: the R values are doubled already and l/2
-    enters as l, so each branch is the paper's formula times two.
+    enters as l, so each branch is the paper's formula times two, and the
+    sum is even since the R values lie on l/2 + Z.  An eps = 0 companion
+    reads the eps = 1 branches at n >= 0 and the eps = -1 branches at
+    n < 0, under its own case tag (:func:`~lsat.patterns.regime`).
     """
     l, tau = prof.l, K.tau
-    shift = 2 * prof.framing_shift(n)
-    ltau = 2 * l * tau
-
-    if K.eps == 1:
+    side, eps0_tag = regime(K, n, prof)
+    if side == 1:
         if n < 2 * tau:
-            return _as_tau(prof.r_center - l + shift + ltau, "eps=1,n<2tau")
-        return _as_tau(2 * prof.g3 + shift + ltau, "eps=1,n>=2tau")
-
-    if K.eps == 0:
-        if n >= 0:
-            return _as_tau(2 * prof.g3 + shift, "eps=0,n>=0")
-        if not prof.cond_tau:
-            raise UnsupportedRegimeError(
-                "eps=0 with n<0 needs the R_{l/2-1} condition"
-            )
-        prof.require("r_minus")
-        return _as_tau(
-            max(prof.r_minus + l, prof.r_center - l) + shift,
-            "eps=0,n<0",
-        )
-
-    # eps = -1: all branches need the same extra condition.
-    if not prof.cond_tau:
-        raise UnsupportedRegimeError("eps=-1 needs the R_{l/2-1} condition")
-    if n < 2 * tau:
-        prof.require("r_minus")
-        return _as_tau(
-            max(prof.r_minus + l, prof.r_center - l) + shift + ltau,
-            "eps=-1,n<2tau",
-        )
-    if n == 2 * tau:
-        prof.require("r_minus", "r_plus")
-        return _as_tau(
-            max(prof.r_minus + l, prof.r_plus - l) + shift + ltau,
-            "eps=-1,n=2tau",
-        )
-    if n == 2 * tau + 1:
-        prof.require("r_minus", "r_plus")
-        return _as_tau(
-            min(prof.r_minus, prof.r_plus) + l + shift + ltau,
-            "eps=-1,n=2tau+1",
-        )
-    prof.require("r_minus")
-    return _as_tau(
-        min(prof.r_minus + l, 2 * prof.g3 + 2 * l) + shift + ltau,
-        "eps=-1,n>2tau+1",
-    )
+            doubled, tag = prof.r_center - l, "eps=1,n<2tau"
+        else:
+            doubled, tag = 2 * prof.g3, "eps=1,n>=2tau"
+    elif n < 2 * tau:
+        doubled = max(prof.r_minus + l, prof.r_center - l)
+        tag = "eps=-1,n<2tau"
+    elif n == 2 * tau:
+        doubled = max(prof.r_minus + l, prof.r_plus - l)
+        tag = "eps=-1,n=2tau"
+    elif n == 2 * tau + 1:
+        doubled, tag = min(prof.r_minus, prof.r_plus) + l, "eps=-1,n=2tau+1"
+    else:
+        doubled = min(prof.r_minus + l, 2 * prof.g3 + 2 * l)
+        tag = "eps=-1,n>2tau+1"
+    doubled += 2 * prof.framing_shift(n) + 2 * l * tau
+    return TauResult(doubled // 2, "closed-form", eps0_tag or tag)
 
 
 def _tau_braided(p: int, q: int, b: int, K: Companion, family: str) -> TauResult:
     """tau of the B(p, q, b) satellite (a cable is b = 0); eps = -1 by mirror."""
-    if K.eps == 1:
-        value = ((p - 1) * (q - 1) + b) // 2 + p * K.tau
-        return TauResult(value, "family-formula", f"{family},eps=1")
-    if K.eps == -1:
-        value = ((p - 1) * (q + 1) + b) // 2 + p * K.tau
-        return TauResult(value, "family-formula", f"{family},eps=-1(mirror)")
-    if q > 0:
-        value = ((p - 1) * (q - 1) + b) // 2
-    else:
-        value = ((p - 1) * (q + 1) + b) // 2
-    return TauResult(value, "family-formula", f"{family},eps=0")
+    side, _ = regime(K, q)
+    value = ((p - 1) * (q - side) + b) // 2 + p * K.tau
+    mirror = "(mirror)" if K.eps < 0 else ""
+    return TauResult(value, "family-formula", f"{family},eps={K.eps}{mirror}")
 
 
 def tau_cable(p: int, q: int, K: Companion) -> TauResult:
@@ -112,13 +75,8 @@ def tau_bridge_braid(p: int, q: int, b: int, K: Companion) -> TauResult:
 
 def eps_not_minus_one(prof: PatternProfile, K: Companion, n: int) -> str:
     """'guaranteed' when eps of the satellite cannot be -1, else 'inconclusive'."""
-    if K.eps == 1:
-        return "guaranteed"
-    if K.eps == 0 and n >= 0:
-        return "guaranteed"
-    if prof.cond_eps and (K.eps == -1 or (K.eps == 0 and n < 0)):
-        return "guaranteed"
-    return "inconclusive"
+    side, _ = regime(K, n)
+    return "guaranteed" if side == 1 or prof.cond_eps else "inconclusive"
 
 
 def classify_operator(h: HFunction) -> Tuple[str, Optional[str]]:

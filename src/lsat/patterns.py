@@ -132,15 +132,6 @@ class PatternProfile(Record):
         """Genus shift l(l-1)n/2 of the n-framed satellite."""
         return self.l * (self.l - 1) * n // 2
 
-    def require(self, *fields: str) -> None:
-        """Raise UnsupportedRegimeError unless every named R value is known."""
-        for f in fields:
-            if getattr(self, f) is None:
-                raise UnsupportedRegimeError(
-                    f"{f} is unavailable for this profile; "
-                    "use the family-specific formula instead"
-                )
-
 
 class Companion(Record):
     """Concordance data of the companion knot."""
@@ -156,6 +147,36 @@ class Companion(Record):
             )
         setslot(self, "tau", tau)
         setslot(self, "eps", eps)
+
+
+def regime(K: Companion, x: int,
+           prof: Optional[PatternProfile] = None) -> Tuple[int, Optional[str]]:
+    """The eps = +-1 formulas that hold at (K, x), and an eps = 0 point's tag.
+
+    eps = 0 forces tau = 0 (Hom), and an eps = 0 companion takes the
+    eps = 1 value at x >= 0 and the eps = -1 value at x < 0, where x is
+    a profile's framing n or the framed slope q of a cable or braid.  So
+    the formulas are those of K.eps, or of the sign of x at eps = 0, and
+    only an eps = 0 point gets a tag: "eps=0,n>=0" or "eps=0,n<0".
+
+    Given a profile, the eps = -1 formulas are gated: they need the
+    R_{l/2-1} condition and then the value r_minus, and refuse with
+    UnsupportedRegimeError otherwise.
+    """
+    if K.eps:
+        side, tag = K.eps, None
+    else:
+        side, tag = (1, "eps=0,n>=0") if x >= 0 else (-1, "eps=0,n<0")
+    if side < 0 and prof is not None:
+        if not prof.cond_tau:
+            what = "eps=-1" if K.eps else "eps=0 with n<0"
+            raise UnsupportedRegimeError(f"{what} needs the R_{{l/2-1}} condition")
+        if prof.r_minus is None:
+            raise UnsupportedRegimeError(
+                "r_minus is unavailable for this profile; "
+                "use the family-specific formula instead"
+            )
+    return side, tag
 
 
 class TauResult(Record):
@@ -285,14 +306,15 @@ def twobridge_profile(r: int, q: int) -> PatternProfile:
 
 
 def unlink_data() -> LinkAlexData:
-    """Alexander data of the 2-component unlink (the trivial operator)."""
-    return resolve_sign(
-        LinkAlexData(
-            linking=0,
-            delta_tilde=LaurentPoly2.zero(),
-            delta1=LaurentPoly1.one(),
-            delta2=LaurentPoly1.one(),
-        )
+    """Alexander data of the 2-component unlink (the trivial operator).
+
+    Its delta_tilde = 0 is its own negation, so it needs no sign probe.
+    """
+    return LinkAlexData(
+        linking=0,
+        delta_tilde=LaurentPoly2.zero(),
+        delta1=LaurentPoly1.one(),
+        delta2=LaurentPoly1.one(),
     )
 
 

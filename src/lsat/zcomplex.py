@@ -24,9 +24,9 @@ import heapq
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import InvalidInputError, UnsupportedRegimeError, VerificationError
+from .errors import InvalidInputError, VerificationError
 from .halfgrid_poly import Record, setslot
-from .patterns import Companion, PatternProfile, TauResult
+from .patterns import Companion, PatternProfile, TauResult, regime
 
 # Largest oracle summand, in sources: every case builds |n - 2 tau| of them
 # (eps = 0 forces tau = 0).  The heap-driven Smith reduction is near-linear
@@ -185,23 +185,25 @@ def _summand_shift(prof: PatternProfile, K: Companion, n: int) -> int:
 def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
     """Construct the truncated direct summand carrying the Z-tower.
 
-    The case, one of ``eps1``, ``eps0_pos``, ``eps0_neg``, ``epsm1``, is
-    :func:`summand_case` of (K, n).  One anchor generator per case gets
-    its Alexander grading from the proof-stated value; every other grading
-    follows from arrow homogeneity.  A summand of more than
-    ``MAX_SUMMAND_SOURCES`` sources is refused before it is built.
+    :func:`~lsat.patterns.regime` of (K, n) picks the eps = 1 or the
+    eps = -1 shapes; an eps = 0 companion (tau = 0) takes them by the sign
+    of n, under its own case tag.  A summand of more than
+    ``MAX_SUMMAND_SOURCES`` sources is refused before it is built, and
+    before the regime's gate.  One anchor generator per shape gets its
+    Alexander grading from the proof-stated value; every other grading
+    follows from arrow homogeneity.
 
     The arrow weights are read from the profile's R values, whose
     constructor keeps them on l/2 + Z with R_center maximal and at least
     g3 + l/2: so sigma = R_center - l/2 - g3, tau = sigma + l and the
     weights W, Z of the n > 2 tau ends are whole and >= 0.  Only the
-    two n <= 2 tau branches read tau_minus = R_- + l/2 - g3 and
+    eps = -1 shapes with n <= 2 tau read tau_minus = R_- + l/2 - g3 and
     sigma_plus = R_+ - l/2 - g3, and refuse a negative one.
 
     Each branch states its anchor at T = 0 and adds the one translation
     T = l(l-1)n/2 + l tau, which homogeneity carries to every generator.
     The rest of the branch reads n - 2 tau alone, so two (tau, n) with equal
-    case and n - 2 tau give the same arrows, case tag and gr_w, and
+    eps and n - 2 tau give the same arrows, case tag and gr_w, and
     A-gradings that differ by the difference of their T; they refuse
     alike, too.
     """
@@ -212,33 +214,28 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
             f"oracle summand of {sources} sources exceeds the limit "
             f"{MAX_SUMMAND_SOURCES}"
         )
+    side, eps0_tag = regime(K, n, prof)
     shift = _summand_shift(prof, K, n)
-    case = summand_case(K, n)
     # Doubled R values: l is 2 * (l/2); c is sigma and a is tau.
     c = (prof.r_center - l) // 2 - g
     a = c + l
 
-    if case in ("eps1", "eps0_pos"):
+    if side == 1:
         anchor = g + shift
         if n >= 2 * tau:
             # k sources with weight-a arrows left and weight-c arrows
             # right; the anchor A value sits on the LEFTMOST sink.
             k = n - 2 * tau
-            tag = "eps=1,n>=2tau" if case == "eps1" else "eps=0,n>=0"
-            return _zigzag([a, c] * k, True, 0, anchor, tag)
+            return _zigzag([a, c] * k, True, 0, anchor, eps0_tag or "eps=1,n>=2tau")
         # eps = 1, n < 2tau: the same chain with the anchor on the
         # RIGHTMOST sink, and the two companion-staircase ends map in with
         # identity arrows at the two extreme sinks.
         k = 2 * tau - n
         return _zigzag([0] + [a, c] * k + [0], False, -2, anchor, "eps=1,n<2tau")
 
-    if not prof.cond_tau:
-        what = "eps=0 with n<0" if case == "eps0_neg" else "eps=-1"
-        raise UnsupportedRegimeError(f"{what} needs the R_{{l/2-1}} condition")
-    prof.require("r_minus", "r_plus")
     v_a = (prof.r_minus + l) // 2 + shift
     k = 2 * tau - n
-    if k >= 0:  # eps0_neg (tau = 0) and eps = -1 with n <= 2tau
+    if k >= 0:
         am = (prof.r_minus + l) // 2 - g
         cp = (prof.r_plus - l) // 2 - g
         for name, weight in (("tau_minus", am), ("sigma_plus", cp)):
@@ -246,18 +243,11 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
                 raise InvalidInputError(
                     f"negative arrow weight {name} = {weight}"
                 )
-    if case == "eps0_neg":
-        # Mirrored arrangement: the anchor generator v (one column left of
-        # the winding/2 column) is LEFTMOST and the middle sources point
-        # weight-c left, weight-a right, so sink gradings fall rightwards.
-        return _zigzag([am] + [c, a] * k + [cp], False, 0, v_a, "eps=0,n<0")
-
-    if n <= 2 * tau:
-        # Ends swapped relative to eps0_neg: the anchor generator v is
-        # RIGHTMOST and the middle sources point weight-a left, weight-c
+        # The anchor generator v (one column left of the winding/2 column)
+        # is RIGHTMOST and the middle sources point weight-a left, weight-c
         # right, so sink gradings rise rightwards.
-        tag = "eps=-1,n<2tau" if n < 2 * tau else "eps=-1,n=2tau"
-        return _zigzag([cp] + [a, c] * k + [am], False, -1, v_a, tag)
+        tag = "eps=-1,n<2tau" if k else "eps=-1,n=2tau"
+        return _zigzag([cp] + [a, c] * k + [am], False, -1, v_a, eps0_tag or tag)
     # n > 2tau: k sources on the path v - w1 - m1 - w2 - ... - m_{k-1} - wk
     # - u.  The outer sources use the W and Z structure arrows, the
     # interior ones the usual weight-c/weight-a pair; at k = 1 this is the
@@ -269,21 +259,13 @@ def build_summand(prof: PatternProfile, K: Companion, n: int) -> ZComplex:
     return _zigzag([w] + [c, a] * (k - 1) + [z], True, 0, v_a, tag)
 
 
-def summand_case(K: Companion, n: int) -> str:
-    if K.eps == 1:
-        return "eps1"
-    if K.eps == 0:
-        return "eps0_pos" if n >= 0 else "eps0_neg"
-    return "epsm1"
-
-
 def tau_oracle(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     """Independent tau computation: build the summand, reduce, read A.
 
-    The summand is fixed by its case and n - 2 tau up to the translation T
-    of every grading (see :func:`build_summand`), so each profile keeps,
-    in its ``_oracle`` dict, the reduced A - T and the case tag per key
-    (case, n - 2 tau).  The first call for a key builds, checks and
+    The summand is fixed by eps and n - 2 tau up to the translation T of
+    every grading (see :func:`build_summand`), so each profile keeps, in
+    its ``_oracle`` dict, the reduced A - T and the case tag per key
+    (eps, n - 2 tau).  The first call for a key builds, checks and
     reduces the summand; later calls return their own T plus the stored
     offset.  A call that raises stores nothing.  The summand cap bounds
     the keys, and the memo lives as long as the profile.
@@ -292,7 +274,7 @@ def tau_oracle(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     an integer: :func:`_zigzag` sets each gr_z to gr_w - 2A with A an int.
     """
     shift = _summand_shift(prof, K, n)
-    key = (summand_case(K, n), n - 2 * K.tau)
+    key = (K.eps, n - 2 * K.tau)
     hit = prof._oracle.get(key)
     if hit is None:
         c = build_summand(prof, K, n)

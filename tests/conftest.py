@@ -20,7 +20,7 @@ from typing import List, Optional
 import pytest
 
 import lsat
-from lsat import LinkAlexData
+from lsat import LinkAlexData, PatternProfile
 from lsat.cli import main
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2, half
 from lsat.patterns import MAX_TWOBRIDGE_R
@@ -165,6 +165,18 @@ def negative_hopf_data() -> LinkAlexData:
             delta2=LaurentPoly1.one(),
         )
     )
+
+
+# Hand-made profiles, R values and widths doubled and on l/2 + Z: cond_tau
+# fails on the first two and holds on the other three, of which cond_eps
+# holds on the third only.
+HAND_MADE = [
+    PatternProfile(l=2, g3=1, n_width=4, r_minus=0, r_center=4, r_plus=2),
+    PatternProfile(l=3, g3=2, n_width=5, r_minus=3, r_center=9, r_plus=5),
+    PatternProfile(l=1, g3=0, n_width=3, r_minus=1, r_center=3, r_plus=1),
+    PatternProfile(l=2, g3=0, n_width=4, r_minus=0, r_center=4, r_plus=2),
+    PatternProfile(l=0, g3=0, n_width=2, r_minus=-2, r_center=0, r_plus=-2),
+]
 
 
 @pytest.fixture(scope="session")

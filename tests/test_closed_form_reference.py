@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import HAND_MADE
 from lsat import (
     Companion,
     PatternProfile,
@@ -49,6 +50,14 @@ def _as_tau(value: Fraction, case_tag: str) -> TauResult:
     return TauResult(value=int(value), method="closed-form", case_tag=case_tag)
 
 
+def require_r_minus(prof: PatternProfile) -> None:
+    if prof.r_minus is None:
+        raise UnsupportedRegimeError(
+            "r_minus is unavailable for this profile; "
+            "use the family-specific formula instead"
+        )
+
+
 def reference_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     if prof.l < 0:
         raise UnsupportedRegimeError("closed form needs winding >= 0")
@@ -75,7 +84,7 @@ def reference_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResu
             raise UnsupportedRegimeError(
                 "eps=0 with n<0 needs the R_{l/2-1} condition"
             )
-        prof.require("r_minus")
+        require_r_minus(prof)
         return _as_tau(
             max(r_minus + half_l, r_center - half_l) + shift,
             "eps=0,n<0",
@@ -84,24 +93,24 @@ def reference_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResu
     if not cond_tau:
         raise UnsupportedRegimeError("eps=-1 needs the R_{l/2-1} condition")
     if n < 2 * K.tau:
-        prof.require("r_minus")
+        require_r_minus(prof)
         return _as_tau(
             max(r_minus + half_l, r_center - half_l) + shift + ltau,
             "eps=-1,n<2tau",
         )
     if n == 2 * K.tau:
-        prof.require("r_minus", "r_plus")
+        require_r_minus(prof)
         return _as_tau(
             max(r_minus + half_l, r_plus - half_l) + shift + ltau,
             "eps=-1,n=2tau",
         )
     if n == 2 * K.tau + 1:
-        prof.require("r_minus", "r_plus")
+        require_r_minus(prof)
         return _as_tau(
             min(r_minus + half_l, r_plus + half_l) + shift + ltau,
             "eps=-1,n=2tau+1",
         )
-    prof.require("r_minus")
+    require_r_minus(prof)
     return _as_tau(
         min(r_minus + half_l, g + half_l + half_l) + shift + ltau,
         "eps=-1,n>2tau+1",
@@ -118,17 +127,6 @@ def _outcome(closed_form, prof, K, n):
 
 COMPANIONS = [Companion(tau=0, eps=0)] + [
     Companion(tau=tau, eps=eps) for eps in (-1, 1) for tau in range(-3, 4)
-]
-
-# Hand-made profiles, R values and widths doubled and on l/2 + Z: cond_tau
-# fails on the first two and holds on the other three, of which cond_eps
-# holds on the third only.
-HAND_MADE = [
-    PatternProfile(l=2, g3=1, n_width=4, r_minus=0, r_center=4, r_plus=2),
-    PatternProfile(l=3, g3=2, n_width=5, r_minus=3, r_center=9, r_plus=5),
-    PatternProfile(l=1, g3=0, n_width=3, r_minus=1, r_center=3, r_plus=1),
-    PatternProfile(l=2, g3=0, n_width=4, r_minus=0, r_center=4, r_plus=2),
-    PatternProfile(l=0, g3=0, n_width=2, r_minus=-2, r_center=0, r_plus=-2),
 ]
 
 # Profiles the constructor refuses: one side value without the other (the

@@ -60,6 +60,12 @@ class TestResolveSign:
         data = unlink_data()
         assert resolve_sign(data.replace()).delta_tilde.is_zero
 
+    def test_unlink_needs_no_sign_probe(self):
+        # unlink_data skips resolve_sign: delta_tilde = 0 is its own
+        # negation, so the probe could only return its input.
+        assert resolve_sign(unlink_data()) == unlink_data()
+        assert validate(unlink_data().hfunction()) == []
+
     def test_negative_hopf_unchanged(self):
         data = negative_hopf_data()
         assert data.delta_tilde == LaurentPoly2.from_terms(

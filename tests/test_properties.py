@@ -3,6 +3,7 @@
 Half-integers are drawn as their doubled ints, as the library holds them.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from lsat import (
     Companion,
     HFunction,
+    generic_profile,
     half,
+    resolve_sign,
     shift,
     symmetrize,
     tau_cable,
@@ -22,7 +25,7 @@ from lsat import (
     validate,
     width,
 )
-from lsat.errors import UnsupportedRegimeError
+from lsat.errors import LsatError, UnsupportedRegimeError
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
 from lsat.hfunction import _t22l
 from lsat.sweeps import COMPANIONS, FRAMINGS, LINK_PAIRS
@@ -192,6 +195,70 @@ class TestValidateImpliesRemovedChecks:
     @given(near_links())
     def test_accepted_data_passes_the_removed_checks(self, data):
         removed_checks_hold(data)
+
+
+def pair_edited_links():
+    """Profiles of the accepted links one near_links pair edit from a base.
+
+    The bases are the unlink and the even-winding two-bridge links with
+    r <= 5, each given winding 2 and the trefoil delta2; the pair is any
+    symmetric one near_links draws, with either sign, and the edited data
+    gets its sign resolved as CLI input does.  Each distinct link is kept
+    once.
+    """
+    bases = [unlink_data()] + [twobridge_data(r, q) for r, q in ((3, 3), (5, 1), (5, 5))]
+    found = {}
+    for base in bases:
+        base = base.replace(linking=2, delta2=torus_knot(1))
+        for e, c in itertools.product(
+                itertools.product(range(-6, 7, 2), repeat=2), (-1, 1)):
+            terms = dict(base.delta_tilde.terms)
+            for at in {e, (2 - e[0], 2 - e[1])}:
+                terms[at] = terms.get(at, 0) + c
+            try:
+                data = resolve_sign(
+                    base.replace(delta_tilde=LaurentPoly2.from_terms(terms))
+                )
+                found.setdefault(data, generic_profile(data))
+            except LsatError:
+                continue
+    return list(found.values())
+
+
+def _outcome(route, prof, K, n):
+    try:
+        res = route(prof, K, n)
+    except LsatError as exc:
+        return type(exc), str(exc)
+    return res.value, res.case_tag
+
+
+class TestCondTauRefusal:
+    def test_both_routes_refuse_alike_where_cond_tau_fails(self):
+        # On the eps = -1 formulas (eps = -1, and eps = 0 with n < 0) a
+        # profile failing cond_tau is refused by both routes with one
+        # message; everywhere else the two routes give one value and tag.
+        profiles = pair_edited_links()
+        failing = [p for p in profiles if not p.cond_tau]
+        # test_cli's COND_TAU_FAILS link is one of the failing ones.
+        assert {(0, -2): 1, (2, 4): 1} in [
+            dict(p.data.delta_tilde.terms) for p in failing
+        ]
+        refused = 0
+        for prof in profiles:
+            for K in COMPANIONS:
+                for n in FRAMINGS:
+                    closed = _outcome(tau_closed_form, prof, K, n)
+                    oracle = _outcome(tau_oracle, prof, K, n)
+                    minus_side = K.eps == -1 or (K.eps == 0 and n < 0)
+                    if minus_side and not prof.cond_tau:
+                        what = "eps=-1" if K.eps else "eps=0 with n<0"
+                        message = f"{what} needs the R_{{l/2-1}} condition"
+                        assert closed == oracle == (UnsupportedRegimeError, message)
+                        refused += 1
+                    else:
+                        assert closed == oracle and isinstance(closed[0], int)
+        assert refused > 0
 
 
 class TestTauProperties:

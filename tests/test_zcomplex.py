@@ -6,10 +6,14 @@ from collections import Counter
 
 import pytest
 
+from conftest import HAND_MADE
 from lsat import (
     Companion,
     ZComplex,
     build_summand,
+    eps_not_minus_one,
+    tau_bridge_braid,
+    tau_cable,
     tau_closed_form,
     tau_oracle,
     tower_alexander,
@@ -24,8 +28,6 @@ from lsat.errors import (
     UnsupportedRegimeError,
     VerificationError,
 )
-from lsat.zcomplex import summand_case
-
 
 WHITEHEAD = twobridge_profile(3, 3)
 MAZUR = twobridge_profile(5, 3)
@@ -325,7 +327,7 @@ def _outcome(fn):
 
 class TestSummandTranslation:
     def test_summand_depends_on_n_minus_2tau_up_to_translation(self):
-        # Equal case and n - 2 tau give the same arrows, case tag and gr_w,
+        # Equal eps and n - 2 tau give the same arrows, case tag and gr_w,
         # and doubled A-gradings minus 2T; a refusal gives the same class
         # and message.
         def shape(prof, K, n):
@@ -340,7 +342,7 @@ class TestSummandTranslation:
 
         first, pairs = {}, 0
         for prof, K, n in GRID:
-            key = (id(prof), summand_case(K, n), n - 2 * K.tau)
+            key = (id(prof), K.eps, n - 2 * K.tau)
             got = _outcome(lambda: shape(prof, K, n))
             if key in first:
                 pairs += 1
@@ -379,7 +381,7 @@ class TestSummandTranslation:
         assert all(prof._oracle == {} for prof, _, _ in copies)
         assert [_outcome(lambda: oracle(*p)) for p in copies] == want
         distinct = {
-            (id(p), summand_case(K, n), n - 2 * K.tau) for p, K, n in copies
+            (id(p), K.eps, n - 2 * K.tau) for p, K, n in copies
         }
         assert len(built) == len(distinct)
         del built[:]
@@ -394,6 +396,64 @@ class TestSummandTranslation:
             with pytest.raises(UnsupportedRegimeError):
                 tau_oracle(prof, Companion(tau=0, eps=-1), 0)
         assert prof._oracle == {}
+
+
+def _signed(eps0_message):
+    """The eps = -1 message of an eps = 0, n < 0 refusal (the rest match)."""
+    return eps0_message.replace("eps=0 with n<0", "eps=-1")
+
+
+class TestEpsZeroIsASignedEpsAtTauZero:
+    # An eps = 0 companion has tau = 0 and answers as the eps = 1 companion
+    # of tau = 0 at n >= 0 and as the eps = -1 one at n < 0, on each route,
+    # refusals included; only its case tag and cond_tau message are its own.
+    PROFILES = list({id(p): p for p, _, _ in GRID}.values()) + HAND_MADE
+
+    @pytest.mark.parametrize("route", [tau_closed_form, tau_oracle])
+    def test_tau_routes(self, route):
+        refused = set()
+        for prof in self.PROFILES:
+            for n in range(-12, 13):
+                signed = Companion(tau=0, eps=1 if n >= 0 else -1)
+                got = _outcome(lambda: route(prof, Companion(tau=0, eps=0), n))
+                want = _outcome(lambda: route(prof, signed, n))
+                if isinstance(got, tuple):
+                    refused.add(got[0])
+                    assert (got[0], _signed(got[1])) == want, (prof, n)
+                    continue
+                assert got.value == want.value, (prof, n)
+                assert got.case_tag == ("eps=0,n>=0" if n >= 0 else "eps=0,n<0")
+        # The hand-made profiles reach the cond_tau refusal, and the
+        # oracle's negative-weight refusal too.
+        assert UnsupportedRegimeError in refused
+        assert (InvalidInputError in refused) == (route is tau_oracle)
+
+    def test_eps_guarantee(self):
+        for prof in self.PROFILES:
+            for n in range(-12, 13):
+                signed = Companion(tau=0, eps=1 if n >= 0 else -1)
+                assert eps_not_minus_one(prof, Companion(tau=0, eps=0), n) == (
+                    eps_not_minus_one(prof, signed, n)
+                )
+
+    def test_family_formulas_read_the_sign_of_q(self):
+        answered = 0
+        for p in range(1, 8):
+            for q in range(-16, 17):
+                signed = Companion(tau=0, eps=1 if q >= 0 else -1)
+                for b in [None] + list(range(p)):
+                    def route(K):
+                        if b is None:
+                            return tau_cable(p, q, K)
+                        return tau_bridge_braid(p, q, b, K)
+                    got = _outcome(lambda: route(Companion(tau=0, eps=0)))
+                    want = _outcome(lambda: route(signed))
+                    if isinstance(got, tuple):
+                        assert got == want, (p, q, b)
+                        continue
+                    answered += 1
+                    assert got.value == want.value, (p, q, b)
+        assert answered > 0
 
 
 class TestGradingLookup:
