@@ -257,9 +257,8 @@ def symmetrize(p: LaurentPoly2) -> LaurentPoly2:
 
     Returns q = x1^a x2^b * p, with (a, b) minus the midpoint, after
     checking that q is invariant under (x1, x2) -> (x1^{-1}, x2^{-1}) up
-    to a global sign.  The global sign
-    stays unresolved here; it is fixed later by the H-function
-    nonnegativity rule.
+    to a global sign, which stays as given.  The first term sets that
+    sign, so an asymmetric first term fails the loop at once.
     """
     if p.is_zero:
         raise InvalidInputError("cannot symmetrize the zero polynomial")
@@ -276,12 +275,7 @@ def symmetrize(p: LaurentPoly2) -> LaurentPoly2:
     q = shift(p, -mid1 // 2, -mid2 // 2)
     coeffs = dict(q.terms)
     (e1_0, e2_0), c_0 = q.terms[0]
-    inv = coeffs.get((-e1_0, -e2_0), 0)
-    if abs(inv) != abs(c_0):
-        raise NotAlexanderSymmetricError(
-            f"coefficient at ({half(e1_0)},{half(e2_0)}) breaks inversion symmetry"
-        )
-    s = 1 if inv == c_0 else -1
+    s = 1 if coeffs.get((-e1_0, -e2_0), 0) == c_0 else -1
     for (e1, e2), c in q.terms:
         if coeffs.get((-e1, -e2), 0) != s * c:
             raise NotAlexanderSymmetricError(

@@ -148,10 +148,12 @@ class LinkAlexData(Record):
 def resolve_sign(data: LinkAlexData) -> LinkAlexData:
     """Fix the overall sign of delta_tilde by nonnegativity of H.
 
-    The one place a sign is chosen.  The signs are probed on a window past
-    the support, the input sign first; the first giving a nonnegative
-    H-function with one-step gaps wins, so the input sign is kept when both
-    pass (delta_tilde = 0).  The winner keeps the HFunction its probe built.
+    The one place a sign is chosen, and only ``json:`` input needs it: the
+    tests prove the two-bridge walk's sign, and the unlink's delta_tilde = 0
+    is its own negation.  The signs are probed on a window past the support,
+    the input sign first; the first giving a nonnegative H-function with
+    one-step gaps wins, so the input sign is kept when both pass
+    (delta_tilde = 0).  The winner keeps the HFunction its probe built.
     """
     window = data.support_extent() + 4
     for cand in (data, data.replace(delta_tilde=data.delta_tilde.neg())):

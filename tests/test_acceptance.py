@@ -177,7 +177,7 @@ def test_05_tau_recoveries():
                     family = tau_bridge_braid(p, r + p * n, b, K)
                 assert closed == family.value, (p, r, b, K, n)
                 agreed["cable" if b is None else "braid"] += 1
-    assert agreed == {"cable": 1156, "braid": 1564}
+    assert agreed == {"cable": 1156, "braid": 1224}
 
 
 def test_06_oracle_equivalence():

@@ -1,7 +1,9 @@
 """CLI argument limits: negative framings and windows, JSON exponent cap,
-the oracle's summand cap, integers written only as ASCII digits."""
+the oracle's summand cap, the braid strand cap, integers written only as
+ASCII digits."""
 
 import json
+import time
 
 import pytest
 
@@ -226,3 +228,34 @@ def test_oracle_summand_of_10_to_the_9_exits_2_quickly(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "exceeds the limit" in json.loads(proc.stderr)["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "braid:5,7,2", "--tau", "1", "--eps", "1"],
+    ["genus", "braid:5,7,2"],
+    ["classify", "braid:5,7,2"],
+])
+def test_braid_closing_to_a_link_exits_2(argv):
+    # B(5,7,2) passes a residue and a parity test, yet closes to a
+    # 3-component link.
+    payload = _error(invoke(argv + ["--format", "json"]))
+    assert payload["error"] == "InvalidInputError"
+    assert payload["message"] == "closure of B(5,7,2) is a link"
+
+
+def test_huge_braid_exits_2_quickly():
+    from lsat.patterns import MAX_BRAID_STRANDS
+
+    start = time.perf_counter()
+    proc = run_python(
+        "-m", "lsat.cli", "tau", f"braid:{10**9},{10**9 + 1},2",
+        "--tau", "1", "--eps", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "InvalidInputError"
+    assert payload["message"] == (
+        f"1-bridge braid p = {10**9} exceeds the limit p <= {MAX_BRAID_STRANDS}"
+    )

@@ -148,7 +148,7 @@ OTHER_PROFILES = {
     "cable(3,2)": cable_profile(3, 2),
     "cable(5,3)": cable_profile(5, 3),
     "braid(4,5,2)": bridge_braid_profile(4, 5, 2),
-    "braid(5,7,2)": bridge_braid_profile(5, 7, 2),
+    "braid(5,6,2)": bridge_braid_profile(5, 6, 2),
     **{f"hand-made-{i}": prof for i, prof in enumerate(HAND_MADE)},
 }
 

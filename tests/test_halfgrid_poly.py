@@ -102,6 +102,28 @@ class TestSymmetrize:
             "coefficient at (-1,1) breaks inversion symmetry"
         )
 
+    # The first term sets the global sign and has no test of its own: an
+    # asymmetric first term fails the loop at that term.  Class and message
+    # as pinned before that test went.
+    @pytest.mark.parametrize("terms, where", [
+        # asymmetric first term: partner of another size, or none
+        ({(2, 0): 1, (0, 0): -2}, "(-1/2,0)"),
+        ({(0, 0): 1, (2, 2): 1, (4, 0): 3}, "(-1,-1/2)"),
+        # a pair whose sign is flipped against the first term's
+        ({(-1, -1): 1, (1, 1): -1, (-1, 1): 1, (1, -1): 1}, "(-1/2,1/2)"),
+        # a later term whose partner has another size
+        ({(-1, -1): 1, (1, 1): 1, (-1, 1): 1, (1, -1): 2}, "(-1/2,1/2)"),
+    ])
+    def test_first_failing_term_is_named(self, terms, where):
+        from lsat.errors import NotAlexanderSymmetricError
+
+        with pytest.raises(NotAlexanderSymmetricError) as info:
+            symmetrize(p2(terms))
+        assert type(info.value) is NotAlexanderSymmetricError
+        assert str(info.value) == (
+            f"coefficient at {where} breaks inversion symmetry"
+        )
+
     def test_idempotent(self):
         poly = p2({(1, 1): -1, (1, -1): 1, (-1, 1): 1, (-1, -1): -1})
         sym = symmetrize(poly)

@@ -4,6 +4,8 @@ Each mutant moves one R value of the profiles that
 ``patterns._profile_from_h`` builds by one lattice step (2 doubled),
 through ``PatternProfile.replace``, so the constructor's checks still
 run; it applies to every profile, or only to those of winding l >= 2.
+Two more force ``PatternProfile.cond_tau``, the gate of the eps = -1
+formulas, to False or to True on every profile.
 ``sweeps.CHECKS`` then runs in process.  A mutant is killed when a check
 reports a failure, a point count moves from the unmutated run, or a check
 raises an LsatError.
@@ -92,4 +94,18 @@ def test_verify_kills_the_mutant(monkeypatch, field, step, min_l):
         return prof.replace(**{field: getattr(prof, field) + step})
 
     monkeypatch.setattr(patterns, "_profile_from_h", mutated)
+    assert _killers(_run_checks())
+
+
+@pytest.mark.parametrize("forced", [
+    pytest.param(False, id="cond_tau-False-every"),
+    pytest.param(True, id="cond_tau-True-every", marks=_missed(
+        11, "no verify link fails cond_tau; only "
+        "tests/test_properties.py::TestCondTauRefusal reaches one",
+    )),
+])
+def test_verify_kills_the_cond_tau_mutant(monkeypatch, forced):
+    monkeypatch.setattr(
+        patterns.PatternProfile, "cond_tau", property(lambda self: forced)
+    )
     assert _killers(_run_checks())

@@ -29,6 +29,7 @@ from lsat import (
 )
 from lsat.cli import _load_pattern, parse_pattern_spec
 from lsat.errors import InvalidInputError
+from lsat.patterns import MAX_BRAID_STRANDS, bridge_braid_knot_check
 from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2, shift
 from lsat.sweeps import LINK_PAIRS
 
@@ -263,6 +264,85 @@ class TestBridgeBraidProfile:
         # q = 0 mod p closes to a link, not a knot.
         with pytest.raises(InvalidInputError):
             bridge_braid_profile(3, 6, 2)
+
+
+def braid_closure_components(p, q, b):
+    """Components of the closure of (s_b...s_1)(s_{p-1}...s_1)^q, q >= 0.
+
+    Composes the word one Artin generator at a time: s_i crosses the
+    strands at positions i - 1 and i.  The closure joins the strand that
+    ends at position j to the one that starts there.
+    """
+    word = list(range(b, 0, -1)) + list(range(p - 1, 0, -1)) * q
+    at = list(range(p))  # at[position] = strand now there
+    for i in word:
+        at[i - 1], at[i] = at[i], at[i - 1]
+    ends = {strand: position for position, strand in enumerate(at)}
+    components, seen = 0, set()
+    for start in range(p):
+        if start not in seen:
+            components += 1
+            strand = start
+            while strand not in seen:
+                seen.add(strand)
+                strand = ends[strand]
+    return components
+
+
+def braid_refusal(p, q, b):
+    try:
+        bridge_braid_knot_check(p, q, b)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+class TestBridgeBraidKnotCheck:
+    def test_agrees_with_the_composed_word(self):
+        # Every (p, q mod p, b) with 2 <= p <= 12; the answer depends on q
+        # only mod p, so q - p, q - 2p and q + 5p (negative words among
+        # them) must answer as q does.
+        checked = 0
+        for p in range(2, 13):
+            for q in range(p, 2 * p):
+                for b in range(1, p - 1):
+                    knot = braid_closure_components(p, q, b) == 1
+                    for q2 in (q, q - p, q - 2 * p, q + 5 * p):
+                        want = None if knot else (
+                            f"closure of B({p},{q2},{b}) is a link"
+                        )
+                        assert braid_refusal(p, q2, b) == want, (p, q2, b)
+                    checked += 1
+        assert checked == sum(p * (p - 2) for p in range(2, 13))
+
+    def test_principal_range_to_nine(self):
+        # p < q < 2p, p <= 9: the residue and parity tests this check
+        # replaced accepted 62 triples, 14 of which close to links.
+        accepted = [
+            (p, q, b) for p in range(3, 10) for q in range(p + 1, 2 * p)
+            for b in range(1, p - 1) if braid_refusal(p, q, b) is None
+        ]
+        assert len(accepted) == 48
+        assert (4, 5, 2) in accepted and (5, 6, 2) in accepted
+        assert braid_refusal(5, 7, 2) == "closure of B(5,7,2) is a link"
+
+    @pytest.mark.parametrize("p, b, msg", [
+        (1, 0, "1-bridge braid needs p >= 2, 0 < b < p-1"),
+        (4, 3, "1-bridge braid needs p >= 2, 0 < b < p-1"),
+        (MAX_BRAID_STRANDS + 1, 1,
+         f"1-bridge braid p = {MAX_BRAID_STRANDS + 1} exceeds the limit "
+         f"p <= {MAX_BRAID_STRANDS}"),
+    ])
+    def test_range_and_strand_cap(self, p, b, msg):
+        assert braid_refusal(p, p + 1, b) == msg
+
+    def test_knot_at_the_cap(self):
+        # B(p, p + 1, 2) closes to a knot at every even p; the cap is even.
+        assert all(
+            braid_closure_components(p, p + 1, 2) == 1 for p in range(4, 40, 2)
+        )
+        cap = MAX_BRAID_STRANDS
+        assert braid_refusal(cap, cap + 1, 2) is None
 
 
 class TestGenericProfile:

@@ -1,9 +1,10 @@
 """Value semantics of every record class.
 
 Frozen records compare and hash by class and field values, refuse
-assignment, and survive ``pickle`` and ``copy.deepcopy``; derived caches
-(the HFunction and support extent of link data, a profile's oracle
-weights and summand memo) stay out of equality and hashing.
+assignment, and survive ``pickle`` and ``copy.deepcopy``; the two derived
+caches, ``LinkAlexData._h`` (the data's one HFunction) and
+``PatternProfile._oracle`` (a profile's reduced oracle summands), stay out
+of equality and hashing.
 ``cli.Command`` (a namespace, not a record class) is mutable and
 unhashable.
 """

@@ -16,10 +16,11 @@ gives
 
 and the two-variable Alexander polynomial is phi(dR/da) / (y - 1).  It
 must equal :func:`lsat.twobridge_alexander` up to a sign and a monomial.
-That is enough, since :func:`lsat.twobridge_data` is
-resolve_sign(shift(symmetrize(.))) of that polynomial and so depends only
-on its class up to units.  The y-exponent of phi(w) is the linking number
-(r - q)/2.  Exponents here are whole units, not doubled.
+:func:`lsat.twobridge_data` is shift(symmetrize(.)) of that polynomial,
+which fixes the monomial and keeps the walk's sign, and that sign is the
+one :func:`lsat.resolve_sign` picks on every accepted pair, so the data is
+never probed.  The y-exponent of phi(w) is the linking number (r - q)/2.
+Exponents here are whole units, not doubled.
 """
 
 from collections import Counter
@@ -93,6 +94,15 @@ def fox_mismatches(pairs):
 
 def test_walk_matches_fox_on_every_accepted_pair():
     assert fox_mismatches(TWOBRIDGE_PAIRS) == []
+
+
+def test_walk_sign_is_the_resolved_sign_on_every_accepted_pair():
+    wrong = []
+    for r, q in TWOBRIDGE_PAIRS:
+        data = lsat.patterns.twobridge_data(r, q)
+        if lsat.resolve_sign(data) != data:
+            wrong.append((r, q))
+    assert wrong == []
 
 
 def mutant_walk(block):

@@ -259,6 +259,29 @@ def test_verify_builds_each_link_once_and_scans_without_point_queries(
     assert point_queries == []
 
 
+@pytest.mark.parametrize("argv, grids", [
+    # The two-bridge walk's sign is proved by the tests, not probed, so a
+    # two-bridge op scans only the grids its command reads.
+    (["tau", "twobridge:41,31", "--tau", "1", "--eps", "1", "--method", "both"],
+     0),
+    (["hfunc", "twobridge:41,31"], 1),
+    (["verify", "--check", "all"], 19),
+])
+def test_grid_builds_per_op(monkeypatch, argv, grids):
+    lsat.patterns.twobridge_data.cache_clear()
+    built = []
+    grid = HFunction.grid
+
+    def counting_grid(self, window):
+        built.append(window)
+        return grid(self, window)
+
+    monkeypatch.setattr(HFunction, "grid", counting_grid)
+    result = invoke(argv)
+    assert result.exit_code == 0, result.output
+    assert len(built) == grids
+
+
 def test_json_path_builds_one_hfunction(tmp_path, monkeypatch):
     good, bad = tmp_path / "good.json", tmp_path / "flipped.json"
     for path, data in ((good, twobridge_data(21, 13)), (bad, flipped(21, 13))):
