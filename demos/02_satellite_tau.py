@@ -48,17 +48,18 @@ def main() -> None:
     print("== cables and braid closures ==")
     for p, q in ((2, 3), (3, 2), (5, 4)):
         for K in (Companion(tau=1, eps=1), Companion(tau=-2, eps=-1)):
-            val = tau_cable(p, q, K).value
+            val = tau_cable(p, q, K, 0).value
             print(f"cable ({p},{q})  tau_K={K.tau:+d} eps={K.eps:+d}  -> {val}")
     for p, q, b in ((4, 5, 2), (5, 6, 2)):
         K = Companion(tau=1, eps=1)
-        print(f"braid closure ({p},{q},{b})  -> {tau_bridge_braid(p, q, b, K).value}")
+        val = tau_bridge_braid(p, q, b, K, 0).value
+        print(f"braid closure ({p},{q},{b})  -> {val}")
 
     print()
     print("== framing fold: twisting n folds into the cabling slope ==")
     K = Companion(tau=1, eps=1)
     for p, q, n in ((2, 1, 1), (3, 2, -1)):
-        folded = tau_cable(p, q + p * n, K).value
+        folded = tau_cable(p, q, K, n).value
         print(f"cable ({p},{q}) with n={n:+d}  ==  cable ({p},{q + p * n}): {folded}")
 
 

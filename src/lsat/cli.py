@@ -85,8 +85,9 @@ _Loaded = Tuple[str, Tuple[int, ...], Optional["patterns.PatternProfile"]]
 def _load_pattern(spec: str) -> _Loaded:
     """(kind, params, profile) of a spec; profile is None for cable/braid.
 
-    Their family tau formula holds for any coprime parameters, but their
-    scalar profile (genus, classifier input) is only defined on the
+    A cable or braid is checked here, as typed, by its family's knot check,
+    so every command refuses an invalid one first, with one exit-2 message.
+    Its scalar profile (genus, classifier input) is only defined on the
     principal parameter range, so it is not built until a command needs it.
     """
     parsed = parse_pattern_spec(spec)
@@ -94,6 +95,8 @@ def _load_pattern(spec: str) -> _Loaded:
     if kind == "twobridge":
         return kind, params, patterns.twobridge_profile(*params)
     if kind in ("cable", "braid"):
+        (patterns.cable_knot_check if kind == "cable"
+         else patterns.bridge_braid_knot_check)(*params)
         return kind, params, None
     # json:<path>
     import json
@@ -120,16 +123,6 @@ def _load_pattern(spec: str) -> _Loaded:
             "the top degree of delta2"
         )
     return kind, (), prof
-
-
-def _family_tau(
-    kind: str, params: Tuple[int, ...], K: patterns.Companion, n: int
-) -> patterns.TauResult:
-    """tau of an n-framed cable or braid satellite by its family formula."""
-    p, q = params[:2]
-    if kind == "cable":
-        return invariants.tau_cable(p, q + p * n, K)
-    return invariants.tau_bridge_braid(p, q + p * n, params[2], K)
 
 
 def _emit_json(obj) -> None:
@@ -182,7 +175,8 @@ def _tau_for(
                 f"the oracle needs full Alexander data; {kind} "
                 "patterns support the closed form only"
             )
-        return [_family_tau(kind, params, K, n)]
+        return [(invariants.tau_cable if kind == "cable"
+                 else invariants.tau_bridge_braid)(*params, K, n)]
     results: List[patterns.TauResult] = []
     if method in ("closed", "both"):
         results.append(invariants.tau_closed_form(prof, K, n))
@@ -229,11 +223,8 @@ def cmd_classify(pattern: str, n: int, fmt: str) -> None:
     if prof is not None:
         verdict, failed = invariants.classify_operator(prof.hfunction())
     else:
-        # Refuse the parameters tau refuses (closures that are links).  The
-        # (1,q) cable is the core of the solid torus, the identity operator;
-        # every other valid cable or braid has winding >= 2, which a
-        # homomorphism-inducing operator cannot have.
-        _family_tau(kind, params, patterns.Companion(tau=0, eps=0), n)
+        # The (1,q) cable is the core of the solid torus, the identity; any
+        # other winding is >= 2, which no homomorphism-inducing operator has.
         p = params[0]
         verdict, failed = (
             ("identity", None) if p == 1

@@ -84,8 +84,8 @@ def half(doubled: int) -> str:
 # validator scan a lattice square whose side grows with the exponents, and
 # each HFunction precomputes a suffix-sum table over the support box of
 # delta_tilde (at most 65 lattice points a side, plus a zero row and
-# column), so this bounds the work and memory per input; the two-bridge
-# family up to (61,41) stays below it.
+# column), so this bounds the work and memory per input; every accepted
+# two-bridge pair stays within it (the largest extent is 64, at (65,65)).
 MAX_DOUBLED_EXPONENT = 64
 
 

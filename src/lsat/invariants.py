@@ -10,14 +10,14 @@ used as a sweep property.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
-from .errors import InvalidInputError, UnsupportedRegimeError
+from .errors import UnsupportedRegimeError
 from .halfgrid_poly import half
 from .hfunction import HFunction, default_window, width, _point, _t22l
 from .patterns import (
-    Companion, PatternProfile, TauResult, bridge_braid_knot_check, regime,
+    Companion, PatternProfile, TauResult, bridge_braid_knot_check,
+    cable_knot_check, regime,
 )
 
 
@@ -52,25 +52,26 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     return TauResult(doubled // 2, "closed-form", eps0_tag or tag)
 
 
-def _tau_braided(p: int, q: int, b: int, K: Companion, family: str) -> TauResult:
-    """tau of the B(p, q, b) satellite (a cable is b = 0); eps = -1 by mirror."""
-    side, _ = regime(K, q)
-    value = ((p - 1) * (q - side) + b) // 2 + p * K.tau
+def _tau_braided(p: int, q: int, b: int, K: Companion, n: int,
+                 family: str) -> TauResult:
+    """B(p, q, b) (a cable is b = 0) at the slope q + p n; eps = -1 by mirror."""
+    slope = q + p * n
+    side, _ = regime(K, slope)
+    value = ((p - 1) * (slope - side) + b) // 2 + p * K.tau
     mirror = "(mirror)" if K.eps < 0 else ""
     return TauResult(value, "family-formula", f"{family},eps={K.eps}{mirror}")
 
 
-def tau_cable(p: int, q: int, K: Companion) -> TauResult:
-    """tau of the (p, q) cable by the family formula and the mirror trick."""
-    if p <= 0 or math.gcd(p, abs(q)) != 1:
-        raise InvalidInputError(f"cable needs p > 0 and gcd(p,q)=1, got ({p},{q})")
-    return _tau_braided(p, q, 0, K, "cable")
+def tau_cable(p: int, q: int, K: Companion, n: int) -> TauResult:
+    """tau of the n-framed (p, q) cable satellite: its slope is q + p n."""
+    cable_knot_check(p, q)
+    return _tau_braided(p, q, 0, K, n, "cable")
 
 
-def tau_bridge_braid(p: int, q: int, b: int, K: Companion) -> TauResult:
-    """tau of the satellite by the 1-bridge braid B(p, q, b)."""
+def tau_bridge_braid(p: int, q: int, b: int, K: Companion, n: int) -> TauResult:
+    """tau of the n-framed B(p, q, b) satellite: its slope is q + p n."""
     bridge_braid_knot_check(p, q, b)
-    return _tau_braided(p, q, b, K, "braid")
+    return _tau_braided(p, q, b, K, n, "braid")
 
 
 def eps_not_minus_one(prof: PatternProfile, K: Companion, n: int) -> str:
@@ -142,5 +143,5 @@ def tau_inequality_check(
     l = prof.l
     if l == 0:
         return left >= 0
-    right = tau_cable(l, l * n + 1, K).value
+    right = tau_cable(l, 1, K, n).value
     return left >= right

@@ -22,7 +22,8 @@ from typing import List, Optional, Tuple
 
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .halfgrid_poly import (
-    LaurentPoly1, LaurentPoly2, Record, half, setslot, shift, symmetrize,
+    MAX_DOUBLED_EXPONENT, LaurentPoly1, LaurentPoly2, Record, half, setslot,
+    shift, symmetrize,
 )
 from .hfunction import HFunction, LinkAlexData, validate, width
 
@@ -205,7 +206,7 @@ def twobridge_eta(p: int, q: int, i: int) -> int:
 # Largest two-bridge r accepted.  The normalized delta_tilde of (r, q)
 # spans a doubled extent of at most r - 1, so this keeps generated links
 # within the MAX_DOUBLED_EXPONENT bound that JSON input obeys.
-MAX_TWOBRIDGE_R = 65
+MAX_TWOBRIDGE_R = MAX_DOUBLED_EXPONENT + 1
 
 
 def twobridge_walk(r: int, q: int) -> List[Tuple[int, int]]:
@@ -327,12 +328,17 @@ def _braided_profile(p: int, r: int, b: int) -> PatternProfile:
     )
 
 
+def cable_knot_check(p: int, q: int) -> None:
+    """Reject cable parameters whose closure is a link, not a knot."""
+    if p <= 0 or math.gcd(p, q) != 1:
+        raise InvalidInputError(f"cable needs p > 0 and gcd(p,q)=1, got ({p},{q})")
+
+
 def cable_profile(p: int, r: int) -> PatternProfile:
     """Scalar profile of the (p, r) cable pattern, 0 < r < p, gcd 1."""
     if p < 2 or not (0 < r < p):
         raise InvalidInputError("cable needs p >= 2 and 0 < r < p")
-    if math.gcd(p, r) != 1:
-        raise InvalidInputError(f"gcd({p},{r}) != 1: cable closure is a link")
+    cable_knot_check(p, r)
     return _braided_profile(p, r, 0)
 
 

@@ -131,24 +131,25 @@ def test_05_tau_recoveries():
             if q == 0 or math.gcd(p, abs(q)) != 1:
                 continue
             for tau in range(-3, 4):
-                plus = tau_cable(p, q, Companion(tau=tau, eps=1)).value
+                plus = tau_cable(p, q, Companion(tau=tau, eps=1), 0).value
                 assert plus == (p - 1) * (q - 1) // 2 + p * tau
-                minus = tau_cable(p, q, Companion(tau=tau, eps=-1)).value
+                minus = tau_cable(p, q, Companion(tau=tau, eps=-1), 0).value
                 assert minus == (p - 1) * (q + 1) // 2 + p * tau
     for p in range(3, 8):
         for q in range(p + 1, 2 * p):
             for b in range(1, p - 1):
                 try:
-                    tau_bridge_braid(p, q, b, Companion(tau=0, eps=1))
+                    tau_bridge_braid(p, q, b, Companion(tau=0, eps=1), 0)
                 except InvalidInputError:
                     continue
                 for tau in range(-3, 4):
-                    up = tau_bridge_braid(p, q, b, Companion(tau=tau, eps=1))
+                    up = tau_bridge_braid(p, q, b, Companion(tau=tau, eps=1), 0)
                     assert up.value == ((p - 1) * (q - 1) + b) // 2 + p * tau
-                    dn = tau_bridge_braid(p, q, b, Companion(tau=tau, eps=-1))
+                    dn = tau_bridge_braid(p, q, b, Companion(tau=tau, eps=-1), 0)
                     assert dn.value == ((p - 1) * (q + 1) + b) // 2 + p * tau
     # The closed form on a family profile recovers the family formula at
-    # the n-framed slope r + p n wherever it answers.
+    # the n-framed slope r + p n wherever it answers.  The slope is folded
+    # here and passed with n = 0, apart from the formula's own fold.
     companions = [Companion(tau=0, eps=0)] + [
         Companion(tau=tau, eps=eps) for tau in range(-3, 4) for eps in (-1, 1)
     ]
@@ -172,9 +173,9 @@ def test_05_tau_recoveries():
                 except UnsupportedRegimeError:
                     continue
                 if b is None:
-                    family = tau_cable(p, r + p * n, K)
+                    family = tau_cable(p, r + p * n, K, 0)
                 else:
-                    family = tau_bridge_braid(p, r + p * n, b, K)
+                    family = tau_bridge_braid(p, r + p * n, b, K, 0)
                 assert closed == family.value, (p, r, b, K, n)
                 agreed["cable" if b is None else "braid"] += 1
     assert agreed == {"cable": 1156, "braid": 1224}

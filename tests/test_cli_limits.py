@@ -104,13 +104,27 @@ def test_large_two_bridge_json_still_computes(tmp_path):
     assert from_json.stdout == direct.stdout
 
 
-@pytest.mark.parametrize("spec", ["cable:4,2", "braid:3,6,2"])
+# braid:3,6,2 has b = p - 1, so it stops at the range refusal before the
+# closure is looked at; braid:3,4,1 and braid:5,7,2 are in range and close
+# to links.
+REFUSALS = {
+    "cable:4,2": "cable needs p > 0 and gcd(p,q)=1, got (4,2)",
+    "braid:3,6,2": "1-bridge braid needs p >= 2, 0 < b < p-1",
+    "braid:3,4,1": "closure of B(3,4,1) is a link",
+    "braid:5,7,2": "closure of B(5,7,2) is a link",
+    "braid:1000000,1000001,2":
+        "1-bridge braid p = 1000000 exceeds the limit p <= 65536",
+}
+
+
+@pytest.mark.parametrize("spec", list(REFUSALS))
 @pytest.mark.parametrize("n", ["0", "2"])
 def test_classify_rejects_what_tau_rejects(spec, n):
     classify = invoke(["classify", spec, "--n", n])
     tau = invoke(["tau", spec, "--tau", "1", "--eps", "1", "--n", n])
     assert _error(classify) == _error(tau)
     assert classify.stderr == tau.stderr
+    assert _error(tau)["message"] == REFUSALS[spec]
 
 
 def test_classify_json_reuses_the_profile_hfunction(tmp_path, monkeypatch):
@@ -241,6 +255,24 @@ def test_braid_closing_to_a_link_exits_2(argv):
     payload = _error(invoke(argv + ["--format", "json"]))
     assert payload["error"] == "InvalidInputError"
     assert payload["message"] == "closure of B(5,7,2) is a link"
+
+
+BRAIDED_RUNS = [["hfunc"], ["genus"]] + [
+    ["tau", "--tau", "1", "--eps", "1", "--method", method, "--n", n]
+    for method in ("closed", "oracle", "both") for n in ("-3", "0", "3")
+] + [["classify", "--n", n] for n in ("-1", "0", "2")]
+
+
+@pytest.mark.parametrize("spec", list(REFUSALS))
+def test_invalid_braided_spec_is_refused_as_typed_by_every_command(spec):
+    # The loader checks the spec before hfunc's and the oracle's exit-3
+    # refusals and classify's framing test, and names it unframed.
+    for argv in BRAIDED_RUNS:
+        result = invoke([argv[0], spec] + argv[1:])
+        payload = _error(result)
+        assert payload == {"error": "InvalidInputError", "exit_code": 2,
+                           "message": REFUSALS[spec]}, argv
+        assert result.stderr == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_huge_braid_exits_2_quickly():

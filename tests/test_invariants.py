@@ -73,9 +73,9 @@ class TestClosedForm:
 
 class TestCableFormula:
     def test_examples(self):
-        assert tau_cable(2, 3, Companion(tau=1, eps=1)).value == 3
-        assert tau_cable(3, 2, Companion(tau=0, eps=-1)).value == 3
-        assert tau_cable(2, -3, Companion(tau=0, eps=0)).value == -1
+        assert tau_cable(2, 3, Companion(tau=1, eps=1), 0).value == 3
+        assert tau_cable(3, 2, Companion(tau=0, eps=-1), 0).value == 3
+        assert tau_cable(2, -3, Companion(tau=0, eps=0), 0).value == -1
 
     def test_mirror_consistency(self):
         for p in range(2, 8):
@@ -83,24 +83,55 @@ class TestCableFormula:
                 if q == 0 or math.gcd(p, abs(q)) != 1:
                     continue
                 for tau in range(-3, 4):
-                    left = tau_cable(p, q, Companion(tau=tau, eps=-1)).value
-                    right = tau_cable(p, -q, Companion(tau=-tau, eps=1)).value
+                    left = tau_cable(p, q, Companion(tau=tau, eps=-1), 0).value
+                    right = tau_cable(p, -q, Companion(tau=-tau, eps=1), 0).value
                     assert left == -right
 
     def test_rejects_non_coprime(self):
         with pytest.raises(InvalidInputError):
-            tau_cable(4, 2, Companion(tau=0, eps=1))
+            tau_cable(4, 2, Companion(tau=0, eps=1), 0)
 
 
 class TestBridgeBraidFormula:
     def test_examples(self):
-        assert tau_bridge_braid(4, 5, 2, Companion(tau=0, eps=1)).value == 7
-        assert tau_bridge_braid(4, 5, 2, Companion(tau=0, eps=-1)).value == 10
-        assert tau_bridge_braid(4, 5, 2, Companion(tau=0, eps=0)).value == 7
+        assert tau_bridge_braid(4, 5, 2, Companion(tau=0, eps=1), 0).value == 7
+        assert tau_bridge_braid(4, 5, 2, Companion(tau=0, eps=-1), 0).value == 10
+        assert tau_bridge_braid(4, 5, 2, Companion(tau=0, eps=0), 0).value == 7
 
     def test_rejects_parity(self):
         with pytest.raises(InvalidInputError):
-            tau_bridge_braid(3, 4, 1, Companion(tau=0, eps=1))
+            tau_bridge_braid(3, 4, 1, Companion(tau=0, eps=1), 0)
+
+
+class TestFramingFold:
+    """A family formula at framing n is the formula at slope q + p n."""
+
+    COMPANIONS = [Companion(tau=0, eps=0)] + [
+        Companion(tau=tau, eps=eps) for tau in range(-3, 4) for eps in (-1, 1)
+    ]
+
+    def _check(self, route, params):
+        try:
+            route(*params, Companion(tau=0, eps=1), 0)
+        except InvalidInputError:
+            return 0
+        p, q = params[:2]
+        for n in range(-4, 5):
+            for K in self.COMPANIONS:
+                folded = route(p, q + p * n, *params[2:], K, 0)
+                assert route(*params, K, n) == folded, (params, K, n)
+        return 1
+
+    def test_cable(self):
+        checked = sum(self._check(tau_cable, (p, q))
+                      for p in range(1, 8) for q in range(-16, 17))
+        assert checked == 151
+
+    def test_bridge_braid(self):
+        checked = sum(self._check(tau_bridge_braid, (p, q, b))
+                      for p in range(2, 8) for q in range(-16, 17)
+                      for b in range(p))
+        assert checked == 104
 
 
 class TestEpsPredicate:

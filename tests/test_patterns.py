@@ -257,13 +257,24 @@ class TestBridgeBraidProfile:
         assert prof.minimal_wrapping
 
     def test_parity_rejected(self):
-        with pytest.raises(InvalidInputError):
+        # (3,4,1) is in range, and its word's strand permutation is not one
+        # 3-cycle, so the closure is a link.
+        with pytest.raises(InvalidInputError) as exc:
             bridge_braid_profile(3, 4, 1)
+        assert str(exc.value) == "closure of B(3,4,1) is a link"
 
     def test_link_closure_rejected(self):
-        # q = 0 mod p closes to a link, not a knot.
-        with pytest.raises(InvalidInputError):
+        # r = 2p is outside the profile's range p < r < 2p, which is checked
+        # before the closure.
+        with pytest.raises(InvalidInputError) as exc:
             bridge_braid_profile(3, 6, 2)
+        assert str(exc.value) == "bridge braid profile needs p < r < 2p"
+
+    def test_link_closure_message(self):
+        # B(5,7,2) is in range and closes to a 3-component link.
+        with pytest.raises(InvalidInputError) as exc:
+            bridge_braid_profile(5, 7, 2)
+        assert str(exc.value) == "closure of B(5,7,2) is a link"
 
 
 def braid_closure_components(p, q, b):

@@ -281,6 +281,6 @@ class TestTauProperties:
     def test_cable_mirror(self, p, q, tau):
         if math.gcd(p, abs(q)) != 1:
             return
-        left = tau_cable(p, q, Companion(tau=tau, eps=-1)).value
-        right = tau_cable(p, -q, Companion(tau=-tau, eps=1)).value
+        left = tau_cable(p, q, Companion(tau=tau, eps=-1), 0).value
+        right = tau_cable(p, -q, Companion(tau=-tau, eps=1), 0).value
         assert left == -right

@@ -367,4 +367,6 @@ def test_data_past_the_width_window_is_refused(tmp_path, argv):
 
 def test_classifier_sees_data_past_the_width_window():
     data = LinkAlexData.from_json_obj(FAR_IN_R)
-    assert classify_operator(HFunction(data))[0] == "obstructed"
+    assert classify_operator(HFunction(data)) == (
+        "obstructed", "table differs from model at (-9,-9)"
+    )

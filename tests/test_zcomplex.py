@@ -444,8 +444,8 @@ class TestEpsZeroIsASignedEpsAtTauZero:
                 for b in [None] + list(range(p)):
                     def route(K):
                         if b is None:
-                            return tau_cable(p, q, K)
-                        return tau_bridge_braid(p, q, b, K)
+                            return tau_cable(p, q, K, 0)
+                        return tau_bridge_braid(p, q, b, K, 0)
                     got = _outcome(lambda: route(Companion(tau=0, eps=0)))
                     want = _outcome(lambda: route(signed))
                     if isinstance(got, tuple):
