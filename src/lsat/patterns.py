@@ -347,6 +347,10 @@ def cable_profile(p: int, r: int) -> PatternProfile:
 MAX_BRAID_STRANDS = 65536
 
 
+# The CLI checks a braid when it loads the spec, and the family function it
+# then calls checks the same triple again: the last accepted triple is kept
+# so that an op walks the orbit once.  A refusal raises and is not kept.
+@functools.lru_cache(maxsize=1)
 def bridge_braid_knot_check(p: int, q: int, b: int) -> None:
     """Reject parameters whose braid closure is a link, not a knot.
 

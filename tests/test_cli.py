@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -545,10 +546,13 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["tau", "twobridge:3,3", "--tau", "1", "--eps", "1"], ["--help"],
-    ], ids=["tau", "help"])
-    def test_console_script_call_matches_the_module_entry_point(self, argv):
+    @pytest.mark.parametrize("argv, code", [
+        (["tau", "twobridge:3,3", "--tau", "1", "--eps", "1"], 0),
+        (["--help"], 0),
+        (["tau", "twobridge:3,3", "--tau", "1", "--eps", "2"], 2),
+        (["hfunc", "cable:3,2"], 3),
+    ], ids=["tau", "help", "exit2", "exit3"])
+    def test_console_script_call_matches_the_module_entry_point(self, argv, code):
         # The installed ``lsat`` script imports lsat.cli as a module, sets
         # sys.argv and calls main(); ``python -m`` runs it as __main__.
         script = run_python(
@@ -556,10 +560,41 @@ class TestEntryPoint:
             f"sys.argv = ['lsat', *{argv!r}]; sys.exit(main())"
         )
         module = run_python("-m", "lsat.cli", *argv)
-        assert (module.returncode, module.stderr) == (0, ""), module.stderr
+        assert module.returncode == code, module.stderr
+        if code:
+            assert module.stdout == ""
+            assert json.loads(module.stderr)["exit_code"] == code
+        else:
+            assert module.stderr == ""
         assert (script.returncode, script.stdout, script.stderr) == (
-            0, module.stdout, ""
+            code, module.stdout, module.stderr
         )
+
+    def test_in_process_calls_leave_the_collector_unfrozen(self):
+        before = gc.get_freeze_count()
+        for argv, code in [
+            (["tau", "twobridge:3,3", "--tau", "1", "--eps", "1"], 0),
+            (["verify", "--check", "tables"], 0),
+            (["tau", "cable:4,2", "--tau", "1", "--eps", "1"], 2),
+        ]:
+            assert invoke(argv).exit_code == code
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv", [
+        ["tau", "twobridge:3,3", "--tau", "1", "--eps", "1"], ["--help"],
+        ["tau", "cable:4,2", "--tau", "1", "--eps", "1"], ["hfunc", "cable:3,2"],
+    ], ids=["exit0", "help", "exit2", "exit3"])
+    def test_the_process_entry_freezes_the_collector_on_every_exit(self, argv):
+        # main() without argv ends the process, so it freezes every object
+        # and the interpreter's exit-time collections skip them.
+        check = (
+            "import gc, sys\nfrom lsat.cli import main\n"
+            f"sys.argv = ['lsat', *{argv!r}]\nbefore = gc.get_freeze_count()\n"
+            "try:\n    main()\nexcept SystemExit:\n    pass\n"
+            "print(before, gc.get_freeze_count() > 0, file=sys.stderr)"
+        )
+        proc = run_python("-c", check)
+        assert proc.stderr.splitlines()[-1] == "0 True", proc.stderr
 
     def test_module_entry_point(self):
         ok = run_python(

@@ -175,6 +175,44 @@ def test_signed_integers_still_parse():
     assert signed.stdout == plain.stdout
 
 
+# Each command with integers of MAX_INT_DIGITS digits in every place it reads
+# them ("{x}"), and the exit code it gives there.  Cables reach the largest
+# printed value, p (q + p n), about 3 * MAX_INT_DIGITS digits.
+AT_THE_DIGIT_BOUND = [
+    (["hfunc", "twobridge:3,1", "--window", "{x}"], 2),
+    (["hfunc", "twobridge:{x},1"], 2),
+    (["tau", "twobridge:41,1", "--tau", "0", "--eps", "1", "--n", "{x}"], 0),
+    (["tau", "twobridge:9,5", "--tau", "{x}", "--eps", "1", "--n", "-{x}"], 0),
+    (["tau", "cable:{x},1", "--tau", "-{x}", "--eps", "-1", "--n", "{x}"], 0),
+    (["tau", "cable:2,{x}", "--tau", "{x}", "--eps", "1", "--n", "-{x}"], 0),
+    (["tau", "braid:6,{x},2", "--tau", "{x}", "--eps", "1", "--n", "{x}"], 0),
+    (["genus", "twobridge:9,5", "--g4-eq-tau", "{x}"], 0),
+    (["genus", "twobridge:9,5", "--g4-eq-tau", "{x}", "--n", "-{x}"], 3),
+    (["genus", "cable:{x},1", "--g4-eq-tau", "{x}", "--n", "{x}"], 0),
+    (["classify", "cable:{x},1", "--n", "{x}"], 0),
+    (["classify", "braid:6,{x},2", "--n", "{x}"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", AT_THE_DIGIT_BOUND,
+                         ids=[" ".join(argv) for argv, _ in AT_THE_DIGIT_BOUND])
+def test_integers_answer_up_to_the_digit_bound(argv, code):
+    # Past CPython's 4300-digit limit, parsing or printing an int raises
+    # ValueError; invoke lets it through, so no case may reach it.
+    from lsat.cli import MAX_INT_DIGITS
+
+    at = invoke([a.replace("{x}", "9" * MAX_INT_DIGITS) for a in argv])
+    assert at.exit_code == code, at.output
+    if code:
+        assert "digits" not in _error(at, code)["message"]
+    past = invoke([a.replace("{x}", "9" * (MAX_INT_DIGITS + 1)) for a in argv])
+    # Options are read before the command loads its pattern.
+    options = [argv[i - 1] for i, a in enumerate(argv) if "{x}" in a and i > 1]
+    where = (f"lsat {argv[0]}: argument {options[0]}:" if options else
+             f"argument PATTERN: a {argv[1].partition(':')[0]} parameter has")
+    assert _error(past)["message"] == f"{where} more than {MAX_INT_DIGITS} digits"
+
+
 def test_hfunc_window_limit():
     result = invoke(["hfunc", "twobridge:3,1", "--window", "65"])
     assert _error(result)["message"] == "--window must be <= 64, got 65"
@@ -273,6 +311,22 @@ def test_invalid_braided_spec_is_refused_as_typed_by_every_command(spec):
         assert payload == {"error": "InvalidInputError", "exit_code": 2,
                            "message": REFUSALS[spec]}, argv
         assert result.stderr == json.dumps(payload, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "braid:65536,65537,2", "--tau", "1", "--eps", "1"],
+    ["genus", "braid:65536,65537,2", "--g4-eq-tau", "1"],
+    ["classify", "braid:65536,65537,2"],
+], ids=["tau", "genus", "classify"])
+def test_a_braid_op_walks_the_strand_orbit_once(argv):
+    # The loader checks the spec and tau_bridge_braid or
+    # bridge_braid_profile checks it again: the second check is a hit.
+    from lsat.patterns import bridge_braid_knot_check
+
+    bridge_braid_knot_check.cache_clear()
+    result = invoke(argv)
+    assert result.exit_code == 0, result.output
+    assert bridge_braid_knot_check.cache_info().misses == 1
 
 
 def test_huge_braid_exits_2_quickly():

@@ -337,6 +337,16 @@ class TestBridgeBraidKnotCheck:
         assert (4, 5, 2) in accepted and (5, 6, 2) in accepted
         assert braid_refusal(5, 7, 2) == "closure of B(5,7,2) is a link"
 
+    def test_only_the_last_accepted_triple_is_kept(self):
+        bridge_braid_knot_check.cache_clear()
+        for triple in [(5, 7, 2), (5, 7, 2), (4, 5, 2), (4, 5, 2), (5, 6, 2),
+                       (4, 5, 2)]:
+            braid_refusal(*triple)
+        info = bridge_braid_knot_check.cache_info()
+        # Each refusal walks again, and so does an accept after another
+        # accept; only the immediate repeat does not.
+        assert (info.misses, info.hits, info.currsize) == (5, 1, 1)
+
     @pytest.mark.parametrize("p, b, msg", [
         (1, 0, "1-bridge braid needs p >= 2, 0 < b < p-1"),
         (4, 3, "1-bridge braid needs p >= 2, 0 < b < p-1"),
