@@ -28,17 +28,12 @@ from typing import Callable, List, Optional, Tuple
 # Registered lazily by the package: each runs only when a command calls it.
 from . import genus, halfgrid_poly, hfunction, invariants, patterns, sweeps, zcomplex
 from .errors import (
+    MAX_INT_DIGITS,
     InvalidInputError,
     LsatError,
     UnsupportedRegimeError,
     VerificationError,
 )
-
-
-# Most digits a command-line integer may have.  The largest value a command
-# prints, a cable's p (q + p n), has about three times the digits of its
-# inputs, so it stays under CPython's 4300-digit int-to-str limit.
-MAX_INT_DIGITS = 1000
 
 
 def ascii_int(text: str) -> int:
@@ -101,8 +96,9 @@ def _load_pattern(spec: str) -> _Loaded:
 
     A cable or braid is checked here, as typed, by its family's knot check,
     so every command refuses an invalid one first, with one exit-2 message.
-    Its scalar profile (genus, classifier input) is only defined on the
-    principal parameter range, so it is not built until a command needs it.
+    Its scalar profile is only defined on the principal parameter range,
+    and only ``genus`` reads it (``classify`` reads the winding p alone and
+    ``tau`` the family formula), so it is not built here.
     """
     parsed = parse_pattern_spec(spec)
     kind, params = parsed[0], parsed[1:]

@@ -2,8 +2,16 @@
 
 Each error class carries the ``exit_code`` of the CLI's contract
 (2 = invalid input, 3 = unsupported regime, 4 = verification failure);
-the CLI reports the class name and the message.
+the CLI reports the class name and the message.  The digit bound on input
+integers lives here too, so the command line and the JSON reader share it
+while ``import lsat.cli`` still runs no other library module.
 """
+
+# Most digits an input integer may have, on the command line or in JSON
+# link data.  The largest value a command prints, a cable's p (q + p n),
+# has about three times the digits of its inputs, so it stays under
+# CPython's 4300-digit int-to-str limit.
+MAX_INT_DIGITS = 1000
 
 
 class LsatError(Exception):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import (
+    MAX_INT_DIGITS,
     CosetMismatchError,
     InvalidInputError,
     NotAlexanderSymmetricError,
@@ -89,10 +90,17 @@ def half(doubled: int) -> str:
 MAX_DOUBLED_EXPONENT = 64
 
 
+# The least int of MAX_INT_DIGITS + 1 digits.
+_INT_LIMIT = 10 ** MAX_INT_DIGITS
+
+
 def json_int(value: object, what: str) -> int:
-    """``value`` if it is a JSON integer (not a bool), else InvalidInputError."""
+    """``value`` if it is a JSON integer (not a bool) of at most
+    MAX_INT_DIGITS digits, else InvalidInputError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    if not -_INT_LIMIT < value < _INT_LIMIT:
+        raise InvalidInputError(f"{what} has more than {MAX_INT_DIGITS} digits")
     return value
 
 

@@ -1,18 +1,17 @@
-"""Chain complexes over F2[Z] and the independent tau oracle.
-
-A :class:`ZComplex` is a finitely generated free bigraded two-step complex:
-each generator is its (gr_w, gr_z) pair, named by its index, and the
-differential is a set of arrows between those indices, weighted by powers
-of Z.  Every arrow is homogeneous for the Alexander grading
-A = (gr_w - gr_z)/2 (Z raises A by 1 from target to source), which keeps
-the whole reduction monomial: matrix entries are single Z-powers and stay
-that way under row/column operations.
+"""Zig-zag paths over F2[Z] and the independent tau oracle.
 
 The oracle builds the explicit truncated direct-summand complex for each
-companion-eps regime, a zig-zag path stated by its arrow weights alone:
-one anchor generator fixes its absolute Alexander gradings and arrow
-homogeneity propagates them.  It then computes the Alexander grading of
-the free part of homology over the PID F2[Z] by a graded Smith reduction.
+companion-eps regime, and every such summand is a zig-zag path: generators
+0, 1, ..., m in a row, alternately sinks and sources, with arrow i joining
+generators i and i+1, from the source of the pair to its sink, weighted by
+Z^weights[i].  A :class:`ZComplex` stores exactly that: the weights, whether
+generator 0 is a sink, and the doubled Alexander grading of generator 0.
+Every arrow is homogeneous for A = (gr_w - gr_z)/2 (Z raises A by 1 from
+target to source), so the other gradings follow, and a path is two-step,
+so d^2 = 0.
+
+The free part of homology over the PID F2[Z] is read by a graded Smith
+reduction, which on a path contracts arrows (see :func:`tower_alexander`).
 The free part must have rank exactly one; its grading is tau.  Every
 grading of a summand carries the same translation T = l(l-1)n/2 + l tau,
 so the oracle reduces each summand shape once per profile and adds T.
@@ -21,134 +20,105 @@ so the oracle reduces each summand shape once per profile and adds T.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import InvalidInputError, VerificationError
 from .halfgrid_poly import Record, setslot
 from .patterns import Companion, PatternProfile, TauResult, regime
 
 # Largest oracle summand, in sources: every case builds |n - 2 tau| of them
-# (eps = 0 forces tau = 0).  The heap-driven Smith reduction is near-linear
+# (eps = 0 forces tau = 0).  The heap-driven path contraction is near-linear
 # in the summand; the cap bounds one oracle call to well under a second.
 MAX_SUMMAND_SOURCES = 32768
 
 
 class ZComplex(Record):
-    """Two-step free bigraded complex over F2[Z] with monomial differential.
+    """A zig-zag path over F2[Z] with monomial differential.
 
-    ``generators`` holds (gr_w, gr_z) pairs, and a generator is named by
-    its index there.  ``arrows`` is the differential as (source index,
-    target index, z_exponent) triples, with F2 coefficients (an even
-    multiset of identical arrows cancels to nothing).  The constructor
-    stores the arrows sorted and runs :meth:`check`, so every complex is
-    valid.
+    Generators 0, 1, ..., len(weights) alternate, generator 0 being a sink
+    if ``first_sink`` holds, else a source; arrow i joins generators i and
+    i+1, from the source of the pair to its sink, with Z-exponent
+    weights[i].  ``base`` is the doubled Alexander grading gr_w - gr_z of
+    generator 0, and A(source) = A(sink) + k on each arrow fixes the rest.
+    ``generators`` ((gr_w, gr_z) pairs) and ``arrows`` ((source, target,
+    Z-exponent) triples) are derived in path order, which for the arrows is
+    sorted order.  The constructor runs :meth:`check`.
     """
 
-    _fields = __slots__ = ("generators", "arrows", "case_tag")
+    _fields = __slots__ = ("weights", "first_sink", "base", "case_tag")
 
-    def __init__(self, generators: Sequence[Tuple[int, int]],
-                 arrows: Sequence[Tuple[int, int, int]], case_tag: str = ""):
-        if len(set(arrows)) != len(arrows):  # a repeat: keep odd counts
-            arrows = [a for a, c in Counter(arrows).items() if c % 2]
-        setslot(self, "generators", tuple(generators))
-        setslot(self, "arrows", tuple(sorted(arrows)))
+    def __init__(self, weights: Sequence[int], first_sink: bool, base: int,
+                 case_tag: str = ""):
+        setslot(self, "weights", tuple(weights))
+        setslot(self, "first_sink", first_sink)
+        setslot(self, "base", base)
         setslot(self, "case_tag", case_tag)
         self.check()
 
     def check(self) -> None:
-        """Assert the complex is two-step and every arrow homogeneous.
-
-        No generator may have arrows both ways, so no arrow composes with
-        another and d^2 = 0 holds.  Homogeneity in A = (gr_w - gr_z)/2,
-        A(src) = A(tgt) + k, follows from the gr_w and gr_z shifts, so it
-        needs no test of its own.
-        """
-        gens = self.generators
-        size = len(gens)
-        for i, j, k in self.arrows:
-            if not (0 <= i < size and 0 <= j < size):
-                raise InvalidInputError(f"arrow {i}->{j} off the complex")
-            (ws, zs), (wt, zt) = gens[i], gens[j]
+        """Refuse a negative Z-exponent, the one fault a path can carry."""
+        for s, t, k in self.arrows:
             if k < 0:
-                raise InvalidInputError(f"negative Z-exponent on {i}->{j}")
-            if ws != wt + 1:
-                raise VerificationError(f"arrow {i}->{j} does not drop gr_w by 1")
-            if zs != zt + 1 - 2 * k:
-                raise VerificationError(
-                    f"arrow {i}->{j}: gr_z shift inconsistent with Z^{k}"
-                )
-        both = {i for i, _, _ in self.arrows} & {j for _, j, _ in self.arrows}
-        if both:
-            raise InvalidInputError(
-                f"not a two-step complex: generator {min(both)} has arrows "
-                "both ways"
-            )
+                raise InvalidInputError(f"negative Z-exponent on {s}->{t}")
+
+    @property
+    def generators(self) -> Tuple[Tuple[int, int], ...]:
+        w, a = int(not self.first_sink), self.base  # a: doubled A
+        gens = [(w, w - a)]
+        for k in self.weights:
+            w ^= 1
+            a += 2 * k if w else -2 * k
+            gens.append((w, w - a))
+        return tuple(gens)
+
+    @property
+    def arrows(self) -> Tuple[Tuple[int, int, int], ...]:
+        # Arrow i points left when generator i is a sink.
+        return tuple((i + 1, i, k) if (i % 2 == 0) == self.first_sink
+                     else (i, i + 1, k) for i, k in enumerate(self.weights))
 
 
 def tower_alexander(c: ZComplex) -> int:
     """Doubled Alexander grading gr_w - gr_z of the free part's generator.
 
-    Reduction is a graded Smith normal form over F2[Z]: since every entry
-    is a homogeneous monomial, row and column operations with the forced
-    Z-shifts keep entries monomial and preserve the grading labels of rows
-    and columns.  Sources are columns and every other generator a row (the
-    complex is two-step).  Each entry is Z^(A(column) - A(row)), which
-    :meth:`ZComplex.check` ensures at construction, so a row operation that
-    lands on a live entry carries the same exponent and cancels it.  Every
-    entry is eventually a pivot or cancelled, so the free classes are the
-    generators never pivoted; exactly one must survive.
+    A graded Smith reduction over F2[Z], which on a path contracts it.  The
+    live arrow of least exponent k is the pivot: it and its two generators
+    cancel.  The arrows on either side of it, of exponents k_l and k_r,
+    become one arrow of exponent k_l + k_r - k joining the outer
+    generators, which is the row (or column) operation clearing the
+    pivot's column (or row); k_l - k and k_r - k are >= 0 because k is
+    least.  At an end of the path, the single neighbour arrow drops
+    instead.  Every step keeps a path and removes two generators, so
+    exactly one survives when the path has an even number of arrows; it
+    generates the free part.
 
-    The matrix is held per generator index as a dict of Z-exponents, the
-    row of a target and the column of a source, and each pivot is the live
-    entry of least (exponent, row, column), taken from a lazy min-heap
-    whose stale items are skipped.  A pivot costs O(|its row| x |its
-    column|) dict updates plus a heap push per new entry, so a summand of
-    m arrows whose pivots stay sparse, as every zig-zag does, reduces in
-    O(m log m).
+    Arrows are named by their left generator and taken from a lazy
+    min-heap whose stale items are skipped, so a path of m arrows reduces
+    in O(m log m).
     """
-    # line[t] = {s: k} for a row t and line[s] = {t: k} for a column s
-    # hold the same live entries; generator order is row and column order.
-    line: List[Dict[int, int]] = [{} for _ in c.generators]
-    heap = []
-    for s, t, k in c.arrows:
-        line[t][s] = k
-        line[s][t] = k
-        heap.append((k, t, s))
+    size = len(c.weights) + 1
+    left = list(range(-1, size - 1))  # -1 and size mark the ends
+    right = list(range(1, size + 1))
+    exp = list(c.weights)  # exp[i]: the arrow joining i and right[i]
+    alive = [True] * size
+    heap = [(k, i) for i, k in enumerate(exp)]
     heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-
-    pivoted = set()
     while heap:
-        k0, i0, j0 = pop(heap)
-        prow = line[i0]
-        if prow.get(j0) != k0:
-            continue  # stale: cancelled or overwritten since it was pushed
-        # Clear the pivot column with row operations (shifts are >= 0
-        # because the pivot has globally minimal exponent).
-        for i, k in list(line[j0].items()):
-            if i == i0:
-                continue
-            d = k - k0
-            row = line[i]
-            for j, piv in prow.items():
-                new = piv + d
-                if row.get(j) is None:
-                    row[j] = new
-                    line[j][i] = new
-                    push(heap, (new, i, j))
-                else:
-                    del row[j]
-                    del line[j][i]
-        # The pivot column now only holds the pivot; clearing the pivot row
-        # with column operations only cancels the row entries themselves.
-        for j in prow:
-            del line[j][i0]
-        prow.clear()
-        pivoted.add(i0)
-        pivoted.add(j0)
+        k, u = heapq.heappop(heap)
+        v = right[u]
+        if not alive[u] or v == size or exp[u] != k:
+            continue  # stale: cancelled or merged since it was pushed
+        x, y = left[u], right[v]
+        alive[u] = alive[v] = False
+        if x >= 0:
+            right[x] = y
+            if y < size:
+                exp[x] += exp[v] - k
+                heapq.heappush(heap, (exp[x], x))
+        if y < size:
+            left[y] = x
 
-    free = [g for x, g in enumerate(c.generators) if x not in pivoted]
+    free = [g for g, live in zip(c.generators, alive) if live]
     if len(free) != 1:
         raise VerificationError(
             f"free homology rank {len(free)} != 1 in {c.case_tag!r}"
@@ -159,22 +129,14 @@ def tower_alexander(c: ZComplex) -> int:
 
 def _zigzag(weights: Sequence[int], first_sink: bool, at: int, anchor: int,
             case_tag: str) -> ZComplex:
-    """The path 0 - 1 - ... - len(weights), whose generators alternate.
+    """The path of these weights with A(generator ``at``) = ``anchor``.
 
-    Generator 0 is a sink if ``first_sink`` holds, else a source.  Arrow i
-    joins generators i and i+1, from the source of the pair to its sink,
-    with Z-exponent weights[i].  Every Alexander grading follows from
-    A(generator at) = anchor through A(source) = A(sink) + k on each arrow.
+    ``at`` indexes the generators as a sequence does, so -1 is the last.
     """
-    gr_w = [(i + (not first_sink)) % 2 for i in range(len(weights) + 1)]  # 1: source
-    rel = [0]  # A(generator i) - A(generator 0)
-    for i, k in enumerate(weights):
-        rel.append(rel[i] + k * (gr_w[i + 1] - gr_w[i]))
-    base = anchor - rel[at]
-    gens = [(w, w - 2 * (base + d)) for w, d in zip(gr_w, rel)]
-    arrows = [(i, i + 1, k) if gr_w[i] else (i + 1, i, k)
-              for i, k in enumerate(weights)]
-    return ZComplex(gens, arrows, case_tag)
+    rise = 0  # A(generator at) - A(generator 0)
+    for i, k in enumerate(weights[:at % (len(weights) + 1)]):
+        rise += k if (i % 2 == 0) == first_sink else -k
+    return ZComplex(weights, first_sink, 2 * (anchor - rise), case_tag)
 
 
 def _summand_shift(prof: PatternProfile, K: Companion, n: int) -> int:
@@ -271,7 +233,8 @@ def tau_oracle(prof: PatternProfile, K: Companion, n: int) -> TauResult:
     the keys, and the memo lives as long as the profile.
 
     The doubled grading gr_w - gr_z is even at every generator, so tau is
-    an integer: :func:`_zigzag` sets each gr_z to gr_w - 2A with A an int.
+    an integer: :func:`_zigzag` sets ``base`` to 2A with A an int, and each
+    arrow moves it by 2k.
     """
     shift = _summand_shift(prof, K, n)
     key = (K.eps, n - 2 * K.tau)

@@ -1,6 +1,6 @@
 """CLI argument limits: negative framings and windows, JSON exponent cap,
 the oracle's summand cap, the braid strand cap, integers written only as
-ASCII digits."""
+ASCII digits and of at most MAX_INT_DIGITS digits, in argv and in JSON."""
 
 import json
 import time
@@ -211,6 +211,54 @@ def test_integers_answer_up_to_the_digit_bound(argv, code):
     where = (f"lsat {argv[0]}: argument {options[0]}:" if options else
              f"argument PATTERN: a {argv[1].partition(':')[0]} parameter has")
     assert _error(past)["message"] == f"{where} more than {MAX_INT_DIGITS} digits"
+
+
+def _coefficient_link(coefficient):
+    """Linking 1, delta1 = delta2 = 1, and delta_tilde with two terms, at
+    doubled (1, 1) and (1, 3), each of the given coefficient."""
+    one = {"vars": 1, "terms": [{"e": [0], "c": 1}]}
+    terms = [{"e": [1, 1], "c": coefficient}, {"e": [1, 3], "c": coefficient}]
+    return {"linking": 1, "delta1": one, "delta2": one,
+            "delta_tilde": {"vars": 2, "terms": terms}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--tau", "1", "--eps", "1"], ["classify"], ["hfunc"],
+], ids=["tau", "classify", "hfunc"])
+def test_json_integers_past_the_digit_bound_exit_2(tmp_path, argv):
+    # json.load reads integers up to CPython's 4300-digit limit, and
+    # printing a value past it raises ValueError; the reader refuses every
+    # integer past MAX_INT_DIGITS, so none reaches the H-function.
+    from lsat.cli import MAX_INT_DIGITS
+
+    past = f"coefficient has more than {MAX_INT_DIGITS} digits"
+    for coefficient, message in (
+        (10**4300 - 1, past),
+        (10**MAX_INT_DIGITS, past),
+        (-(10**MAX_INT_DIGITS), past),
+        (10**MAX_INT_DIGITS - 1,
+         "neither sign of delta_tilde yields a valid H-function"),
+    ):
+        path = _link_json(tmp_path, _coefficient_link(coefficient))
+        result = invoke(argv[:1] + [f"json:{path}"] + argv[1:])
+        assert _error(result)["message"] == message
+
+
+@pytest.mark.parametrize("field", ["linking", "exponent", "g3"])
+def test_each_json_integer_is_bounded(tmp_path, field):
+    from lsat.cli import MAX_INT_DIGITS
+
+    obj = twobridge_data(3, 1).to_json_obj()
+    huge = -(10**MAX_INT_DIGITS)
+    if field == "exponent":
+        obj["delta_tilde"]["terms"].append({"e": [1, huge], "c": 1})
+    else:
+        obj[field] = huge
+    path = _link_json(tmp_path, obj)
+    result = invoke(["tau", f"json:{path}", "--tau", "1", "--eps", "1"])
+    assert _error(result)["message"] == (
+        f"{field} has more than {MAX_INT_DIGITS} digits"
+    )
 
 
 def test_hfunc_window_limit():

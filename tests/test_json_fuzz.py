@@ -1,8 +1,9 @@
 """Fuzz the CLI boundaries: JSON link data and argv.
 
-Any JSON value, link data that is close to valid, and any argument list
-must end in the exit-code contract: 0, or 2/3/4 with a one-line JSON
-error on stderr, and never an uncaught exception.
+Any JSON value, link data that is close to valid (integers of up to 4300
+digits included), and any argument list must end in the exit-code
+contract: 0, or 2/3/4 with a one-line JSON error on stderr, and never an
+uncaught exception.
 """
 
 import copy
@@ -36,6 +37,12 @@ json_values = st.recursive(
 
 exponents = st.lists(st.integers(-8, 8), min_size=2, max_size=2)
 
+# Integers at and past the digit bound, up to CPython's 4300-digit limit,
+# the largest json.load reads.
+huge_ints = st.sampled_from(
+    [10**1000 - 1, 10**1000, 10**4300 - 1]
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
 knot_polys = st.sampled_from(
     [
         {"vars": 1, "terms": [{"e": [0], "c": 1}]},
@@ -62,7 +69,7 @@ def near_valid(draw):
         obj["g3"] = g3
     terms = obj["delta_tilde"]["terms"]
     edit = draw(st.sampled_from(["none", "coeff", "term", "linking",
-                                 "component", "field"]))
+                                 "component", "field", "huge"]))
     if edit == "coeff" and terms:
         draw(st.sampled_from(terms))["c"] += draw(st.integers(-2, 2))
     elif edit == "term":
@@ -73,6 +80,16 @@ def near_valid(draw):
         obj[draw(st.sampled_from(["delta1", "delta2"]))] = draw(knot_polys)
     elif edit == "field":
         obj[draw(st.sampled_from(sorted(obj)))] = draw(json_values)
+    elif edit == "huge":
+        where = draw(st.sampled_from(["coeff", "exponent", "linking", "g3"]))
+        if where in ("linking", "g3"):
+            obj[where] = draw(huge_ints)
+        elif terms:
+            term = draw(st.sampled_from(terms))
+            if where == "coeff":
+                term["c"] = draw(huge_ints)
+            else:
+                term["e"][draw(st.integers(0, 1))] = draw(huge_ints)
     return obj
 
 

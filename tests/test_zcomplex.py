@@ -1,5 +1,6 @@
-"""Unit tests for the F2[Z] chain complexes and the tau oracle."""
+"""Unit tests for the zig-zag paths over F2[Z] and the tau oracle."""
 
+import itertools
 import random
 import re
 from collections import Counter
@@ -33,123 +34,100 @@ WHITEHEAD = twobridge_profile(3, 3)
 MAZUR = twobridge_profile(5, 3)
 
 
+# Every path with weights in {0, 1, 2} and at most four arrows, both ways up.
+SMALL_PATHS = [
+    ZComplex(weights, first_sink, base)
+    for size in range(5)
+    for weights in itertools.product(range(3), repeat=size)
+    for first_sink in (True, False)
+    for base in (0, -2)
+]
+
+
 class TestZComplexInvariants:
     def test_d_squared_enforced(self):
-        # d^2 != 0 needs two composable arrows, 2 -> 1 -> 0; a complex is
-        # two-step, so 1, with arrows both ways, is refused when it is built.
-        gens = [(0, 0), (1, -1), (2, -2)]
-        arrows = [(2, 1, 1), (1, 0, 1)]
-        with pytest.raises(InvalidInputError,
-                           match="generator 1 has arrows both ways"):
-            ZComplex(gens, arrows)
+        # d^2 != 0 needs two composable arrows; on a path the generators
+        # alternate, so none has arrows both ways and the complex is
+        # two-step.
+        for c in SMALL_PATHS:
+            sources = {s for s, _, _ in c.arrows}
+            targets = {t for _, t, _ in c.arrows}
+            assert not sources & targets, c
+            assert sources | targets == (
+                set(range(len(c.generators))) if c.weights else set()
+            ), c
 
     def test_homogeneity_enforced(self):
-        gens = [(0, 0), (1, -1)]
-        # A(1) - A(0) = 1 but the arrow claims Z-exponent 2, so gr_z drops
-        # by 1 where Z^2 needs 1 - 4 = -3.  Alexander homogeneity follows
-        # from the gr_w and gr_z shifts, so this is the gr_z check.
-        with pytest.raises(VerificationError, match="gr_z shift"):
-            ZComplex(gens, [(1, 0, 2)])
-
-    def test_arrows_mod_two(self):
-        gens = [(0, 0), (1, -1)]
-        c = ZComplex(gens, [(1, 0, 1), (1, 0, 1)])
-        assert c.arrows == ()
+        # Each arrow drops gr_w by 1 and raises gr_z by 2k - 1, so it is
+        # homogeneous in A = (gr_w - gr_z)/2: A(source) = A(target) + k.
+        for c in SMALL_PATHS:
+            gens = c.generators
+            assert (gens[0][0] - gens[0][1]) == c.base
+            assert gens[0][0] == (0 if c.first_sink else 1)
+            for s, t, k in c.arrows:
+                (ws, zs), (wt, zt) = gens[s], gens[t]
+                assert (ws, zs) == (wt + 1, zt + 1 - 2 * k), c
 
     def test_arrows_are_stored_sorted(self):
-        gens = ((0, 0), (1, -1), (1, 1), (0, -2))
-        given = ((2, 0, 0), (1, 3, 0), (1, 0, 1))
-        c = ZComplex(gens, given)
-        assert c.arrows == tuple(sorted(given))
-        assert c == ZComplex(gens, given[::-1])
+        # Path order is sorted order: arrow i joins generators i and i + 1.
+        for c in SMALL_PATHS:
+            assert c.arrows == tuple(sorted(c.arrows)), c
+            assert [sorted((s, t)) for s, t, _ in c.arrows] == [
+                [i, i + 1] for i in range(len(c.weights))
+            ], c
+            assert [k for _, _, k in c.arrows] == list(c.weights), c
+        c = ZComplex([2, 0, 1], True, 4, "tag")
+        assert c.arrows == ((1, 0, 2), (1, 2, 0), (3, 2, 1))
+        assert c.generators == ((0, -4), (1, -7), (0, -8), (1, -9))
+        assert c == ZComplex((2, 0, 1), True, 4, "tag")
+        assert c != c.replace(first_sink=False)
 
 
-CHECK_MESSAGES = [
-    # (generators, arrows, error class, full message); arrows are (source
-    # index, target index, Z-exponent) and the constructor checks them in
-    # sorted order.  Every message names generators by their indices.
-    # The chain 3 -> 0 -> 2 -> 1 gives 0 and 2 arrows both ways; the least
-    # index is named.
-    (((2, -2), (0, 0), (1, -1), (3, -3)),
-     ((3, 0, 1), (0, 2, 1), (2, 1, 1)), InvalidInputError,
-     "not a two-step complex: generator 0 has arrows both ways"),
-    (((0, 0),), ((1, 0, 1),), InvalidInputError,
-     "arrow 1->0 off the complex"),
-    (((0, 0),), ((0, 2, 1),), InvalidInputError,
-     "arrow 0->2 off the complex"),
-    (((0, 0), (1, 3)), ((1, 0, -1),), InvalidInputError,
-     "negative Z-exponent on 1->0"),
-    (((0, 0), (2, -3)), ((1, 0, 2),), VerificationError,
-     "arrow 1->0 does not drop gr_w by 1"),
-    (((0, 0), (1, -1)), ((1, 0, 2),), VerificationError,
-     "arrow 1->0: gr_z shift inconsistent with Z^2"),
-    # Composable arrows 2->1->0: 1 has arrows both ways.
-    (((0, 0), (1, -1), (2, -2)),
-     ((2, 1, 1), (1, 0, 1)), InvalidInputError,
-     "not a two-step complex: generator 1 has arrows both ways"),
-    # The first failing arrow in sorted order decides, whatever fails after
-    # it and in whatever order the arrows are given.
-    (((0, 0), (1, -1)), ((1, 0, 2), (1, 2, 0)),
-     VerificationError, "arrow 1->0: gr_z shift inconsistent with Z^2"),
-    (((0, 0), (1, -1), (1, -1)),
-     ((2, 0, 2), (1, 3, 0)),
-     InvalidInputError, "arrow 1->3 off the complex"),
-]
-
-
-@pytest.mark.parametrize("gens, arrows, error, message", CHECK_MESSAGES)
-def test_check_messages(gens, arrows, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        ZComplex(gens, arrows)
-
-
-TOWER_MESSAGES = [
-    # d^2 = 0 because the two paths 3->1->0 and 3->2->0 cancel, yet 1 and
-    # 2 have arrows both ways; the complex is refused when it is built.
-    (((0, 0), (1, -1), (1, 1), (2, 0)),
-     ((3, 1, 0), (3, 2, 1), (1, 0, 1), (2, 0, 0)), "",
-     InvalidInputError,
-     "not a two-step complex: generator 1 has arrows both ways"),
-    # A non-homogeneous arrow, which would collide in the reduction, is
-    # refused when the complex is built.
-    (((0, 0), (0, -2), (1, -1), (1, 1)),
-     ((2, 0, 0), (2, 1, 0), (3, 0, 0), (3, 1, 1)),
-     "", VerificationError, "arrow 2->0: gr_z shift inconsistent with Z^0"),
-    (((0, 0), (0, 0)), (), "two", VerificationError,
-     "free homology rank 2 != 1 in 'two'"),
-    (((0, 0), (1, -1)), ((1, 0, 1),), "", VerificationError,
-     "free homology rank 0 != 1 in ''"),
-    # A complex with an arrow off it is refused when it is built.
-    (((0, 0),), ((1, 0, 0),), "", InvalidInputError,
-     "arrow 1->0 off the complex"),
-    (((0, 0),), ((0, 1, 0), (2, 1, 0)), "", InvalidInputError,
-     "arrow 0->1 off the complex"),
-]
-
-
-@pytest.mark.parametrize("gens, arrows, tag, error, message", TOWER_MESSAGES)
-def test_tower_messages(gens, arrows, tag, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        tower_alexander(ZComplex(gens, arrows, tag))
+@pytest.mark.parametrize("weights, first_sink, message", [
+    ((-1,), True, "negative Z-exponent on 1->0"),
+    ((-1,), False, "negative Z-exponent on 0->1"),
+    # The first negative arrow in path order is named.
+    ((0, 3, -2, -1), True, "negative Z-exponent on 3->2"),
+    ((0, 3, -2, -1), False, "negative Z-exponent on 2->3"),
+])
+def test_check_refuses_a_negative_exponent(weights, first_sink, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        ZComplex(weights, first_sink, 0)
 
 
 class TestTowerAlexander:
     # tower_alexander returns the doubled grading gr_w - gr_z.
     def test_single_generator(self):
-        c = ZComplex([(0, 0)], [])
-        assert tower_alexander(c) == 0
+        for base in (0, -6, 8):
+            assert tower_alexander(ZComplex((), True, base)) == base
 
     def test_hand_smith_reduction(self):
-        # d(g2) = Z g0 + g1 with A(g0)=0, A(g1)=1, A(g2)=1:
-        # homology is F2[Z] generated by g0, so tau = 0.
-        gens = [(0, 0), (0, -2), (1, -1)]
-        c = ZComplex(gens, [(2, 0, 1), (2, 1, 0)])
+        # d(g2) = Z g0 + g1 with A(g0)=0, A(g1)=1, A(g2)=1, as the path
+        # g0 <- g2 -> g1: homology is F2[Z] generated by g0, so tau = 0.
+        c = ZComplex((1, 0), True, 0)
+        assert c.generators == ((0, 0), (1, -1), (0, -2))
         assert tower_alexander(c) == 0
+        # g0 <-Z^2- g1 -Z^1-> g2 <-Z^3- g3 -Z^1-> g4, at A = 0, 2, 1, 4, 3:
+        # the Z^1 arrow g1 -> g2 cancels first and leaves
+        # g0 <-Z^4- g3 -Z^1-> g4; its Z^1 arrow cancels g3 and g4 and drops
+        # the Z^4 arrow, so g0 survives, at A = 0.
+        c = ZComplex((2, 1, 3, 1), True, 0)
+        assert [w - z for w, z in c.generators] == [0, 4, 2, 8, 6]
+        assert tower_alexander(c) == 0
+        # The same path read from g4, at A = 0, keeps the same generator,
+        # now at A = -3.
+        assert tower_alexander(ZComplex((1, 3, 1, 2), True, 0)) == -6
 
     def test_free_rank_must_be_one(self):
-        c = ZComplex([(0, 0), (0, 0)], [])
-        with pytest.raises(VerificationError):
-            tower_alexander(c)
+        # An odd number of arrows cancels every generator.
+        for weights in ((1,), (0, 2, 1), (3, 0, 0, 1, 2)):
+            for first_sink in (True, False):
+                c = ZComplex(weights, first_sink, 0, "odd")
+                with pytest.raises(
+                    VerificationError,
+                    match=r"^free homology rank 0 != 1 in 'odd'$",
+                ):
+                    tower_alexander(c)
 
     def test_whitehead_summand(self):
         c = build_summand(WHITEHEAD, Companion(tau=1, eps=1), 0)
@@ -454,12 +432,3 @@ class TestEpsZeroIsASignedEpsAtTauZero:
                     answered += 1
                     assert got.value == want.value, (p, q, b)
         assert answered > 0
-
-
-class TestGradingLookup:
-    def test_unknown_generator_rejected(self):
-        # check refuses an arrow end that is not a generator index.
-        with pytest.raises(InvalidInputError, match="arrow 0->1 off the"):
-            ZComplex(((0, 0),), ((0, 1, 0),))
-        with pytest.raises(InvalidInputError, match="arrow -1->0 off the"):
-            ZComplex(((0, 0), (1, -1)), ((-1, 0, 0),))
