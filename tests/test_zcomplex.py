@@ -95,6 +95,22 @@ def test_check_refuses_a_negative_exponent(weights, first_sink, message):
         ZComplex(weights, first_sink, 0)
 
 
+@pytest.mark.parametrize("weights, first_sink, tag, error, message", [
+    # The path 0 <-Z- 1: its one arrow cancels both generators.  The id
+    # names the case as it stood in the generator/arrow table.
+    pytest.param(
+        (1,), True, "", VerificationError, "free homology rank 0 != 1 in ''",
+        id="gens3-arrows3--VerificationError-free homology rank 0 != 1 in ''",
+    ),
+])
+def test_tower_messages(weights, first_sink, tag, error, message):
+    c = ZComplex(weights, first_sink, 0, tag)
+    assert c.generators == ((0, 0), (1, -1))
+    assert c.arrows == ((1, 0, 1),)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        tower_alexander(c)
+
+
 class TestTowerAlexander:
     # tower_alexander returns the doubled grading gr_w - gr_z.
     def test_single_generator(self):
