@@ -26,7 +26,7 @@ from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
 # Registered lazily by the package: each runs only when a command calls it.
-from . import genus, halfgrid_poly, hfunction, invariants, patterns, sweeps, zcomplex
+from . import genus, hfunction, invariants, patterns, sweeps, zcomplex
 from .errors import (
     MAX_INT_DIGITS,
     InvalidInputError,
@@ -122,17 +122,7 @@ def _load_pattern(spec: str) -> _Loaded:
             f"cannot read link data from {path}: {exc}"
         ) from exc
     data = hfunction.LinkAlexData.from_json_obj(obj)
-    g3 = obj.get("g3")
-    if g3 is not None:
-        halfgrid_poly.json_int(g3, "g3")
-    prof = patterns.generic_profile(hfunction.resolve_sign(data))
-    # A supplied g3 is a claim, checked against the genus read from delta2.
-    if g3 is not None and g3 != prof.g3:
-        raise InvalidInputError(
-            f"supplied g3 = {g3} disagrees with g3 = {prof.g3}, "
-            "the top degree of delta2"
-        )
-    return kind, (), prof
+    return kind, (), patterns.generic_profile(hfunction.resolve_sign(data))
 
 
 def _emit_json(obj) -> None:

@@ -106,7 +106,9 @@ def json_int(value: object, what: str) -> int:
 
 def _json_terms(obj: object, arity: int) -> list:
     """(doubled exponents, coefficient) pairs of a polynomial JSON object."""
-    if not isinstance(obj, dict) or obj.get("vars") != arity:
+    # type(): True and 2.0 compare equal to 1 and 2 but are not JSON integers.
+    if not (isinstance(obj, dict) and type(obj.get("vars")) is int
+            and obj["vars"] == arity):
         name = "one" if arity == 1 else "two"
         raise InvalidInputError(f"expected a {name}-variable polynomial")
     terms = obj.get("terms", [])

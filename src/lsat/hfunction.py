@@ -71,7 +71,7 @@ class _KnotH:
 
 
 class LinkAlexData(Record):
-    """Normalized Alexander data of a 2-component L-space link."""
+    """Alexander data of the L-space link of the axis (delta1 = +-1) and P."""
 
     _fields = ("linking", "delta_tilde", "delta1", "delta2")
     __slots__ = _fields + ("_h",)
@@ -90,6 +90,8 @@ class LinkAlexData(Record):
                 raise InvalidInputError(f"{name}(1) must be +-1")
             if not d.is_symmetric():
                 raise InvalidInputError(f"{name} is not symmetric")
+        if delta1.terms not in (((0, 1),), ((0, -1),)):
+            raise InvalidInputError("first component must be an unknot")
         setslot(self, "linking", linking)
         setslot(self, "delta_tilde", delta_tilde)
         setslot(self, "delta1", delta1)
@@ -132,10 +134,11 @@ class LinkAlexData(Record):
 
     @staticmethod
     def from_json_obj(obj: dict) -> "LinkAlexData":
+        """Data of a ``json:`` file; a ``g3`` in it is checked against delta2."""
         if not isinstance(obj, dict):
             raise InvalidInputError("link data must be a JSON object")
         try:
-            return LinkAlexData(
+            data = LinkAlexData(
                 linking=json_int(obj["linking"], "linking"),
                 delta_tilde=LaurentPoly2.from_json_obj(obj["delta_tilde"]),
                 delta1=LaurentPoly1.from_json_obj(obj["delta1"]),
@@ -143,6 +146,13 @@ class LinkAlexData(Record):
             )
         except KeyError as exc:
             raise InvalidInputError(f"missing link-data field {exc}") from exc
+        g3 = obj.get("g3")
+        if g3 is not None and json_int(g3, "g3") != data.g3:
+            raise InvalidInputError(
+                f"supplied g3 = {g3} disagrees with g3 = {data.g3}, "
+                "the top degree of delta2"
+            )
+        return data
 
 
 def resolve_sign(data: LinkAlexData) -> LinkAlexData:
@@ -212,7 +222,7 @@ class HFunction:
     Construction precomputes a dense suffix-sum table of delta_tilde over
     its support box, in doubled integers: O(box) time and memory, where the
     box side is bounded by ``MAX_DOUBLED_EXPONENT`` on JSON input.  A point
-    query then costs O(1): two knot lookups and one table entry.
+    query then costs O(1): one knot lookup and one table entry.
     :meth:`grid` evaluates a whole lattice square [-window, window]^2 as
     O(window^2) ints, built once per scan; every window scan (sign probe,
     ``validate``, the classifier, the table export) reads one grid, on
@@ -222,7 +232,6 @@ class HFunction:
     def __init__(self, data: LinkAlexData):
         self.data = data
         self.linking = data.linking
-        self.h1 = _KnotH(data.delta1)
         self.h2 = _KnotH(data.delta2)
         terms = data.delta_tilde.terms
         # The zero polynomial gets a one-cell box holding 0.
@@ -249,13 +258,14 @@ class HFunction:
     def _at(self, t: int, r: int) -> int:
         """H at the lattice point with doubled coordinates (t, r), unchecked.
 
-        H1(t - l/2) + H2(r - l/2) minus delta_tilde summed over j > t, k > r.
+        H1(t - l/2) + H2(r - l/2) minus delta_tilde summed over j > t, k > r,
+        where the axis has H1(s) = max(-s, 0).
         """
         l = self.linking
         a = _above(t, self._j_min, self._nj)
         b = _above(r, self._k_min, self._nk)
         quadrant = self._suffix[a][b]
-        return self.h1((t - l) // 2) + self.h2((r - l) // 2) - quadrant
+        return max((l - t) // 2, 0) + self.h2((r - l) // 2) - quadrant
 
     def __call__(self, t: int, r: int) -> int:
         """H at the lattice point with doubled coordinates (t, r)."""
@@ -277,7 +287,7 @@ class HFunction:
         cols = [_above(r, self._k_min, self._nk) for r in ds]
         rows = []
         for t in ds:
-            base = self.h1((t - l) // 2)
+            base = max((l - t) // 2, 0)
             quadrants = self._suffix[_above(t, self._j_min, self._nj)]
             rows.append([base + h2 - quadrants[b] for h2, b in zip(h2s, cols)])
         return ds, rows
@@ -309,15 +319,9 @@ class HFunction:
 def width(data: LinkAlexData) -> int:
     """Width N: the top x1-power of delta_tilde (0 for the unlink).
 
-    Columns stabilize beyond N.  This reading needs an unknotted first
-    component, as every profile does; a knotted one (delta1 not +-1)
-    raises InvalidInputError.
+    Columns stabilize beyond N, as the first component is unknotted.
     """
-    if data.delta1.terms not in (((0, 1),), ((0, -1),)):
-        raise InvalidInputError("first component must be an unknot")
-    if data.delta_tilde.is_zero:
-        return 0
-    return data.delta_tilde.max_exp1()
+    return 0 if data.delta_tilde.is_zero else data.delta_tilde.max_exp1()
 
 
 def default_window(h: HFunction) -> int:
@@ -332,8 +336,7 @@ def validate(h: HFunction) -> List[str]:
     On the doubled lattice square of :func:`default_window`, read once by
     :meth:`HFunction.grid`: nonnegativity, monotonicity and bounded gap both
     ways, the symmetry H(t,r) + t + r = H(-t,-r), and -N <= l/2 <= N with
-    N = :func:`width`.  Returns the failure messages, empty when all pass; a
-    knotted first component raises InvalidInputError.
+    N = :func:`width`.  Returns the failure messages, empty when all pass.
 
     When |l/2| <= N the square holds delta_tilde's support and the steps of
     H1 and H2 with a margin.  Past it each row and column is a translate of

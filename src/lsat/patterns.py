@@ -382,10 +382,9 @@ def bridge_braid_profile(p: int, r: int, b: int) -> PatternProfile:
 def generic_profile(data: LinkAlexData) -> PatternProfile:
     """Assemble a profile from user Alexander data by H-function queries.
 
-    The data must pass :func:`validate`, whose width needs an unknotted
-    first component.  Like every profile with Alexander data, g3 is the
-    top degree of delta2; the profile's own checks refuse data whose R
-    values disagree with it.
+    The data must pass :func:`validate`.  Like every profile with
+    Alexander data, g3 is the top degree of delta2; the profile's own
+    checks refuse data whose R values disagree with it.
     """
     if data.linking < 0:
         raise InvalidInputError(

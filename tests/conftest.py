@@ -6,7 +6,8 @@ Whitehead link, and the L(14,3) link; every entry was transcribed once
 and is compared exactly against the Gorsky-Nemethi evaluation.
 
 ``invoke`` runs the ``lsat`` command line in this process and
-``run_python`` runs a fresh interpreter.
+``run_python`` runs a fresh interpreter.  The builders ``p1``, ``p2``,
+``add``, ``torus_knot``, ``link`` and ``flipped`` take doubled exponents.
 """
 
 import contextlib
@@ -152,6 +153,57 @@ MAZUR_TABLE = {
         [5, 4, 3, 3, 3, 3],
     ],
 }
+
+
+def p1(terms) -> LaurentPoly1:
+    """One-variable polynomial from {doubled exponent: coefficient}."""
+    return LaurentPoly1.from_terms(terms)
+
+
+def p2(terms) -> LaurentPoly2:
+    """Two-variable polynomial from {(doubled e1, doubled e2): coefficient}."""
+    return LaurentPoly2.from_terms(terms)
+
+
+def add(p, q):
+    """Coefficientwise sum: from_terms merges the concatenated terms."""
+    return LaurentPoly2.from_terms(p.terms + q.terms)
+
+
+def torus_knot(top) -> LaurentPoly1:
+    """Alexander polynomial of T(2, 2*top + 1), doubled degree 2*top."""
+    return p1({2 * k: (-1) ** (top - k) for k in range(-top, top + 1)})
+
+
+def link(l, terms, delta1=None, delta2=None) -> LinkAlexData:
+    """Link data from {(doubled j, doubled k): coefficient}; the components
+    default to unknots."""
+    return LinkAlexData(
+        linking=l,
+        delta_tilde=p2(terms),
+        delta1=delta1 or LaurentPoly1.one(),
+        delta2=delta2 or LaurentPoly1.one(),
+    )
+
+
+def flipped(r, q) -> LinkAlexData:
+    """Two-bridge data with the wrong overall sign."""
+    data = lsat.twobridge_data(r, q)
+    return data.replace(delta_tilde=data.delta_tilde.neg())
+
+
+@pytest.fixture
+def hfunction_builds(monkeypatch):
+    """The data of each HFunction built while the test runs, in order."""
+    builds = []
+    init = lsat.HFunction.__init__
+
+    def counting_init(self, data):
+        builds.append(data)
+        init(self, data)
+
+    monkeypatch.setattr(lsat.HFunction, "__init__", counting_init)
+    return builds
 
 
 def negative_hopf_data() -> LinkAlexData:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import lsat
-from conftest import invoke, run_python
+from conftest import flipped, invoke, run_python
 from lsat import twobridge_data, unlink_data
 
 
@@ -227,11 +227,12 @@ class TestVerify:
         second = invoke(["verify", "--check", "classifier"])
         assert first.output == second.output
 
-    def test_threaded_output_identical(self, monkeypatch):
-        serial = invoke(["verify", "--check", "oracle"])
-        monkeypatch.setenv("LSAT_THREADS", "4")
-        threaded = invoke(["verify", "--check", "oracle"])
-        assert serial.output == threaded.output
+    def test_oracle_output_identical_in_a_new_process(self):
+        # A new interpreter draws a new string-hash seed, so an output that
+        # hung on set or dict order would differ here.
+        here = invoke(["verify", "--check", "oracle"])
+        proc = run_python("-m", "lsat.cli", "verify", "--check", "oracle")
+        assert (proc.returncode, proc.stdout) == (here.exit_code, here.stdout)
 
     def test_json_format(self):
         result = invoke(["verify", "--check", "genus", "--format", "json"])
@@ -303,6 +304,19 @@ class TestJsonG3:
             assert payload["exit_code"] == 2
             assert "g3" in payload["message"], payload
 
+    def test_g3_claim_is_checked_before_the_sign(self, tmp_path):
+        # No sign of this delta_tilde gives an H-function, but the file is
+        # refused first for its g3, which the reader checks.
+        obj = flipped(9, 5).to_json_obj()
+        obj["delta_tilde"]["terms"][0]["c"] *= 3
+        path = tmp_path / "link.json"
+        path.write_text(json.dumps(dict(obj, g3=1)), encoding="utf-8")
+        result = invoke(["classify", f"json:{path}"])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["message"] == (
+            "supplied g3 = 1 disagrees with g3 = 0, the top degree of delta2"
+        )
+
 
 class TestErrors:
     def test_malformed_spec_exit_2(self):
@@ -323,6 +337,51 @@ class TestErrors:
         assert result.exit_code == 2
         payload = json.loads(result.stderr.splitlines()[-1])
         assert payload["message"] == f"{name}(1) must be +-1"
+
+    def test_component_not_symmetric_exit_2(self, tmp_path):
+        obj = unlink_data().to_json_obj()
+        obj["delta2"] = {"vars": 1, "terms": [
+            {"e": [-2], "c": -1}, {"e": [0], "c": 1}, {"e": [2], "c": 1}]}
+        path = tmp_path / "link.json"
+        path.write_text(json.dumps(obj))
+        result = invoke(["tau", f"json:{path}", "--tau", "1", "--eps", "1"])
+        assert result.exit_code == 2
+        payload = json.loads(result.stderr.splitlines()[-1])
+        assert payload["message"] == "delta2 is not symmetric"
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["sign-as-walked", "sign-flipped"])
+    def test_knotted_first_component_exit_2(self, tmp_path, sign):
+        # The axis of the solid torus is unknotted; the reader refuses a
+        # trefoil there whatever the sign of delta_tilde.
+        data = flipped(9, 5) if sign < 0 else twobridge_data(9, 5)
+        obj = data.to_json_obj()
+        obj["delta1"] = {"vars": 1, "terms": [
+            {"e": [-2], "c": 1}, {"e": [0], "c": -1}, {"e": [2], "c": 1}]}
+        path = tmp_path / "link.json"
+        path.write_text(json.dumps(obj))
+        result = invoke(["classify", f"json:{path}"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        payload = json.loads(result.stderr.splitlines()[-1])
+        assert payload["message"] == "first component must be an unknot"
+
+    def test_closed_form_and_oracle_disagreeing_exit_4(self, monkeypatch):
+        import lsat.zcomplex
+
+        oracle = lsat.zcomplex.tau_oracle
+
+        def off_by_one(*args):
+            result = oracle(*args)
+            return result.replace(value=result.value + 1)
+
+        monkeypatch.setattr(lsat.zcomplex, "tau_oracle", off_by_one)
+        result = invoke(["tau", "twobridge:3,3", "--tau", "1", "--eps", "1",
+                         "--method", "both"])
+        assert (result.exit_code, result.stdout) == (4, "")
+        assert json.loads(result.stderr) == {
+            "error": "VerificationError",
+            "exit_code": 4,
+            "message": "closed form 1 != oracle 2 (eps=1,n<2tau / eps=1,n<2tau)",
+        }
 
     def test_error_payload_is_json(self):
         result = invoke(["hfunc", "cable:2,1"])

@@ -127,22 +127,18 @@ def test_classify_rejects_what_tau_rejects(spec, n):
     assert _error(tau)["message"] == REFUSALS[spec]
 
 
-def test_classify_json_reuses_the_profile_hfunction(tmp_path, monkeypatch):
-    builds = []
+def test_classify_json_reuses_the_profile_hfunction(
+    tmp_path, monkeypatch, hfunction_builds
+):
+    builds = hfunction_builds
     built_by_profile = []
-    init = lsat.HFunction.__init__
     profile = lsat.generic_profile
-
-    def counting_init(self, data):
-        builds.append(data)
-        init(self, data)
 
     def marking_profile(*args, **kwargs):
         prof = profile(*args, **kwargs)
         built_by_profile.append(len(builds))
         return prof
 
-    monkeypatch.setattr(lsat.HFunction, "__init__", counting_init)
     monkeypatch.setattr(lsat.patterns, "generic_profile", marking_profile)
     obj = dict(twobridge_data(21, 13).to_json_obj(), g3=0)
     path = _link_json(tmp_path, obj)
@@ -259,6 +255,18 @@ def test_each_json_integer_is_bounded(tmp_path, field):
     assert _error(result)["message"] == (
         f"{field} has more than {MAX_INT_DIGITS} digits"
     )
+
+
+@pytest.mark.parametrize("poly, value, arity", [
+    ("delta1", True, "one"), ("delta2", 1.0, "one"), ("delta_tilde", 2.0, "two"),
+], ids=["true", "1.0", "2.0"])
+def test_vars_is_a_json_integer(tmp_path, poly, value, arity):
+    # Python compares true and 1.0 equal to 1, but neither is the JSON
+    # integer the format asks for.
+    obj = twobridge_data(3, 1).to_json_obj()
+    obj[poly]["vars"] = value
+    result = invoke(["classify", f"json:{_link_json(tmp_path, obj)}"])
+    assert _error(result)["message"] == f"expected a {arity}-variable polynomial"
 
 
 def test_hfunc_window_limit():

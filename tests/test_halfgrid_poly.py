@@ -5,6 +5,7 @@ Every exponent is written doubled: 3 stands for x^{3/2}.
 
 import pytest
 
+from conftest import add, p1, p2
 from lsat import LaurentPoly1, LaurentPoly2, half, shift, symmetrize
 from lsat.errors import CosetMismatchError, InvalidInputError
 from lsat.halfgrid_poly import knot_chi_expansion
@@ -15,15 +16,6 @@ class TestHalf:
         assert half(3) == "3/2"
         assert half(-1) == "-1/2"
         assert half(4) == "2"
-
-
-def p2(terms):
-    return LaurentPoly2.from_terms(terms)
-
-
-def add(p, q):
-    """Coefficientwise sum: from_terms merges the concatenated terms."""
-    return LaurentPoly2.from_terms(p.terms + q.terms)
 
 
 class TestAddShift:
@@ -128,10 +120,6 @@ class TestSymmetrize:
         poly = p2({(1, 1): -1, (1, -1): 1, (-1, 1): 1, (-1, -1): -1})
         sym = symmetrize(poly)
         assert symmetrize(sym) == sym
-
-
-def p1(terms):
-    return LaurentPoly1.from_terms(terms)
 
 
 def chi_of(delta):

@@ -1,56 +1,15 @@
 """The exact text of each error and failure message that prints a half-integer.
 
 Every value is printed as ``p/2`` when it is not whole.  Inputs are built
-from JSON polynomial terms (doubled exponents on the wire) or from the
-two-bridge family, so the cases read the same whatever type the library
-holds a half-integer in.
+from doubled-exponent terms or from the two-bridge family, so the cases
+read the same whatever type the library holds a half-integer in.
 """
 
 import pytest
 
-from lsat import (
-    HFunction,
-    LinkAlexData,
-    symmetrize,
-    twobridge_data,
-    twobridge_profile,
-    validate,
-)
+from conftest import flipped, link, p2, torus_knot
+from lsat import HFunction, symmetrize, twobridge_data, twobridge_profile, validate
 from lsat.errors import LsatError
-from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
-
-
-def p1(terms):
-    """One-variable polynomial from {doubled exponent: coefficient}."""
-    return LaurentPoly1.from_json_obj(
-        {"vars": 1, "terms": [{"e": [e], "c": c} for e, c in terms.items()]}
-    )
-
-
-def p2(terms):
-    """Two-variable polynomial from {(doubled e1, doubled e2): coefficient}."""
-    return LaurentPoly2.from_json_obj(
-        {"vars": 2,
-         "terms": [{"e": list(e), "c": c} for e, c in terms.items()]}
-    )
-
-
-def torus_knot(top):
-    """Alexander polynomial of T(2, 2*top + 1), doubled degree 2*top."""
-    return p1({2 * k: (-1) ** (top - k) for k in range(-top, top + 1)})
-
-
-UNKNOT = {0: 1}
-
-
-def link(l, terms, delta1=None, delta2=None):
-    """Link data; delta_tilde from doubled-exponent terms."""
-    return LinkAlexData(
-        linking=l,
-        delta_tilde=p2(terms),
-        delta1=delta1 or p1(UNKNOT),
-        delta2=delta2 or p1(UNKNOT),
-    )
 
 
 def raised(call):
@@ -63,11 +22,6 @@ def raised(call):
 def failures(data):
     """The failure list of ``validate`` on ``data``."""
     return validate(HFunction(data))
-
-
-def flipped(r, q):
-    data = twobridge_data(r, q)
-    return data.replace(delta_tilde=data.delta_tilde.neg())
 
 
 # name -> (messages produced, the exact message that must be among them).
@@ -84,6 +38,14 @@ CASES = {
             p2({(-1, -1): 1, (1, 1): 1, (-1, 1): 1, (1, -1): 2})
         )),
         "coefficient at (-1/2,1/2) breaks inversion symmetry",
+    ),
+    "symmetrize later term, sign -1": (
+        lambda: raised(lambda: symmetrize(p2({(0, 0): 1, (2, 0): 1, (2, 2): -1}))),
+        "coefficient at (1/2,-1/2) breaks inversion symmetry",
+    ),
+    "r_of_t off the lattice": (
+        lambda: raised(lambda: twobridge_data(3, 3).hfunction().r_of_t(1)),
+        "(1/2,1) is not on the lattice",
     ),
     "r_of_t gap": (
         lambda: raised(lambda: HFunction(flipped(3, 3)).r_of_t(0)),

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from conftest import TWOBRIDGE_PAIRS, twobridge_alexander_closed
+from conftest import TWOBRIDGE_PAIRS, p2, twobridge_alexander_closed
 from lsat import (
     Companion,
     HFunction,
@@ -30,12 +30,8 @@ from lsat import (
 from lsat.cli import _load_pattern, parse_pattern_spec
 from lsat.errors import InvalidInputError
 from lsat.patterns import MAX_BRAID_STRANDS, bridge_braid_knot_check
-from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2, shift
+from lsat.halfgrid_poly import LaurentPoly1, shift
 from lsat.sweeps import LINK_PAIRS
-
-
-def p2(terms):
-    return LaurentPoly2.from_terms(terms)
 
 
 def torus_knot_alexander(p, q):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import add, torus_knot
 from lsat import (
     Companion,
     HFunction,
@@ -26,7 +27,7 @@ from lsat import (
     width,
 )
 from lsat.errors import LsatError, UnsupportedRegimeError
-from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
+from lsat.halfgrid_poly import LaurentPoly2
 from lsat.hfunction import _t22l
 from lsat.sweeps import COMPANIONS, FRAMINGS, LINK_PAIRS
 from lsat.zcomplex import tau_oracle
@@ -55,11 +56,6 @@ def coset_polys(parity):
             {e: c for e, c in items if c != 0}
         )
     )
-
-
-def add(p, q):
-    """Coefficientwise sum: from_terms merges the concatenated terms."""
-    return LaurentPoly2.from_terms(p.terms + q.terms)
 
 
 class TestPolynomialAlgebra:
@@ -115,13 +111,6 @@ class TestHFunctionProperties:
         assert r_here <= prof.r_center
         if t < prof.l:
             assert r_here <= h.r_of_t(t + 2)
-
-
-def torus_knot(g):
-    """Alexander polynomial of T(2, 2g + 1), doubled degree 2g."""
-    return LaurentPoly1.from_terms(
-        {2 * k: (-1) ** (g - k) for k in range(-g, g + 1)}
-    )
 
 
 base_links = st.one_of(

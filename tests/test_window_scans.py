@@ -3,8 +3,9 @@
 The failure reports of ``validate`` and the error text of
 ``generic_profile`` are pinned on data that breaks the L-space properties
 (sign-flipped two-bridge links, a coefficient-2 Hopf link, asymmetric data,
-a width below l/2), so the messages keep their order and wording.  Data
-with a knotted first component has no width, so both refuse it.
+a width below l/2), so the messages keep their order and wording.  The
+first component is the unknotted axis, so data with a knotted one is
+refused when it is built, before either runs.
 Windows, coordinates and widths are doubled ints.
 """
 
@@ -16,7 +17,7 @@ import pytest
 
 import lsat.hfunction
 import lsat.patterns
-from conftest import invoke, two_bridge_pairs
+from conftest import flipped, invoke, link, torus_knot, two_bridge_pairs
 from lsat import (
     HFunction,
     LinkAlexData,
@@ -25,33 +26,8 @@ from lsat import (
     resolve_sign,
     twobridge_data,
     validate,
-    width,
 )
 from lsat.errors import InvalidInputError
-from lsat.halfgrid_poly import LaurentPoly1, LaurentPoly2
-
-
-def torus_knot(top):
-    """Alexander polynomial of T(2, 2*top + 1), degree ``top``."""
-    return LaurentPoly1.from_terms(
-        {2 * k: (-1) ** (top - k) for k in range(-top, top + 1)}
-    )
-
-
-def link(l, terms, delta1=None, delta2=None):
-    """Link data from {(doubled j, doubled k): coefficient}."""
-    return LinkAlexData(
-        linking=l,
-        delta_tilde=LaurentPoly2.from_terms(terms),
-        delta1=delta1 or LaurentPoly1.one(),
-        delta2=delta2 or LaurentPoly1.one(),
-    )
-
-
-def flipped(r, q):
-    """Two-bridge data with the wrong overall sign."""
-    data = twobridge_data(r, q)
-    return data.replace(delta_tilde=data.delta_tilde.neg())
 
 
 def digest(failures):
@@ -80,7 +56,7 @@ BROKEN = {
 
 # name -> (failure count, digest of all failures, first of each kind,
 #          generic_profile error text or None); count, digest and firsts
-#          are None when validate refuses the data with that same text.
+#          are None when building the data refuses it with that same text.
 PINNED = {
     "flip(3,3) window 3": (
         5,
@@ -201,7 +177,6 @@ GRID_CASES = {
     **{f"twobridge({r},{q})": (lambda r=r, q=q: twobridge_data(r, q))
        for r, q in two_bridge_pairs(15) + [(41, 31), (61, 41)]},
     "unlink": lambda: link(0, {}),
-    "trefoil first component": lambda: link(1, {(1, 1): 1}, torus_knot(1)),
     "T(2,5) second component": lambda: link(0, {(0, 0): 1}, None, torus_knot(2)),
     "flip(5,3)": lambda: flipped(5, 3),
     "flip(21,13)": lambda: flipped(21, 13),
@@ -282,65 +257,32 @@ def test_grid_builds_per_op(monkeypatch, argv, grids):
     assert len(built) == grids
 
 
-def test_json_path_builds_one_hfunction(tmp_path, monkeypatch):
+def test_json_path_builds_one_hfunction(tmp_path, hfunction_builds):
     good, bad = tmp_path / "good.json", tmp_path / "flipped.json"
     for path, data in ((good, twobridge_data(21, 13)), (bad, flipped(21, 13))):
         obj = dict(data.to_json_obj(), g3=0)
         path.write_text(json.dumps(obj), encoding="utf-8")
-    builds = []
-    init = HFunction.__init__
-
-    def counting_init(self, data):
-        builds.append(data)
-        init(self, data)
-
-    monkeypatch.setattr(HFunction, "__init__", counting_init)
     # One HFunction per sign probed: the one that passes is validated and
     # kept by the profile.
     for path, want in ((good, 1), (bad, 2)):
-        builds.clear()
+        hfunction_builds.clear()
         result = invoke(["classify", f"json:{path}"])
         assert result.exit_code == 0, result.output
-        assert len(builds) == want
+        assert len(hfunction_builds) == want
 
 
-def column_scan(data):
-    """Doubled t from which the columns of H stabilize, both ways.
-
-    Walks down from past the support while column t-1 equals column t
-    (upper stabilization) and, mirrored, H grows by exactly 1 from column
-    -(t-1) to column -t.
-    """
-    bound = lsat.hfunction._snap_up(data.support_extent() + 4, data.linking)
-    ds, rows = data.hfunction().grid(bound + 4)
-    column = dict(zip(ds, rows))
-    t = bound
-    while t > 0:
-        upper_ok = column[t - 2] == column[t]
-        lower_ok = [v + 1 for v in column[2 - t]] == column[-t]
-        if not (upper_ok and lower_ok):
-            return t
-        t -= 2
-    return t
-
-
-@pytest.mark.parametrize(
-    "terms, l, top, want",
-    [
-        ({(1, 1): 1, (3, 1): 1}, 1, 1, 3),
-        ({(2, 0): 1, (-2, 0): 1}, 0, 1, 4),
-        ({(-4, 0): 1}, 0, 2, 6),
-        ({(-3, 1): 1}, 1, 1, 5),
-    ],
-)
-def test_width_scan_on_asymmetric_data(terms, l, top, want):
-    # Asymmetric delta_tilde with a knotted first component: the H columns
-    # still stabilize (upper and mirrored lower) at the pinned place, but
-    # width reads delta_tilde only over an unknotted axis and refuses.
-    data = link(l, terms, torus_knot(top))
-    assert column_scan(data) == want
+@pytest.mark.parametrize("l, terms, top", [
+    (1, {(1, 1): 1}, 1),
+    (1, {(1, 1): 1, (3, 1): 1}, 1),
+    (0, {(2, 0): 1, (-2, 0): 1}, 1),
+    (0, {(-4, 0): 1}, 2),
+    (1, {(-3, 1): 1}, 1),
+], ids=["trefoil", "asymmetric0", "asymmetric1", "asymmetric2", "asymmetric3"])
+def test_a_knotted_first_component_is_refused(l, terms, top):
+    # The first component is the axis of the solid torus, so a link whose
+    # first component is T(2, 2*top + 1) is no operator's link.
     with pytest.raises(InvalidInputError) as exc:
-        width(data)
+        link(l, terms, torus_knot(top))
     assert str(exc.value) == "first component must be an unknot"
 
 
