@@ -19,11 +19,10 @@ _MODULES = {
     "errors": "",
     "halfgrid_poly": "LaurentPoly1 LaurentPoly2 half knot_chi_expansion shift symmetrize",
     "hfunction": "HFunction LinkAlexData hf_table_tsv resolve_sign validate width",
-    "patterns": "Companion PatternProfile TauResult bridge_braid_profile "
-    "cable_profile generic_profile twobridge_alexander twobridge_data "
+    "patterns": "Companion PatternProfile TauResult bridge_braid_profile cable_profile "
+    "generic_profile tau_bridge_braid tau_cable twobridge_alexander twobridge_data "
     "twobridge_eta twobridge_profile twobridge_walk unlink_data unlink_profile",
-    "invariants": "classify_operator eps_not_minus_one tau_bridge_braid "
-    "tau_cable tau_closed_form tau_inequality_check",
+    "invariants": "classify_operator eps_not_minus_one tau_closed_form tau_inequality_check",
     "zcomplex": "ZComplex build_summand tau_oracle tower_alexander",
     "genus": "g3rel g3rel_framed g4_satellite_regime",
 }

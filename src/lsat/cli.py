@@ -70,13 +70,11 @@ def parse_pattern_spec(spec: str):
         raise InvalidInputError(
             f"argument PATTERN: a {kind} parameter has {exc}"
         ) from exc
-    expected = {"twobridge": 2, "cable": 2, "braid": 3}
-    if kind not in expected:
+    if kind not in patterns.FAMILIES:
         raise InvalidInputError(f"unknown pattern family {kind!r}")
-    if len(params) != expected[kind]:
-        raise InvalidInputError(
-            f"{kind} takes {expected[kind]} parameters, got {len(params)}"
-        )
+    arity = patterns.FAMILIES[kind][0]
+    if len(params) != arity:
+        raise InvalidInputError(f"{kind} takes {arity} parameters, got {len(params)}")
     return (kind,) + params
 
 
@@ -89,35 +87,33 @@ def __getattr__(name: str):
 
 
 _Loaded = Tuple[str, Tuple[int, ...], Optional["patterns.PatternProfile"]]
+# Most characters read from a json: file, ~4x the largest in-cap link at indent=8.
+_JSON_BUDGET = 4 * 1024 * 1024
 
 
 def _load_pattern(spec: str) -> _Loaded:
     """(kind, params, profile) of a spec; profile is None for cable/braid.
 
-    A cable or braid is checked here, as typed, by its family's knot check,
-    so every command refuses an invalid one first, with one exit-2 message.
-    Its scalar profile is only defined on the principal parameter range,
-    and only ``genus`` reads it (``classify`` reads the winding p alone and
-    ``tau`` the family formula), so it is not built here.
+    The loader of the family's ``patterns.FAMILIES`` row checks the spec as
+    typed, so every command refuses an invalid one first, with one exit-2
+    message.  A scalar profile, which only ``genus`` reads, is not built here.
     """
     parsed = parse_pattern_spec(spec)
     kind, params = parsed[0], parsed[1:]
-    if kind == "twobridge":
-        return kind, params, patterns.twobridge_profile(*params)
-    if kind in ("cable", "braid"):
-        (patterns.cable_knot_check if kind == "cable"
-         else patterns.bridge_braid_knot_check)(*params)
-        return kind, params, None
-    # json:<path>
+    if kind != "json":
+        return kind, params, patterns.FAMILIES[kind][1](*params)
     import json
 
     path = params[0]
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            text = fh.read(_JSON_BUDGET + 1)
+        if len(text) > _JSON_BUDGET:
+            raise ValueError(f"more than {_JSON_BUDGET} characters")
+        obj = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers bad JSON, bytes that are not UTF-8 and integers
-        # past the int-digit limit; RecursionError, arrays nested too deep.
+        # ValueError covers bad JSON, bytes that are not UTF-8, a file past the
+        # budget and integers past the digit limit; RecursionError, deep nesting.
         raise InvalidInputError(
             f"cannot read link data from {path}: {exc}"
         ) from exc
@@ -175,8 +171,7 @@ def _tau_for(
                 f"the oracle needs full Alexander data; {kind} "
                 "patterns support the closed form only"
             )
-        return [(invariants.tau_cable if kind == "cable"
-                 else invariants.tau_bridge_braid)(*params, K, n)]
+        return [patterns.FAMILIES[kind][3](*params, K, n)]
     results: List[patterns.TauResult] = []
     if method in ("closed", "both"):
         results.append(invariants.tau_closed_form(prof, K, n))
@@ -242,8 +237,7 @@ def cmd_genus(
     """Relative Seifert genus and (optionally) satellite slice genus."""
     kind, params, prof = _load_pattern(pattern)
     if prof is None:
-        prof = (patterns.cable_profile if kind == "cable"
-                else patterns.bridge_braid_profile)(*params)
+        prof = patterns.FAMILIES[kind][2](*params)
     g3r = genus.g3rel(prof)
     g4: Optional[int] = None
     regime = "g3rel-only"

@@ -1,11 +1,9 @@
-"""Closed-form tau of satellites, family formulas, and obstructions.
+"""Closed-form tau of satellites and obstructions.
 
 The central entry point is :func:`tau_closed_form`, which dispatches on the
-companion's eps invariant and the framing.  The family formula for
-1-bridge braids B(p, q, b), cables being b = 0 (eps = -1 by the mirror
-trick), lives beside it, together with the eps != -1 guarantee, the
-homomorphism obstruction classifier, and the cable-comparison inequality
-used as a sweep property.
+companion's eps invariant and the framing.  Beside it live the eps != -1
+guarantee, the homomorphism obstruction classifier, and the comparison
+with the family formula of a cable, used as a sweep property.
 """
 
 from __future__ import annotations
@@ -15,10 +13,7 @@ from typing import Optional, Tuple
 from .errors import UnsupportedRegimeError
 from .halfgrid_poly import half
 from .hfunction import HFunction, default_window, width, _point, _t22l
-from .patterns import (
-    Companion, PatternProfile, TauResult, bridge_braid_knot_check,
-    cable_knot_check, regime,
-)
+from .patterns import Companion, PatternProfile, TauResult, regime, tau_cable
 
 
 def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
@@ -50,28 +45,6 @@ def tau_closed_form(prof: PatternProfile, K: Companion, n: int) -> TauResult:
         tag = "eps=-1,n>2tau+1"
     doubled += 2 * prof.framing_shift(n) + 2 * l * tau
     return TauResult(doubled // 2, "closed-form", eps0_tag or tag)
-
-
-def _tau_braided(p: int, q: int, b: int, K: Companion, n: int,
-                 family: str) -> TauResult:
-    """B(p, q, b) (a cable is b = 0) at the slope q + p n; eps = -1 by mirror."""
-    slope = q + p * n
-    side, _ = regime(K, slope)
-    value = ((p - 1) * (slope - side) + b) // 2 + p * K.tau
-    mirror = "(mirror)" if K.eps < 0 else ""
-    return TauResult(value, "family-formula", f"{family},eps={K.eps}{mirror}")
-
-
-def tau_cable(p: int, q: int, K: Companion, n: int) -> TauResult:
-    """tau of the n-framed (p, q) cable satellite: its slope is q + p n."""
-    cable_knot_check(p, q)
-    return _tau_braided(p, q, 0, K, n, "cable")
-
-
-def tau_bridge_braid(p: int, q: int, b: int, K: Companion, n: int) -> TauResult:
-    """tau of the n-framed B(p, q, b) satellite: its slope is q + p n."""
-    bridge_braid_knot_check(p, q, b)
-    return _tau_braided(p, q, b, K, n, "braid")
 
 
 def eps_not_minus_one(prof: PatternProfile, K: Companion, n: int) -> str:

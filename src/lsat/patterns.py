@@ -8,10 +8,10 @@ Three generated families are supported:
 - 1-bridge braids B(p, q, b), the closures of the word
   (s_b...s_1)(s_{p-1}...s_1)^q in the Artin generators s_i
   (Greene-Lewallen-Vafaee), likewise scalar-profiled from the genus
-  formula; a cable is B(p, q, 0) and shares their profile builder.
+  formula; a cable is B(p, q, 0) and shares their profile and tau formula.
 
-User-supplied Alexander data (JSON) is ingested through
-:func:`generic_profile`, which fills the profile by H-function queries.
+:data:`FAMILIES` holds each family's row.  JSON link data is no family:
+:func:`generic_profile` fills its profile by H-function queries.
 """
 
 from __future__ import annotations
@@ -377,6 +377,39 @@ def bridge_braid_profile(p: int, r: int, b: int) -> PatternProfile:
         raise InvalidInputError("bridge braid profile needs p < r < 2p")
     bridge_braid_knot_check(p, r, b)
     return _braided_profile(p, r, b)
+
+
+def _tau_braided(p: int, q: int, b: int, K: Companion, n: int,
+                 family: str) -> TauResult:
+    """B(p, q, b) (a cable is b = 0) at the slope q + p n; eps = -1 by mirror."""
+    slope = q + p * n
+    side, _ = regime(K, slope)
+    value = ((p - 1) * (slope - side) + b) // 2 + p * K.tau
+    mirror = "(mirror)" if K.eps < 0 else ""
+    return TauResult(value, "family-formula", f"{family},eps={K.eps}{mirror}")
+
+
+def tau_cable(p: int, q: int, K: Companion, n: int) -> TauResult:
+    """tau of the n-framed (p, q) cable satellite: its slope is q + p n."""
+    cable_knot_check(p, q)
+    return _tau_braided(p, q, 0, K, n, "cable")
+
+
+def tau_bridge_braid(p: int, q: int, b: int, K: Companion, n: int) -> TauResult:
+    """tau of the n-framed B(p, q, b) satellite: its slope is q + p n."""
+    bridge_braid_knot_check(p, q, b)
+    return _tau_braided(p, q, b, K, n, "braid")
+
+
+# Spec kind -> (arity, loader, scalar profile, tau formula); the loader checks
+# the parameters and returns the profile with Alexander data, or None.  The
+# lambda looks twobridge_profile up per call, so a wrapper that replaces the
+# module's name (bench/tracer.py hooks it) sees every load.
+FAMILIES = {
+    "twobridge": (2, lambda r, q: twobridge_profile(r, q), None, None),
+    "cable": (2, cable_knot_check, cable_profile, tau_cable),
+    "braid": (3, bridge_braid_knot_check, bridge_braid_profile, tau_bridge_braid),
+}
 
 
 def generic_profile(data: LinkAlexData) -> PatternProfile:

@@ -323,6 +323,17 @@ class TestErrors:
         result = invoke(["hfunc", "nonsense"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("spec, message", [
+        ("nope:1,2", "unknown pattern family 'nope'"),
+        ("twobridge:5", "twobridge takes 2 parameters, got 1"),
+        ("cable:3", "cable takes 2 parameters, got 1"),
+        ("braid:4,5", "braid takes 3 parameters, got 2"),
+    ])
+    def test_spec_family_and_arity_messages(self, spec, message):
+        result = invoke(["tau", spec, "--tau", "1", "--eps", "1"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert json.loads(result.stderr)["message"] == message
+
     def test_missing_file_exit_2(self):
         result = invoke(["hfunc", "json:/does/not/exist.json"])
         assert result.exit_code == 2
@@ -521,6 +532,8 @@ class TestUsageContract:
 # Every library module but lsat.errors, which lsat.cli imports itself.
 LIBRARY = ["genus", "halfgrid_poly", "hfunction", "invariants", "patterns",
            "sweeps", "zcomplex"]
+# The unlink's link data with its delta2 field left out.
+WITHOUT_DELTA2 = Path(__file__).parent / "link_without_delta2.json"
 
 
 class TestEntryPoint:
@@ -576,8 +589,15 @@ class TestEntryPoint:
         (["tau", "twobridge:x,1", "--tau", "0", "--eps", "0"], 2, LIBRARY),
         (["hfunc", "twobridge:3,3", "--window", "0"], 2, LIBRARY),
         (["classify", "json:no-such-dir/link.json"], 2, LIBRARY),
+        (["classify", f"json:{WITHOUT_DELTA2}"], 2,
+         ["genus", "invariants", "patterns", "sweeps", "zcomplex"]),
+        (["tau", "cable:3,2", "--tau", "1", "--eps", "1"], 0,
+         ["genus", "invariants", "sweeps", "zcomplex"]),
+        (["genus", "braid:4,5,2", "--g4-eq-tau", "1"], 0,
+         ["invariants", "sweeps", "zcomplex"]),
     ], ids=["hfunc", "classify", "tau-closed", "verify", "help", "unknown-command",
-            "bad-spec", "bad-window", "unreadable-json"])
+            "bad-spec", "bad-window", "unreadable-json", "json-without-delta2",
+            "tau-cable", "genus-braid"])
     def test_a_command_executes_only_the_modules_it_runs(self, argv, code, unexecuted):
         # A library module that no code has touched yet is still the lazy
         # placeholder the package registered, not a plain module.

@@ -94,6 +94,32 @@ def test_unreadable_json_exits_2(tmp_path, content):
     assert len(result.stderr.strip().splitlines()) == 1
 
 
+# Most characters a json: file may hold.
+JSON_BUDGET = 4 * 1024 * 1024
+
+
+def test_endless_json_file_exits_2():
+    result = invoke(["classify", "json:/dev/zero"])
+    assert _error(result)["message"] == (
+        f"cannot read link data from /dev/zero: more than {JSON_BUDGET} characters"
+    )
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)],
+                         ids=["at-budget", "past-budget"])
+def test_json_read_budget(tmp_path, extra, code):
+    text = json.dumps(twobridge_data(3, 1).to_json_obj())
+    path = tmp_path / "link.json"
+    path.write_text(text + " " * (JSON_BUDGET - len(text) + extra), encoding="utf-8")
+    result = invoke(["classify", f"json:{path}"])
+    if code:
+        assert _error(result)["message"] == (
+            f"cannot read link data from {path}: more than {JSON_BUDGET} characters"
+        )
+    else:
+        assert (result.exit_code, result.stdout) == (0, "identity\n")
+
+
 def test_large_two_bridge_json_still_computes(tmp_path):
     obj = dict(twobridge_data(21, 13).to_json_obj(), g3=0)
     path = _link_json(tmp_path, obj)
